@@ -105,8 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("suite", "run the verification matrix")
     p.add_argument("--config", help="JSON matrix config; default built-in matrix")
-    p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=2008)
+    p.add_argument("--trials", type=int, help="search trials; default the config's, else 10000")
+    p.add_argument("--seed", type=int, help="search seed; default the config's, else 2008")
     for name, default in (
         ("tol-quantile-choquet", 1e-8),
         ("tol-mixture", 1e-6),
@@ -286,8 +286,10 @@ def _cmd_suite(args) -> str:
         config = _suite_config_from_json(args.config)
     else:
         config = default_config()
-    config.trials = args.trials
-    config.seed = args.seed
+    if args.trials is not None:
+        config.trials = args.trials
+    if args.seed is not None:
+        config.seed = args.seed
     tolerances = Tolerances(
         quantile_choquet=getattr(args, "tol_quantile_choquet"),
         mixture=getattr(args, "tol_mixture"),

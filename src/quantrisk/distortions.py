@@ -12,6 +12,7 @@ form.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,6 +136,17 @@ class DensityPiece:
         za = (a - self.origin) / self.width
         zb = (b - self.origin) / self.width
         return self.coef * self.width / e1 * (max(zb, 0.0) ** e1 - max(za, 0.0) ** e1)
+
+    def primitive(self, u, order: int = 1):
+        """The order-th iterated primitive of the power, vanishing at ``origin``.
+
+        Not restricted to (lo, hi): callers clip their arguments.
+        """
+        scale = self.coef
+        for k in range(1, order + 1):
+            scale *= self.width / (self.expo + k)
+        z = np.maximum((np.asarray(u, dtype=float) - self.origin) / self.width, 0.0)
+        return scale * z ** (self.expo + order)
 
     def antiderivative_piece(self, cum_lo: float) -> Piece:
         """Primitive starting from value cum_lo at lo, as a distortion piece."""
@@ -296,7 +308,7 @@ def expected_shortfall_distortion(alpha: float) -> Distortion:
 
 
 def higher_order_es_distortion(n: int, alpha: float, _name: str | None = None) -> Distortion:
-    if int(n) != n or n < 1:
+    if not float(n).is_integer() or n < 1:
         raise ParameterError(f"order must be an integer >= 1, got {n!r}")
     if not 0.0 <= alpha < 1.0:
         raise ParameterError(f"es level must lie in [0,1), got {alpha!r}")
@@ -352,6 +364,9 @@ def make_named(name: str, **params) -> Distortion:
         raise TypeError(
             f"family {name!r} takes parameters {list(required)}; missing {missing}, unexpected {extra}"
         )
+    for key, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ParameterError(f"{name} parameter {key!r} must be a real number, got {value!r}")
     return builder(params)
 
 

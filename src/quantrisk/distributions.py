@@ -741,13 +741,13 @@ def transform(dist: Distribution, op) -> Distribution:
         if op.factor == 1.0:
             return dist
         if isinstance(dist, Discrete):
-            return Discrete(dist.values * op.factor, dist.probs)
+            return _move_discrete(dist, dist.values * op.factor)
         return _Scaled(dist, op.factor)
     if isinstance(op, Shift):
         if op.offset == 0.0:
             return dist
         if isinstance(dist, Discrete):
-            return Discrete(dist.values + op.offset, dist.probs)
+            return _move_discrete(dist, dist.values + op.offset)
         return _Shifted(dist, op.offset)
     if isinstance(op, PosPart):
         if isinstance(dist, Discrete):
@@ -785,6 +785,20 @@ def _negate(dist: Distribution) -> Distribution:
 def _remap_discrete(dist: Discrete, new_values: np.ndarray) -> Discrete:
     values, masses = _merge_atoms(new_values, dist.probs)
     return Discrete(values, masses / math.fsum(masses.tolist()))
+
+
+def _move_discrete(dist: Discrete, new_values: np.ndarray) -> Discrete:
+    """``dist`` with its atoms moved by an increasing map, masses and levels kept.
+
+    Rounding can map adjacent atoms onto one value; those are merged.
+    """
+    if not np.all(np.isfinite(new_values)):
+        raise ParameterError("atom values must be finite")
+    if np.any(np.diff(new_values) <= 0):
+        return _remap_discrete(dist, new_values)
+    out = Discrete.__new__(Discrete)
+    out.values, out.probs, out.cum = new_values, dist.probs, dist.cum
+    return out
 
 
 def comonotone_sum(d1: Distribution, d2: Distribution) -> Distribution:

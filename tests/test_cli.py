@@ -173,6 +173,34 @@ class TestSuite:
         assert code == 0
         assert "SUITE OK" in out
 
+    def test_config_trials_and_seed_are_honoured(self, capsys, tmp_path, monkeypatch):
+        import quantrisk.cli as cli
+
+        seen = []
+        real_run_suite = cli.run_suite
+
+        def spy(config, tolerances):
+            seen.append((config.trials, config.seed))
+            return real_run_suite(config, tolerances)
+
+        monkeypatch.setattr(cli, "run_suite", spy)
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "distributions": [{"kind": "empirical", "values": [1, 2, 3, 4]}],
+                    "distortions": [{"kind": "es", "alpha": 0.5}],
+                    "checks": ["agreement"],
+                    "trials": 5,
+                    "seed": 7,
+                }
+            )
+        )
+        assert run(capsys, "suite", "--config", str(config))[0] == 0
+        assert run(capsys, "suite", "--config", str(config), "--seed", "9")[0] == 0
+        assert run(capsys, "suite", "--config", str(config), "--trials", "6")[0] == 0
+        assert seen == [(5, 7), (5, 9), (6, 7)]
+
     def test_empty_matrix_exits_1(self, capsys, tmp_path):
         config = tmp_path / "empty.json"
         config.write_text('{"distributions": [], "distortions": []}')

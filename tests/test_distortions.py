@@ -87,6 +87,22 @@ class TestNamedFamilies:
         with pytest.raises(ParameterError):
             make_named("nope")
 
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("var", {"alpha": "0.5"}),
+            ("es", {"alpha": None}),
+            ("threshold", {"delta": True}),
+            ("es_n", {"n": "2", "alpha": 0.5}),
+            ("es_n", {"n": 2.5, "alpha": 0.5}),
+            ("es_n", {"n": float("inf"), "alpha": 0.5}),
+            ("es_n", {"n": float("nan"), "alpha": 0.5}),
+        ],
+    )
+    def test_parameter_types(self, name, params):
+        with pytest.raises(ParameterError):
+            make_named(name, **params)
+
     def test_eval_domain(self):
         with pytest.raises(ParameterError):
             NAMED["expectation"].eval(1.5)

@@ -188,6 +188,22 @@ class TestTransforms:
         for u in np.linspace(0.05, 0.95, 19):
             assert abs(left.quantile_lower(u) - right.quantile_lower(u)) < 1e-12
 
+    def test_shift_merges_atoms_that_round_together(self):
+        d = Discrete([1e-17, 2e-17], [0.5, 0.5]).shift(1.0)
+        assert list(d.values) == [1.0]
+        assert list(d.probs) == [1.0]
+
+    def test_scale_merges_atoms_that_round_together(self):
+        d = Discrete([1.0, 1.0 + 2**-52], [0.5, 0.5]).scale(1e-320)
+        assert len(d.values) == 1
+        assert d.quantile_lower(0.5) == 1.0 * 1e-320
+
+    def test_shift_and_scale_keep_levels(self):
+        base = Discrete.from_samples([-1.0, 0.5, 2.0, 7.0], [1, 2, 3, 4])
+        for moved in (base.shift(2.5), base.scale(3.0)):
+            assert np.array_equal(moved.cum, Discrete(moved.values, base.probs).cum)
+            assert np.array_equal(moved.probs, base.probs)
+
     def test_neg_part(self):
         base = Discrete.from_samples([-2, 5])
         npart = transform(base, NegPart())

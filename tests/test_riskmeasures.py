@@ -1,7 +1,11 @@
 """Risk representations against independent oracles, domain classification."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from quantrisk.distortions import make_named
@@ -246,6 +250,79 @@ class TestMixtureRisk:
         pn = ParetoNegative(1.0)
         D = make_named("es_n", n=3, alpha=0.2)
         assert abs(mixture_risk(pn, D).as_float() - quantile_risk(pn, D).as_float()) < 1e-6
+
+
+def oracle_choquet_loop(dist, distortion):
+    """The per-edge tail-integral loop, one scalar distortion call per edge."""
+    edges = np.unique(np.concatenate((dist.values, [0.0])))
+    terms = []
+    for a, b in zip(edges, edges[1:]):
+        dlevel = float(distortion.eval(dist.cdf(a)))
+        if b <= 0.0:
+            terms.append(-(b - a) * dlevel)
+        else:
+            terms.append((b - a) * (1.0 - dlevel))
+    return math.fsum(terms)
+
+
+SIX_FAMILIES = (
+    make_named("expectation"),
+    make_named("var", alpha=0.5),
+    make_named("es", alpha=0.9),
+    make_named("es_n", n=3, alpha=0.2),
+    make_named("threshold", delta=0.5),
+    make_named("sqrt_example"),
+)
+
+
+@st.composite
+def large_discretes(draw):
+    """Up to 1e3 atoms of any sign, with ties and atoms at zero."""
+    n = draw(st.integers(min_value=1, max_value=1000))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    offset = draw(st.sampled_from([0.0, -3.0, 3.0]))
+    values = rng.standard_t(3, size=n) + offset
+    if draw(st.booleans()):
+        values = np.round(values, 1)  # ties, and atoms at exactly zero
+    return Discrete.from_samples(values, rng.random(n) + 0.05)
+
+
+class TestDiscreteEngine:
+    @given(dist=large_discretes())
+    @settings(max_examples=40, deadline=None)
+    def test_choquet_equals_loop_exactly(self, dist):
+        from quantrisk.distortions import GridDistortion
+
+        families = SIX_FAMILIES + (GridDistortion(lambda u: u * u, name="square"),)
+        for D in families:
+            assert choquet_risk(dist, D).as_float() == oracle_choquet_loop(dist, D)
+
+    @pytest.mark.parametrize("n", [1_000, 10_000])
+    @pytest.mark.parametrize(
+        "D",
+        [
+            make_named("es", alpha=0.9),
+            make_named("es_n", n=2, alpha=0.5),
+            make_named("es_n", n=3, alpha=0.2),
+            EXPECTATION,
+        ],
+        ids=lambda D: D.label(),
+    )
+    def test_mixture_agrees_with_quantile_form(self, n, D):
+        rng = np.random.default_rng(n)
+        d = Discrete.from_samples(rng.standard_t(3, size=n), rng.random(n) + 0.05)
+        assert abs(mixture_risk(d, D).as_float() - quantile_risk(d, D).as_float()) < 1e-10
+
+    def test_discrete_mixture_makes_no_quadrature_call(self, monkeypatch):
+        import quantrisk.riskmeasures as rm
+
+        def no_quad(*args, **kwargs):
+            raise AssertionError("quadrature called on a discrete input")
+
+        monkeypatch.setattr(rm, "quad", no_quad)
+        d = Discrete.from_samples(np.linspace(-2.0, 5.0, 1001))
+        for D in (EXPECTATION, make_named("es", alpha=0.9), make_named("es_n", n=3, alpha=0.2)):
+            assert mixture_risk(d, D).is_finite
 
 
 class TestDivergenceFlags:
