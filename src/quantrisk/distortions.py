@@ -11,6 +11,7 @@ form.
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 from dataclasses import dataclass
@@ -188,6 +189,7 @@ class Distortion:
         self.pieces: tuple[Piece, ...] = tuple(pieces)
         self.name = name
         self._knots = np.array([p.lo for p in pieces])
+        self._knot_list = self._knots.tolist()
         start = float(pieces[0].value(0.0))
         if abs(start) > _MASS_TOL:
             raise ParameterError(f"distortion must vanish at 0, got {start!r}")
@@ -205,6 +207,15 @@ class Distortion:
 
     def eval(self, u):
         """Evaluate D; scalar in, scalar out.  Right-continuous at jumps."""
+        if isinstance(u, float):
+            # the array path's arithmetic on a one-element array, so the
+            # same float comes out, without its masks and checks
+            if u < 0.0 or u > 1.0:
+                raise ParameterError("distortion argument must lie in [0,1]")
+            if u == 1.0:
+                return 1.0
+            piece = self.pieces[bisect.bisect_right(self._knot_list, u) - 1]
+            return float(piece.value(np.array([u]))[0])
         scalar = np.isscalar(u) or np.ndim(u) == 0
         arr = np.atleast_1d(np.asarray(u, dtype=float))
         if np.any((arr < 0.0) | (arr > 1.0)):

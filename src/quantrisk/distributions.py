@@ -9,8 +9,11 @@ new atom lists, parametric tails stay symbolic.
 
 from __future__ import annotations
 
+import bisect
 import math
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -313,7 +316,10 @@ class ParetoNegative(Distribution):
 
     def quantile_lower(self, u: float) -> float:
         u = _check_level(u)
-        return -self.beta * u ** (-1.0 / self.theta)
+        try:
+            return -self.beta * u ** (-1.0 / self.theta)
+        except OverflowError:  # beyond the float range
+            return -math.inf
 
     quantile_upper = quantile_lower  # strictly increasing CDF, no flat levels
 
@@ -367,7 +373,10 @@ class ParetoPositive(Distribution):
 
     def quantile_lower(self, u: float) -> float:
         u = _check_level(u)
-        return self.beta * (1.0 - u) ** (-1.0 / self.theta)
+        try:
+            return self.beta * (1.0 - u) ** (-1.0 / self.theta)
+        except OverflowError:  # beyond the float range
+            return math.inf
 
     quantile_upper = quantile_lower
 
@@ -565,10 +574,16 @@ class _PosPart(Distribution):
 
 
 class _AbsMixed(Distribution):
-    """|X| for a non-discrete base straddling zero.
+    """|X| for a non-discrete base X straddling zero, evaluated in level space.
 
-    The CDF is exact; quantiles invert it by monotone float bisection, so
-    they are correct to one unit in the last place.
+    The CDF F(x) - F(-x-) is exact up to the rounding of that difference,
+    which loses relative accuracy where it is small.  |X| <= x holds on the
+    base levels (s, s+u] exactly when q(s+u) <= x and q+(s) >= -x, so the
+    quantile at u is the least over s of max(q(s+u), -q+(s)): one bracketing
+    search in s over the base quantiles finds it, and a bisection over a few
+    floats around it makes the float Galois relation hold exactly,
+    ``quantile_lower(u) <= x`` iff ``u <= cdf(x)``.  Quantile integrals are
+    closed form in the base's CDF and quantile integrals.
     """
 
     def __init__(self, base: Distribution):
@@ -586,28 +601,90 @@ class _AbsMixed(Distribution):
 
     def quantile_lower(self, u):
         u = _check_level(u)
-        return _bisect_float(lambda x: self.cdf(x) >= u, *self._bracket(u))
+        return _polish(lambda x: self.cdf(x) >= u, self._window_min(u))
 
     def quantile_upper(self, u):
         u = _check_level(u)
-        hi = _bisect_float(lambda x: self.cdf_left(x) > u, *self._bracket(u))
-        return hi
+        return _polish(lambda x: self.cdf_left(x) > u, self._window_min(u))
 
-    def _bracket(self, u):
-        lo, hi = self.support()
-        top = hi if math.isfinite(hi) else max(1.0, abs(lo) if math.isfinite(lo) else 1.0)
-        while self.cdf(top) < u:
-            top *= 2.0
-        return 0.0, top
+    def _window_min(self, u):
+        """min over s in [0, 1-u] of max(q(s+u), -q+(s)), to a few ulps.
+
+        The left bound L(s) = -q+(s) falls and the right bound R(s) = q(s+u)
+        rises, so the minimum sits where they cross.  Regula falsi on R - L
+        (Illinois variant, bisecting while a bound is infinite) shrinks a
+        bracket [a, b] around the crossing; the minimum then lies in
+        [max(L(b), R(a)), min(L(a), R(b))], and the search stops once that
+        is a few ulps wide.
+        """
+        base = self.base
+        lo, hi = base.support()
+
+        def reach(s):
+            left = -lo if s <= 0.0 else -base.quantile_upper(s)
+            return left, hi if s + u >= 1.0 else base.quantile_lower(s + u)
+
+        a, b = 0.0, min(1.0 - u, math.nextafter(1.0, 0.0))
+        la, ra = reach(a)
+        if ra >= la:
+            return ra
+        lb, rb = reach(b)
+        if rb < lb:
+            return lb
+        ga, gb = ra - la, rb - lb  # ga < 0 <= gb
+        kept = 0  # -1 or 1 when the last step left a or b in place
+        for _ in range(200):
+            if min(la, rb) <= max(lb, ra) + 4.0 * math.ulp(max(lb, ra)):
+                break
+            d = gb - ga
+            s = b - gb * (b - a) / d if math.isfinite(d) and d > 0.0 else 0.5 * (a + b)
+            if not a < s < b:
+                s = 0.5 * (a + b)
+                if not a < s < b:
+                    break
+            ls, rs = reach(s)
+            if rs >= ls:
+                b, lb, rb, gb = s, ls, rs, rs - ls
+                ga, kept = (0.5 * ga if kept == -1 else ga), -1
+            else:
+                a, la, ra, ga = s, ls, rs, rs - ls
+                gb, kept = (0.5 * gb if kept == 1 else gb), 1
+        return min(la, rb)
 
     def quantile_integral(self, a, b):
-        a, b = _check_range(a, b)
-        from scipy.integrate import quad
+        """Closed form of the integral of q over (a, b).
 
+        With c_t = q(t), G the CDF of |X| and F that of X,
+        int_a^1 q = c_a (G(c_a) - a) + E[(X - c_a)+] + E[(-X - c_a)+], and
+        the two expectations are quantile integrals of X.  For b < 1 the
+        difference of the a and b terms is taken piece by piece,
+        c_a (G(c_a) - a) - c_b (G(c_b) - b) + int_{F(c_a)}^{F(c_b)} q_X
+        - int_{F(-c_b-)}^{F(-c_a-)} q_X, so a divergent tail of X never
+        enters as inf - inf.  For b = 1 the c_b term drops, F(c_b) = 1 and
+        F(-c_b-) = 0.
+        """
+        a, b = _check_range(a, b)
         if a == b:
             return 0.0
-        val, _ = quad(self.quantile_lower, a, b, limit=200, epsabs=1e-11, epsrel=1e-11)
-        return val
+        ca, pa, na = self._levels(a)
+        cb, pb, nb = (0.0, 1.0, 0.0) if b == 1.0 else self._levels(b)
+        atoms = ca * (pa - na - a) - cb * (pb - nb - b)
+        return atoms + self.base.quantile_integral(pa, pb) - self.base.quantile_integral(nb, na)
+
+    def _levels(self, t):
+        """(c, F(c), F(-c-)) for c = q(t), with c = 0 at t = 0."""
+        c = 0.0 if t == 0.0 else self.quantile_lower(t)
+        return c, self.base.cdf(c), self.base.cdf_left(-c)
+
+    def quantile_breakpoints(self):
+        """Levels where one side of the base runs out of support, and images of the base's breakpoints."""
+        base = self.base
+        lo, hi = base.support()
+        xs = [-lo, hi]
+        for t in base.quantile_breakpoints():
+            xs += [abs(base.quantile_lower(t)), abs(base.quantile_upper(t))]
+        levels = {self.cdf(x) for x in xs if math.isfinite(x)}
+        return tuple(sorted(t for t in levels if 0.0 < t < 1.0))
 
     def support(self):
         lo, hi = self.base.support()
@@ -626,14 +703,42 @@ class _AbsMixed(Distribution):
 class ComonotoneSum(Distribution):
     """Sum of two comonotone risks: the lower quantiles add pointwise.
 
-    Discrete operands are merged exactly by :func:`comonotone_sum`; this lazy
-    node covers the remaining cases.  The CDF inverts the summed quantile by
-    float bisection (exact to one ulp).
+    Two discrete operands are merged exactly by :func:`comonotone_sum`; this
+    lazy node covers the remaining cases.  With one ``Discrete`` operand the
+    CDF is exact: on atom i's level interval (c_{i-1}, c_i] the discrete
+    quantile is the constant v_i, so there the sum's CDF is the other
+    operand's CDF at x - v_i, clipped to that interval.  It is c_i exactly
+    from x = q(c_i) on, so the flat steps where the quantile jumps sit on
+    the levels; elsewhere it carries the rounding of x - v_i and of the
+    operand's CDF.  With two non-discrete operands the CDF inverts the
+    summed quantile by float bisection in the level.
     """
 
     def __init__(self, first: Distribution, second: Distribution):
         self.first = first
         self.second = second
+
+    @cached_property
+    def _steps(self):
+        """(values, levels, starts, ends, other) for a Discrete operand, else None.
+
+        ``levels`` is [0, c_1, ..., c_n].  On atom i's interval the sum's
+        quantile runs from ``starts[i]`` (its limit just above the bottom
+        level) to ``ends[i]`` (its value at the top level), so x reaches the
+        interval iff x >= starts[i] and covers it iff x >= ends[i].
+        """
+        if isinstance(self.first, Discrete):
+            disc, other = self.first, self.second
+        elif isinstance(self.second, Discrete):
+            disc, other = self.second, self.first
+        else:
+            return None
+        values = disc.values.tolist()
+        levels = [0.0] + disc.cum.tolist()
+        inner = levels[1:-1]
+        starts = [-math.inf] + [v + other.quantile_upper(c) for v, c in zip(values[1:], inner)]
+        ends = [v + other.quantile_lower(c) for v, c in zip(values, inner)] + [math.inf]
+        return values, levels, starts, ends, other
 
     def quantile_lower(self, u):
         u = _check_level(u)
@@ -649,8 +754,14 @@ class ComonotoneSum(Distribution):
             return 0.0
         if x >= hi:
             return 1.0
-        # largest u with q(u) <= x; measure of {q <= x}
-        return _bisect_level(lambda u: self.quantile_lower(u) <= x)
+        if self._steps is None:
+            # largest u with q(u) <= x; measure of {q <= x}
+            return _bisect_level(lambda u: self.quantile_lower(u) <= x)
+        values, levels, starts, ends, other = self._steps
+        i = bisect.bisect_right(starts, x) - 1
+        if x >= ends[i]:
+            return levels[i + 1]
+        return min(max(other.cdf(x - values[i]), levels[i]), levels[i + 1])
 
     def cdf_left(self, x):
         lo, hi = self.support()
@@ -658,7 +769,13 @@ class ComonotoneSum(Distribution):
             return 0.0
         if x > hi:
             return 1.0
-        return _bisect_level(lambda u: self.quantile_lower(u) < x)
+        if self._steps is None:
+            return _bisect_level(lambda u: self.quantile_lower(u) < x)
+        values, levels, starts, ends, other = self._steps
+        i = bisect.bisect_left(starts, x) - 1
+        if x > ends[i]:
+            return levels[i + 1]
+        return min(max(other.cdf_left(x - values[i]), levels[i]), levels[i + 1])
 
     def quantile_integral(self, a, b):
         return self.first.quantile_integral(a, b) + self.second.quantile_integral(a, b)
@@ -699,19 +816,41 @@ def _heavier_tail(t1, t2):
     return t1 if t1.theta < t2.theta else t2
 
 
-def _bisect_float(pred, lo, hi):
-    """Smallest float x in [lo, hi] with pred(x) true; pred monotone in x."""
-    if pred(lo):
-        return lo
-    for _ in range(200):
+def _polish(pred, x):
+    """Smallest float x' >= 0 with pred(x') true, pred monotone, searched outward from the estimate x.
+
+    A bracket a few ulps wide doubles until pred changes across it and is
+    then bisected down to adjacent floats; inf is returned when pred holds
+    at no finite float.
+    """
+    x = min(x, sys.float_info.max)
+    step = 4.0 * math.ulp(x)
+    lo = hi = x
+    if pred(x):
+        while lo > 0.0:
+            lo = max(x - step, 0.0)
+            step *= 2.0
+            if not pred(lo):
+                break
+            hi = lo
+        else:
+            return 0.0
+    else:
+        while True:
+            hi = x + step
+            step *= 2.0
+            if hi == math.inf or pred(hi):
+                break
+            lo = hi
+    while True:  # pred is false at lo and true at hi
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
-            break
+            return hi
         if pred(mid):
             hi = mid
         else:
             lo = mid
-    return hi
+
 
 def _bisect_level(pred):
     """Largest u in (0,1) with pred(u) true; pred true on an initial segment."""

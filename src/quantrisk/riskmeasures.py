@@ -12,6 +12,7 @@ non-membership instead.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 import warnings
@@ -129,23 +130,34 @@ class MembershipVerdict:
 # integration helpers
 
 
+_POINTS_PER_CALL = 100  # leaves room for refinement under quad's 400-subinterval limit
+
+
 def _quad(f, a, b, *, points=(), epsabs=1e-10):
-    pts = sorted(p for p in points if a < p < b)
+    """Adaptive quadrature over (a, b), which may be infinite, with interior breakpoints.
+
+    A call to ``quad`` takes at most ``_POINTS_PER_CALL`` breakpoints and no
+    breakpoint beside an infinite limit, so the range is split at every
+    ``_POINTS_PER_CALL + 1``-th breakpoint and at the breakpoints next to an
+    infinite limit.  The pieces share ``epsabs``; their values and error
+    estimates are summed.
+    """
+    pts = sorted({p for p in points if a < p < b})
+    edges = {a, b, *pts[_POINTS_PER_CALL :: _POINTS_PER_CALL + 1]}
+    if pts and math.isinf(a):
+        edges.add(pts[0])
+    if pts and math.isinf(b):
+        edges.add(pts[-1])
+    edges = sorted(edges)
+    val = err = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        val, err = quad(f, a, b, points=pts or None, limit=400, epsabs=epsabs, epsrel=1e-10)
-    if not math.isfinite(val) or err > max(1e-7, abs(val) * 1e-6):
-        raise InconclusiveError(
-            f"quadrature did not converge on ({a!r}, {b!r})", diagnostics=[val, err]
-        )
-    return val
-
-
-def _quad_tail(f, a, b, *, epsabs=1e-10):
-    """quad without breakpoints; admits infinite limits."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        val, err = quad(f, a, b, limit=400, epsabs=epsabs, epsrel=1e-10)
+        for lo, hi in zip(edges, edges[1:]):
+            inner = pts[bisect.bisect_right(pts, lo) : bisect.bisect_left(pts, hi)]
+            v, e = quad(f, lo, hi, points=inner or None, limit=400,
+                        epsabs=epsabs / (len(edges) - 1), epsrel=1e-10)
+            val += v
+            err += e
     if not math.isfinite(val) or err > max(1e-7, abs(val) * 1e-6):
         raise InconclusiveError(
             f"quadrature did not converge on ({a!r}, {b!r})", diagnostics=[val, err]
@@ -312,9 +324,16 @@ def choquet_risk(dist: Distribution, distortion, *, epsabs: float = QUAD_TOL) ->
         return distortion.eval(dist.cdf(x))
 
     lo, hi = dist.support()
+    # the distorted CDF kinks or jumps where D does, and where the CDF has a
+    # flat step (the quantile jumps) or a kink (the quantile kinks) at a
+    # level where D is not flat
+    dens = distortion.density_pieces()
+    steps = [t for t in dist.quantile_breakpoints() if any(p.lo <= t <= p.hi for p in dens)]
     cuts = sorted(
         {dist.quantile_lower(t) for t, _ in distortion.jumps()}
         | {dist.quantile_lower(p.lo) for p in distortion.pieces if 0.0 < p.lo < 1.0}
+        | {dist.quantile_lower(t) for t in steps}
+        | {dist.quantile_upper(t) for t in steps}
     )
     pos = 0.0
     if hi > 0.0:
@@ -328,10 +347,7 @@ def choquet_risk(dist: Distribution, distortion, *, epsabs: float = QUAD_TOL) ->
             stop = min(stop, hi)
             if stop <= prev:
                 continue
-            if math.isinf(stop):
-                pos += _quad_tail(lambda x: 1.0 - dist_fx(x), prev, math.inf, epsabs=epsabs / 4)
-            else:
-                pos += _quad(lambda x: 1.0 - dist_fx(x), prev, stop, epsabs=epsabs / 4)
+            pos += _quad(lambda x: 1.0 - dist_fx(x), prev, stop, epsabs=epsabs / 4)
             prev = stop
     neg = 0.0
     if lo < 0.0:
@@ -345,10 +361,7 @@ def choquet_risk(dist: Distribution, distortion, *, epsabs: float = QUAD_TOL) ->
             start = max(start, lo)
             if start >= prev:
                 continue
-            if math.isinf(start):
-                neg += _quad_tail(dist_fx, -math.inf, prev, epsabs=epsabs / 4)
-            else:
-                neg += _quad(dist_fx, start, prev, epsabs=epsabs / 4)
+            neg += _quad(dist_fx, start, prev, epsabs=epsabs / 4)
             prev = start
     return RiskValue.finite(pos - neg)
 

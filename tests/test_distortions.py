@@ -42,6 +42,17 @@ class TestNamedFamilies:
     def test_expectation_is_identity(self):
         assert NAMED["expectation"].eval(0.37) == 0.37
 
+    @pytest.mark.parametrize("name", sorted(NAMED))
+    def test_float_argument_gives_the_array_value(self, name):
+        d = NAMED[name]
+        rng = np.random.default_rng(3)
+        us = np.concatenate((rng.random(2000), rng.random(500) ** 8, [0.0, 0.25, 0.5, 0.9, 1.0, 5e-324]))
+        us = np.concatenate((us, [p.lo for p in d.pieces], [np.nextafter(p.lo, 0.0) for p in d.pieces[1:]]))
+        assert np.array_equal(np.array([d.eval(float(u)) for u in us]), d.eval(us))
+        assert all(type(d.eval(float(u))) is float for u in us[:5])
+        with pytest.raises(ParameterError):
+            d.eval(1.5)
+
     def test_var_indicator_right_closed(self):
         d = make_named("var", alpha=0.25)
         assert d.eval(0.2) == 0.0

@@ -115,6 +115,12 @@ class TestParetoNegative:
         with pytest.raises(ParameterError):
             ParetoNegative(1.0, -2.0)
 
+    def test_quantiles_beyond_the_float_range_are_infinite(self):
+        assert ParetoNegative(1.0, 0.5).quantile_lower(1e-300) == -math.inf
+        assert ParetoPositive(1.0, 0.01).quantile_upper(1.0 - 2**-53) == math.inf
+        m = transform(transform(ParetoNegative(1.0, 0.5), Shift(2.0)), Abs())
+        assert m.cdf(m.quantile_lower(1e-300)) >= 1e-300
+
 
 class TestGaloisProperty:
     # the coupling inf{x : F(x) >= u} <= x  <=>  u <= F(x)
@@ -276,3 +282,143 @@ def test_affine_quantile_laws_random(dist, a, c, u):
     shifted = transform(dist, Shift(c))
     assert abs(scaled.quantile_lower(u) - a * dist.quantile_lower(u)) < 1e-9
     assert abs(shifted.quantile_lower(u) - (dist.quantile_lower(u) + c)) < 1e-9
+
+
+def bisection_level_cdf(dist, x, strict=False):
+    """Measure of {u : q(u) <= x} (or < x when strict) by bisection on the summed quantile."""
+    lo, hi = dist.support()
+    if x < lo or (strict and x == lo):
+        return 0.0
+    if x > hi or (not strict and x == hi):
+        return 1.0
+    below = (lambda u: dist.quantile_lower(u) < x) if strict else (lambda u: dist.quantile_lower(u) <= x)
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return lo
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+
+
+def small_stratified_normal(n, seed):
+    from scipy.special import ndtri
+
+    rng = np.random.default_rng(seed)
+    return Discrete.from_samples(ndtri((np.arange(n) + rng.uniform(0.0, 1.0, n)) / n))
+
+
+class TestComonotoneStepCdf:
+    @pytest.mark.parametrize(
+        "other",
+        [ParetoNegative(1.0, 2.0), ParetoPositive(1.0, 1.5), transform(ParetoPositive(2.0, 3.0), Shift(-4.0))],
+        ids=lambda d: d.label(),
+    )
+    def test_matches_bisection_to_the_rounding_of_x(self, other):
+        # Both CDFs round differently (x - v_i against v_i + q(u)), so the
+        # step CDF at x must lie between the bisection CDF 4 ulps of x either
+        # side, within 1 ulp of the level.
+        disc = small_stratified_normal(40, 5)
+        for s in (comonotone_sum(disc, other), comonotone_sum(other, disc)):
+            rng = np.random.default_rng(7)
+            xs = list(rng.uniform(-12.0, 12.0, 60))
+            xs += [s.quantile_lower(u) for u in rng.uniform(0.0, 1.0, 30)]
+            xs += [s.quantile_upper(float(c)) for c in disc.cum[:-1:4]]
+            for x in map(float, xs):
+                d = 4.0 * math.ulp(x)
+                for strict, f in ((False, s.cdf), (True, s.cdf_left)):
+                    level = f(x)
+                    assert bisection_level_cdf(s, x - d, strict) - math.ulp(level) <= level
+                    assert level <= bisection_level_cdf(s, x + d, strict) + math.ulp(level)
+
+    def test_flat_steps_sit_exactly_on_the_levels(self):
+        disc = small_stratified_normal(40, 6)
+        s = comonotone_sum(disc, ParetoNegative(1.0, 2.0))
+        for c in disc.cum[:-1]:
+            lo, hi = s.quantile_lower(float(c)), s.quantile_upper(float(c))
+            assert lo < hi
+            assert s.cdf(lo) == s.cdf(0.5 * (lo + hi)) == s.cdf_left(hi) == c
+
+
+def abs_bases():
+    """Non-discrete bases straddling zero: shifted power tails and comonotone sums."""
+    theta = st.floats(min_value=0.5, max_value=4.0)
+    shift = st.floats(min_value=1.5, max_value=10.0)
+    pareto = st.builds(lambda t, c: ParetoNegative(1.0, t).shift(c), theta, shift)
+    tails = st.builds(
+        lambda t1, t2, c: comonotone_sum(ParetoNegative(1.0, t1), ParetoPositive(1.0, t2)).shift(c),
+        theta, theta, st.floats(min_value=-3.0, max_value=3.0),
+    )
+    with_atoms = st.builds(
+        lambda t, c, seed: comonotone_sum(small_stratified_normal(12, seed), ParetoNegative(1.0, t)).shift(c),
+        theta, shift, st.integers(min_value=0, max_value=1000),
+    )
+    return st.one_of(pareto, tails, with_atoms)
+
+
+@given(base=abs_bases(), u=st.one_of(st.floats(1e-9, 1.0 - 1e-9), st.sampled_from([1e-12, 0.5, 1.0 - 1e-12])))
+@settings(max_examples=120, deadline=None)
+def test_abs_quantiles_satisfy_the_float_galois_relation(base, u):
+    # q(u) <= x  <=>  u <= cdf(x) for every float x, and the upper quantile
+    # is the least float where cdf_left exceeds u (inf if none does); the
+    # CDF is monotone, so checking q and the float below it covers every x
+    m = base.abs()
+    q, qu = m.quantile_lower(u), m.quantile_upper(u)
+    assert m.cdf(q) >= u
+    assert q == 0.0 or m.cdf(math.nextafter(q, 0.0)) < u
+    assert qu == math.inf or m.cdf_left(qu) > u
+    assert m.cdf_left(math.nextafter(qu, 0.0)) <= u
+    assert q <= qu
+
+
+def test_abs_upper_quantile_where_cdf_left_never_exceeds_the_level():
+    # in floats cdf_left stays at the last level below 1 up to x = inf, so
+    # no finite float qualifies; the outward search must stop at inf
+    m = comonotone_sum(ParetoNegative(1.0, 3.9), ParetoPositive(1.0, 1.8)).shift(0.04).abs()
+    u = math.nextafter(1.0, 0.0)
+    assert m.quantile_upper(u) == math.inf
+    assert m.cdf(m.quantile_lower(u)) >= u
+
+
+class TestAbsQuantileIntegral:
+    @staticmethod
+    def nested_quad(m, a, b):
+        """The former quadrature of the bisected quantile, told where the quantile kinks."""
+        from scipy.integrate import quad
+
+        kinks = [t for t in m.quantile_breakpoints() if a < t < b]
+        val, _ = quad(m.quantile_lower, a, b, points=kinks or None, limit=200, epsabs=1e-12, epsrel=1e-12)
+        return val
+
+    @pytest.mark.parametrize(
+        "base",
+        [
+            transform(ParetoNegative(1.0, 2.0), Shift(2.0)),
+            transform(ParetoNegative(1.0, 3.0), Shift(5.0)),
+            transform(ParetoNegative(1.0, 0.5), Shift(2.0)),
+            comonotone_sum(ParetoNegative(1.0, 3.0), ParetoPositive(1.0, 3.0)),
+        ],
+        ids=lambda d: d.label(),
+    )
+    def test_closed_form_matches_nested_quadrature(self, base):
+        m = transform(base, Abs())
+        ranges = [(0.0, 0.5), (0.1, 0.9), (0.3, 0.31), (0.6, 0.99), (0.2, 0.2)]
+        if base.lower_tail().theta > 1.0:  # finite mean: the upper end may be 1
+            ranges += [(0.0, 1.0), (0.25, 1.0), (0.99, 1.0)]
+        for a, b in ranges:
+            assert abs(m.quantile_integral(a, b) - self.nested_quad(m, a, b)) < 1e-10
+
+    def test_divergent_tail_is_infinite_and_never_nan(self):
+        m = transform(transform(ParetoNegative(1.0, 0.5), Shift(2.0)), Abs())
+        assert m.quantile_integral(0.3, 1.0) == math.inf
+        assert m.mean() == math.inf
+        assert math.isfinite(m.quantile_integral(0.3, 1.0 - 1e-9))
+
+    def test_breakpoint_where_the_upper_side_runs_out(self):
+        # shift(5, pareto_negative) lives on (-inf, 4]: beyond |X| = 4 only
+        # the left tail counts, so the quantile of |X| kinks at G(4)
+        m = transform(transform(ParetoNegative(1.0, 3.0), Shift(5.0)), Abs())
+        assert m.quantile_breakpoints() == (m.cdf(4.0),)
+        assert abs(m.cdf(4.0) - (1.0 - 9.0**-3)) < 1e-15

@@ -454,3 +454,39 @@ class TestAxiomIdentities:
             mean = dist.mean()
             best = min(expected_shortfall(dist, 2.0**-k).as_float() for k in range(1, 49))
             assert abs(best - mean) <= 1e-6
+
+
+class TestLazyTailNodes:
+    @staticmethod
+    def discrete_plus_tail(n):
+        from scipy.special import ndtri
+
+        rng = np.random.default_rng(n)
+        disc = Discrete.from_samples(ndtri((np.arange(n) + rng.uniform(0.0, 1.0, n)) / n))
+        return comonotone_sum(disc, ParetoNegative(1.0, 2.0))
+
+    @pytest.mark.parametrize("D", SIX_FAMILIES, ids=lambda D: D.label())
+    def test_three_forms_agree_on_discrete_plus_tail(self, D):
+        # 600 atoms give 599 breakpoints, above quad's 400-subinterval limit,
+        # and as many flat steps of the CDF for the Choquet form to cut at
+        from quantrisk.distortions import is_convex
+
+        s = self.discrete_plus_tail(600)
+        ref = quantile_risk(s, D)
+        tail = choquet_risk(s, D)
+        assert tail.kind == ref.kind
+        if ref.is_finite:
+            assert abs(tail.value - ref.value) < 1e-8
+        if is_convex(D):
+            mix = mixture_risk(s, D)
+            assert mix.kind == ref.kind
+            if ref.is_finite:
+                assert abs(mix.value - ref.value) < 1e-6
+
+    def test_abs_kink_regression(self):
+        # the quantile of |X| kinks where X's upper side runs out (at |X| = 4);
+        # reference: mpmath quadrature of 1 - D(G(x)) to 30 digits
+        m = ParetoNegative(1.0, 3.0).shift(5.0).abs()
+        D = make_named("sqrt_example")
+        assert abs(quantile_risk(m, D).as_float() - 3.3875280644219) < 1e-9
+        assert abs(choquet_risk(m, D).as_float() - 3.3875280644219) < 1e-9
