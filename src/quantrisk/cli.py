@@ -46,6 +46,17 @@ _REPRESENTATIONS = {
     "mixture": mixture_risk,
 }
 
+# suite flag -> Tolerances field; the flag's default is the field's default
+_TOLERANCE_FLAGS = {
+    "tol-quantile-choquet": "quantile_choquet",
+    "tol-mixture": "mixture",
+    "tol-shortfall": "shortfall",
+    "tol-axiom": "axiom",
+    "tol-shift": "shift",
+    "tol-gap": "gap_identity",
+    "search-slack": "search_slack",
+}
+
 
 def _positive(text: str) -> float:
     value = float(text)
@@ -107,16 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON matrix config; default built-in matrix")
     p.add_argument("--trials", type=int, help="search trials; default the config's, else 10000")
     p.add_argument("--seed", type=int, help="search seed; default the config's, else 2008")
-    for name, default in (
-        ("tol-quantile-choquet", 1e-8),
-        ("tol-mixture", 1e-6),
-        ("tol-shortfall", 1e-8),
-        ("tol-axiom", 1e-9),
-        ("tol-shift", 1e-10),
-        ("tol-gap", 1e-10),
-        ("search-slack", 1e-9),
-    ):
-        p.add_argument(f"--{name}", type=_positive, default=default)
+    defaults = Tolerances()
+    for flag, field in _TOLERANCE_FLAGS.items():
+        p.add_argument(f"--{flag}", type=_positive, default=getattr(defaults, field))
     return parser
 
 
@@ -291,13 +295,7 @@ def _cmd_suite(args) -> str:
     if args.seed is not None:
         config.seed = args.seed
     tolerances = Tolerances(
-        quantile_choquet=getattr(args, "tol_quantile_choquet"),
-        mixture=getattr(args, "tol_mixture"),
-        shortfall=getattr(args, "tol_shortfall"),
-        axiom=getattr(args, "tol_axiom"),
-        shift=getattr(args, "tol_shift"),
-        gap_identity=getattr(args, "tol_gap"),
-        search_slack=getattr(args, "search_slack"),
+        **{field: getattr(args, flag.replace("-", "_")) for flag, field in _TOLERANCE_FLAGS.items()}
     )
     report = run_suite(config, tolerances)
     if args.format == "json":

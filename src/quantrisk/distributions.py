@@ -34,9 +34,6 @@ __all__ = [
     "point_mass",
     "transform",
     "comonotone_sum",
-    "cdf",
-    "quantile_lower",
-    "quantile_upper",
 ]
 
 _ATOM_TOL = 1e-12
@@ -292,6 +289,19 @@ def point_mass(value: float) -> Discrete:
     return Discrete([value], [1.0])
 
 
+def _power_gap(s: float, t: float, e: float) -> float:
+    """``(s**e - t**e) / -e`` for 0 < s < t and e < 0 where ``s**e`` overflows.
+
+    Formed in logs as ``s**e * -expm1(e*log(t/s)) / -e``; +inf when the result
+    itself is beyond the float range.
+    """
+    gap = -math.expm1(e * math.log1p((t - s) / s))  # > 0, since s**e overflowing forces s < t
+    try:
+        return math.exp(e * math.log(s) + math.log(gap / -e))
+    except OverflowError:
+        return math.inf
+
+
 class ParetoNegative(Distribution):
     """Power-law left tail supported on (-inf, -beta].
 
@@ -334,8 +344,11 @@ class ParetoNegative(Distribution):
         e = 1.0 - 1.0 / self.theta
         if a == 0.0 and e <= 0:
             return -math.inf
-        lo = 0.0 if a == 0.0 else a**e
-        return -self.beta * (b**e - lo) / e
+        try:
+            lo = 0.0 if a == 0.0 else a**e
+            return -self.beta * (b**e - lo) / e
+        except OverflowError:  # a**e beyond the float range
+            return -self.beta * _power_gap(a, b, e)
 
     def support(self) -> tuple[float, float]:
         return -math.inf, -self.beta
@@ -392,8 +405,11 @@ class ParetoPositive(Distribution):
         e = 1.0 - 1.0 / self.theta
         if b == 1.0 and e <= 0:
             return math.inf
-        hi = 0.0 if b == 1.0 else (1.0 - b) ** e
-        return -self.beta * (hi - (1.0 - a) ** e) / e
+        try:
+            hi = 0.0 if b == 1.0 else (1.0 - b) ** e
+            return -self.beta * (hi - (1.0 - a) ** e) / e
+        except OverflowError:  # (1-b)**e beyond the float range
+            return self.beta * _power_gap(1.0 - b, 1.0 - a, e)
 
     def support(self) -> tuple[float, float]:
         return self.beta, math.inf
@@ -968,17 +984,3 @@ def _check_range(a: float, b: float) -> tuple[float, float]:
         raise ParameterError(f"integration range must satisfy 0 <= a <= b <= 1, got ({a!r}, {b!r})")
     return a, b
 
-
-# module-level aliases matching the operation vocabulary
-
-
-def cdf(dist: Distribution, x: float) -> float:
-    return dist.cdf(x)
-
-
-def quantile_lower(dist: Distribution, u: float) -> float:
-    return dist.quantile_lower(u)
-
-
-def quantile_upper(dist: Distribution, u: float) -> float:
-    return dist.quantile_upper(u)

@@ -5,9 +5,10 @@ function against the distortion measure, integrating the distorted tail
 probabilities over the real line, and mixing expected shortfall across
 levels.  Discrete distributions and piecewise distortions are evaluated in
 closed form by all three, with no quadrature; parametric tails fall back to
-adaptive quadrature with the tolerances declared here.  ``+inf`` is never
-returned as a risk value: a divergent positive part is reported as
-non-membership instead.
+adaptive quadrature with the tolerances declared here.  scipy's ``quad`` is
+imported on the first quadrature call, so a process that only evaluates
+closed forms never loads scipy.  ``+inf`` is never returned as a risk value:
+a divergent positive part is reported as non-membership instead.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .distortions import (
     Distortion,
@@ -131,6 +131,7 @@ class MembershipVerdict:
 
 
 _POINTS_PER_CALL = 100  # leaves room for refinement under quad's 400-subinterval limit
+quad = None  # scipy.integrate.quad, bound by the first _quad call
 
 
 def _quad(f, a, b, *, points=(), epsabs=1e-10):
@@ -142,6 +143,9 @@ def _quad(f, a, b, *, points=(), epsabs=1e-10):
     infinite limit.  The pieces share ``epsabs``; their values and error
     estimates are summed.
     """
+    global quad
+    if quad is None:
+        from scipy.integrate import quad
     pts = sorted({p for p in points if a < p < b})
     edges = {a, b, *pts[_POINTS_PER_CALL :: _POINTS_PER_CALL + 1]}
     if pts and math.isinf(a):

@@ -1,10 +1,17 @@
 """CLI behaviour: subcommands, exit codes, output determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from quantrisk.cli import main
+import quantrisk
+from quantrisk.cli import build_parser, main
+from quantrisk.suite import Tolerances
 
 
 @pytest.fixture()
@@ -227,3 +234,93 @@ class TestSuite:
     def test_negative_tolerance_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["suite", "--tol-mixture", "-1"])
+
+    def test_tolerance_flag_defaults_are_the_tolerances_defaults(self):
+        args = vars(build_parser().parse_args(["suite"]))
+        flags = {
+            "tol_quantile_choquet": "quantile_choquet",
+            "tol_mixture": "mixture",
+            "tol_shortfall": "shortfall",
+            "tol_axiom": "axiom",
+            "tol_shift": "shift",
+            "tol_gap": "gap_identity",
+            "search_slack": "search_slack",
+        }
+        defaults = Tolerances()
+        assert {dest: args[dest] for dest in flags} == {
+            dest: getattr(defaults, field) for dest, field in flags.items()
+        }
+        unexposed = {f.name for f in fields(Tolerances)} - set(flags.values())
+        assert unexposed == {"infimum_vs_mean"}
+
+
+# Runs CLI invocations in one fresh interpreter; prints their exit codes and
+# outputs, and the scipy modules loaded afterwards.
+_FRESH = """
+import contextlib, io, json, sys
+import quantrisk
+from quantrisk.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        runs.append([main(argv), buf.getvalue()])
+scipy = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+print(json.dumps({"runs": runs, "scipy": scipy}))
+"""
+
+
+class TestScipyImport:
+    """scipy is imported by the first quadrature call, not by importing quantrisk."""
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        csv = tmp_path / "samples.csv"
+        csv.write_text("value,weight\n1.5,1\n2,3\n-0.25,2\n4,1\n")
+        pareto = tmp_path / "pareto.json"
+        pareto.write_text('{"kind": "pareto_negative", "beta": 1.0, "theta": 2.0}')
+        return str(csv), str(pareto)
+
+    def fresh(self, *argvs):
+        env = dict(os.environ, PYTHONPATH=str(Path(quantrisk.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _FRESH, json.dumps(argvs)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        return json.loads(proc.stdout)
+
+    def in_process(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        return [code, out]
+
+    def test_closed_form_commands_do_not_load_scipy(self, capsys, files):
+        csv, pareto = files
+        argvs = [
+            ["var", "--dist", csv, "--alpha", "0.5"],
+            ["es", "--dist", csv, "--alpha", "0.9"],
+            ["eval", "--dist", csv, "--distortion", '{"kind": "es", "alpha": 0.9}'],
+            ["check-convexity", "--distortion", '{"kind": "threshold", "delta": 0.5}'],
+            ["spectrum", "--distortion", '{"kind": "es_n", "n": 3, "alpha": 0.2}'],
+            ["counterexample", "--distortion", '{"kind": "var", "alpha": 0.5}'],
+            ["classify", "--dist", pareto, "--distortion", '{"kind": "sqrt_example"}'],
+        ]
+        argvs = [[*argv, "--format", "json"] for argv in argvs]
+        got = self.fresh(*argvs)
+        assert got["scipy"] == []
+        assert got["runs"] == [self.in_process(capsys, argv) for argv in argvs]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--dist", "PARETO", "--distortion", '{"kind": "es_n", "n": 3, "alpha": 0.2}',
+             "--representation", "mixture"],
+            ["classify", "--dist", "PARETO", "--distortion", '{"kind": "sqrt_example"}',
+             "--method", "probe"],
+        ],
+        ids=["eval-mixture", "classify-probe"],
+    )
+    def test_quadrature_commands_load_scipy(self, capsys, files, argv):
+        argv = [files[1] if a == "PARETO" else a for a in argv] + ["--format", "json"]
+        got = self.fresh(argv)
+        assert "scipy.integrate" in got["scipy"]
+        assert got["runs"] == [self.in_process(capsys, argv)]

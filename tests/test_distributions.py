@@ -121,6 +121,18 @@ class TestParetoNegative:
         m = transform(transform(ParetoNegative(1.0, 0.5), Shift(2.0)), Abs())
         assert m.cdf(m.quantile_lower(1e-300)) >= 1e-300
 
+    def test_quantile_integrals_beyond_the_float_range_are_infinite(self):
+        assert ParetoNegative(1.0, 0.1).quantile_integral(1e-300, 0.5) == -math.inf
+        assert ParetoNegative(1.0, 0.01).quantile_integral(1e-5, 0.5) == -math.inf
+        assert ParetoPositive(1.0, 0.01).quantile_integral(0.5, 1.0 - 2**-53) == math.inf
+
+    def test_quantile_integral_finite_where_the_power_overflows(self):
+        # a**-9 is beyond the float range, the integral over (a, a(1 + 2**-40)) is not;
+        # reference from mpmath at 50 digits on the same float endpoints
+        a = 1e-35
+        got = ParetoNegative(1.0, 0.1).quantile_integral(a, a * (1.0 + 2**-40))
+        assert abs(got / -9.0954183084019709e302 - 1.0) < 1e-12
+
 
 class TestGaloisProperty:
     # the coupling inf{x : F(x) >= u} <= x  <=>  u <= F(x)
