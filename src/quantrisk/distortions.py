@@ -1,12 +1,16 @@
 """Distortion functions on [0,1] as exact piecewise data.
 
-A distortion is stored as contiguous pieces covering [0,1); each piece is a
-shifted power ``base + coef * ((u - origin)/width)**expo`` which covers
-constants, lines and the named power families in one form.  Jumps are the
-discontinuities between consecutive pieces; the function is evaluated
-right-continuously, so the value at a jump point is the post-jump value.
-Everything downstream (measures, derivatives, primitives) stays in closed
-form.
+One piece type, the shifted power ``base + coef * ((u - origin)/width)**expo``
+on [lo, hi), covers constants, lines and the named power families.  It is a
+piece of a distortion D, of a spectral density s and of a measure's density,
+and carries its derivative, integrals and antiderivative in closed form.
+
+D and s are contiguous pieces covering (0,1), evaluated right-continuously:
+the value at a jump point is the post-jump value.  One Lebesgue-Stieltjes
+derivation, run when either is built, gives the measure it induces: atoms at
+the jumps, density the derivative of each non-flat piece.  For D that is the
+measure Q the quantile form integrates against; for s it is the mixing
+measure nu of the expected-shortfall mixture.
 """
 
 from __future__ import annotations
@@ -52,13 +56,17 @@ _GRID_U = 512
 _GRID_EPS = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Piece:
-    """value(u) = base + coef * ((u - origin)/width)**expo on [lo, hi)."""
+    """value(u) = base + coef * ((u - origin)/width)**expo on [lo, hi), expo > -1.
+
+    The integrals and the antiderivative are of the power alone; they serve
+    density pieces, whose base is 0.
+    """
 
     lo: float
     hi: float
-    base: float
+    base: float = 0.0
     coef: float
     origin: float
     width: float
@@ -69,28 +77,29 @@ class Piece:
             raise ParameterError(f"piece interval [{self.lo}, {self.hi}) not inside [0,1]")
         if self.width <= 0:
             raise ParameterError("piece width must be positive")
-        if self.origin > self.lo + 1e-15:
-            raise ParameterError("piece origin must not exceed its left endpoint")
-        if self.expo < 0:
-            raise ParameterError("piece exponent must be >= 0")
         if self.coef < 0:
             raise ParameterError("pieces must be increasing (coef >= 0)")
+        if self.expo <= -1.0:
+            raise ParameterError("piece exponent must exceed -1 to stay integrable")
+
+    @property
+    def flat(self) -> bool:
+        return self.coef == 0.0 or self.expo == 0.0
 
     def value(self, u):
+        u = np.asarray(u, dtype=float)
         if self.expo == 0.0:
-            return self.base + self.coef * np.ones_like(np.asarray(u, dtype=float))
-        z = (np.asarray(u, dtype=float) - self.origin) / self.width
-        return self.base + self.coef * np.maximum(z, 0.0) ** self.expo
+            power = self.coef * np.ones_like(u)
+        else:
+            power = self.coef * np.maximum((u - self.origin) / self.width, 0.0) ** self.expo
+        # density pieces run inside quadrature integrands: no add of a zero base
+        return power + self.base if self.base else power
 
-    def value_at_hi(self) -> float:
-        """Left limit at hi (pieces are continuous on their closure)."""
-        return float(self.value(self.hi))
-
-    def density(self) -> DensityPiece | None:
-        """Derivative on (lo, hi); None when the piece is flat."""
-        if self.coef == 0.0 or self.expo == 0.0:
-            return None
-        return DensityPiece(
+    def derivative(self) -> Piece:
+        """Derivative on (lo, hi); the zero piece when this one is flat."""
+        if self.flat:
+            return Piece(lo=self.lo, hi=self.hi, coef=0.0, origin=0.0, width=1.0, expo=0.0)
+        return Piece(
             lo=self.lo,
             hi=self.hi,
             coef=self.coef * self.expo / self.width,
@@ -98,34 +107,6 @@ class Piece:
             width=self.width,
             expo=self.expo - 1.0,
         )
-
-
-@dataclass(frozen=True)
-class DensityPiece:
-    """value(u) = coef * ((u - origin)/width)**expo on (lo, hi); expo > -1."""
-
-    lo: float
-    hi: float
-    coef: float
-    origin: float
-    width: float
-    expo: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.lo < self.hi <= 1.0:
-            raise ParameterError(f"density interval [{self.lo}, {self.hi}) not inside [0,1]")
-        if self.width <= 0:
-            raise ParameterError("density width must be positive")
-        if self.expo <= -1.0:
-            raise ParameterError("density exponent must exceed -1 to stay integrable")
-        if self.coef < 0:
-            raise ParameterError("densities must be non-negative")
-
-    def value(self, u):
-        if self.expo == 0.0:
-            return self.coef * np.ones_like(np.asarray(u, dtype=float))
-        z = (np.asarray(u, dtype=float) - self.origin) / self.width
-        return self.coef * np.maximum(z, 0.0) ** self.expo
 
     def integral(self, a: float, b: float) -> float:
         """Exact integral over (a, b) intersected with (lo, hi)."""
@@ -149,20 +130,47 @@ class DensityPiece:
         z = np.maximum((np.asarray(u, dtype=float) - self.origin) / self.width, 0.0)
         return scale * z ** (self.expo + order)
 
-    def antiderivative_piece(self, cum_lo: float) -> Piece:
-        """Primitive starting from value cum_lo at lo, as a distortion piece."""
+    def antiderivative(self, start: float) -> Piece:
+        """Primitive on [lo, hi) taking the value ``start`` at lo."""
         e1 = self.expo + 1.0
         c = self.coef * self.width / e1
         za = max((self.lo - self.origin) / self.width, 0.0)
         return Piece(
             lo=self.lo,
             hi=self.hi,
-            base=cum_lo - c * za**e1,
+            base=start - c * za**e1,
             coef=c,
             origin=self.origin,
             width=self.width,
             expo=e1,
         )
+
+
+DensityPiece = Piece
+
+
+@dataclass(frozen=True)
+class DistortionMeasure:
+    """Atoms plus density of the measure an increasing piecewise function induces.
+
+    Q = dD for a distortion D (``measure_of``) and nu = ds for a spectral
+    density s (``mixture_measure_of``), with nu[[0,u]] = s(u).
+    """
+
+    atoms: tuple[tuple[float, float], ...]
+    density: tuple[Piece, ...]
+
+    def total_mass(self) -> float:
+        return self.cumulative(1.0)
+
+    def cumulative(self, u: float) -> float:
+        """Mass of [0,u] for u in (0,1]."""
+        atom_part = math.fsum(m for loc, m in self.atoms if loc <= u)
+        dens_part = math.fsum(p.integral(0.0, u) for p in self.density)
+        return atom_part + dens_part
+
+
+MixtureMeasure = DistortionMeasure
 
 
 @dataclass(frozen=True)
@@ -174,34 +182,74 @@ class ConvexityResult:
         return self.convex
 
 
-class Distortion:
-    """Increasing right-continuous D on [0,1] with D(0)=0 and D(1-)=1."""
+class _Piecewise:
+    """Increasing function given by contiguous pieces covering (0,1).
 
-    def __init__(self, pieces, name: str | None = None):
+    Subclasses set ``_NOUN`` and the error texts ``_COVER`` and ``_GAP``.
+    """
+
+    def __init__(self, pieces):
         pieces = sorted(pieces, key=lambda p: p.lo)
         if not pieces:
-            raise ParameterError("a distortion needs at least one piece")
+            raise ParameterError(f"a {self._NOUN} needs at least one piece")
         if pieces[0].lo != 0.0 or pieces[-1].hi != 1.0:
-            raise ParameterError("pieces must cover [0,1)")
+            raise ParameterError(self._COVER)
         for prev, nxt in zip(pieces, pieces[1:]):
             if prev.hi != nxt.lo:
-                raise ParameterError("pieces must be contiguous")
+                raise ParameterError(self._GAP)
         self.pieces: tuple[Piece, ...] = tuple(pieces)
-        self.name = name
         self._knots = np.array([p.lo for p in pieces])
+
+    def _stieltjes(self, zero_floor: float) -> DistortionMeasure:
+        """Atoms at the jumps, density the derivative of each non-flat piece.
+
+        The value at 0+ is a jump from 0, kept as an atom when it exceeds
+        ``zero_floor``; interior jumps count above ``_JUMP_TOL``.
+        """
+        atoms = []
+        end, floor = 0.0, zero_floor
+        for p in self.pieces:
+            h = float(p.value(p.lo)) - end
+            if h < -_JUMP_TOL:
+                raise ParameterError(f"{self._NOUN} decreases at {p.lo!r}")
+            if h > floor:
+                atoms.append((p.lo, h))
+            end, floor = float(p.value(p.hi)), _JUMP_TOL
+        density = tuple(p.derivative() for p in self.pieces if not p.flat)
+        return DistortionMeasure(atoms=tuple(atoms), density=density)
+
+    def _eval_pieces(self, arr: np.ndarray) -> np.ndarray:
+        idx = np.minimum(np.searchsorted(self._knots, arr, side="right") - 1, len(self.pieces) - 1)
+        out = np.empty_like(arr)
+        for i, piece in enumerate(self.pieces):
+            mask = idx == i
+            if np.any(mask):
+                out[mask] = piece.value(arr[mask])
+        return out
+
+
+class Distortion(_Piecewise):
+    """Increasing right-continuous D on [0,1] with D(0)=0 and D(1-)=1."""
+
+    _NOUN = "distortion"
+    _COVER = "pieces must cover [0,1)"
+    _GAP = "pieces must be contiguous"
+
+    def __init__(self, pieces, name: str | None = None):
+        pieces = list(pieces)
+        for p in pieces:
+            if p.origin > p.lo + 1e-15:
+                raise ParameterError("piece origin must not exceed its left endpoint")
+            if p.expo < 0:
+                raise ParameterError("piece exponent must be >= 0")
+        super().__init__(pieces)
+        self.name = name
         self._knot_list = self._knots.tolist()
-        start = float(pieces[0].value(0.0))
+        start = float(self.pieces[0].value(0.0))
         if abs(start) > _MASS_TOL:
             raise ParameterError(f"distortion must vanish at 0, got {start!r}")
-        jumps = []
-        for prev, nxt in zip(pieces, pieces[1:]):
-            h = float(nxt.value(nxt.lo)) - prev.value_at_hi()
-            if h < -_JUMP_TOL:
-                raise ParameterError(f"distortion decreases at {nxt.lo!r}")
-            if h > _JUMP_TOL:
-                jumps.append((nxt.lo, h))
-        self._jumps = tuple(jumps)
-        top = pieces[-1].value_at_hi()
+        self.measure = self._stieltjes(_JUMP_TOL)
+        top = float(self.pieces[-1].value(1.0))
         if abs(top - 1.0) > _MASS_TOL:
             raise ParameterError(f"distortion must reach 1 at 1, got {top!r}")
 
@@ -220,13 +268,7 @@ class Distortion:
         arr = np.atleast_1d(np.asarray(u, dtype=float))
         if np.any((arr < 0.0) | (arr > 1.0)):
             raise ParameterError("distortion argument must lie in [0,1]")
-        idx = np.minimum(np.searchsorted(self._knots, arr, side="right") - 1, len(self.pieces) - 1)
-        out = np.empty_like(arr)
-        for i, piece in enumerate(self.pieces):
-            mask = idx == i
-            if np.any(mask):
-                out[mask] = piece.value(arr[mask])
-        out = np.where(arr == 1.0, 1.0, out)
+        out = np.where(arr == 1.0, 1.0, self._eval_pieces(arr))
         return float(out[0]) if scalar else out
 
     def left_limit(self, u: float) -> float:
@@ -239,10 +281,10 @@ class Distortion:
 
     def jumps(self) -> tuple[tuple[float, float], ...]:
         """Interior discontinuities as (location, height) pairs."""
-        return self._jumps
+        return self.measure.atoms
 
-    def density_pieces(self) -> tuple[DensityPiece, ...]:
-        return tuple(p.density() for p in self.pieces if p.density() is not None)
+    def density_pieces(self) -> tuple[Piece, ...]:
+        return self.measure.density
 
     def density_exponent_at(self, endpoint: int):
         """Local density behaviour q(u) ~ coef * t**expo at endpoint 0 or 1.
@@ -250,20 +292,15 @@ class Distortion:
         Returns (expo, coef) with t the distance to the endpoint, or None
         when no density piece touches it (D flat there or atom-only).
         """
-        if endpoint == 0:
-            piece = self.pieces[0]
-            dens = piece.density()
-            if dens is None:
-                return None
-            if dens.origin == 0.0:
-                return dens.expo, dens.coef * dens.width ** (-dens.expo)
-            return 0.0, float(dens.value(0.0))
-        piece = self.pieces[-1]
-        dens = piece.density()
-        if dens is None:
+        piece = self.pieces[0 if endpoint == 0 else -1]
+        if piece.flat:
             return None
-        # origin <= lo < 1, so the density is bounded and positive at 1-
-        return 0.0, float(dens.value(1.0))
+        dens = piece.derivative()
+        if endpoint == 0 and dens.origin == 0.0:
+            return dens.expo, dens.coef * dens.width ** (-dens.expo)
+        # otherwise origin < 0 at 0+, or origin <= lo < 1 at 1-: the density
+        # is bounded and positive at the endpoint
+        return 0.0, float(dens.value(float(endpoint)))
 
     def label(self) -> str:
         return self.name or f"piecewise({len(self.pieces)} pieces)"
@@ -385,21 +422,8 @@ def make_named(name: str, **params) -> Distortion:
 # measure, convexity, spectrum
 
 
-@dataclass(frozen=True)
-class DistortionMeasure:
-    """Atoms plus density of the probability measure on (0,1) induced by D."""
-
-    atoms: tuple[tuple[float, float], ...]
-    density: tuple[DensityPiece, ...]
-
-    def total_mass(self) -> float:
-        return math.fsum(m for _, m in self.atoms) + math.fsum(
-            p.integral(p.lo, p.hi) for p in self.density
-        )
-
-
 def measure_of(distortion: Distortion) -> DistortionMeasure:
-    return DistortionMeasure(atoms=distortion.jumps(), density=distortion.density_pieces())
+    return distortion.measure
 
 
 def is_convex(distortion) -> ConvexityResult:
@@ -419,19 +443,9 @@ def is_convex(distortion) -> ConvexityResult:
             return ConvexityResult(False, _shrink_witness(distortion, u, 0.25 * (piece.hi - piece.lo)))
     # slope drop across a knot
     for prev, nxt in zip(distortion.pieces, distortion.pieces[1:]):
-        if _slope_left(prev) > _slope_right(nxt) + 1e-15:
+        if float(prev.derivative().value(prev.hi)) > float(nxt.derivative().value(nxt.lo)) + 1e-15:
             return ConvexityResult(False, _shrink_witness(distortion, nxt.lo))
     return ConvexityResult(True)
-
-
-def _slope_left(piece: Piece) -> float:
-    dens = piece.density()
-    return 0.0 if dens is None else float(dens.value(piece.hi))
-
-
-def _slope_right(piece: Piece) -> float:
-    dens = piece.density()
-    return 0.0 if dens is None else float(dens.value(piece.lo))
 
 
 def _shrink_witness(distortion, u: float, eps: float | None = None) -> tuple[float, float]:
@@ -466,46 +480,32 @@ def midpoint_convexity(distortion, u_grid: int = _GRID_U, eps_grid: int = _GRID_
     return ConvexityResult(True)
 
 
-class SpectralDensity:
+class SpectralDensity(_Piecewise):
     """Increasing density s on (0,1) with unit integral, stored piecewise."""
 
+    _NOUN = "spectral density"
+    _COVER = "density pieces must cover (0,1)"
+    _GAP = "density pieces must be contiguous"
+
     def __init__(self, pieces):
-        pieces = sorted(pieces, key=lambda p: p.lo)
-        if not pieces:
-            raise ParameterError("a spectral density needs at least one piece")
-        if pieces[0].lo != 0.0 or pieces[-1].hi != 1.0:
-            raise ParameterError("density pieces must cover (0,1)")
-        for prev, nxt in zip(pieces, pieces[1:]):
-            if prev.hi != nxt.lo:
-                raise ParameterError("density pieces must be contiguous")
-        for p in pieces:
+        super().__init__(pieces)
+        for p in self.pieces:
             if p.expo < 0:
                 raise ParameterError("spectral pieces must be increasing (expo >= 0)")
-        for prev, nxt in zip(pieces, pieces[1:]):
-            if float(nxt.value(nxt.lo)) < float(prev.value(prev.hi)) - _JUMP_TOL:
-                raise ParameterError(f"spectral density decreases at {nxt.lo!r}")
-        total = math.fsum(p.integral(p.lo, p.hi) for p in pieces)
+            if p.base != 0.0:
+                raise ParameterError("spectral pieces take no base; a constant is coef with expo 0")
+        self.measure = self._stieltjes(0.0)
+        total = math.fsum(p.integral(p.lo, p.hi) for p in self.pieces)
         if abs(total - 1.0) > _MASS_TOL:
             raise ParameterError(f"spectral density must integrate to 1, got {total!r}")
-        self.pieces: tuple[DensityPiece, ...] = tuple(pieces)
-        self._knots = np.array([p.lo for p in pieces])
 
     def eval(self, u):
         scalar = np.isscalar(u) or np.ndim(u) == 0
         arr = np.atleast_1d(np.asarray(u, dtype=float))
         if np.any((arr <= 0.0) | (arr >= 1.0)):
             raise ParameterError("spectral density argument must lie in (0,1)")
-        idx = np.minimum(np.searchsorted(self._knots, arr, side="right") - 1, len(self.pieces) - 1)
-        out = np.empty_like(arr)
-        for i, piece in enumerate(self.pieces):
-            mask = idx == i
-            if np.any(mask):
-                out[mask] = piece.value(arr[mask])
+        out = self._eval_pieces(arr)
         return float(out[0]) if scalar else out
-
-    def value_at_zero(self) -> float:
-        """Right limit at 0, the infimum of the (increasing) density."""
-        return float(self.pieces[0].value(self.pieces[0].lo))
 
 
 def spectral_of(distortion: Distortion) -> SpectralDensity:
@@ -516,13 +516,7 @@ def spectral_of(distortion: Distortion) -> SpectralDensity:
             f"{distortion.label()} is not convex, hence admits no increasing density",
             witness=res.witness,
         )
-    pieces = []
-    for p in distortion.pieces:
-        dens = p.density()
-        if dens is None:
-            dens = DensityPiece(lo=p.lo, hi=p.hi, coef=0.0, origin=0.0, width=1.0, expo=0.0)
-        pieces.append(dens)
-    return SpectralDensity(pieces)
+    return SpectralDensity([p.derivative() for p in distortion.pieces])
 
 
 def distortion_of(spectrum: SpectralDensity) -> Distortion:
@@ -530,47 +524,12 @@ def distortion_of(spectrum: SpectralDensity) -> Distortion:
     pieces = []
     cum = 0.0
     for dens in spectrum.pieces:
-        piece = dens.antiderivative_piece(cum)
-        cum = piece.value_at_hi()
+        piece = dens.antiderivative(cum)
+        cum = float(piece.value(piece.hi))
         pieces.append(piece)
     return Distortion(pieces, name="integral")
 
 
-@dataclass(frozen=True)
-class MixtureMeasure:
-    """Measure nu on [0,1) with nu[[0,u]] = s(u); weights the ES mixture."""
-
-    atoms: tuple[tuple[float, float], ...]
-    density: tuple[DensityPiece, ...]
-
-    def cumulative(self, u: float) -> float:
-        """nu[[0,u]] for u in (0,1)."""
-        atom_part = math.fsum(m for loc, m in self.atoms if loc <= u)
-        dens_part = math.fsum(p.integral(0.0, u) for p in self.density)
-        return atom_part + dens_part
-
-
 def mixture_measure_of(spectrum: SpectralDensity) -> MixtureMeasure:
-    atoms = []
-    at_zero = spectrum.value_at_zero()
-    if at_zero > 0.0:
-        atoms.append((0.0, at_zero))
-    prev_end = at_zero
-    density = []
-    for dens in spectrum.pieces:
-        start = float(dens.value(dens.lo))
-        if start > prev_end + _JUMP_TOL:
-            atoms.append((dens.lo, start - prev_end))
-        if dens.expo > 0.0 and dens.coef > 0.0:
-            density.append(
-                DensityPiece(
-                    lo=dens.lo,
-                    hi=dens.hi,
-                    coef=dens.coef * dens.expo / dens.width,
-                    origin=dens.origin,
-                    width=dens.width,
-                    expo=dens.expo - 1.0,
-                )
-            )
-        prev_end = float(dens.value(dens.hi))
-    return MixtureMeasure(atoms=tuple(atoms), density=tuple(density))
+    """The measure nu with nu[[0,u]] = s(u) that weights the shortfall mixture."""
+    return spectrum.measure

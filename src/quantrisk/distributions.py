@@ -220,7 +220,10 @@ class Discrete(Distribution):
         samples, weights = samples[keep], weights[keep]
         if len(samples) == 0:
             raise ParameterError("total weight must be positive")
-        values, masses = _merge_atoms(samples, weights)
+        order = np.argsort(samples, kind="stable")
+        values, inverse = np.unique(samples[order], return_inverse=True)
+        masses = np.zeros(len(values))
+        np.add.at(masses, inverse, weights[order])
         return cls(values, masses / math.fsum(masses.tolist()))
 
     def cdf(self, x: float) -> float:
@@ -273,16 +276,6 @@ class Discrete(Distribution):
             pairs = ", ".join(f"({v:g}, {p:g})" for v, p in zip(self.values, self.probs))
             return f"Discrete([{pairs}])"
         return f"Discrete(n={len(self.values)})"
-
-
-def _merge_atoms(values, masses) -> tuple[np.ndarray, np.ndarray]:
-    order = np.argsort(values, kind="stable")
-    values, masses = values[order], masses[order]
-    uniq, inverse = np.unique(values, return_inverse=True)
-    merged = np.zeros(len(uniq))
-    np.add.at(merged, inverse, masses)
-    keep = merged > 0
-    return uniq[keep], merged[keep]
 
 
 def point_mass(value: float) -> Discrete:
@@ -906,7 +899,7 @@ def transform(dist: Distribution, op) -> Distribution:
         return _Shifted(dist, op.offset)
     if isinstance(op, PosPart):
         if isinstance(dist, Discrete):
-            return _remap_discrete(dist, np.maximum(dist.values, 0.0))
+            return Discrete.from_samples(np.maximum(dist.values, 0.0), dist.probs)
         lo, hi = dist.support()
         if lo >= 0:
             return dist
@@ -915,11 +908,11 @@ def transform(dist: Distribution, op) -> Distribution:
         return _PosPart(dist)
     if isinstance(op, NegPart):
         if isinstance(dist, Discrete):
-            return _remap_discrete(dist, np.maximum(-dist.values, 0.0))
+            return Discrete.from_samples(np.maximum(-dist.values, 0.0), dist.probs)
         return transform(_negate(dist), PosPart())
     if isinstance(op, Abs):
         if isinstance(dist, Discrete):
-            return _remap_discrete(dist, np.abs(dist.values))
+            return Discrete.from_samples(np.abs(dist.values), dist.probs)
         lo, hi = dist.support()
         if lo >= 0:
             return dist
@@ -931,15 +924,10 @@ def transform(dist: Distribution, op) -> Distribution:
 
 def _negate(dist: Distribution) -> Distribution:
     if isinstance(dist, Discrete):
-        return _remap_discrete(dist, -dist.values)
+        return Discrete.from_samples(-dist.values, dist.probs)
     if isinstance(dist, _Negated):
         return dist.base
     return _Negated(dist)
-
-
-def _remap_discrete(dist: Discrete, new_values: np.ndarray) -> Discrete:
-    values, masses = _merge_atoms(new_values, dist.probs)
-    return Discrete(values, masses / math.fsum(masses.tolist()))
 
 
 def _move_discrete(dist: Discrete, new_values: np.ndarray) -> Discrete:
@@ -950,7 +938,7 @@ def _move_discrete(dist: Discrete, new_values: np.ndarray) -> Discrete:
     if not np.all(np.isfinite(new_values)):
         raise ParameterError("atom values must be finite")
     if np.any(np.diff(new_values) <= 0):
-        return _remap_discrete(dist, new_values)
+        return Discrete.from_samples(new_values, dist.probs)
     out = Discrete.__new__(Discrete)
     out.values, out.probs, out.cum = new_values, dist.probs, dist.cum
     return out
@@ -973,9 +961,7 @@ def _discrete_comonotone(d1: Discrete, d2: Discrete) -> Discrete:
     i1 = np.searchsorted(d1.cum, grid, side="left")
     i2 = np.searchsorted(d2.cum, grid, side="left")
     sums = d1.values[np.minimum(i1, len(d1.values) - 1)] + d2.values[np.minimum(i2, len(d2.values) - 1)]
-    masses = np.diff(np.concatenate(([0.0], grid)))
-    values, masses = _merge_atoms(sums, masses)
-    return Discrete(values, masses / math.fsum(masses.tolist()))
+    return Discrete.from_samples(sums, np.diff(np.concatenate(([0.0], grid))))
 
 
 def _check_range(a: float, b: float) -> tuple[float, float]:

@@ -24,7 +24,6 @@ import numpy as np
 from .distortions import (
     Distortion,
     higher_order_es_distortion,
-    is_convex,
     mixture_measure_of,
     spectral_of,
 )
@@ -208,6 +207,15 @@ def _domain_flags(dist: Distribution, distortion: Distortion) -> _Flags:
     return _Flags(pos, neg, method)
 
 
+def _flagged_value(flags: _Flags) -> RiskValue | None:
+    """The risk a divergent part forces, or None when both parts converge."""
+    if flags.pos_diverges:
+        return RiskValue.not_in_domain()
+    if flags.neg_diverges:
+        return RiskValue.neg_inf()
+    return None
+
+
 def _probe_diverges(dist, distortion, side: str) -> tuple[bool, tuple[float, ...]]:
     if side == "+":
         h = lambda u: max(dist.quantile_lower(u), 0.0)
@@ -293,11 +301,9 @@ def quantile_risk(dist: Distribution, distortion, *, epsabs: float = QUAD_TOL) -
         return RiskValue.finite(float(np.dot(dist.values, dw)))
     if not isinstance(distortion, Distortion):
         raise ParameterError("non-discrete distributions require a piecewise distortion")
-    flags = _domain_flags(dist, distortion)
-    if flags.pos_diverges:
-        return RiskValue.not_in_domain()
-    if flags.neg_diverges:
-        return RiskValue.neg_inf()
+    flagged = _flagged_value(_domain_flags(dist, distortion))
+    if flagged is not None:
+        return flagged
     total = math.fsum(mass * dist.quantile_lower(loc) for loc, mass in distortion.jumps())
     pieces = distortion.density_pieces()
     points = dist.quantile_breakpoints()
@@ -318,11 +324,9 @@ def choquet_risk(dist: Distribution, distortion, *, epsabs: float = QUAD_TOL) ->
         return RiskValue.finite(_choquet_discrete(dist, distortion))
     if not isinstance(distortion, Distortion):
         raise ParameterError("non-discrete distributions require a piecewise distortion")
-    flags = _domain_flags(dist, distortion)
-    if flags.pos_diverges:
-        return RiskValue.not_in_domain()
-    if flags.neg_diverges:
-        return RiskValue.neg_inf()
+    flagged = _flagged_value(_domain_flags(dist, distortion))
+    if flagged is not None:
+        return flagged
 
     def dist_fx(x: float) -> float:
         return distortion.eval(dist.cdf(x))
@@ -399,19 +403,17 @@ def mixture_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = 
     discrete inputs, whose rescaled shortfall is piecewise linear in the
     level, and numerically with absolute tolerance ``epsabs`` otherwise.
     """
-    res = is_convex(distortion)
-    if not res.convex:
+    try:
+        nu = mixture_measure_of(spectral_of(distortion))
+    except NotSpectralError as exc:
         raise NotSpectralError(
             f"{distortion.label()} is not convex: no expected-shortfall mixture exists",
-            witness=res.witness,
-        )
+            witness=exc.witness,
+        ) from None
     if not dist.is_discrete:
-        flags = _domain_flags(dist, distortion)
-        if flags.pos_diverges:
-            return RiskValue.not_in_domain()
-        if flags.neg_diverges:
-            return RiskValue.neg_inf()
-    nu = mixture_measure_of(spectral_of(distortion))
+        flagged = _flagged_value(_domain_flags(dist, distortion))
+        if flagged is not None:
+            return flagged
 
     def scaled_es(alpha: float) -> float:
         # (1-alpha) * ES_alpha = integral of the quantile function over (alpha, 1)

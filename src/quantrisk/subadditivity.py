@@ -56,15 +56,15 @@ class JointTable:
             raise ParameterError(f"joint probabilities must sum to 1 within {_TABLE_TOL}, got {total!r}")
 
     def marginal_x(self) -> Discrete:
-        return _discrete_from_masses(self.x_values, self.probs.sum(axis=1))
+        return Discrete.from_samples(self.x_values, self.probs.sum(axis=1))
 
     def marginal_y(self) -> Discrete:
-        return _discrete_from_masses(self.y_values, self.probs.sum(axis=0))
+        return Discrete.from_samples(self.y_values, self.probs.sum(axis=0))
 
     def sum_distribution(self) -> Discrete:
         """Atoms x_i + y_j with aggregated joint mass, merged exactly."""
         sums = (self.x_values[:, None] + self.y_values[None, :]).ravel()
-        return _discrete_from_masses(sums, self.probs.ravel())
+        return Discrete.from_samples(sums, self.probs.ravel())
 
     def to_json(self) -> dict:
         return {
@@ -72,19 +72,6 @@ class JointTable:
             "y_values": self.y_values.tolist(),
             "probs": self.probs.tolist(),
         }
-
-
-def _discrete_from_masses(values, masses) -> Discrete:
-    values = np.asarray(values, dtype=float)
-    masses = np.asarray(masses, dtype=float)
-    order = np.argsort(values, kind="stable")
-    values, masses = values[order], masses[order]
-    uniq, inverse = np.unique(values, return_inverse=True)
-    merged = np.zeros(len(uniq))
-    np.add.at(merged, inverse, masses)
-    keep = merged > 0
-    total = math.fsum(merged[keep].tolist())
-    return Discrete(uniq[keep], merged[keep] / total)
 
 
 @dataclass(frozen=True)

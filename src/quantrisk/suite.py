@@ -394,14 +394,9 @@ def _check_ordering(config, tol):
             )
 
 
-def _vanishes_near_zero(distortion: Distortion) -> bool:
-    first = distortion.pieces[0]
-    return first.coef == 0.0 or first.expo == 0.0
-
-
 def _check_finiteness(config, tol):
     for qlabel, distortion in config.distortions:
-        if not _vanishes_near_zero(distortion):
+        if not distortion.pieces[0].flat:  # D vanishes near 0
             continue
         for dlabel, dist in config.distributions:
             risk = quantile_risk(dist, distortion)
