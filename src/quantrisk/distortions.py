@@ -19,6 +19,7 @@ import bisect
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -95,8 +96,9 @@ class Piece:
         # density pieces run inside quadrature integrands: no add of a zero base
         return power + self.base if self.base else power
 
+    @cached_property
     def derivative(self) -> Piece:
-        """Derivative on (lo, hi); the zero piece when this one is flat."""
+        """Derivative on (lo, hi); the zero piece when this one is flat.  Built once."""
         if self.flat:
             return Piece(lo=self.lo, hi=self.hi, coef=0.0, origin=0.0, width=1.0, expo=0.0)
         return Piece(
@@ -215,7 +217,7 @@ class _Piecewise:
             if h > floor:
                 atoms.append((p.lo, h))
             end, floor = float(p.value(p.hi)), _JUMP_TOL
-        density = tuple(p.derivative() for p in self.pieces if not p.flat)
+        density = tuple(p.derivative for p in self.pieces if not p.flat)
         return DistortionMeasure(atoms=tuple(atoms), density=density)
 
     def _eval_pieces(self, arr: np.ndarray) -> np.ndarray:
@@ -295,7 +297,7 @@ class Distortion(_Piecewise):
         piece = self.pieces[0 if endpoint == 0 else -1]
         if piece.flat:
             return None
-        dens = piece.derivative()
+        dens = piece.derivative
         if endpoint == 0 and dens.origin == 0.0:
             return dens.expo, dens.coef * dens.width ** (-dens.expo)
         # otherwise origin < 0 at 0+, or origin <= lo < 1 at 1-: the density
@@ -443,7 +445,7 @@ def is_convex(distortion) -> ConvexityResult:
             return ConvexityResult(False, _shrink_witness(distortion, u, 0.25 * (piece.hi - piece.lo)))
     # slope drop across a knot
     for prev, nxt in zip(distortion.pieces, distortion.pieces[1:]):
-        if float(prev.derivative().value(prev.hi)) > float(nxt.derivative().value(nxt.lo)) + 1e-15:
+        if float(prev.derivative.value(prev.hi)) > float(nxt.derivative.value(nxt.lo)) + 1e-15:
             return ConvexityResult(False, _shrink_witness(distortion, nxt.lo))
     return ConvexityResult(True)
 
@@ -516,7 +518,7 @@ def spectral_of(distortion: Distortion) -> SpectralDensity:
             f"{distortion.label()} is not convex, hence admits no increasing density",
             witness=res.witness,
         )
-    return SpectralDensity([p.derivative() for p in distortion.pieces])
+    return SpectralDensity([p.derivative for p in distortion.pieces])
 
 
 def distortion_of(spectrum: SpectralDensity) -> Distortion:
