@@ -140,7 +140,8 @@ def _piece_from_json(p) -> Piece:
     form = p.get("form", "power")
     lo, hi = _num(p, "lo"), _num(p, "hi")
     if form == "linear":
-        slope, intercept = _num(p, "slope"), _num(p, "intercept", 0.0)
+        slope = _num(p, "slope")
+        intercept = _num(p, "intercept", 0.0)
         return Piece(lo=lo, hi=hi, base=intercept, coef=slope, origin=0.0, width=1.0, expo=1.0)
     if form == "constant":
         return Piece(lo=lo, hi=hi, base=_num(p, "level"), coef=0.0, origin=0.0, width=1.0, expo=0.0)
