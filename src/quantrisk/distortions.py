@@ -16,6 +16,7 @@ measure nu of the expected-shortfall mixture.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -74,13 +75,16 @@ class Piece:
     expo: float
 
     def __post_init__(self):
-        if not 0.0 <= self.lo < self.hi <= 1.0:
+        # written as not (x > bound), so that NaN fails every check
+        if not (0.0 <= self.lo < self.hi <= 1.0):
             raise ParameterError(f"piece interval [{self.lo}, {self.hi}) not inside [0,1]")
-        if self.width <= 0:
+        if not all(map(math.isfinite, (self.base, self.coef, self.origin, self.width, self.expo))):
+            raise ParameterError("piece parameters must be finite")
+        if not (self.width > 0):
             raise ParameterError("piece width must be positive")
-        if self.coef < 0:
+        if not (self.coef >= 0):
             raise ParameterError("pieces must be increasing (coef >= 0)")
-        if self.expo <= -1.0:
+        if not (self.expo > -1.0):
             raise ParameterError("piece exponent must exceed -1 to stay integrable")
 
     @property
@@ -273,14 +277,6 @@ class Distortion(_Piecewise):
         out = np.where(arr == 1.0, 1.0, self._eval_pieces(arr))
         return float(out[0]) if scalar else out
 
-    def left_limit(self, u: float) -> float:
-        """lim_{v -> u-} D(v) for u in (0,1]."""
-        u = float(u)
-        if not 0.0 < u <= 1.0:
-            raise ParameterError("left limit requires u in (0,1]")
-        idx = int(np.searchsorted(self._knots, u, side="left")) - 1
-        return float(self.pieces[idx].value(u))
-
     def jumps(self) -> tuple[tuple[float, float], ...]:
         """Interior discontinuities as (location, height) pairs."""
         return self.measure.atoms
@@ -431,34 +427,38 @@ def measure_of(distortion: Distortion) -> DistortionMeasure:
 def is_convex(distortion) -> ConvexityResult:
     """Exact convexity decision for piecewise distortions, lattice check otherwise.
 
-    A non-convex result carries a witness (u, eps) with
+    A piecewise distortion can only fail convexity at a jump, inside a
+    concave piece or where the slope drops across a knot.  Each such place
+    counts only when the midpoint test finds it above the 1e-15 margin, so a
+    non-convex result always carries a witness (u, eps) with
     ``2 D(u) > D(u-eps) + D(u+eps)``.
     """
     if not isinstance(distortion, Distortion):
         return midpoint_convexity(distortion)
-    for loc, _height in distortion.jumps():
-        return ConvexityResult(False, _shrink_witness(distortion, loc))
-    # strictly concave piece: positive curvature violation in its interior
-    for piece in distortion.pieces:
-        if piece.coef > 0 and 0.0 < piece.expo < 1.0:
-            u = 0.5 * (piece.lo + piece.hi)
-            return ConvexityResult(False, _shrink_witness(distortion, u, 0.25 * (piece.hi - piece.lo)))
-    # slope drop across a knot
-    for prev, nxt in zip(distortion.pieces, distortion.pieces[1:]):
-        if float(prev.derivative.value(prev.hi)) > float(nxt.derivative.value(nxt.lo)) + 1e-15:
-            return ConvexityResult(False, _shrink_witness(distortion, nxt.lo))
+    pieces = distortion.pieces
+    suspects = itertools.chain(  # jumps, concave pieces, slope drops at knots
+        ((loc, None) for loc, _height in distortion.jumps()),
+        ((0.5 * (p.lo + p.hi), 0.25 * (p.hi - p.lo)) for p in pieces if p.coef > 0 and 0.0 < p.expo < 1.0),
+        ((nxt.lo, None) for prev, nxt in zip(pieces, pieces[1:])
+         if float(prev.derivative.value(prev.hi)) > float(nxt.derivative.value(nxt.lo)) + 1e-15),
+    )
+    with np.errstate(divide="ignore"):  # a concave piece's slope at its origin is inf
+        for u, eps in suspects:
+            witness = _shrink_witness(distortion, u, eps)
+            if witness is not None:
+                return ConvexityResult(False, witness)
     return ConvexityResult(True)
 
 
-def _shrink_witness(distortion, u: float, eps: float | None = None) -> tuple[float, float]:
-    """Find eps with a strict midpoint violation at u, halving from a safe start."""
+def _shrink_witness(distortion, u: float, eps: float | None = None) -> tuple[float, float] | None:
+    """Find eps with a midpoint violation above 1e-15 at u, halving from a safe start."""
     if eps is None:
         eps = 0.5 * min(u, 1.0 - u)
     for _ in range(80):
         if 2.0 * distortion.eval(u) > distortion.eval(u - eps) + distortion.eval(u + eps) + 1e-15:
             return (u, eps)
         eps *= 0.5
-    raise AssertionError(f"no midpoint violation found near u={u}")
+    return None
 
 
 def midpoint_convexity(distortion, u_grid: int = _GRID_U, eps_grid: int = _GRID_EPS) -> ConvexityResult:

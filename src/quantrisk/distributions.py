@@ -136,6 +136,13 @@ class Distribution:
         """Levels in (0,1) where the quantile function jumps or kinks."""
         return ()
 
+    def quantile_steps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Arrays of the breakpoint levels t, q(t) and q+(t): the CDF is t on [q(t), q+(t))."""
+        ts = self.quantile_breakpoints()
+        lower = [self.quantile_lower(t) for t in ts]
+        upper = [self.quantile_upper(t) for t in ts]
+        return np.array(ts, dtype=float), np.array(lower, dtype=float), np.array(upper, dtype=float)
+
     def support(self) -> tuple[float, float]:
         """Essential bounds of the distribution, possibly infinite."""
         raise NotImplementedError
@@ -253,6 +260,9 @@ class Discrete(Distribution):
 
     def quantile_breakpoints(self) -> tuple[float, ...]:
         return tuple(float(c) for c in self.cum[:-1])
+
+    def quantile_steps(self):
+        return self.cum[:-1], self.values[:-1], self.values[1:]
 
     def support(self) -> tuple[float, float]:
         return float(self.values[0]), float(self.values[-1])

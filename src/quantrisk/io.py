@@ -220,7 +220,13 @@ def _num(spec, key: str, default=None) -> float:
     value = spec[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"field {key!r} must be numeric, got {value!r}")
-    return float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
+    if not math.isfinite(value):  # NaN and Infinity parse as floats, as does 1e400
+        raise ParseError(f"field {key!r} must be finite, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ function against the distortion measure, integrating the distorted tail
 probabilities over the real line, and mixing expected shortfall across
 levels.  Discrete distributions and piecewise distortions are evaluated in
 closed form by all three, with no quadrature; parametric tails fall back to
-adaptive quadrature with the tolerances declared here.  scipy's ``quad`` is
+adaptive quadrature with the tolerances declared here.  The tail integral
+has one path for every input: it walks the quantile's breakpoint levels,
+takes each flat step of the CDF and each stretch where D is flat in closed
+form, and integrates only where D(F(x)) moves.  scipy's ``quad`` is
 imported on the first quadrature call, so a process that only evaluates
 closed forms never loads scipy.  ``+inf`` is never returned as a risk value:
 a divergent positive part is reported as non-membership instead.
@@ -185,38 +188,22 @@ def _tail_rule(tail, dens) -> bool | None:
     return p - 1.0 / tail.theta <= -1.0
 
 
-@dataclass(frozen=True)
-class _Flags:
-    pos_diverges: bool
-    neg_diverges: bool
-    method: str
-
-
-def _domain_flags(dist: Distribution, distortion: Distortion) -> _Flags:
+def _forced_value(dist: Distribution, distortion: Distortion) -> RiskValue | None:
+    """The risk a divergent part forces, or None when both parts converge."""
     if dist.is_discrete:
-        return _Flags(False, False, "discrete")
+        return None
     pos = _tail_rule(dist.upper_tail(), distortion.density_exponent_at(1))
     neg = _tail_rule(dist.lower_tail(), distortion.density_exponent_at(0))
-    method = "analytic"
     if pos is None:
-        pos, _ = _probe_diverges(dist, distortion, side="+")
-        method = "probe"
+        pos = _probe_diverges(dist, distortion, side="+")
     if neg is None:
-        neg, _ = _probe_diverges(dist, distortion, side="-")
-        method = "probe"
-    return _Flags(pos, neg, method)
-
-
-def _flagged_value(flags: _Flags) -> RiskValue | None:
-    """The risk a divergent part forces, or None when both parts converge."""
-    if flags.pos_diverges:
+        neg = _probe_diverges(dist, distortion, side="-")
+    if pos:
         return RiskValue.not_in_domain()
-    if flags.neg_diverges:
-        return RiskValue.neg_inf()
-    return None
+    return RiskValue.neg_inf() if neg else None
 
 
-def _probe_diverges(dist, distortion, side: str) -> tuple[bool, tuple[float, ...]]:
+def _probe_diverges(dist, distortion, side: str) -> bool:
     if side == "+":
         h = lambda u: max(dist.quantile_lower(u), 0.0)
     else:
@@ -228,7 +215,7 @@ def _probe_diverges(dist, distortion, side: str) -> tuple[bool, tuple[float, ...
             f"dyadic probe undecided for the {side} part after {PROBE_LEVELS} levels",
             diagnostics=list(partials),
         )
-    return verdict is Verdict.NON_MEMBER, partials
+    return verdict is Verdict.NON_MEMBER
 
 
 def _dyadic_partials(dist, distortion, h, levels: int = PROBE_LEVELS) -> tuple[float, ...]:
@@ -288,111 +275,106 @@ def quantile_risk(dist: Distribution, distortion, *, epsabs: float = QUAD_TOL) -
     """Integral of the lower quantile function against the distortion measure.
 
     Exact for discrete distributions (for any evaluable distortion); adaptive
-    quadrature with absolute tolerance ``epsabs`` otherwise.  A divergent
-    positive part yields the not-in-domain flag, a divergent negative part
-    alone yields -inf.
+    quadrature with absolute tolerance ``epsabs`` otherwise.  There D's jumps
+    are summed exactly; q is integrated against the density of a convex
+    power piece, and against a concave one in the piece's own scale, where
+    its singular density disappears.  A divergent positive part yields the
+    not-in-domain flag, a divergent negative part alone yields -inf.
     """
     if dist.is_discrete:
         levels = np.asarray(dist.cum)
-        w = distortion.eval(levels) if isinstance(distortion, Distortion) else np.array(
-            [distortion.eval(float(c)) for c in levels]
-        )
-        dw = np.diff(np.concatenate(([0.0], np.asarray(w, dtype=float))))
+        dw = np.diff(np.concatenate(([0.0], np.asarray(distortion.eval(levels), dtype=float))))
         return RiskValue.finite(float(np.dot(dist.values, dw)))
     if not isinstance(distortion, Distortion):
         raise ParameterError("non-discrete distributions require a piecewise distortion")
-    flagged = _flagged_value(_domain_flags(dist, distortion))
+    flagged = _forced_value(dist, distortion)
     if flagged is not None:
         return flagged
     total = math.fsum(mass * dist.quantile_lower(loc) for loc, mass in distortion.jumps())
-    pieces = distortion.density_pieces()
+    pieces = [p for p in distortion.pieces if not p.flat]
     points = dist.quantile_breakpoints()
-    for piece in pieces:
-        total += _quad(
-            lambda u, piece=piece: dist.quantile_lower(u) * float(piece.value(u)),
-            piece.lo,
-            piece.hi,
-            points=points,
-            epsabs=epsabs / max(len(pieces), 1),
+    tol = epsabs / max(len(pieces), 1)
+    for p in pieces:
+        if p.expo >= 1.0:  # bounded density: integrate q against it
+            dens = p.derivative
+            total += _quad(lambda u, dens=dens: dist.quantile_lower(u) * float(dens.value(u)),
+                           p.lo, p.hi, points=points, epsabs=tol)
+            continue
+        # a concave power's density is singular at its origin, at or just
+        # below lo; in v = ((u - origin)/width)**expo the measure is coef dv
+        v = lambda u, p=p: ((u - p.origin) / p.width) ** p.expo
+        # u(v), kept inside [lo, hi] and (0, 1) against rounding
+        u = lambda x, p=p: min(max(p.origin + p.width * x ** (1.0 / p.expo), p.lo, 5e-324), p.hi, 1 - 2**-53)
+        total += p.coef * _quad(
+            lambda x, u=u: dist.quantile_lower(u(x)),
+            v(p.lo),
+            v(p.hi),
+            points=[v(t) for t in points if p.lo < t < p.hi],
+            epsabs=tol / max(p.coef, 1.0),  # the v-integral is scaled by coef
         )
     return RiskValue.finite(total)
 
 
 def choquet_risk(dist: Distribution, distortion, *, epsabs: float = QUAD_TOL) -> RiskValue:
-    """Tail-integral form: distorted survival over (0,inf) minus distorted CDF over (-inf,0)."""
-    if dist.is_discrete:
-        return RiskValue.finite(_choquet_discrete(dist, distortion))
-    if not isinstance(distortion, Distortion):
+    """Tail-integral form: distorted survival over (0,inf) minus distorted CDF over (-inf,0).
+
+    One path for every input, cut in level space.  On the step [q(t), q+(t))
+    at a quantile breakpoint t the CDF is t, so the step adds its width times
+    1 - D(t) above 0 and -D(t) below.  Between two breakpoint levels the
+    stretch is cut again at D's knots: where D's piece is flat, D(F) is that
+    constant; elsewhere ``1 - D(F)`` and ``D(F)`` are integrated numerically,
+    each call with absolute tolerance ``epsabs / 4``.  A discrete input is
+    all steps and calls no quadrature.  All terms are summed in one fsum.
+    """
+    if not (dist.is_discrete or isinstance(distortion, Distortion)):
         raise ParameterError("non-discrete distributions require a piecewise distortion")
-    flagged = _flagged_value(_domain_flags(dist, distortion))
+    flagged = _forced_value(dist, distortion)
     if flagged is not None:
         return flagged
 
     def dist_fx(x: float) -> float:
         return distortion.eval(dist.cdf(x))
 
+    levels, lower, upper = dist.quantile_steps()
     lo, hi = dist.support()
-    # the distorted CDF kinks or jumps where D does, and where the CDF has a
-    # flat step (the quantile jumps) or a kink (the quantile kinks) at a
-    # level where D is not flat
-    dens = distortion.density_pieces()
-    steps = [t for t in dist.quantile_breakpoints() if any(p.lo <= t <= p.hi for p in dens)]
-    cuts = sorted(
-        {dist.quantile_lower(t) for t, _ in distortion.jumps()}
-        | {dist.quantile_lower(p.lo) for p in distortion.pieces if 0.0 < p.lo < 1.0}
-        | {dist.quantile_lower(t) for t in steps}
-        | {dist.quantile_upper(t) for t in steps}
-    )
-    pos = 0.0
-    if hi > 0.0:
-        start = 0.0
-        if lo > 0.0:
-            pos += lo  # survival weight is 1 below the support
-            start = lo
-        stops = [c for c in cuts if c > start] + [hi]
-        prev = start
-        for stop in stops:
-            stop = min(stop, hi)
-            if stop <= prev:
+    # (a, b, D) for every stretch of x on which D(F(x)) is constant
+    flat_a, flat_b, flat_d = [lower], [upper], [np.asarray(distortion.eval(levels), dtype=float)]
+    # outside the support F is 0 or 1: 1 - D(F) = 1 on (0, lo) and D(F) = 1 on (hi, 0)
+    terms = [max(lo, 0.0), min(hi, 0.0)]
+    starts = np.concatenate(([lo], upper))
+    ends = np.concatenate((lower, [hi]))
+    bounds = np.concatenate(([0.0], levels, [1.0]))
+    for i in np.flatnonzero(ends > starts).tolist():
+        # Python floats: the integrands run several times faster on them
+        s, t, start, end = (float(x) for x in (bounds[i], bounds[i + 1], starts[i], ends[i]))
+        for p in distortion.pieces:
+            if p.hi <= s or p.lo >= t:
                 continue
-            pos += _quad(lambda x: 1.0 - dist_fx(x), prev, stop, epsabs=epsabs / 4)
-            prev = stop
-    neg = 0.0
-    if lo < 0.0:
-        end = 0.0
-        if hi < 0.0:
-            neg += -hi  # distorted CDF is 1 between the support top and zero
-            end = hi
-        starts = [lo] + [c for c in cuts if c < end]
-        prev = end
-        for start in reversed(starts):
-            start = max(start, lo)
-            if start >= prev:
+            a = start if p.lo <= s else dist.quantile_lower(p.lo)
+            b = end if p.hi >= t else dist.quantile_lower(p.hi)
+            if b <= a:
                 continue
-            neg += _quad(dist_fx, start, prev, epsabs=epsabs / 4)
-            prev = start
-    return RiskValue.finite(pos - neg)
-
-
-def _choquet_discrete(dist: Discrete, distortion) -> float:
-    """Exact tail integral: between consecutive edges the CDF is constant.
-
-    Each edge interval (a, b) adds -(b-a) D(F(a)) below zero and
-    (b-a) (1 - D(F(a))) above.  The terms are formed in place so that the
-    peak allocation stays at a few edge-length arrays.
-    """
-    edges = np.unique(np.concatenate((dist.values, [0.0])))
-    idx = np.searchsorted(dist.values, edges[:-1], side="right")
-    levels = dist.cum[idx - 1]
-    levels[idx == 0] = 0.0
-    del idx
-    terms = np.asarray(distortion.eval(levels), dtype=float)
-    del levels
-    below = int(np.searchsorted(edges, 0.0, side="right")) - 1  # intervals with b <= 0
-    np.negative(terms[:below], out=terms[:below])
-    np.subtract(1.0, terms[below:], out=terms[below:])
-    terms *= np.diff(edges)
-    return math.fsum(terms)
+            if p.flat:
+                flat_a.append([a])
+                flat_b.append([b])
+                flat_d.append([float(p.value(p.lo))])
+                continue
+            if a < 0.0:
+                terms.append(-_quad(dist_fx, a, min(b, 0.0), epsabs=epsabs / 4))
+            if b > 0.0:
+                terms.append(_quad(lambda x: 1.0 - dist_fx(x), max(a, 0.0), b, epsabs=epsabs / 4))
+    a, b, d = (np.concatenate(v) for v in (flat_a, flat_b, flat_d))
+    above = np.maximum(b, 0.0) - np.maximum(a, 0.0)
+    below = np.minimum(b, 0.0) - np.minimum(a, 0.0)
+    # an infinite flat stretch lies at D(0+) or D(1-), which are 0 and 1
+    # within the distortion's 1e-12 tolerance: it adds nothing
+    above[np.isinf(above)] = 0.0
+    below[np.isinf(below)] = 0.0
+    up, down = above * (1.0 - d), below * d
+    sides = up - down  # exact wherever one side is empty
+    both = np.flatnonzero((above > 0.0) & (below > 0.0))  # at most one: the stretches are disjoint
+    sides[both] = up[both]
+    return RiskValue.finite(math.fsum([*sides.tolist(), *(-down[both]).tolist(), *terms]))
 
 
 def mixture_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = MIXTURE_TOL) -> RiskValue:
@@ -410,10 +392,9 @@ def mixture_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = 
             f"{distortion.label()} is not convex: no expected-shortfall mixture exists",
             witness=exc.witness,
         ) from None
-    if not dist.is_discrete:
-        flagged = _flagged_value(_domain_flags(dist, distortion))
-        if flagged is not None:
-            return flagged
+    flagged = _forced_value(dist, distortion)
+    if flagged is not None:
+        return flagged
 
     def scaled_es(alpha: float) -> float:
         # (1-alpha) * ES_alpha = integral of the quantile function over (alpha, 1)

@@ -9,7 +9,6 @@ non-convex distortion are expected and recorded as such, not as failures.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -512,7 +511,3 @@ def _check_subadditivity(config, tol):
             "expected-violation" if ok else "fail",
             f"worst gap {found.gap:.12g}" if ok else "no violation found",
         )
-
-
-def report_to_json_text(report: SuiteReport) -> str:
-    return json.dumps(report.to_json(), sort_keys=True, indent=2)

@@ -106,6 +106,36 @@ class TestSpectrum:
         assert "witness" in err and "0.5" in err
 
 
+class TestEdgeDistortions:
+    TINY_BEND = (
+        '{"kind":"piecewise","pieces":[{"form":"power","lo":0,"hi":0.5,"coef":1e-300,"origin":0,'
+        '"width":1,"expo":0.5},{"form":"linear","lo":0.5,"hi":1,"slope":2,"intercept":-1}]}'
+    )
+
+    @pytest.mark.parametrize("command", ["check-convexity", "spectrum", "counterexample"])
+    def test_bend_below_the_margin_never_ends_in_a_traceback(self, capsys, command):
+        code, _, err = run(capsys, command, "--distortion", self.TINY_BEND)
+        assert code in (0, 2)
+        assert "Traceback" not in err
+
+    def test_bend_below_the_margin_is_convex(self, capsys):
+        code, out, _ = run(capsys, "check-convexity", "--distortion", self.TINY_BEND, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["convex"] is True
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400])
+    @pytest.mark.parametrize("command", ["check-convexity", "spectrum"])
+    def test_non_finite_numbers_are_parse_errors(self, capsys, command, value):
+        spec = (
+            '{"kind":"piecewise","pieces":[{"form":"power","lo":0,"hi":1,"coef":1,"origin":0,'
+            f'"width":1,"expo":{value}}}]}}'
+        )
+        code, out, err = run(capsys, command, "--distortion", spec)
+        assert code == 1
+        assert out == ""
+        assert "field 'expo' must be finite" in err
+
+
 class TestCounterexample:
     def test_var_gap(self, capsys):
         code, out, _ = run(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from quantrisk.distortions import (
+    ConvexityResult,
     DensityPiece,
     Distortion,
     GridDistortion,
@@ -197,6 +198,42 @@ class TestConvexity:
         assert not res.convex
         u, eps = res.witness
         assert 2 * bumpy.eval(u) > bumpy.eval(u - eps) + bumpy.eval(u + eps)
+
+
+    def test_violation_below_the_margin_counts_as_convex(self):
+        # the concave piece bends by about 1e-301, below the midpoint test's
+        # 1e-15 margin: no witness exists there, so the verdict is convex
+        d = Distortion([
+            Piece(lo=0.0, hi=0.5, coef=1e-300, origin=0.0, width=1.0, expo=0.5),
+            Piece(lo=0.5, hi=1.0, base=-1.0, coef=2.0, origin=0.0, width=1.0, expo=1.0),
+        ])
+        assert is_convex(d) == ConvexityResult(True)
+
+    def test_every_non_convex_verdict_carries_a_witness(self):
+        # a jump, then a concave piece whose midpoint bend is visible
+        d = Distortion([
+            Piece(lo=0.0, hi=0.5, coef=0.5, origin=0.0, width=1.0, expo=1.0),
+            Piece(lo=0.5, hi=1.0, base=0.5, coef=0.5, origin=0.5, width=0.5, expo=0.5),
+        ])
+        res = is_convex(d)
+        assert not res.convex
+        u, eps = res.witness
+        assert 2 * d.eval(u) > d.eval(u - eps) + d.eval(u + eps) + 1e-15
+
+
+class TestNonFinitePieces:
+    @pytest.mark.parametrize("field", ["base", "coef", "origin", "width", "expo"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejected(self, field, bad):
+        args = dict(lo=0.0, hi=1.0, base=0.0, coef=1.0, origin=0.0, width=1.0, expo=1.0)
+        args[field] = bad
+        with pytest.raises(ParameterError):
+            Piece(**args)
+
+    @pytest.mark.parametrize("lo, hi", [(math.nan, 1.0), (0.0, math.nan)])
+    def test_nan_interval_rejected(self, lo, hi):
+        with pytest.raises(ParameterError):
+            Piece(lo=lo, hi=hi, coef=1.0, origin=0.0, width=1.0, expo=1.0)
 
 
 class TestSpectra:

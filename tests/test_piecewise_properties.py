@@ -24,7 +24,7 @@ from quantrisk.distortions import (
     mixture_measure_of,
     spectral_of,
 )
-from quantrisk.distributions import Discrete
+from quantrisk.distributions import Discrete, ParetoNegative, comonotone_sum
 from quantrisk.errors import ParameterError
 from quantrisk.riskmeasures import choquet_risk, mixture_risk, quantile_risk
 from quantrisk.suite import Tolerances
@@ -117,6 +117,19 @@ def test_quantile_and_choquet_agree(d, seed):
     dist = _discrete(seed)
     q, c = quantile_risk(dist, d).value, choquet_risk(dist, d).value
     assert abs(q - c) <= Tolerances().quantile_choquet
+
+
+@settings(max_examples=30, deadline=None)
+@given(piecewise_distortions(), st.integers(0, 2**32 - 1), st.sampled_from([2.0, 3.0]))
+def test_quantile_and_choquet_agree_on_discrete_plus_tail(d, seed, theta):
+    # flat pieces of D are summed exactly, the others integrated between knots
+    rng = np.random.default_rng(seed)
+    disc = Discrete.from_samples(rng.normal(0.0, 3.0, size=20), rng.random(20) + 0.1)
+    dist = comonotone_sum(disc, ParetoNegative(1.0, theta))
+    q, c = quantile_risk(dist, d), choquet_risk(dist, d)
+    assert q.kind == c.kind
+    if q.is_finite:
+        assert abs(q.value - c.value) <= Tolerances().quantile_choquet
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from quantrisk.distortions import make_named
+from quantrisk.distortions import GridDistortion, make_named
 from quantrisk.distributions import (
     Discrete,
     ParetoNegative,
@@ -490,3 +490,100 @@ class TestLazyTailNodes:
         D = make_named("sqrt_example")
         assert abs(quantile_risk(m, D).as_float() - 3.3875280644219) < 1e-9
         assert abs(choquet_risk(m, D).as_float() - 3.3875280644219) < 1e-9
+
+
+class TestOneChoquetPath:
+    """Choquet cuts in level space: steps and flat stretches exact, quadrature only where D(F) moves."""
+
+    @pytest.mark.parametrize(
+        "D", SIX_FAMILIES + (GridDistortion(lambda u: u * u, name="square"),), ids=lambda D: D.label()
+    )
+    def test_discrete_choquet_makes_no_quadrature_call(self, monkeypatch, D):
+        import quantrisk.riskmeasures as rm
+
+        def no_quad(*args, **kwargs):
+            raise AssertionError("quadrature called on a discrete input")
+
+        monkeypatch.setattr(rm, "quad", no_quad)
+        for values in ([3.0], [-2.0, -1.0], [1.0, 2.5, 4.0], np.linspace(-2.0, 5.0, 1001)):
+            d = Discrete.from_samples(values)
+            assert choquet_risk(d, D).as_float() == oracle_choquet_loop(d, D)
+
+    @pytest.mark.parametrize(
+        "D, bound",
+        [
+            (make_named("expectation"), 601),
+            (make_named("es_n", n=2, alpha=0.5), 301),
+            (make_named("threshold", delta=0.5), 301),
+            (make_named("es", alpha=0.9), 61),
+            (make_named("var", alpha=0.5), 0),
+        ],
+        ids=lambda x: x.label() if hasattr(x, "label") else str(x),
+    )
+    def test_quadrature_calls_on_discrete_plus_tail(self, monkeypatch, D, bound):
+        # one call per stretch between breakpoint levels where D is not flat,
+        # one more where such a stretch straddles 0; none on the 599 steps
+        import quantrisk.riskmeasures as rm
+
+        calls = []
+        quad_once = rm._quad
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return quad_once(*args, **kwargs)
+
+        s = TestLazyTailNodes.discrete_plus_tail(600)
+        monkeypatch.setattr(rm, "_quad", counted)
+        tail = choquet_risk(s, D)
+        assert len(calls) <= bound
+        assert abs(tail.as_float() - quantile_risk(s, D).as_float()) < 1e-8
+
+    @pytest.mark.parametrize("theta", [1.5, 2.0, 3.0])
+    def test_agrees_with_quantile_on_thousand_atoms_plus_pareto(self, theta):
+        from scipy.special import ndtri
+
+        rng = np.random.default_rng(int(theta * 10))
+        n = 1_000
+        disc = Discrete.from_samples(ndtri((np.arange(n) + rng.uniform(0.0, 1.0, n)) / n))
+        s = comonotone_sum(disc, ParetoNegative(1.0, theta))
+        for D in SIX_FAMILIES:
+            ref, tail = quantile_risk(s, D), choquet_risk(s, D)
+            assert tail.kind == ref.kind
+            if ref.is_finite:
+                assert abs(tail.value - ref.value) < 1e-8
+
+    def test_infinite_flat_stretch_adds_nothing(self):
+        # D(0) = 1e-13 lies inside the 1e-12 tolerance; the flat first piece
+        # spans (-inf, q(0.5)) on a Pareto left tail and must not add -inf
+        from quantrisk.io import distortion_from_json
+
+        D = distortion_from_json(
+            '{"kind":"piecewise","pieces":[{"form":"constant","lo":0,"hi":0.5,"level":1e-13},'
+            '{"form":"linear","lo":0.5,"hi":1,"slope":2,"intercept":-1}]}'
+        )
+        pn = ParetoNegative(1.0, 2.0)
+        exact = 2.0 * math.sqrt(2.0) - 4.0  # 2 * integral of -u**-0.5 over (0.5, 1)
+        assert abs(choquet_risk(pn, D).as_float() - exact) < 1e-9
+        assert abs(quantile_risk(pn, D).as_float() - exact) < 1e-9
+        # the same at the top: a flat last piece at 1 - 1e-13 on a right tail
+        D_top = distortion_from_json(
+            '{"kind":"piecewise","pieces":[{"form":"linear","lo":0,"hi":0.5,"slope":2},'
+            '{"form":"constant","lo":0.5,"hi":1,"level":0.9999999999999}]}'
+        )
+        pp = ParetoPositive(1.0, 3.0)
+        assert abs(choquet_risk(pp, D_top).as_float() - quantile_risk(pp, D_top).as_float()) < 1e-9
+
+    def test_concave_piece_with_near_singular_density(self):
+        # the second piece's density (u - origin)**(-2/3) blows up 1e-10 below
+        # its knot; integrated against that density, quad converged falsely
+        # and the quantile form was off by about 1e-3
+        from quantrisk.distortions import Distortion, Piece
+
+        D = Distortion([
+            Piece(lo=0.0, hi=0.5, coef=0.5, origin=0.0, width=1.0, expo=1.0),
+            Piece(lo=0.5, hi=1.0, base=0.25, coef=0.75, origin=0.5 - 1e-10, width=0.5 + 1e-10, expo=1.0 / 3.0),
+        ])
+        rng = np.random.default_rng(7)
+        disc = Discrete.from_samples(rng.normal(0.0, 3.0, size=20), rng.random(20) + 0.1)
+        s = comonotone_sum(disc, ParetoNegative(1.0, 2.0))
+        assert abs(quantile_risk(s, D).as_float() - choquet_risk(s, D).as_float()) < 1e-8
