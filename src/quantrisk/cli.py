@@ -25,6 +25,7 @@ from .io import (
     spectral_density_to_json,
 )
 from .riskmeasures import (
+    INFIMUM_TOL,
     QUAD_TOL,
     DomainClass,
     choquet_risk,
@@ -151,7 +152,7 @@ def _cmd_es(args) -> str:
     dist = load_distribution(args.dist)
     if args.infimum:
         result = expected_shortfall_infimum(dist, args.alpha)
-        rec = risk_record(dist.label(), f"es({args.alpha:g})", result.value, "infimum", 1e-10)
+        rec = risk_record(dist.label(), f"es({args.alpha:g})", result.value, "infimum", INFIMUM_TOL)
         rec["minimizer"] = result.minimizer
         return _emit([rec], args.format)
     if args.order == 1:
@@ -254,6 +255,17 @@ def _cmd_compare(args) -> str:
     return _emit([row], args.format)
 
 
+def _labelled_entries(entries, parse) -> list:
+    """(label, object) pairs from config entries: a bare spec or {"spec": ..., "label": ...}."""
+    out = []
+    for entry in entries:
+        body = entry.get("spec", entry) if isinstance(entry, dict) else entry
+        obj = parse(body)
+        label = entry.get("label") if isinstance(entry, dict) else None
+        out.append((label or obj.label(), obj))
+    return out
+
+
 def _suite_config_from_json(path: str) -> SuiteConfig:
     try:
         spec = json.loads(open(path).read())
@@ -261,18 +273,8 @@ def _suite_config_from_json(path: str) -> SuiteConfig:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}", line=exc.lineno) from exc
-    dists = []
-    for entry in spec.get("distributions", []):
-        body = entry.get("spec", entry) if isinstance(entry, dict) else entry
-        dist = distribution_from_json(body)
-        label = entry.get("label") if isinstance(entry, dict) else None
-        dists.append((label or dist.label(), dist))
-    distortions = []
-    for entry in spec.get("distortions", []):
-        body = entry.get("spec", entry) if isinstance(entry, dict) else entry
-        distortion = distortion_from_json(body)
-        label = entry.get("label") if isinstance(entry, dict) else None
-        distortions.append((label or distortion.label(), distortion))
+    dists = _labelled_entries(spec.get("distributions", []), distribution_from_json)
+    distortions = _labelled_entries(spec.get("distortions", []), distortion_from_json)
     if not dists or not distortions:
         raise ParseError("no cases: config must list distributions and distortions")
     config = SuiteConfig(distributions=dists, distortions=distortions)

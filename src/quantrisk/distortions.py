@@ -281,9 +281,6 @@ class Distortion(_Piecewise):
         """Interior discontinuities as (location, height) pairs."""
         return self.measure.atoms
 
-    def density_pieces(self) -> tuple[Piece, ...]:
-        return self.measure.density
-
     def density_exponent_at(self, endpoint: int):
         """Local density behaviour q(u) ~ coef * t**expo at endpoint 0 or 1.
 

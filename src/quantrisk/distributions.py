@@ -802,6 +802,15 @@ class ComonotoneSum(Distribution):
     def quantile_breakpoints(self):
         return tuple(sorted(set(self.first.quantile_breakpoints()) | set(self.second.quantile_breakpoints())))
 
+    def quantile_steps(self):
+        if self._steps is not None:
+            _values, levels, starts, ends, other = self._steps
+            if not other.quantile_breakpoints():
+                # the discrete operand's inner levels are the only breakpoints,
+                # and q and q+ there end and start its atoms' level intervals
+                return np.array(levels[1:-1]), np.array(ends[:-1]), np.array(starts[1:])
+        return super().quantile_steps()
+
     def support(self):
         lo1, hi1 = self.first.support()
         lo2, hi2 = self.second.support()

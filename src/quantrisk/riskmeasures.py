@@ -5,13 +5,18 @@ function against the distortion measure, integrating the distorted tail
 probabilities over the real line, and mixing expected shortfall across
 levels.  Discrete distributions and piecewise distortions are evaluated in
 closed form by all three, with no quadrature; parametric tails fall back to
-adaptive quadrature with the tolerances declared here.  The tail integral
-has one path for every input: it walks the quantile's breakpoint levels,
-takes each flat step of the CDF and each stretch where D is flat in closed
-form, and integrates only where D(F(x)) moves.  scipy's ``quad`` is
-imported on the first quadrature call, so a process that only evaluates
-closed forms never loads scipy.  ``+inf`` is never returned as a risk value:
-a divergent positive part is reported as non-membership instead.
+adaptive quadrature with the tolerances declared here.  The quantile and
+mixture forms and the dyadic probe integrate piece by piece through one
+helper, which takes a concave piece in its own scale, where its singular
+density disappears.  The tail integral shares none of this: it walks the
+quantile's breakpoint levels, takes each flat step of the CDF and each
+stretch where D is flat in closed form, and integrates only where D(F(x))
+moves.  Whether max(q, 0) or max(-q, 0) is integrable against D is decided
+in one place, for the forms' domain flags and the class verdicts alike.
+scipy's ``quad`` is imported on the first quadrature call, so a process
+that only evaluates closed forms never loads scipy.  ``+inf`` is never
+returned as a risk value: a divergent positive part is reported as
+non-membership instead.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ __all__ = [
 
 QUAD_TOL = 1e-9
 MIXTURE_TOL = 1e-8
+INFIMUM_TOL = 1e-10
 PROBE_LEVELS = 40
 PROBE_CAUCHY = 1e-9
 PROBE_GROWTH = 1e-3
@@ -171,6 +177,24 @@ def _quad(f, a, b, *, points=(), epsabs=1e-10):
     return val
 
 
+def _piece_integral(f, p, a: float, b: float, *, points, epsabs: float) -> float:
+    """Integral of f against d(p) over (a, b), for one increasing, non-flat piece p.
+
+    A convex piece (expo >= 1) has a bounded density, and f is integrated
+    against it.  A concave power's density is singular at its origin, at or
+    just below lo; in v = ((u - origin)/width)**expo the measure is coef dv,
+    so f is integrated in v, where the singularity disappears.
+    """
+    if p.expo >= 1.0:
+        dens = p.derivative
+        return _quad(lambda u: f(u) * float(dens.value(u)), a, b, points=points, epsabs=epsabs)
+    v = lambda u: ((u - p.origin) / p.width) ** p.expo
+    # u(v), kept inside [lo, hi] and (0, 1) against rounding
+    u = lambda x: min(max(p.origin + p.width * x ** (1.0 / p.expo), p.lo, 5e-324), p.hi, 1 - 2**-53)
+    return p.coef * _quad(lambda x: f(u(x)), v(a), v(b), points=[v(t) for t in points if a < t < b],
+                          epsabs=epsabs / max(p.coef, 1.0))  # the v-integral is scaled by coef
+
+
 def _tail_rule(tail, dens) -> bool | None:
     """Does the quantile-vs-density integral diverge at this endpoint?
 
@@ -192,36 +216,48 @@ def _forced_value(dist: Distribution, distortion: Distortion) -> RiskValue | Non
     """The risk a divergent part forces, or None when both parts converge."""
     if dist.is_discrete:
         return None
-    pos = _tail_rule(dist.upper_tail(), distortion.density_exponent_at(1))
-    neg = _tail_rule(dist.lower_tail(), distortion.density_exponent_at(0))
-    if pos is None:
-        pos = _probe_diverges(dist, distortion, side="+")
-    if neg is None:
-        neg = _probe_diverges(dist, distortion, side="-")
-    if pos:
+    verdicts = []
+    for part in "+-":
+        verdict, partials = _part_verdict(dist, distortion, part)
+        if verdict is Verdict.INCONCLUSIVE:
+            raise InconclusiveError(
+                f"dyadic probe undecided for the {part} part after {PROBE_LEVELS} levels",
+                diagnostics=list(partials),
+            )
+        verdicts.append(verdict)
+    if verdicts[0] is Verdict.NON_MEMBER:
         return RiskValue.not_in_domain()
-    return RiskValue.neg_inf() if neg else None
+    return RiskValue.neg_inf() if verdicts[1] is Verdict.NON_MEMBER else None
 
 
-def _probe_diverges(dist, distortion, side: str) -> bool:
-    if side == "+":
+def _part_verdict(dist, distortion, part: str, method: str = "auto") -> tuple[Verdict, tuple[float, ...]]:
+    """Is max(q, 0) (part '+') or max(-q, 0) (part '-') integrable against D?
+
+    The tail rule at the part's end decides when the tail data allows it,
+    unless ``method`` is 'probe'; otherwise the dyadic probe decides, unless
+    ``method`` is 'analytic'.  Returns the verdict (MEMBER when the part is
+    integrable) and the probe partials, () when no probe ran.
+    """
+    upper = part == "+"
+    if method != "probe":
+        tail = dist.upper_tail() if upper else dist.lower_tail()
+        diverges = _tail_rule(tail, distortion.density_exponent_at(int(upper)))
+        if diverges is not None:
+            return (Verdict.NON_MEMBER if diverges else Verdict.MEMBER), ()
+        if method == "analytic":
+            return Verdict.INCONCLUSIVE, ()
+    if upper:
         h = lambda u: max(dist.quantile_lower(u), 0.0)
     else:
         h = lambda u: max(-dist.quantile_lower(u), 0.0)
     partials = _dyadic_partials(dist, distortion, h)
-    verdict = _judge_partials(partials)
-    if verdict is Verdict.INCONCLUSIVE:
-        raise InconclusiveError(
-            f"dyadic probe undecided for the {side} part after {PROBE_LEVELS} levels",
-            diagnostics=list(partials),
-        )
-    return verdict is Verdict.NON_MEMBER
+    return _judge_partials(partials), partials
 
 
 def _dyadic_partials(dist, distortion, h, levels: int = PROBE_LEVELS) -> tuple[float, ...]:
     """Cumulative integrals of h dQ over the windows (2^-k, 1 - 2^-k)."""
     atoms = distortion.jumps()
-    density = distortion.density_pieces()
+    pieces = [p for p in distortion.pieces if not p.flat]
     points = dist.quantile_breakpoints()
     total = 0.0
     out = []
@@ -237,16 +273,10 @@ def _dyadic_partials(dist, distortion, h, levels: int = PROBE_LEVELS) -> tuple[f
             for a, b in segments:
                 if b <= a:
                     continue
-                for piece in density:
+                for piece in pieces:
                     pa, pb = max(a, piece.lo), min(b, piece.hi)
                     if pb > pa:
-                        inc += _quad(
-                            lambda u, piece=piece: h(u) * float(piece.value(u)),
-                            pa,
-                            pb,
-                            points=points,
-                            epsabs=1e-11,
-                        )
+                        inc += _piece_integral(h, piece, pa, pb, points=points, epsabs=1e-11)
         total += inc
         out.append(total)
         prev_lo, prev_hi = lo, hi
@@ -295,23 +325,7 @@ def quantile_risk(dist: Distribution, distortion, *, epsabs: float = QUAD_TOL) -
     points = dist.quantile_breakpoints()
     tol = epsabs / max(len(pieces), 1)
     for p in pieces:
-        if p.expo >= 1.0:  # bounded density: integrate q against it
-            dens = p.derivative
-            total += _quad(lambda u, dens=dens: dist.quantile_lower(u) * float(dens.value(u)),
-                           p.lo, p.hi, points=points, epsabs=tol)
-            continue
-        # a concave power's density is singular at its origin, at or just
-        # below lo; in v = ((u - origin)/width)**expo the measure is coef dv
-        v = lambda u, p=p: ((u - p.origin) / p.width) ** p.expo
-        # u(v), kept inside [lo, hi] and (0, 1) against rounding
-        u = lambda x, p=p: min(max(p.origin + p.width * x ** (1.0 / p.expo), p.lo, 5e-324), p.hi, 1 - 2**-53)
-        total += p.coef * _quad(
-            lambda x, u=u: dist.quantile_lower(u(x)),
-            v(p.lo),
-            v(p.hi),
-            points=[v(t) for t in points if p.lo < t < p.hi],
-            epsabs=tol / max(p.coef, 1.0),  # the v-integral is scaled by coef
-        )
+        total += _piece_integral(dist.quantile_lower, p, p.lo, p.hi, points=points, epsabs=tol)
     return RiskValue.finite(total)
 
 
@@ -383,10 +397,13 @@ def mixture_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = 
     Only convex distortions admit this representation.  Atoms of the mixing
     measure are summed exactly.  Its density is integrated in closed form for
     discrete inputs, whose rescaled shortfall is piecewise linear in the
-    level, and numerically with absolute tolerance ``epsabs`` otherwise.
+    level.  Otherwise the rescaled shortfall is integrated against each
+    moving piece of the spectrum s with absolute tolerance ``epsabs``, by
+    the piece integral the quantile form uses: against the density of a
+    convex piece, and in the piece's own scale for a concave one.
     """
     try:
-        nu = mixture_measure_of(spectral_of(distortion))
+        spectrum = spectral_of(distortion)
     except NotSpectralError as exc:
         raise NotSpectralError(
             f"{distortion.label()} is not convex: no expected-shortfall mixture exists",
@@ -395,6 +412,7 @@ def mixture_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = 
     flagged = _forced_value(dist, distortion)
     if flagged is not None:
         return flagged
+    nu = mixture_measure_of(spectrum)
 
     def scaled_es(alpha: float) -> float:
         # (1-alpha) * ES_alpha = integral of the quantile function over (alpha, 1)
@@ -408,15 +426,11 @@ def mixture_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = 
         total += mass * contrib
     if dist.is_discrete:
         return RiskValue.finite(total + math.fsum(_mixture_density_discrete(dist, p) for p in nu.density))
+    pieces = [p for p in spectrum.pieces if not p.flat]
     points = dist.quantile_breakpoints()
-    for piece in nu.density:
-        total += _quad(
-            lambda a, piece=piece: scaled_es(a) * float(piece.value(a)),
-            piece.lo,
-            piece.hi,
-            points=points,
-            epsabs=epsabs / max(len(nu.density), 1),
-        )
+    tol = epsabs / max(len(pieces), 1)
+    for p in pieces:
+        total += _piece_integral(scaled_es, p, p.lo, p.hi, points=points, epsabs=tol)
     return RiskValue.finite(total)
 
 
@@ -491,7 +505,7 @@ class InfimumResult:
     minimizer: float
 
 
-def expected_shortfall_infimum(dist: Distribution, alpha: float, *, tol: float = 1e-10) -> InfimumResult:
+def expected_shortfall_infimum(dist: Distribution, alpha: float, *, tol: float = INFIMUM_TOL) -> InfimumResult:
     """Shortfall as the infimum of c + E[(X-c)+]/(1-alpha) over c.
 
     Golden-section search over a quantile bracket; the objective is convex,
@@ -560,56 +574,32 @@ def classify_membership(
 ) -> MembershipVerdict:
     """Decide membership of ``dist`` in one of the three integrability classes.
 
-    Discrete distributions belong to every class.  Otherwise an analytic
-    exponent comparison decides when the tail data is available; the dyadic
-    probe of partial integrals is the fallback (and can be forced with
-    ``method='probe'``).
+    Discrete distributions belong to every class.  Otherwise each part of
+    the quantile the class asks about is tested on its own: max(q, 0) for
+    the quantile class, max(q, 0) and max(-q, 0) for Acerbi's, q_|X| for
+    Pichler's.  An analytic exponent comparison decides a part when the
+    tail data allows it; the dyadic probe of partial integrals is the
+    fallback, and can be forced with ``method='probe'`` or ruled out with
+    ``method='analytic'``.  The verdict is NON_MEMBER if any part diverges,
+    INCONCLUSIVE if any part is undecided, and MEMBER otherwise.  The method
+    is 'probe' if any part was probed; the partials are then the elementwise
+    fsum of the probed parts' partials.
     """
     domain_class = DomainClass(domain_class)
     if dist.is_discrete:
         return MembershipVerdict(domain_class, Verdict.MEMBER, "discrete")
     if method not in ("auto", "analytic", "probe"):
         raise ParameterError(f"unknown classify method {method!r}")
-    if method != "probe":
-        analytic = _classify_analytic(dist, distortion, domain_class)
-        if analytic is not None:
-            return analytic
-        if method == "analytic":
-            return MembershipVerdict(domain_class, Verdict.INCONCLUSIVE, "analytic")
-    return _classify_probe(dist, distortion, domain_class)
-
-
-def _classify_analytic(dist, distortion, domain_class) -> MembershipVerdict | None:
-    dens0 = distortion.density_exponent_at(0)
-    dens1 = distortion.density_exponent_at(1)
-    if domain_class is DomainClass.QUANTILE:
-        sides = [_tail_rule(dist.upper_tail(), dens1)]
-    elif domain_class is DomainClass.ACERBI:
-        sides = [
-            _tail_rule(dist.upper_tail(), dens1),
-            _tail_rule(dist.lower_tail(), dens0),
-        ]
-    else:
-        sides = [_tail_rule(transform(dist, Abs()).upper_tail(), dens1)]
-    if any(s is None for s in sides):
-        return None
-    verdict = Verdict.NON_MEMBER if any(sides) else Verdict.MEMBER
-    return MembershipVerdict(domain_class, verdict, "analytic")
-
-
-def _classify_probe(dist, distortion, domain_class) -> MembershipVerdict:
-    if domain_class is DomainClass.QUANTILE:
-        h = lambda u: max(dist.quantile_lower(u), 0.0)
-        probe_dist = dist
-    elif domain_class is DomainClass.ACERBI:
-        h = lambda u: abs(dist.quantile_lower(u))
-        probe_dist = dist
-    else:
-        abs_dist = transform(dist, Abs())
-        h = lambda u: abs_dist.quantile_lower(u)
-        probe_dist = abs_dist
-    partials = _dyadic_partials(probe_dist, distortion, h)
-    return MembershipVerdict(domain_class, _judge_partials(partials), "probe", partials)
+    target = transform(dist, Abs()) if domain_class is DomainClass.PICHLER else dist
+    parts = "+-" if domain_class is DomainClass.ACERBI else "+"
+    results = [_part_verdict(target, distortion, part, method) for part in parts]
+    verdicts = {v for v, _ in results}
+    # the first of NON_MEMBER and INCONCLUSIVE that some part returned, else MEMBER
+    verdict = next((v for v in (Verdict.NON_MEMBER, Verdict.INCONCLUSIVE) if v in verdicts), Verdict.MEMBER)
+    probed = [partials for _, partials in results if partials]
+    return MembershipVerdict(
+        domain_class, verdict, "probe" if probed else "analytic", tuple(map(math.fsum, zip(*probed)))
+    )
 
 
 # ---------------------------------------------------------------------------

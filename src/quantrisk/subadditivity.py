@@ -31,7 +31,6 @@ __all__ = [
 
 _TABLE_TOL = 1e-12
 SEARCH_SLACK = 1e-9
-GAP_TOL = 1e-10
 
 
 class JointTable:
@@ -160,7 +159,6 @@ def subadditivity_search(
     seed: int = 0,
     *,
     slack: float = SEARCH_SLACK,
-    include_constructed: bool = True,
 ):
     """Hunt for risk-of-sum exceeding summed risks over random joint tables.
 
@@ -173,7 +171,7 @@ def subadditivity_search(
     if trials < 0:
         raise ParameterError("trials must be non-negative")
     best: SubadditivityViolation | None = None
-    if include_constructed and not is_convex(distortion).convex:
+    if not is_convex(distortion).convex:
         report = build_counterexample(distortion)
         best = SubadditivityViolation(
             gap=report.gap,

@@ -36,7 +36,7 @@ from .riskmeasures import (
     mixture_risk,
     quantile_risk,
 )
-from .subadditivity import build_counterexample, subadditivity_search
+from .subadditivity import SEARCH_SLACK, build_counterexample, subadditivity_search
 
 __all__ = ["Tolerances", "SuiteConfig", "CheckResult", "SuiteReport", "default_config", "run_suite"]
 
@@ -52,7 +52,7 @@ class Tolerances:
     shift: float = 1e-10
     infimum_vs_mean: float = 1e-6
     gap_identity: float = 1e-10
-    search_slack: float = 1e-9
+    search_slack: float = SEARCH_SLACK
 
     def validated(self) -> Tolerances:
         for name in self.__dataclass_fields__:

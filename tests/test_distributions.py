@@ -353,6 +353,26 @@ class TestComonotoneStepCdf:
             assert lo < hi
             assert s.cdf(lo) == s.cdf(0.5 * (lo + hi)) == s.cdf_left(hi) == c
 
+    @pytest.mark.parametrize("other", [ParetoNegative(1.0, 2.0), ParetoPositive(1.0, 1.5)], ids=lambda d: d.label())
+    def test_quantile_steps_from_the_step_table_are_bitwise_the_generic_ones(self, other):
+        from quantrisk.distributions import Distribution
+
+        disc = small_stratified_normal(600, 8)
+        for s in (comonotone_sum(disc, other), comonotone_sum(other, disc)):
+            got, want = s.quantile_steps(), Distribution.quantile_steps(s)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    def test_quantile_steps_fall_back_when_the_other_operand_has_breakpoints(self):
+        from quantrisk.distributions import ComonotoneSum, Distribution
+
+        # two discretes kept lazy: the second operand's levels are breakpoints too
+        s = ComonotoneSum(small_stratified_normal(7, 1), small_stratified_normal(5, 2))
+        got, want = s.quantile_steps(), Distribution.quantile_steps(s)
+        assert len(got[0]) == 10
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
 
 def abs_bases():
     """Non-discrete bases straddling zero: shifted power tails and comonotone sums."""

@@ -142,6 +142,23 @@ def test_convex_three_way_agreement(d, seed):
     assert abs(q - mixture_risk(dist, d).value) <= tol.mixture
 
 
+@settings(max_examples=30, deadline=None)
+@given(piecewise_distortions(convex=True), st.integers(0, 2**32 - 1), st.sampled_from([2.0, 3.0]), st.booleans())
+def test_convex_three_way_agreement_on_tails(d, seed, theta, with_atoms):
+    # the mixture form integrates s piece by piece as the quantile form does D,
+    # concave pieces of s (1 < expo < 2 in D) in their own scale
+    dist = ParetoNegative(1.0, theta)
+    if with_atoms:
+        rng = np.random.default_rng(seed)
+        dist = comonotone_sum(Discrete.from_samples(rng.normal(0.0, 3.0, size=20), rng.random(20) + 0.1), dist)
+    tol = Tolerances()
+    q = quantile_risk(dist, d)
+    for other, bound in ((choquet_risk(dist, d), tol.quantile_choquet), (mixture_risk(dist, d), tol.mixture)):
+        assert other.kind == q.kind
+        if q.is_finite:
+            assert abs(other.value - q.value) <= bound
+
+
 class TestAtomAtZero:
     def test_mixture_measure_keeps_any_positive_density_at_zero(self):
         s = SpectralDensity([
