@@ -246,23 +246,28 @@ def _part_verdict(dist, distortion, part: str, method: str = "auto") -> tuple[Ve
             return (Verdict.NON_MEMBER if diverges else Verdict.MEMBER), ()
         if method == "analytic":
             return Verdict.INCONCLUSIVE, ()
+    # q > 0 exactly above the level F(0), so each part lives on one side of it
+    zero = dist.cdf(0.0)
     if upper:
-        h = lambda u: max(dist.quantile_lower(u), 0.0)
+        h, span = (lambda u: max(dist.quantile_lower(u), 0.0)), (zero, 1.0)
     else:
-        h = lambda u: max(-dist.quantile_lower(u), 0.0)
-    partials = _dyadic_partials(dist, distortion, h)
+        h, span = (lambda u: max(-dist.quantile_lower(u), 0.0)), (0.0, zero)
+    partials = _dyadic_partials(dist, distortion, h, span)
     return _judge_partials(partials), partials
 
 
-def _dyadic_partials(dist, distortion, h, levels: int = PROBE_LEVELS) -> tuple[float, ...]:
-    """Cumulative integrals of h dQ over the windows (2^-k, 1 - 2^-k)."""
+def _dyadic_partials(dist, distortion, h, span) -> tuple[float, ...]:
+    """Cumulative integrals of h dQ over the windows (2^-k, 1 - 2^-k), k = 1..PROBE_LEVELS.
+
+    h vanishes outside the levels ``span``, so pieces are integrated only there.
+    """
     atoms = distortion.jumps()
     pieces = [p for p in distortion.pieces if not p.flat]
     points = dist.quantile_breakpoints()
     total = 0.0
     out = []
     prev_lo, prev_hi = math.inf, -math.inf  # empty previous window
-    for k in range(1, levels + 1):
+    for k in range(1, PROBE_LEVELS + 1):
         lo, hi = 2.0**-k, 1.0 - 2.0**-k
         inc = 0.0
         for loc, mass in atoms:
@@ -274,7 +279,7 @@ def _dyadic_partials(dist, distortion, h, levels: int = PROBE_LEVELS) -> tuple[f
                 if b <= a:
                     continue
                 for piece in pieces:
-                    pa, pb = max(a, piece.lo), min(b, piece.hi)
+                    pa, pb = max(a, piece.lo, span[0]), min(b, piece.hi, span[1])
                     if pb > pa:
                         inc += _piece_integral(h, piece, pa, pb, points=points, epsabs=1e-11)
         total += inc

@@ -679,6 +679,24 @@ class TestOneIntegralAgainstD:
         assert len(acerbi.partials) == len(pos) == len(neg) == rm.PROBE_LEVELS
         assert acerbi.partials == tuple(math.fsum(pair) for pair in zip(pos, neg))
 
+    def test_each_part_is_probed_only_on_its_own_side_of_zero(self, monkeypatch):
+        # a Pareto left tail lies below 0: its positive part needs no quadrature
+        import quantrisk.riskmeasures as rm
+
+        calls = []
+        quad_once = rm._quad
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return quad_once(*args, **kwargs)
+
+        monkeypatch.setattr(rm, "_quad", counted)
+        D = make_named("sqrt_example")
+        verdict, partials = rm._part_verdict(ParetoNegative(1.0), D, "+", "probe")
+        assert verdict is Verdict.MEMBER and partials == (0.0,) * rm.PROBE_LEVELS and calls == []
+        verdict, _ = rm._part_verdict(ParetoNegative(1.0), D, "-", "probe")
+        assert verdict is Verdict.NON_MEMBER and calls
+
     def test_analytic_method_reports_a_divergent_part_when_another_is_undecided(self):
         # the positive part of a Pareto right tail with theta < 1 diverges under
         # the expectation, whatever the hidden left tail does
