@@ -213,21 +213,23 @@ def _tail_rule(tail, dens) -> bool | None:
 
 
 def _forced_value(dist: Distribution, distortion: Distortion) -> RiskValue | None:
-    """The risk a divergent part forces, or None when both parts converge."""
+    """The risk a divergent part forces, or None when both parts converge.
+
+    A divergent positive part decides not-in-domain before the negative
+    part is asked.
+    """
     if dist.is_discrete:
         return None
-    verdicts = []
     for part in "+-":
         verdict, partials = _part_verdict(dist, distortion, part)
+        if verdict is Verdict.NON_MEMBER:
+            return RiskValue.not_in_domain() if part == "+" else RiskValue.neg_inf()
         if verdict is Verdict.INCONCLUSIVE:
             raise InconclusiveError(
                 f"dyadic probe undecided for the {part} part after {PROBE_LEVELS} levels",
                 diagnostics=list(partials),
             )
-        verdicts.append(verdict)
-    if verdicts[0] is Verdict.NON_MEMBER:
-        return RiskValue.not_in_domain()
-    return RiskValue.neg_inf() if verdicts[1] is Verdict.NON_MEMBER else None
+    return None
 
 
 def _part_verdict(dist, distortion, part: str, method: str = "auto") -> tuple[Verdict, tuple[float, ...]]:

@@ -679,6 +679,15 @@ class TestOneIntegralAgainstD:
         assert len(acerbi.partials) == len(pos) == len(neg) == rm.PROBE_LEVELS
         assert acerbi.partials == tuple(math.fsum(pair) for pair in zip(pos, neg))
 
+    def test_a_divergent_positive_part_decides_before_the_negative_part_is_probed(self):
+        # without tail data the negative part's probe of this sum is undecided,
+        # but the positive part already diverges: the risk is not in the domain
+        pp_pn = comonotone_sum(ParetoPositive(1.0, 0.8), ParetoNegative(1.0, 2.0))
+        D = make_named("expectation")
+        assert quantile_risk(_TailLess(pp_pn), D).kind == quantile_risk(pp_pn, D).kind == "not-in-domain"
+        verdict = classify_membership(_TailLess(pp_pn), D, DomainClass.QUANTILE)
+        assert verdict.verdict is Verdict.NON_MEMBER and verdict.method == "probe"
+
     def test_each_part_is_probed_only_on_its_own_side_of_zero(self, monkeypatch):
         # a Pareto left tail lies below 0: its positive part needs no quadrature
         import quantrisk.riskmeasures as rm
