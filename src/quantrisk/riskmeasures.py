@@ -213,11 +213,7 @@ def _tail_rule(tail, dens) -> bool | None:
 
 
 def _forced_value(dist: Distribution, distortion: Distortion) -> RiskValue | None:
-    """The risk a divergent part forces, or None when both parts converge.
-
-    A divergent positive part decides not-in-domain before the negative
-    part is asked.
-    """
+    """The risk a divergent part forces, the positive part first, or None when both converge."""
     if dist.is_discrete:
         return None
     for part in "+-":
@@ -259,9 +255,9 @@ def _part_verdict(dist, distortion, part: str, method: str = "auto") -> tuple[Ve
 
 
 def _dyadic_partials(dist, distortion, h, span) -> tuple[float, ...]:
-    """Cumulative integrals of h dQ over the windows (2^-k, 1 - 2^-k), k = 1..PROBE_LEVELS.
+    """Cumulative integrals of h dQ over the windows (2^-k, 1 - 2^-k).
 
-    h vanishes outside the levels ``span``, so pieces are integrated only there.
+    Only the levels ``span`` are integrated: h vanishes outside them.
     """
     atoms = distortion.jumps()
     pieces = [p for p in distortion.pieces if not p.flat]
@@ -404,10 +400,9 @@ def mixture_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = 
     Only convex distortions admit this representation.  Atoms of the mixing
     measure are summed exactly.  Its density is integrated in closed form for
     discrete inputs, whose rescaled shortfall is piecewise linear in the
-    level.  Otherwise the rescaled shortfall is integrated against each
-    moving piece of the spectrum s with absolute tolerance ``epsabs``, by
-    the piece integral the quantile form uses: against the density of a
-    convex piece, and in the piece's own scale for a concave one.
+    level.  Otherwise it is integrated against each moving piece of the
+    spectrum s, with absolute tolerance ``epsabs``, as the quantile form
+    integrates against D's pieces.
     """
     try:
         spectrum = spectral_of(distortion)
@@ -581,16 +576,14 @@ def classify_membership(
 ) -> MembershipVerdict:
     """Decide membership of ``dist`` in one of the three integrability classes.
 
-    Discrete distributions belong to every class.  Otherwise each part of
-    the quantile the class asks about is tested on its own: max(q, 0) for
-    the quantile class, max(q, 0) and max(-q, 0) for Acerbi's, q_|X| for
-    Pichler's.  An analytic exponent comparison decides a part when the
-    tail data allows it; the dyadic probe of partial integrals is the
-    fallback, and can be forced with ``method='probe'`` or ruled out with
-    ``method='analytic'``.  The verdict is NON_MEMBER if any part diverges,
-    INCONCLUSIVE if any part is undecided, and MEMBER otherwise.  The method
-    is 'probe' if any part was probed; the partials are then the elementwise
-    fsum of the probed parts' partials.
+    Discrete distributions belong to every class.  Otherwise the class's
+    parts are tested one by one: max(q, 0) for the quantile class, also
+    max(-q, 0) for Acerbi's, q_|X| for Pichler's.  Each is decided by the
+    analytic exponent comparison when the tail data allows it, else by the
+    dyadic probe (forced with ``method='probe'``, never run under
+    ``method='analytic'``).  NON_MEMBER if any part diverges, INCONCLUSIVE if
+    any is undecided, MEMBER otherwise; method 'probe' if any part was
+    probed, with the elementwise fsum of the probed parts' partials.
     """
     domain_class = DomainClass(domain_class)
     if dist.is_discrete:
