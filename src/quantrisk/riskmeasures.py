@@ -592,11 +592,10 @@ def classify_membership(
         raise ParameterError(f"unknown classify method {method!r}")
     target = transform(dist, Abs()) if domain_class is DomainClass.PICHLER else dist
     parts = "+-" if domain_class is DomainClass.ACERBI else "+"
-    results = [_part_verdict(target, distortion, part, method) for part in parts]
-    verdicts = {v for v, _ in results}
-    # the first of NON_MEMBER and INCONCLUSIVE that some part returned, else MEMBER
-    verdict = next((v for v in (Verdict.NON_MEMBER, Verdict.INCONCLUSIVE) if v in verdicts), Verdict.MEMBER)
-    probed = [partials for _, partials in results if partials]
+    verdicts, partials = zip(*(_part_verdict(target, distortion, part, method) for part in parts))
+    # the class takes its parts' worst verdict
+    verdict = min(verdicts, key=(Verdict.NON_MEMBER, Verdict.INCONCLUSIVE, Verdict.MEMBER).index)
+    probed = [p for p in partials if p]
     return MembershipVerdict(
         domain_class, verdict, "probe" if probed else "analytic", tuple(map(math.fsum, zip(*probed)))
     )
