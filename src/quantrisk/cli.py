@@ -273,18 +273,34 @@ def _suite_config_from_json(path: str) -> SuiteConfig:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}", line=exc.lineno) from exc
-    dists = _labelled_entries(spec.get("distributions", []), distribution_from_json)
-    distortions = _labelled_entries(spec.get("distortions", []), distortion_from_json)
+    if not isinstance(spec, dict):
+        raise ParseError(f"{path}: the config must be a JSON object")
+    dists = _labelled_entries(_config_list(spec, "distributions"), distribution_from_json)
+    distortions = _labelled_entries(_config_list(spec, "distortions"), distortion_from_json)
     if not dists or not distortions:
         raise ParseError("no cases: config must list distributions and distortions")
     config = SuiteConfig(distributions=dists, distortions=distortions)
     if "checks" in spec:
-        config.checks = tuple(spec["checks"])
-    if "trials" in spec:
-        config.trials = int(spec["trials"])
-    if "seed" in spec:
-        config.seed = int(spec["seed"])
+        config.checks = tuple(_config_list(spec, "checks", str))
+    for key in ("trials", "seed"):
+        if key in spec:
+            setattr(config, key, _config_int(spec, key))
     return config
+
+
+def _config_list(spec: dict, key: str, item=object) -> list:
+    value = spec.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(v, item) for v in value):
+        raise ParseError(f"config field {key!r} must be a list, got {value!r}")
+    return value
+
+
+def _config_int(spec: dict, key: str) -> int:
+    """An integer as written; a float such as 2.5 or 1e400 is an error, never truncated."""
+    value = spec[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"config field {key!r} must be an integer, got {value!r}")
+    return value
 
 
 def _cmd_suite(args) -> str:

@@ -94,9 +94,9 @@ def distribution_from_json(spec) -> Distribution:
         spec = _loads(spec)
     kind = _kind(spec)
     if kind == "empirical":
-        return Discrete.from_samples(spec["values"], spec.get("weights"))
+        return Discrete.from_samples(_nums(spec, "values"), _nums(spec, "weights", required=False))
     if kind == "discrete":
-        return Discrete(spec["values"], spec["probs"])
+        return Discrete(_nums(spec, "values"), _nums(spec, "probs"))
     if kind == "point_mass":
         return point_mass(_num(spec, "value"))
     if kind == "pareto_negative":
@@ -104,6 +104,8 @@ def distribution_from_json(spec) -> Distribution:
     if kind == "pareto_positive":
         return ParetoPositive(_num(spec, "beta"), _num(spec, "theta"))
     if kind == "transformed":
+        if "base" not in spec:
+            raise ParseError("missing field 'base'")
         base = distribution_from_json(spec["base"])
         op_spec = spec.get("op", {})
         op_kind = _kind(op_spec)
@@ -112,7 +114,7 @@ def distribution_from_json(spec) -> Distribution:
         return transform(base, _TRANSFORM_OPS[op_kind](op_spec))
     if kind == "comonotone_sum":
         terms = spec.get("terms", [])
-        if len(terms) < 2:
+        if not isinstance(terms, list) or len(terms) < 2:
             raise ParseError("comonotone_sum needs at least two terms")
         out = distribution_from_json(terms[0])
         for term in terms[1:]:
@@ -127,8 +129,10 @@ def distortion_from_json(spec) -> Distortion:
         spec = _loads(spec)
     kind = _kind(spec)
     if kind == "piecewise":
-        pieces = [_piece_from_json(p) for p in spec.get("pieces", [])]
-        return Distortion(pieces, name=spec.get("name"))
+        pieces = spec.get("pieces", [])
+        if not isinstance(pieces, list) or not all(isinstance(p, dict) for p in pieces):
+            raise ParseError(f"field 'pieces' must be a list of objects, got {pieces!r}")
+        return Distortion([_piece_from_json(p) for p in pieces], name=spec.get("name"))
     params = {k: v for k, v in spec.items() if k != "kind"}
     try:
         return make_named(kind, **params)
@@ -217,7 +221,22 @@ def _num(spec, key: str, default=None) -> float:
         if default is None:
             raise ParseError(f"missing numeric field {key!r}")
         return float(default)
-    value = spec[key]
+    return _finite(key, spec[key])
+
+
+def _nums(spec, key: str, required: bool = True) -> list[float] | None:
+    """The list of finite numbers under ``key``, each read by the rules of :func:`_num`."""
+    if not required and spec.get(key) is None:  # absent or null: no list
+        return None
+    if key not in spec:
+        raise ParseError(f"missing list field {key!r}")
+    values = spec[key]
+    if not isinstance(values, list):
+        raise ParseError(f"field {key!r} must be a list of numbers, got {values!r}")
+    return [_finite(key, value) for value in values]
+
+
+def _finite(key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"field {key!r} must be numeric, got {value!r}")
     try:

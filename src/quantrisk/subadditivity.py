@@ -9,6 +9,7 @@ small integer-valued joint tables acts as a falsification harness.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,12 +47,14 @@ class JointTable:
         self.probs = np.asarray(probs, dtype=float)
         if self.probs.shape != (len(self.x_values), len(self.y_values)):
             raise ParameterError("probability matrix shape must match the value grids")
-        if np.any(np.diff(self.x_values) <= 0) or np.any(np.diff(self.y_values) <= 0):
+        if not (np.all(np.isfinite(self.x_values)) and np.all(np.isfinite(self.y_values))):
+            raise ParameterError("value grids must be finite")
+        if not (np.all(np.diff(self.x_values) > 0) and np.all(np.diff(self.y_values) > 0)):
             raise ParameterError("value grids must be strictly increasing")
-        if np.any(self.probs < 0):
+        if not np.all(self.probs >= 0):  # written so that NaN fails
             raise ParameterError("joint probabilities must be non-negative")
         total = math.fsum(self.probs.ravel().tolist())
-        if abs(total - 1.0) > _TABLE_TOL:
+        if not abs(total - 1.0) <= _TABLE_TOL:
             raise ParameterError(f"joint probabilities must sum to 1 within {_TABLE_TOL}, got {total!r}")
 
     def marginal_x(self) -> Discrete:
@@ -168,8 +171,7 @@ def subadditivity_search(
     Deterministic for a fixed seed.  When the distortion is not convex the
     constructed counterexample is evaluated as an extra seeded trial.
     """
-    if trials < 0:
-        raise ParameterError("trials must be non-negative")
+    trials, seed = _count("trials", trials), _count("seed", seed)
     best: SubadditivityViolation | None = None
     if not is_convex(distortion).convex:
         report = build_counterexample(distortion)
@@ -199,6 +201,42 @@ def subadditivity_search(
     return best
 
 
+def _count(name: str, value) -> int:
+    """A non-negative integer argument; bools and floats such as 2.0 are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ParameterError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
+_SLOTS = 41  # integer sum values -20..20; the x and y grids use the slots 0..20
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class _Tables:
+    """The trials' tables ``(xv, yv, w, total)``, rebuilt one at a time from the int8 draws.
+
+    ``xi``/``yi`` hold the sorted grid indices (value + 10) and ``w`` the
+    row-major integer weights of all trials; ``*_at`` are their offsets.
+    """
+
+    xi: np.ndarray
+    yi: np.ndarray
+    w: np.ndarray
+    x_at: np.ndarray
+    y_at: np.ndarray
+    w_at: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.x_at) - 1
+
+    def __getitem__(self, i: int):
+        i = range(len(self))[i]
+        xv = self.xi[self.x_at[i] : self.x_at[i + 1]].astype(float) - 10.0
+        yv = self.yi[self.y_at[i] : self.y_at[i + 1]].astype(float) - 10.0
+        w = self.w[self.w_at[i] : self.w_at[i + 1]].astype(float).reshape(len(xv), len(yv))
+        return xv, yv, w, float(w.sum())
+
+
 class _TrialPack:
     __slots__ = ("tables", "roles")
 
@@ -207,50 +245,72 @@ class _TrialPack:
         self.roles = roles
 
 
+def _offsets(lengths) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum(lengths)))
+
+
 @lru_cache(maxsize=4)
 def _trial_pack(trials: int, seed: int) -> _TrialPack:
     """Random joint tables packed into flat arrays for batched evaluation.
 
+    Each role (x, y and the sum s) merges masses with one ``bincount`` over
+    ``trial * 41 + slot``, where a slot is an integer value plus its offset.
     Cumulative levels are integer counts divided by the integer total, so a
     level shared by a marginal and the sum distribution is bit-identical and
-    distortion jumps cannot fire inconsistently.
+    distortion jumps cannot fire inconsistently.  The draws are taken in a
+    fixed order per trial; the seeded output depends on it.
     """
     rng = np.random.default_rng(seed)
-    tables = []
-    role_values = {"x": [], "y": [], "s": []}
-    role_levels = {"x": [], "y": [], "s": []}
+    xs, ys, ws = [], [], []
     for _ in range(trials):
         m = int(rng.integers(1, 9))
         k = int(rng.integers(1, 9))
-        xv = np.sort(rng.choice(21, size=m, replace=False) - 10).astype(float)
-        yv = np.sort(rng.choice(21, size=k, replace=False) - 10).astype(float)
+        xs.append(np.sort(rng.choice(21, size=m, replace=False)))
+        ys.append(np.sort(rng.choice(21, size=k, replace=False)))
         w = rng.integers(0, 5, size=(m, k))
         if not w.any():
             w[int(rng.integers(m)), int(rng.integers(k))] = 1
-        total = int(w.sum())
-        tables.append((xv, yv, w.astype(float), float(total)))
-        for role, values, masses in (
-            ("x", xv, w.sum(axis=1)),
-            ("y", yv, w.sum(axis=0)),
-            ("s", (xv[:, None] + yv[None, :]).ravel(), w.ravel()),
-        ):
-            values = np.asarray(values, dtype=float)
-            uniq, inverse = np.unique(values, return_inverse=True)
-            merged = np.zeros(len(uniq), dtype=np.int64)
-            np.add.at(merged, inverse, masses)
-            keep = merged > 0
-            role_values[role].append(uniq[keep])
-            role_levels[role].append(np.cumsum(merged[keep]) / total)
-    roles = {}
-    for role in ("x", "y", "s"):
-        lengths = np.array([len(v) for v in role_values[role]])
-        starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        roles[role] = (
-            np.concatenate(role_values[role]),
-            np.concatenate(role_levels[role]),
-            starts,
+        ws.append(w.ravel())
+    tables = _Tables(
+        np.concatenate(xs).astype(np.int8),
+        np.concatenate(ys).astype(np.int8),
+        np.concatenate(ws).astype(np.int8),
+        _offsets([len(x) for x in xs]),
+        _offsets([len(y) for y in ys]),
+        _offsets([len(w) for w in ws]),
+    )
+    del xs, ys, ws  # free the per-trial arrays before the flat work below
+    # each cell's trial, row and column, by index arithmetic over the flat cells
+    trial = np.repeat(np.arange(trials), np.diff(tables.w_at))
+    cell = np.arange(len(tables.w)) - tables.w_at[trial]
+    row, col = np.divmod(cell, np.diff(tables.y_at)[trial])
+    x_slot = tables.xi[tables.x_at[trial] + row]
+    y_slot = tables.yi[tables.y_at[trial] + col]
+    base = trial * _SLOTS
+    roles = {
+        role: _merged_role(base + slot, tables.w, offset, trials)
+        for role, slot, offset in (
+            ("x", x_slot, 10),
+            ("y", y_slot, 10),
+            ("s", x_slot + y_slot, 20),
         )
+    }
     return _TrialPack(tables, roles)
+
+
+def _merged_role(index, w, offset: int, trials: int):
+    """(values, levels, starts) of one role from its cells' ``trial * 41 + slot`` index."""
+    counts = np.bincount(index, weights=w, minlength=trials * _SLOTS).astype(np.int64)
+    hit = np.flatnonzero(counts)
+    trial, slot = np.divmod(hit, _SLOTS)
+    counts = counts[hit]
+    lengths = np.bincount(trial, minlength=trials)
+    starts = _offsets(lengths)
+    cum = np.cumsum(counts)
+    before = cum[starts[:-1]] - counts[starts[:-1]]
+    total = cum[starts[1:] - 1] - before
+    levels = (cum - before[trial]) / total[trial]
+    return (slot - offset).astype(float), levels, starts[:-1]
 
 
 def _stieltjes_batch(distortion: Distortion, values, levels, starts) -> np.ndarray:

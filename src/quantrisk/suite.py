@@ -36,7 +36,7 @@ from .riskmeasures import (
     mixture_risk,
     quantile_risk,
 )
-from .subadditivity import SEARCH_SLACK, build_counterexample, subadditivity_search
+from .subadditivity import SEARCH_SLACK, _count, build_counterexample, subadditivity_search
 
 __all__ = ["Tolerances", "SuiteConfig", "CheckResult", "SuiteReport", "default_config", "run_suite"]
 
@@ -75,6 +75,8 @@ class SuiteConfig:
         unknown = set(self.checks) - set(_ALL_CHECKS)
         if unknown:
             raise ParameterError(f"unknown checks: {sorted(unknown)}")
+        _count("trials", self.trials)
+        _count("seed", self.seed)
         return self
 
 

@@ -284,6 +284,85 @@ class TestSuite:
         assert unexposed == {"infimum_vs_mean"}
 
 
+
+def _write_config(tmp_path, **fields):
+    config = tmp_path / "config.json"
+    spec = {
+        "distributions": [{"kind": "empirical", "values": [1, 2, 3, 4]}],
+        "distortions": [{"kind": "es", "alpha": 0.5}],
+        "checks": ["finiteness"],
+    }
+    # JSON text, so that literals such as 1e400 reach the parser as written
+    body = ", ".join(f"{json.dumps(k)}: {v}" for k, v in fields.items())
+    config.write_text(json.dumps(spec)[:-1] + (", " + body if body else "") + "}")
+    return str(config)
+
+
+class TestSeedsAndTrials:
+    @pytest.mark.parametrize("flag", ["--seed", "--trials"])
+    def test_negative_flag_is_domain_error(self, capsys, flag):
+        code, out, err = run(capsys, "suite", flag, "-1")
+        assert code == 2 and out == ""
+        assert "must be a non-negative integer" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["seed", "trials"])
+    def test_negative_config_value_is_domain_error(self, capsys, tmp_path, key):
+        code, _, err = run(capsys, "suite", "--config", _write_config(tmp_path, **{key: "-1"}))
+        assert code == 2
+        assert "must be a non-negative integer" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ['"abc"', "null", "1e400", "2.5", "1.7", "2.0", "true", "[3]"])
+    @pytest.mark.parametrize("key", ["seed", "trials"])
+    def test_non_integer_config_value_is_parse_error(self, capsys, tmp_path, key, value):
+        code, out, err = run(capsys, "suite", "--config", _write_config(tmp_path, **{key: value}))
+        assert code == 1 and out == ""
+        assert f"config field {key!r} must be an integer" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"checks": '"finiteness"'}, {"checks": "[1]"}, {"checks": "null"}, {"distributions": "{}"}],
+    )
+    def test_malformed_config_lists_are_parse_errors(self, capsys, tmp_path, fields):
+        code, _, err = run(capsys, "suite", "--config", _write_config(tmp_path, **fields))
+        assert code == 1
+        assert "must be a list" in err and "Traceback" not in err
+
+    def test_config_must_be_an_object(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text("[1, 2]")
+        code, _, err = run(capsys, "suite", "--config", str(config))
+        assert code == 1 and "Traceback" not in err
+
+
+class TestJsonDistributionFields:
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"kind": "discrete", "values": [1, 2]}, "missing list field 'probs'"),
+            ({"kind": "empirical"}, "missing list field 'values'"),
+            ({"kind": "transformed", "op": {"kind": "abs"}}, "missing field 'base'"),
+            ({"kind": "empirical", "values": "abc"}, "field 'values' must be a list"),
+            ({"kind": "empirical", "values": [1, "x"]}, "field 'values' must be numeric"),
+            ({"kind": "empirical", "values": [1, 2], "weights": "w"}, "field 'weights' must be a list"),
+            ({"kind": "discrete", "values": [1, 2], "probs": [0.5, None]}, "field 'probs' must be numeric"),
+            ({"kind": "comonotone_sum", "terms": 5}, "at least two terms"),
+        ],
+    )
+    def test_malformed_fields_are_parse_errors(self, capsys, tmp_path, spec, message):
+        path = tmp_path / "dist.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "eval", "--dist", str(path), "--distortion", '{"kind":"expectation"}')
+        assert code == 1 and out == ""
+        assert message in err and "Traceback" not in err
+
+    def test_null_weights_mean_equal_weights(self, capsys, tmp_path):
+        path = tmp_path / "dist.json"
+        path.write_text('{"kind": "empirical", "values": [1, 2, 3, 4], "weights": null}')
+        code, out, _ = run(
+            capsys, "eval", "--dist", str(path), "--distortion", '{"kind":"es","alpha":0.5}', "--format", "json"
+        )
+        assert code == 0 and json.loads(out)["value"] == 3.5
+
 # Runs CLI invocations in one fresh interpreter; prints their exit codes and
 # outputs, and the scipy modules loaded afterwards.
 _FRESH = """

@@ -137,6 +137,11 @@ class TestDistortionJson:
         with pytest.raises(ParseError):
             distortion_from_json('{"kind":')
 
+    @pytest.mark.parametrize("pieces", [None, "abc", [5], [None]])
+    def test_pieces_must_be_a_list_of_objects(self, pieces):
+        with pytest.raises(ParseError, match="'pieces' must be a list of objects"):
+            distortion_from_json({"kind": "piecewise", "pieces": pieces})
+
 
 class TestLoadDistribution:
     def test_csv_file(self, tmp_path):

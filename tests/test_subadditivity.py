@@ -1,5 +1,7 @@
 """Joint tables, the explicit counterexample, and the randomized search."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,6 +53,19 @@ class TestJointTable:
             JointTable([1.0, 0.0], [0.0], [[0.5], [0.5]])
         with pytest.raises(ParameterError):
             JointTable([0.0], [0.0, 1.0], [[0.7, -0.3]])
+
+    @pytest.mark.parametrize(
+        "x_values, y_values, probs",
+        [
+            ([0.0, 1.0], [0.0, 1.0], [[np.nan, 0.5], [0.25, 0.25]]),
+            ([0.0, 1.0], [0.0, 1.0], [[np.inf, 0.5], [0.25, 0.25]]),
+            ([0.0, np.nan], [0.0, 1.0], [[0.25, 0.25], [0.25, 0.25]]),
+            ([0.0, 1.0], [-np.inf, 1.0], [[0.25, 0.25], [0.25, 0.25]]),
+        ],
+    )
+    def test_non_finite_entries_rejected(self, x_values, y_values, probs):
+        with pytest.raises(ParameterError):
+            JointTable(x_values, y_values, probs)
 
 
 class TestCounterexample:
@@ -152,6 +167,91 @@ class TestSearch:
             table = JointTable(xv, yv, w / total)
             direct = quantile_risk(table.sum_distribution(), D).as_float()
             assert abs(batch[i] - direct) < 1e-12
+
+
+def _pack_digest(pack) -> str:
+    """sha256 over dtype and bytes of every role array and every table entry."""
+    h = hashlib.sha256()
+    arrays = [a for role in ("x", "y", "s") for a in pack.roles[role]]
+    arrays += [np.asarray(item) for i in range(len(pack.tables)) for item in pack.tables[i]]
+    for a in arrays:
+        h.update(a.dtype.str.encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+class TestTrialPack:
+    # Recorded from the per-trial np.unique/np.add.at implementation; the flat
+    # bincount build must reproduce it bit for bit.
+    DIGESTS = {
+        (2000, 21): "075fc12d3f979a3c645430b18c26c1450f138edfdf66d2d241b5d27cf073be6c",
+        (60, 5): "37536e950a23f49fad901cf98c9f49058584e99a35146e727c93e91e8a9fab6a",
+        (1, 0): "ffac9401a394dbe48b2817c4c4d30390faa9065e80c9013b99d1e085f03b047f",
+    }
+    # worst gap (float.hex) and its trial index at trials=1000, seed=2008
+    SEARCH = {
+        ("var", 0.25): ("0x1.c000000000000p+3", 406),
+        ("var", 0.5): ("0x1.c000000000000p+3", 682),
+        ("var", 0.75): ("0x1.8000000000000p+2", 485),
+        ("threshold", 0.25): ("0x1.adb6db6db6db7p+3", 406),
+        ("threshold", 0.5): ("0x1.6444444444445p+3", 682),
+        ("threshold", 0.75): ("0x1.b6db6db6db6dcp+1", 660),
+    }
+
+    @pytest.mark.parametrize("trials, seed", sorted(DIGESTS))
+    def test_pinned_digest(self, trials, seed):
+        assert _pack_digest(_trial_pack(trials, seed)) == self.DIGESTS[trials, seed]
+
+    @pytest.mark.parametrize("kind, level", sorted(SEARCH))
+    def test_pinned_search(self, kind, level):
+        param = "alpha" if kind == "var" else "delta"
+        found = subadditivity_search(make_named(kind, **{param: level}), trials=1000, seed=2008)
+        assert (found.gap.hex(), found.trial) == self.SEARCH[kind, level]
+
+    def test_invariants(self):
+        pack = _trial_pack(2000, 21)
+        for role in ("x", "y", "s"):
+            values, levels, starts = pack.roles[role]
+            assert len(starts) == 2000 and starts[0] == 0
+            ends = np.append(starts[1:], len(values))
+            assert np.all(ends > starts)
+            for lo, hi in zip(starts, ends):
+                assert np.all(np.diff(values[lo:hi]) > 0)
+                assert np.all(np.diff(levels[lo:hi]) > 0)
+            assert np.all(levels[ends - 1] == 1.0)
+
+    def test_tables_match_roles(self):
+        pack = _trial_pack(60, 5)
+        assert len(pack.tables) == 60
+        for i in (0, 31, -1):
+            xv, yv, w, total = pack.tables[i]
+            assert isinstance(total, float) and total == w.sum() > 0
+            assert w.shape == (len(xv), len(yv)) and w.flags.c_contiguous
+            values, levels, starts = pack.roles["x"]
+            lo = starts[i]
+            mass = w.sum(axis=1)
+            assert np.array_equal(values[lo : lo + np.count_nonzero(mass)], xv[mass > 0])
+        with pytest.raises(IndexError):
+            pack.tables[60]
+
+    def test_prefix_of_a_longer_pack(self):
+        short, long = _trial_pack(300, 11), _trial_pack(1000, 11)
+        for i in range(300):
+            for a, b in zip(short.tables[i], long.tables[i]):
+                assert np.array_equal(a, b)
+        for role in ("x", "y", "s"):
+            values, levels, starts = short.roles[role]
+            n = len(values)
+            assert np.array_equal(values, long.roles[role][0][:n])
+            assert np.array_equal(levels, long.roles[role][1][:n])
+            assert np.array_equal(starts, long.roles[role][2][:300])
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"trials": 2.5}, {"trials": True}, {"trials": -1}, {"seed": -1}, {"seed": 1.0}]
+    )
+    def test_search_arguments_are_non_negative_integers(self, kwargs):
+        with pytest.raises(ParameterError, match="non-negative integer"):
+            subadditivity_search(make_named("es", alpha=0.5), **{"trials": 10, **kwargs})
 
 
 class TestComonotoneAdditivity:
