@@ -2,8 +2,16 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail
 line per criterion.  The matrix checks share a single full suite run
-(10,000 seeded search trials).
+(10,000 seeded search trials), whose (group, name, status, detail) records
+must equal ``golden/suite_records.json``.  To record them again after an
+intended change of the suite's output:
+
+    PYTHONPATH=src python tests/test_acceptance.py --record
 """
+
+import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +22,16 @@ from quantrisk.subadditivity import build_counterexample
 from quantrisk.suite import default_config, run_suite
 
 TRIALS = 10_000
+RECORDS = Path(__file__).parent / "golden" / "suite_records.json"
 
 
 @pytest.fixture(scope="module")
 def suite_report():
     return run_suite(default_config(trials=TRIALS))
+
+
+def _records(report):
+    return [[r.group, r.name, r.status, r.detail] for r in report.results]
 
 
 def _group(report, name):
@@ -138,6 +151,10 @@ def test_criterion_8_finiteness_guard(suite_report):
     ), failures
 
 
+def test_records_equal_the_pinned_list(suite_report):
+    assert _records(suite_report) == json.loads(RECORDS.read_text())
+
+
 def test_suite_is_green_overall(suite_report):
     assert suite_report.ok, suite_report.failures()
 
@@ -151,3 +168,15 @@ def test_runtime_budget(suite_report):
     elapsed = time.time() - t0
     print(f"suite wall time: {elapsed:.1f}s")
     assert elapsed < 60.0
+
+
+def _record():
+    records = _records(run_suite(default_config(trials=TRIALS)))
+    RECORDS.write_text("[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n")
+    print(f"recorded {len(records)} suite records in {RECORDS}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        raise SystemExit("usage: python tests/test_acceptance.py --record")
+    _record()
