@@ -36,11 +36,15 @@ from .riskmeasures import (
     mixture_risk,
     quantile_risk,
 )
-from .subadditivity import SEARCH_SLACK, _count, build_counterexample, subadditivity_search
+from .subadditivity import (
+    SEARCH_SLACK,
+    _count,
+    build_counterexample,
+    comonotone_additivity_check,
+    subadditivity_search,
+)
 
 __all__ = ["Tolerances", "SuiteConfig", "CheckResult", "SuiteReport", "default_config", "run_suite"]
-
-_ALL_CHECKS = ("agreement", "shortfall", "axioms", "ordering", "finiteness", "domains", "subadditivity")
 
 
 @dataclass(frozen=True)
@@ -65,14 +69,14 @@ class Tolerances:
 class SuiteConfig:
     distributions: list[tuple[str, Distribution]]
     distortions: list[tuple[str, Distortion]]
-    checks: tuple[str, ...] = _ALL_CHECKS
+    checks: tuple[str, ...] = field(default_factory=lambda: tuple(_GROUPS))
     trials: int = 10_000
     seed: int = 2008
 
     def validate(self) -> SuiteConfig:
         if not self.distributions or not self.distortions:
             raise ParameterError("no cases: the matrix needs distributions and distortions")
-        unknown = set(self.checks) - set(_ALL_CHECKS)
+        unknown = set(self.checks) - set(_GROUPS)
         if unknown:
             raise ParameterError(f"unknown checks: {sorted(unknown)}")
         _count("trials", self.trials)
@@ -118,8 +122,7 @@ class SuiteReport:
 
     def render_summary(self) -> str:
         rows = [
-            {"group": g, **{k: v for k, v in c.items()}}
-            for g, c in sorted(self.counts().items())
+            {"group": g, **c} for g, c in sorted(self.counts().items())
         ]
         out = [render_table(rows, ["group", "pass", "fail", "expected-violation"])]
         bad = self.failures()
@@ -182,22 +185,18 @@ def run_suite(config: SuiteConfig | None = None, tolerances: Tolerances | None =
     config = (config or default_config()).validate()
     tol = (tolerances or Tolerances()).validated()
     report = SuiteReport()
-    runners = {
-        "agreement": _check_agreement,
-        "shortfall": _check_shortfall,
-        "axioms": _check_axioms,
-        "ordering": _check_ordering,
-        "finiteness": _check_finiteness,
-        "domains": _check_domains,
-        "subadditivity": _check_subadditivity,
-    }
     for group in config.checks:
-        report.results.extend(runners[group](config, tol))
+        report.results.extend(_GROUPS[group](group, config, tol))
     return report
 
 
 # ---------------------------------------------------------------------------
 # individual check groups
+
+
+def _verdict(group: str, name: str, ok: bool, detail: str = "") -> CheckResult:
+    """A pass or fail record; the detail is kept only on failure."""
+    return CheckResult(group, name, "pass" if ok else "fail", "" if ok else detail)
 
 
 def _close(a: RiskValue, b: RiskValue, tol: float) -> tuple[bool, str]:
@@ -219,52 +218,44 @@ def _le_extended(a: RiskValue, b: RiskValue, tol: float) -> bool | None:
     return a.value <= b.value + tol
 
 
-def _check_agreement(config, tol):
+def _check_agreement(group, config, tol):
     for dlabel, dist in config.distributions:
         for qlabel, distortion in config.distortions:
             name = f"{dlabel} x {qlabel}"
             rq = quantile_risk(dist, distortion)
             rc = choquet_risk(dist, distortion)
-            ok, why = _close(rq, rc, tol.quantile_choquet)
-            yield CheckResult("agreement", f"quantile-vs-choquet {name}", "pass" if ok else "fail", why)
+            yield _verdict(group, f"quantile-vs-choquet {name}", *_close(rq, rc, tol.quantile_choquet))
             if is_convex(distortion).convex:
                 rm = mixture_risk(dist, distortion)
-                ok, why = _close(rq, rm, tol.mixture)
-                yield CheckResult("agreement", f"quantile-vs-mixture {name}", "pass" if ok else "fail", why)
+                yield _verdict(group, f"quantile-vs-mixture {name}", *_close(rq, rm, tol.mixture))
 
 
-def _check_shortfall(config, tol):
+def _check_shortfall(group, config, tol):
     levels = (0.0, 0.25, 0.5, 0.9)
     for dlabel, dist in config.distributions:
         for alpha in levels:
             name = f"{dlabel} alpha={alpha:g}"
             closed = expected_shortfall(dist, alpha)
             integral = quantile_risk(dist, make_named("es", alpha=alpha))
-            ok, why = _close(closed, integral, tol.shortfall)
-            yield CheckResult("shortfall", f"stop-loss-vs-integral {name}", "pass" if ok else "fail", why)
+            yield _verdict(group, f"stop-loss-vs-integral {name}", *_close(closed, integral, tol.shortfall))
             if alpha > 0.0 and closed.is_finite:
                 inf_form = expected_shortfall_infimum(dist, alpha)
-                ok = abs(inf_form.value - closed.value) <= tol.shortfall
-                yield CheckResult(
-                    "shortfall",
+                yield _verdict(
+                    group,
                     f"infimum-vs-stop-loss {name}",
-                    "pass" if ok else "fail",
-                    "" if ok else f"{inf_form.value!r} vs {closed.value!r}",
+                    abs(inf_form.value - closed.value) <= tol.shortfall,
+                    f"{inf_form.value!r} vs {closed.value!r}",
                 )
         if dist.is_discrete:
             exact = expected_shortfall(dist, 0.0).value == dist.mean()
-            yield CheckResult(
-                "shortfall",
-                f"level-zero-is-mean {dlabel}",
-                "pass" if exact else "fail",
-            )
+            yield _verdict(group, f"level-zero-is-mean {dlabel}", exact)
 
 
 _SCALES = (0.0, 0.5, 1.0, 3.0)
 _SHIFTS = (-5.0, 0.0, 7.0)
 
 
-def _check_axioms(config, tol):
+def _check_axioms(group, config, tol):
     discrete = [(l, d) for l, d in config.distributions if d.is_discrete]
     pairs = [
         (discrete[i % len(discrete)], discrete[(i + 1) % len(discrete)])
@@ -276,71 +267,50 @@ def _check_axioms(config, tol):
             for a in _SCALES:
                 got = quantile_risk(dist.scale(a), distortion).as_float()
                 want = a * base
-                ok = abs(got - want) <= tol.axiom * max(1.0, abs(want))
-                yield CheckResult(
-                    "axioms",
+                yield _verdict(
+                    group,
                     f"homogeneity {dlabel} x {qlabel} a={a:g}",
-                    "pass" if ok else "fail",
-                    "" if ok else f"{got!r} vs {want!r}",
+                    abs(got - want) <= tol.axiom * max(1.0, abs(want)),
+                    f"{got!r} vs {want!r}",
                 )
             for c in _SHIFTS:
                 got = quantile_risk(dist.shift(c), distortion).as_float()
                 want = base + c
-                ok = abs(got - want) <= tol.shift * max(1.0, abs(want))
-                yield CheckResult(
-                    "axioms",
+                yield _verdict(
+                    group,
                     f"translation {dlabel} x {qlabel} c={c:g}",
-                    "pass" if ok else "fail",
-                    "" if ok else f"{got!r} vs {want!r}",
+                    abs(got - want) <= tol.shift * max(1.0, abs(want)),
+                    f"{got!r} vs {want!r}",
                 )
             # coupled monotone pair: bumping every atom up cannot reduce the risk
             bumped = Discrete(np.asarray(dist.values) + 1.5, dist.probs)
             ok = base <= quantile_risk(bumped, distortion).as_float() + tol.axiom
-            yield CheckResult(
-                "axioms", f"monotonicity {dlabel} x {qlabel}", "pass" if ok else "fail"
-            )
+            yield _verdict(group, f"monotonicity {dlabel} x {qlabel}", ok)
         for (l1, d1), (l2, d2) in pairs:
-            rs = quantile_risk(comonotone_sum(d1, d2), distortion).as_float()
-            r1 = quantile_risk(d1, distortion).as_float()
-            r2 = quantile_risk(d2, distortion).as_float()
-            ok = abs(rs - r1 - r2) <= tol.axiom
-            yield CheckResult(
-                "axioms",
+            rep = comonotone_additivity_check(distortion, d1, d2, tol=tol.axiom)
+            yield _verdict(
+                group,
                 f"comonotone-additivity {l1}+{l2} x {qlabel}",
-                "pass" if ok else "fail",
-                "" if ok else f"{rs!r} vs {r1 + r2!r}",
+                rep.additive,
+                f"{rep.risk_sum!r} vs {rep.risk_1 + rep.risk_2!r}",
             )
 
 
-_ORDERED_PAIRS = (
-    ("es(0.25)", "expectation"),
-    ("es(0.5)", "es(0.25)"),
-    ("es_n(3,0.2)", "es_n(2,0.2)"),
-    ("var(0.5)", "var(0.25)"),
-    ("es(0.25)", "threshold(0.5)"),
+_ORDERED_PAIRS = (  # (low, high) with low <= high on [0,1], each as (family, params)
+    (("es", {"alpha": 0.25}), ("expectation", {})),
+    (("es", {"alpha": 0.5}), ("es", {"alpha": 0.25})),
+    (("es_n", {"n": 3, "alpha": 0.2}), ("es_n", {"n": 2, "alpha": 0.2})),
+    (("var", {"alpha": 0.5}), ("var", {"alpha": 0.25})),
+    (("es", {"alpha": 0.25}), ("threshold", {"delta": 0.5})),
 )
 
 
-def _check_ordering(config, tol):
-    named = {
-        "expectation": make_named("expectation"),
-        "es(0.25)": make_named("es", alpha=0.25),
-        "es(0.5)": make_named("es", alpha=0.5),
-        "es_n(2,0.2)": make_named("es_n", n=2, alpha=0.2),
-        "es_n(3,0.2)": make_named("es_n", n=3, alpha=0.2),
-        "var(0.25)": make_named("var", alpha=0.25),
-        "var(0.5)": make_named("var", alpha=0.5),
-        "threshold(0.5)": make_named("threshold", delta=0.5),
-    }
+def _check_ordering(group, config, tol):
     grid = np.linspace(0.0, 1.0, 2001)
-    for low_label, high_label in _ORDERED_PAIRS:
-        low, high = named[low_label], named[high_label]
+    for pair in _ORDERED_PAIRS:
+        low, high = (make_named(kind, **params) for kind, params in pair)
         pointwise = float(np.max(np.asarray(low.eval(grid)) - np.asarray(high.eval(grid)))) <= 1e-12
-        yield CheckResult(
-            "ordering",
-            f"pointwise {low_label} <= {high_label}",
-            "pass" if pointwise else "fail",
-        )
+        yield _verdict(group, f"pointwise {low.label()} <= {high.label()}", pointwise)
         for dlabel, dist in config.distributions:
             # smaller distortion on [0,1] means larger risk
             r_low = quantile_risk(dist, low)
@@ -348,11 +318,8 @@ def _check_ordering(config, tol):
             verdict = _le_extended(r_high, r_low, tol.axiom)
             if verdict is None:
                 continue
-            yield CheckResult(
-                "ordering",
-                f"risk-reversal {low_label}/{high_label} {dlabel}",
-                "pass" if verdict else "fail",
-                "" if verdict else f"{r_high} > {r_low}",
+            yield _verdict(
+                group, f"risk-reversal {low.label()}/{high.label()} {dlabel}", verdict, f"{r_high} > {r_low}"
             )
     convex = [(l, d) for l, d in config.distortions if is_convex(d).convex]
     for dlabel, dist in config.distributions:
@@ -367,60 +334,35 @@ def _check_ordering(config, tol):
                 ok = False  # a finite mean cannot dominate -inf under a convex distortion
             else:
                 ok = mean <= risk.value + tol.axiom
-            yield CheckResult(
-                "ordering",
-                f"mean-below-risk {dlabel} x {qlabel}",
-                "pass" if ok else "fail",
-                "" if ok else f"mean {mean!r} vs {risk}",
-            )
+            yield _verdict(group, f"mean-below-risk {dlabel} x {qlabel}", ok, f"mean {mean!r} vs {risk}")
         # shortfall increases with its level
-        prev = None
-        monotone = True
-        for alpha in np.linspace(0.0, 0.9, 10):
-            cur = expected_shortfall(dist, float(alpha))
-            if prev is not None and _le_extended(prev, cur, tol.axiom) is False:
-                monotone = False
-            prev = cur
-        yield CheckResult("ordering", f"shortfall-monotone {dlabel}", "pass" if monotone else "fail")
+        es = [expected_shortfall(dist, float(alpha)) for alpha in np.linspace(0.0, 0.9, 10)]
+        monotone = all(_le_extended(a, b, tol.axiom) is not False for a, b in zip(es, es[1:]))
+        yield _verdict(group, f"shortfall-monotone {dlabel}", monotone)
         if math.isfinite(mean):
-            best = min(
-                expected_shortfall(dist, 2.0**-k).value for k in range(1, 49)
-            )
-            ok = abs(best - mean) <= tol.infimum_vs_mean
-            yield CheckResult(
-                "ordering",
+            best = min(expected_shortfall(dist, 2.0**-k).value for k in range(1, 49))
+            yield _verdict(
+                group,
                 f"shortfall-infimum-is-mean {dlabel}",
-                "pass" if ok else "fail",
-                "" if ok else f"{best!r} vs mean {mean!r}",
+                abs(best - mean) <= tol.infimum_vs_mean,
+                f"{best!r} vs mean {mean!r}",
             )
 
 
-def _check_finiteness(config, tol):
+def _check_finiteness(group, config, tol):
     for qlabel, distortion in config.distortions:
         if not distortion.pieces[0].flat:  # D vanishes near 0
             continue
         for dlabel, dist in config.distributions:
             risk = quantile_risk(dist, distortion)
-            ok = risk.is_finite
-            yield CheckResult(
-                "finiteness",
-                f"finite-risk {dlabel} x {qlabel}",
-                "pass" if ok else "fail",
-                "" if ok else str(risk),
-            )
+            yield _verdict(group, f"finite-risk {dlabel} x {qlabel}", risk.is_finite, str(risk))
             if not dist.is_discrete:
                 a = classify_membership(dist, distortion, DomainClass.QUANTILE).verdict
                 b = classify_membership(dist, distortion, DomainClass.ACERBI).verdict
-                ok = a == b
-                yield CheckResult(
-                    "finiteness",
-                    f"native-equals-acerbi {dlabel} x {qlabel}",
-                    "pass" if ok else "fail",
-                    "" if ok else f"{a} vs {b}",
-                )
+                yield _verdict(group, f"native-equals-acerbi {dlabel} x {qlabel}", a == b, f"{a} vs {b}")
 
 
-def _check_domains(config, tol):
+def _check_domains(group, config, tol):
     sq = make_named("sqrt_example")
     heavy = comonotone_sum(ParetoNegative(1.0, 0.5), ParetoPositive(1.0, 0.5))
     cases = [
@@ -442,17 +384,10 @@ def _check_domains(config, tol):
     ]
     for name, distortion, dist, expected in cases:
         for cls, want in expected.items():
-            got = classify_membership(dist, distortion, cls)
-            ok = got.verdict == want
-            yield CheckResult(
-                "domains",
-                f"{name} {cls.value}",
-                "pass" if ok else "fail",
-                "" if ok else f"{got.verdict} (wanted {want})",
-            )
+            got = classify_membership(dist, distortion, cls).verdict
+            yield _verdict(group, f"{name} {cls.value}", got == want, f"{got} (wanted {want})")
     probe = classify_membership(ParetoNegative(1.0), sq, DomainClass.ACERBI, method="probe")
-    ok = probe.verdict == Verdict.NON_MEMBER
-    yield CheckResult("domains", "sqrt-pareto acerbi probe", "pass" if ok else "fail")
+    yield _verdict(group, "sqrt-pareto acerbi probe", probe.verdict == Verdict.NON_MEMBER)
     for qlabel, distortion in config.distortions:
         if not is_convex(distortion).convex:
             continue
@@ -460,45 +395,39 @@ def _check_domains(config, tol):
             pich = classify_membership(dist, distortion, DomainClass.PICHLER).verdict
             acer = classify_membership(dist, distortion, DomainClass.ACERBI).verdict
             bad = pich == Verdict.MEMBER and acer == Verdict.NON_MEMBER
-            yield CheckResult(
-                "domains",
-                f"pichler-inside-acerbi {dlabel} x {qlabel}",
-                "fail" if bad else "pass",
-            )
+            yield _verdict(group, f"pichler-inside-acerbi {dlabel} x {qlabel}", not bad)
 
 
-_CONVEX_SEARCH_GRID = tuple(
-    (n, alpha) for n in (1, 2, 3, 5) for alpha in (0.0, 0.25, 0.5, 0.9)
-)
+_CONVEX_SEARCH_GRID = tuple((n, alpha) for n in (1, 2, 3, 5) for alpha in (0.0, 0.25, 0.5, 0.9))
 _NONCONVEX_GRID = (
-    ("var(0.25)", "var", {"alpha": 0.25}),
-    ("var(0.5)", "var", {"alpha": 0.5}),
-    ("var(0.75)", "var", {"alpha": 0.75}),
-    ("threshold(0.25)", "threshold", {"delta": 0.25}),
-    ("threshold(0.5)", "threshold", {"delta": 0.5}),
-    ("threshold(0.75)", "threshold", {"delta": 0.75}),
+    ("var", {"alpha": 0.25}),
+    ("var", {"alpha": 0.5}),
+    ("var", {"alpha": 0.75}),
+    ("threshold", {"delta": 0.25}),
+    ("threshold", {"delta": 0.5}),
+    ("threshold", {"delta": 0.75}),
 )
 
 
-def _check_subadditivity(config, tol):
+def _check_subadditivity(group, config, tol):
     for n, alpha in _CONVEX_SEARCH_GRID:
         distortion = make_named("es_n", n=n, alpha=alpha)
         found = subadditivity_search(
             distortion, trials=config.trials, seed=config.seed, slack=tol.search_slack
         )
-        ok = found is None
-        yield CheckResult(
-            "subadditivity",
+        yield _verdict(
+            group,
             f"search-no-violation {distortion.label()}",
-            "pass" if ok else "fail",
-            "" if ok else f"gap {found.gap!r} at trial {found.trial}",
+            found is None,
+            "" if found is None else f"gap {found.gap!r} at trial {found.trial}",
         )
-    for label, kind, params in _NONCONVEX_GRID:
+    for kind, params in _NONCONVEX_GRID:
         distortion = make_named(kind, **params)
+        label = distortion.label()
         rep = build_counterexample(distortion)
         ok = rep.gap > 0 and abs(rep.gap - rep.predicted_gap) <= tol.gap_identity
         yield CheckResult(
-            "subadditivity",
+            group,
             f"counterexample {label}",
             "expected-violation" if ok else "fail",
             f"gap {rep.gap:.12g} at (u={rep.u:g}, eps={rep.eps:g})" if ok else f"gap {rep.gap!r} vs {rep.predicted_gap!r}",
@@ -508,8 +437,19 @@ def _check_subadditivity(config, tol):
         )
         ok = found is not None and found.gap > 0
         yield CheckResult(
-            "subadditivity",
+            group,
             f"search-finds-violation {label}",
             "expected-violation" if ok else "fail",
             f"worst gap {found.gap:.12g}" if ok else "no violation found",
         )
+
+
+_GROUPS = {
+    "agreement": _check_agreement,
+    "shortfall": _check_shortfall,
+    "axioms": _check_axioms,
+    "ordering": _check_ordering,
+    "finiteness": _check_finiteness,
+    "domains": _check_domains,
+    "subadditivity": _check_subadditivity,
+}
