@@ -428,23 +428,40 @@ def is_convex(distortion) -> ConvexityResult:
     concave piece or where the slope drops across a knot.  Each such place
     counts only when the midpoint test finds it above the 1e-15 margin, so a
     non-convex result always carries a witness (u, eps) with
-    ``2 D(u) > D(u-eps) + D(u+eps)``.
+    ``2 D(u) > D(u-eps) + D(u+eps)``.  Knots are judged on ``_slope``, so a
+    concave piece enters and leaves with its chord slope.
     """
     if not isinstance(distortion, Distortion):
         return midpoint_convexity(distortion)
     pieces = distortion.pieces
     suspects = itertools.chain(  # jumps, concave pieces, slope drops at knots
         ((loc, None) for loc, _height in distortion.jumps()),
-        ((0.5 * (p.lo + p.hi), 0.25 * (p.hi - p.lo)) for p in pieces if p.coef > 0 and 0.0 < p.expo < 1.0),
+        ((0.5 * (p.lo + p.hi), 0.25 * (p.hi - p.lo)) for p in pieces if _concave(p)),
         ((nxt.lo, None) for prev, nxt in zip(pieces, pieces[1:])
-         if float(prev.derivative.value(prev.hi)) > float(nxt.derivative.value(nxt.lo)) + 1e-15),
+         if float(_slope(prev).value(prev.hi)) > float(_slope(nxt).value(nxt.lo)) + 1e-15),
     )
-    with np.errstate(divide="ignore"):  # a concave piece's slope at its origin is inf
-        for u, eps in suspects:
-            witness = _shrink_witness(distortion, u, eps)
-            if witness is not None:
-                return ConvexityResult(False, witness)
+    for u, eps in suspects:
+        witness = _shrink_witness(distortion, u, eps)
+        if witness is not None:
+            return ConvexityResult(False, witness)
     return ConvexityResult(True)
+
+
+def _concave(p: Piece) -> bool:
+    return p.coef > 0 and 0.0 < p.expo < 1.0
+
+
+def _slope(p: Piece) -> Piece:
+    """D' on a piece, but a concave piece's chord slope, as a constant, in its place.
+
+    ``is_convex`` accepts a concave piece only with a bend below the margin,
+    and within that margin its slope is its chord, not its derivative, which
+    is infinite at its origin.
+    """
+    if not _concave(p):
+        return p.derivative
+    chord = float(p.value(p.hi) - p.value(p.lo)) / (p.hi - p.lo)
+    return Piece(lo=p.lo, hi=p.hi, coef=chord, origin=0.0, width=1.0, expo=0.0)
 
 
 def _shrink_witness(distortion, u: float, eps: float | None = None) -> tuple[float, float] | None:
@@ -508,14 +525,18 @@ class SpectralDensity(_Piecewise):
 
 
 def spectral_of(distortion: Distortion) -> SpectralDensity:
-    """Derivative of a convex distortion, the density of its measure."""
+    """Derivative of a convex distortion, the density of its measure.
+
+    A concave piece, accepted only with a bend below the margin, gives its
+    chord slope, as in the knot test of ``is_convex``.
+    """
     res = is_convex(distortion)
     if not res.convex:
         raise NotSpectralError(
             f"{distortion.label()} is not convex, hence admits no increasing density",
             witness=res.witness,
         )
-    return SpectralDensity([p.derivative for p in distortion.pieces])
+    return SpectralDensity([_slope(p) for p in distortion.pieces])
 
 
 def distortion_of(spectrum: SpectralDensity) -> Distortion:

@@ -61,6 +61,7 @@ MIXTURE_TOL = 1e-8
 INFIMUM_TOL = 1e-10
 PROBE_LEVELS = 40
 PROBE_CAUCHY = 1e-9
+PROBE_RATIO = 0.85
 PROBE_GROWTH = 1e-3
 
 
@@ -287,10 +288,20 @@ def _dyadic_partials(dist, distortion, h, span) -> tuple[float, ...]:
 
 
 def _judge_partials(partials) -> Verdict:
+    """Verdict on a part from its dyadic partials.
+
+    Member when the last increment is at most PROBE_CAUCHY, or when each of
+    the last five is positive and at most PROBE_RATIO times the one before:
+    the increments decay geometrically, so the rest sums to a finite amount.
+    Non-member on five sustained increments above PROBE_GROWTH.
+    """
     inc = [b - a for a, b in zip(partials, partials[1:])]
     if not inc:
         return Verdict.INCONCLUSIVE
     if inc[-1] <= PROBE_CAUCHY:
+        return Verdict.MEMBER
+    last = inc[-6:]
+    if len(last) == 6 and all(0.0 < b <= PROBE_RATIO * a for a, b in zip(last, last[1:])):
         return Verdict.MEMBER
     tail = inc[-5:]
     if len(tail) == 5 and all(x > PROBE_GROWTH for x in tail) and all(

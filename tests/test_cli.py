@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -118,10 +119,52 @@ class TestEdgeDistortions:
         assert code in (0, 2)
         assert "Traceback" not in err
 
+    # u, then a bend of 1e-300 on [.5, .75), then slope 2: the slope drops
+    # from 1 to about 0 at 0.5, though the root's derivative there is +inf
+    SLOPE_DROP = (
+        '{"kind":"piecewise","pieces":[{"form":"linear","lo":0,"hi":0.5,"slope":1},'
+        '{"form":"power","lo":0.5,"hi":0.75,"base":0.5,"coef":1e-300,"origin":0.5,"width":0.25,"expo":0.5},'
+        '{"form":"power","lo":0.75,"hi":1,"base":0.5,"coef":0.5,"origin":0.75,"width":0.25,"expo":1}]}'
+    )
+
     def test_bend_below_the_margin_is_convex(self, capsys):
         code, out, _ = run(capsys, "check-convexity", "--distortion", self.TINY_BEND, "--format", "json")
         assert code == 0
         assert json.loads(out)["convex"] is True
+
+    def test_bend_below_the_margin_has_its_chord_as_spectrum(self, capsys, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, "spectrum", "--distortion", self.TINY_BEND, "--format", "json")
+            assert code == 0
+            pieces = [(p["lo"], p["hi"], p["coef"], p["expo"]) for p in json.loads(out)]
+            assert pieces == [(0.0, 0.5, 1e-300 * 2**0.5, 0.0), (0.5, 1.0, 2.0, 0.0)]
+            path = tmp_path / "three.csv"
+            path.write_text("1\n2\n3\n")
+            values = []
+            for rep in ("quantile", "choquet", "mixture"):
+                code, out, _ = run(capsys, "eval", "--dist", str(path), "--distortion", self.TINY_BEND,
+                                   "--representation", rep, "--format", "json")
+                assert code == 0
+                values.append(json.loads(out)["value"])
+        assert max(values) - min(values) <= 1e-12
+        assert abs(values[0] - 8.0 / 3.0) <= 1e-12
+
+    def test_a_slope_drop_into_a_concave_piece_is_not_convex(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, "check-convexity", "--distortion", self.SLOPE_DROP, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["convex"] is False
+        assert (payload["witness_u"], payload["witness_eps"]) == (0.5, 0.25)
+        code, out, _ = run(capsys, "counterexample", "--distortion", self.SLOPE_DROP, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["gap"] > 0 and abs(payload["gap"] - payload["predicted_gap"]) <= 1e-10
+        assert abs(payload["gap"] - 0.28125) <= 1e-12
+        code, _, err = run(capsys, "spectrum", "--distortion", self.SLOPE_DROP)
+        assert code == 2 and "witness u=0.5, eps=0.25" in err
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400])
     @pytest.mark.parametrize("command", ["check-convexity", "spectrum"])

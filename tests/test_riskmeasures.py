@@ -1,5 +1,6 @@
 """Risk representations against independent oracles, domain classification."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from quantrisk.distortions import GridDistortion, make_named
+from quantrisk.distortions import GridDistortion, is_convex, make_named
 from quantrisk.distributions import (
     Discrete,
     Distribution,
@@ -660,12 +661,39 @@ class TestOneIntegralAgainstD:
             analytic = classify_membership(pn, D, cls)
             probed = classify_membership(hidden, D, cls)
             assert analytic.method == "analytic" and probed.method == "probe"
-            if cls is DomainClass.PICHLER and theta == 2.0:
-                # q_|X| ~ (1 - u)**-0.5 converges too slowly for the Cauchy
-                # test: the last increment of 40 levels is about 6e-7
-                assert probed.verdict in (analytic.verdict, Verdict.INCONCLUSIVE)
-            else:
-                assert probed.verdict is analytic.verdict
+            assert probed.verdict is analytic.verdict
+
+    @pytest.mark.parametrize(
+        "dist",
+        [ParetoNegative(1.0, 2.0), ParetoNegative(1.0, 2.0).scale(0.5).shift(3.0),
+         ParetoPositive(1.0, 1.5), ParetoNegative(1.0, 2.0).shift(2.0).abs()],
+        ids=["pn_t2", "pn_scale_shift", "pp_t1.5", "abs_shift2"],
+    )
+    @pytest.mark.parametrize(
+        "D",
+        [make_named("expectation"), make_named("sqrt_example"), make_named("es_n", n=2, alpha=0.5),
+         make_named("es", alpha=0.9)],
+        ids=lambda D: D.label(),
+    )
+    def test_geometric_decay_decides_as_the_tail_rule(self, dist, D):
+        # increments of these convergent parts fall by a constant ratio of
+        # 0.71-0.79 per level, too slowly for the Cauchy test alone
+        hidden = _TailLess(dist)
+        forms = [quantile_risk, choquet_risk] + ([mixture_risk] if is_convex(D).convex else [])
+        for form in forms:
+            assert form(hidden, D) == form(dist, D)
+        for cls in DomainClass:
+            assert classify_membership(hidden, D, cls).verdict is classify_membership(dist, D, cls).verdict
+
+    @pytest.mark.parametrize("ratio, want", [
+        (0.5, Verdict.MEMBER), (2**-0.5, Verdict.MEMBER), (0.8, Verdict.MEMBER),
+        (0.88, Verdict.INCONCLUSIVE), (1.0, Verdict.NON_MEMBER),
+    ])
+    def test_judge_partials_ratio_rule(self, ratio, want):
+        import quantrisk.riskmeasures as rm
+
+        partials = tuple(itertools.accumulate(ratio**k for k in range(rm.PROBE_LEVELS)))
+        assert rm._judge_partials(partials) is want
 
     @pytest.mark.parametrize(
         "D", [make_named("sqrt_example"), make_named("es_n", n=2, alpha=0.5)], ids=lambda D: D.label()
@@ -680,8 +708,8 @@ class TestOneIntegralAgainstD:
         assert acerbi.partials == tuple(math.fsum(pair) for pair in zip(pos, neg))
 
     def test_a_divergent_positive_part_decides_before_the_negative_part_is_probed(self):
-        # without tail data the negative part's probe of this sum is undecided,
-        # but the positive part already diverges: the risk is not in the domain
+        # without tail data the positive part of this sum diverges under the
+        # probe: the risk is not in the domain, whatever the negative part is
         pp_pn = comonotone_sum(ParetoPositive(1.0, 0.8), ParetoNegative(1.0, 2.0))
         D = make_named("expectation")
         assert quantile_risk(_TailLess(pp_pn), D).kind == quantile_risk(pp_pn, D).kind == "not-in-domain"
