@@ -268,7 +268,8 @@ def _labelled_entries(entries, parse) -> list:
 
 def _suite_config_from_json(path: str) -> SuiteConfig:
     try:
-        spec = json.loads(open(path).read())
+        with open(path) as f:
+            spec = json.loads(f.read())
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

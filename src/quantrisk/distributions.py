@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import struct
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -84,6 +85,14 @@ def _check_level(u: float) -> float:
     if not 0.0 < u < 1.0:
         raise ParameterError(f"quantile level must lie in (0,1), got {u!r}")
     return u
+
+
+def _fsum(xs) -> float:
+    """``math.fsum``, or inf when a partial sum leaves the float range."""
+    try:
+        return math.fsum(xs)
+    except OverflowError:
+        return math.inf
 
 
 def _compensated_cumsum(xs) -> np.ndarray:
@@ -201,8 +210,8 @@ class Discrete(Distribution):
             raise ParameterError("atom values must be strictly increasing")
         if np.any(probs <= 0):
             raise ParameterError("atom probabilities must be strictly positive")
-        total = math.fsum(probs.tolist())
-        if abs(total - 1.0) > _ATOM_TOL:
+        total = _fsum(probs.tolist())
+        if not abs(total - 1.0) <= _ATOM_TOL:
             raise ParameterError(f"atom probabilities must sum to 1 within {_ATOM_TOL}, got {total!r}")
         self.values = values
         self.probs = probs
@@ -230,8 +239,12 @@ class Discrete(Distribution):
         order = np.argsort(samples, kind="stable")
         values, inverse = np.unique(samples[order], return_inverse=True)
         masses = np.zeros(len(values))
-        np.add.at(masses, inverse, weights[order])
-        return cls(values, masses / math.fsum(masses.tolist()))
+        with np.errstate(over="ignore"):  # an infinite total is refused below
+            np.add.at(masses, inverse, weights[order])
+        total = _fsum(masses.tolist())
+        if total == math.inf:
+            raise ParameterError("total weight must be finite")
+        return cls(values, masses / total)
 
     def cdf(self, x: float) -> float:
         idx = int(np.searchsorted(self.values, x, side="right"))
@@ -730,7 +743,9 @@ class ComonotoneSum(Distribution):
     from x = q(c_i) on, so the flat steps where the quantile jumps sit on
     the levels; elsewhere it carries the rounding of x - v_i and of the
     operand's CDF.  With two non-discrete operands the CDF inverts the
-    summed quantile by float bisection in the level.
+    summed quantile in the level by :func:`_invert_level`: the largest float
+    u with q(u) <= x (q(u) < x for ``cdf_left``), so the float Galois
+    relation holds exactly, found by safeguarded regula falsi.
     """
 
     def __init__(self, first: Distribution, second: Distribution):
@@ -775,7 +790,7 @@ class ComonotoneSum(Distribution):
             return 1.0
         if self._steps is None:
             # largest u with q(u) <= x; measure of {q <= x}
-            return _bisect_level(lambda u: self.quantile_lower(u) <= x)
+            return _invert_level(self.quantile_lower, x)
         values, levels, starts, ends, other = self._steps
         i = bisect.bisect_right(starts, x) - 1
         if x >= ends[i]:
@@ -789,7 +804,7 @@ class ComonotoneSum(Distribution):
         if x > hi:
             return 1.0
         if self._steps is None:
-            return _bisect_level(lambda u: self.quantile_lower(u) < x)
+            return _invert_level(self.quantile_lower, x, strict=True)
         values, levels, starts, ends, other = self._steps
         i = bisect.bisect_left(starts, x) - 1
         if x > ends[i]:
@@ -847,12 +862,13 @@ def _heavier_tail(t1, t2):
 def _polish(pred, x):
     """Smallest float x' >= 0 with pred(x') true, pred monotone, searched outward from the estimate x.
 
-    A bracket a few ulps wide doubles until pred changes across it and is
-    then bisected down to adjacent floats; inf is returned when pred holds
-    at no finite float.
+    The estimate is usually exact, so the first step out is one ulp: pred
+    then runs twice, at x and at its neighbour.  Otherwise the step doubles
+    until pred changes across it, and the bracket is bisected down to
+    adjacent floats; inf is returned when pred holds at no finite float.
     """
     x = min(x, sys.float_info.max)
-    step = 4.0 * math.ulp(x)
+    step = math.ulp(x)
     lo = hi = x
     if pred(x):
         while lo > 0.0:
@@ -880,18 +896,77 @@ def _polish(pred, x):
             lo = mid
 
 
-def _bisect_level(pred):
-    """Largest u in (0,1) with pred(u) true; pred true on an initial segment."""
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if pred(mid):
-            lo = mid
+_DEEP = 2.0**-10  # within it of 0 or 1 the level bracket is split in float bit order
+
+
+def _bits(u):
+    return struct.unpack("<q", struct.pack("<d", u))[0]
+
+
+def _from_bits(i):
+    return struct.unpack("<d", struct.pack("<q", i))[0]
+
+
+def _split(a, b):
+    """Bisection point of the level bracket (a, b), a and b not adjacent floats.
+
+    The midpoint, or within ``_DEEP`` of 0 or 1 the midpoint in float bit
+    order of the distances to that end (the float below 1 is 2**-53 from
+    it), which halves their exponent range.
+    """
+    if b <= _DEEP:
+        s = _from_bits((_bits(a) + _bits(b)) // 2)
+    elif a >= 1.0 - _DEEP:
+        s = 1.0 - _from_bits((_bits(1.0 - a) + _bits(max(1.0 - b, 2.0**-53))) // 2)
+    else:
+        s = 0.5 * (a + b)
+    return s if a < s < b else 0.5 * (a + b)
+
+
+def _invert_level(q, x, strict=False):
+    """Largest float u in [0, 1) with q(u) <= x (q(u) < x when strict), for nondecreasing q.
+
+    This is the measure of {u : q(u) <= x} in floats, bitwise what bisection
+    in u down to adjacent floats returns, and 0.0 when no positive float
+    qualifies; q is never called at 0 or 1.  The bracket [a, b] keeps
+    q(a) <= x < q(b).  Each step compares q(s) with x directly; the
+    difference q - x only places the next step, and one that rounds to 0
+    counts as an ulp of x.  Steps are Illinois regula falsi, kept at least
+    4 ulps inside the bracket.  The bracket is bisected instead (by
+    :func:`_split`) while a bound's difference is infinite, after a step that
+    found the value of the bound it replaced (a flat stretch of q, such as
+    q == x), when two steps in a row failed to halve its width, and while it
+    lies within ``_DEEP`` of 0 or 1 but spans more than a factor of two in
+    the distance to that end.  So at least every third step is a bisection
+    or halves the bracket, and a call costs at most about three times the
+    60-odd calls of q a bisection makes, and usually far fewer.
+    """
+    a, b, qa, qb, ga, gb = 0.0, 1.0, -math.inf, math.inf, -math.inf, math.inf
+    kept = 0  # -1 or 1 when the last falsi step left a or b in place
+    goal, misses = 0.5, 0  # width the next steps must reach, steps that did not
+    flat = False
+    while math.nextafter(a, 1.0) < b:
+        lo, hi = a + 4.0 * math.ulp(a), b - 4.0 * math.ulp(b)
+        falsi = (misses < 2 and not flat and lo < hi and -math.inf < ga < 0.0 < gb < math.inf
+                 and (b > _DEEP or b <= 2.0 * a) and (a < 1.0 - _DEEP or 1.0 - a <= 2.0 * (1.0 - b)))
+        s = min(max(b - gb * (b - a) / (gb - ga), lo), hi) if falsi else _split(a, b)
+        qs = q(s)
+        g = (qs - x) or (math.ulp(x) if strict else -math.ulp(x))
+        if qs < x or (not strict and qs == x):
+            flat = qs == qa
+            a, qa, ga = s, qs, g
+            if falsi:
+                gb, kept = (0.5 * gb if kept == 1 else gb), 1
         else:
-            hi = mid
-    return lo
+            flat = qs == qb
+            b, qb, gb = s, qs, g
+            if falsi:
+                ga, kept = (0.5 * ga if kept == -1 else ga), -1
+        if b - a <= goal or not falsi:
+            goal, misses = 0.5 * (b - a), 0
+        else:
+            misses += 1
+    return a
 
 
 # ---------------------------------------------------------------------------

@@ -535,11 +535,12 @@ def expected_shortfall_infimum(dist: Distribution, alpha: float, *, tol: float =
     lo = dist.quantile_lower(alpha / 2.0)
     hi = dist.quantile_lower((1.0 + alpha) / 2.0)
     for _ in range(4):
-        if hi - lo <= tol:
-            c = 0.5 * (lo + hi)
-            return InfimumResult(objective(c), c)
-        c = _golden_section(objective, lo, hi, tol)
+        c = 0.5 * (lo + hi) if hi - lo <= tol else _golden_section(objective, lo, hi, tol)
         val = objective(c)
+        if not math.isfinite(val):
+            raise InconclusiveError(f"the shortfall objective at c={c!r} is {val!r}, beyond the float range")
+        if hi - lo <= tol:
+            return InfimumResult(val, c)
         pad = hi - lo + 1.0
         if objective(lo) < val - 1e-12:
             lo, hi = lo - pad, hi
@@ -557,7 +558,7 @@ def _golden_section(f, lo: float, hi: float, tol: float) -> float:
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > tol and a < c < d < b:  # far from 0 the floats run out before tol
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

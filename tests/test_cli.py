@@ -253,6 +253,15 @@ class TestSuite:
         assert code == 0
         assert "SUITE OK" in out
 
+    @pytest.mark.filterwarnings("error")
+    def test_config_file_is_closed(self, capsys, tmp_path):
+        # read by open(path).read(), the file was left to the collector: a
+        # ResourceWarning, an error when warnings are errors
+        config = tmp_path / "config.json"
+        config.write_text('{"distributions": [{"kind": "point_mass", "value": 1}], "distortions": '
+                          '[{"kind": "expectation"}], "checks": ["finiteness"]}')
+        assert run(capsys, "suite", "--config", str(config))[0] == 0
+
     def test_config_trials_and_seed_are_honoured(self, capsys, tmp_path, monkeypatch):
         import quantrisk.cli as cli
 
@@ -405,6 +414,25 @@ class TestJsonDistributionFields:
             capsys, "eval", "--dist", str(path), "--distortion", '{"kind":"es","alpha":0.5}', "--format", "json"
         )
         assert code == 0 and json.loads(out)["value"] == 3.5
+
+    @pytest.mark.parametrize(
+        "name, body, want",
+        [
+            ("dist.csv", "value,weight\n1,1e308\n2,1e308\n", (1, "total weight must be finite")),
+            ("dist.json", '{"kind": "empirical", "values": [1, 2], "weights": [1e308, 1e308]}', (2, "total weight")),
+            ("dist.json", '{"kind": "empirical", "values": [1, 1], "weights": [1e308, 1e308]}', (2, "total weight")),
+            ("dist.json", '{"kind": "discrete", "values": [1, 2], "probs": [1e308, 1e308]}', (2, "got inf")),
+        ],
+    )
+    def test_masses_summing_beyond_the_float_range(self, capsys, tmp_path, name, body, want):
+        # found by the CSV fuzz: an OverflowError from fsum, or a NaN mass
+        # when equal values merged into an infinite one
+        path = tmp_path / name
+        path.write_text(body)
+        for argv in (["var", "--dist", str(path), "--alpha", "0.5"], ["es", "--dist", str(path), "--alpha", "0.9"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (want[0], "")
+            assert want[1] in err and "Traceback" not in err
 
 # Runs CLI invocations in one fresh interpreter; prints their exit codes and
 # outputs, and the scipy modules loaded afterwards.

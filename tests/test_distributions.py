@@ -374,6 +374,110 @@ class TestComonotoneStepCdf:
             assert g.tobytes() == w.tobytes()
 
 
+def counted_cdf(s, x, strict=False):
+    """(cdf(x), or cdf_left(x) when strict, of the lazy sum s; calls of its summed quantile)."""
+    calls = 0
+    quantile = s.quantile_lower
+
+    def counting(u):
+        nonlocal calls
+        calls += 1
+        return quantile(u)
+
+    s.quantile_lower = counting
+    try:
+        return (s.cdf_left if strict else s.cdf)(x), calls
+    finally:
+        del s.quantile_lower
+
+
+def assert_bisection_cdfs(s, x):
+    """Both CDFs of s at x are bitwise the bisection ones, within 200 summed-quantile calls each."""
+    for strict in (False, True):
+        level, calls = counted_cdf(s, x, strict)
+        want = bisection_level_cdf(s, x, strict)
+        assert level.hex() == want.hex(), (x, strict, level, want)
+        assert calls <= 200
+
+
+COMO_TAILS = comonotone_sum(ParetoNegative(1.0, 3.0), ParetoPositive(1.0, 3.0))
+# pos_part(shift(c, .)) has an atom at 0, so the summed quantile is 0, flat,
+# on the levels below the smaller split
+FLAT_START = comonotone_sum(
+    ParetoNegative(1.0, 2.0).shift(1.5).pos_part(), ParetoNegative(1.0, 3.0).shift(1.2).pos_part()
+)
+
+
+class TestLevelInversion:
+    @pytest.mark.parametrize("x", [-1e20, -1e30, -1e300])
+    @pytest.mark.parametrize(
+        "s", [COMO_TAILS, comonotone_sum(ParetoNegative(1.0, 1.0), ParetoPositive(2.0, 0.8))], ids=lambda s: s.label()
+    )
+    def test_deep_tail_levels_are_not_truncated(self, s, x):
+        # a 200-step bisection stopped at 2**-200: cdf(-1e20) was 2**-200 and
+        # cdf(-1e30) was 0.0 on the first sum, though q(1e-91) <= -1e30
+        assert_bisection_cdfs(s, x)
+
+    def test_deep_tail_level_keeps_the_galois_relation(self):
+        level = COMO_TAILS.cdf(-1e30)
+        assert 0.0 < level < 1e-89
+        assert COMO_TAILS.quantile_lower(level) <= -1e30 < COMO_TAILS.quantile_lower(math.nextafter(level, 1.0))
+
+    @pytest.mark.parametrize("x", [0.0, 1e-300, 5e-324, 0.25])
+    def test_flat_start_of_the_summed_quantile(self, x):
+        # q == 0 on (0, 4/9]: a falsi step placed by q - x alone stalls there
+        assert_bisection_cdfs(FLAT_START, x)
+        if x < 0.25:
+            assert FLAT_START.cdf(x) == 0.4444444444444445
+
+    def test_summed_quantile_calls_per_cdf_call(self):
+        # bisection makes about 54 calls at each of these levels
+        xs = [COMO_TAILS.quantile_lower((k + 0.5) / 500) for k in range(500)]
+        for strict in (False, True):
+            counts = [counted_cdf(COMO_TAILS, x, strict)[1] for x in xs]
+            assert sum(counts) / len(counts) <= 20
+            assert max(counts) <= 200
+
+
+@st.composite
+def lazy_sums(draw):
+    """Two non-discrete operands: shifted Pareto laws, or positive parts with an atom at 0."""
+    theta = st.floats(min_value=0.5, max_value=4.0)
+    if draw(st.booleans()):
+        kinds = (ParetoNegative, ParetoPositive)
+        return comonotone_sum(*(
+            draw(st.sampled_from(kinds))(draw(st.floats(0.5, 3.0)), draw(theta)).shift(draw(st.floats(-5.0, 5.0)))
+            for _ in range(2)
+        ))
+    return comonotone_sum(*(
+        ParetoNegative(1.0, draw(theta)).shift(draw(st.floats(1.05, 5.0))).pos_part() for _ in range(2)
+    ))
+
+
+def nudged(x, k):
+    """x moved k in {-1, 0, 1} floats."""
+    return x if k == 0 else math.nextafter(x, math.copysign(math.inf, k))
+
+
+def level_points(s):
+    """x at or next to the quantile of s at a drawn level, tiny and huge values, or moderate ones."""
+    levels = st.one_of(
+        st.floats(1e-300, 1.0, exclude_max=True), st.sampled_from([1e-300, 1e-30, 0.5, 1.0 - 2.0**-53])
+    )
+    return st.one_of(
+        st.builds(lambda u, k: nudged(s.quantile_lower(u), k), levels, st.integers(-1, 1)).filter(math.isfinite),
+        st.sampled_from([0.0, 1e-300, -1e-300, 5e-324, -1e300, 1e300]),
+        st.floats(-1e3, 1e3),
+    )
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_lazy_sum_cdfs_are_bitwise_the_bisection_ones(data):
+    s = data.draw(lazy_sums())
+    assert_bisection_cdfs(s, data.draw(level_points(s)))
+
+
 def abs_bases():
     """Non-discrete bases straddling zero: shifted power tails and comonotone sums."""
     theta = st.floats(min_value=0.5, max_value=4.0)

@@ -24,7 +24,7 @@ from quantrisk.distortions import (
     mixture_measure_of,
     spectral_of,
 )
-from quantrisk.distributions import Discrete, ParetoNegative, comonotone_sum
+from quantrisk.distributions import Discrete, ParetoNegative, ParetoPositive, comonotone_sum
 from quantrisk.errors import ParameterError
 from quantrisk.riskmeasures import choquet_risk, mixture_risk, quantile_risk
 from quantrisk.suite import Tolerances
@@ -157,6 +157,19 @@ def test_convex_three_way_agreement_on_tails(d, seed, theta, with_atoms):
         assert other.kind == q.kind
         if q.is_finite:
             assert abs(other.value - q.value) <= bound
+
+
+@settings(max_examples=20, deadline=None)
+@given(piecewise_distortions(convex=True), st.floats(2.0, 4.0), st.floats(2.0, 4.0), st.floats(-3.0, 3.0))
+def test_convex_three_way_agreement_on_two_tail_sums(d, theta1, theta2, c):
+    # Choquet reads the CDF of the lazy sum, which inverts the summed quantile
+    # in the level; the quantile and mixture forms never call it
+    dist = comonotone_sum(ParetoNegative(1.0, theta1), ParetoPositive(1.0, theta2)).shift(c)
+    tol = Tolerances()
+    q = quantile_risk(dist, d)
+    assert q.is_finite
+    assert abs(choquet_risk(dist, d).value - q.value) <= tol.quantile_choquet
+    assert abs(mixture_risk(dist, d).value - q.value) <= tol.mixture
 
 
 class TestAtomAtZero:

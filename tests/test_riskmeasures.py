@@ -18,7 +18,8 @@ from quantrisk.distributions import (
     comonotone_sum,
     point_mass,
 )
-from quantrisk.errors import NotSpectralError, ParameterError
+from quantrisk import riskmeasures
+from quantrisk.errors import InconclusiveError, NotSpectralError, ParameterError
 from quantrisk.riskmeasures import (
     DomainClass,
     Verdict,
@@ -209,6 +210,33 @@ class TestShortfallInfimum:
     def test_requires_integrable_positive_part(self):
         with pytest.raises(ParameterError):
             expected_shortfall_infimum(ParetoPositive(1.0, 0.5), 0.5)
+
+    @pytest.fixture
+    def bounded_search(self, monkeypatch):
+        # the search used to loop forever here; fail instead of hanging
+        calls = 0
+        stop_loss = riskmeasures._stop_loss
+
+        def counted(dist, c):
+            nonlocal calls
+            calls += 1
+            assert calls < 20_000, "the infimum search did not stop"
+            return stop_loss(dist, c)
+
+        monkeypatch.setattr(riskmeasures, "_stop_loss", counted)
+
+    @pytest.mark.parametrize("scale", [1e6, 1e7, 1e100])
+    def test_stops_where_floats_are_coarser_than_the_tolerance(self, bounded_search, scale):
+        # 1e-10 is below an ulp of 2e6, so the bracket could never get that narrow
+        d = Discrete.from_samples([scale, 2.0 * scale, 3.0 * scale])
+        res = expected_shortfall_infimum(d, 0.5)
+        assert res.value == pytest.approx(expected_shortfall(d, 0.5).value, rel=1e-12)
+        assert res.minimizer == pytest.approx(2.0 * scale, rel=1e-12)
+
+    def test_objective_beyond_the_float_range_is_inconclusive(self, bounded_search):
+        # E[(X - c)+] / (1 - alpha) overflows below c ~ 1e308; it printed nan with exit 0
+        with pytest.raises(InconclusiveError, match="beyond the float range"):
+            expected_shortfall_infimum(Discrete.from_samples([1e308, -2.5, 4.0]), 0.9)
 
 
 def oracle_stop_loss(d, c):
