@@ -5,7 +5,6 @@ from .distortions import (
     DensityPiece,
     Distortion,
     DistortionMeasure,
-    GridDistortion,
     MixtureMeasure,
     Piece,
     SpectralDensity,
@@ -16,7 +15,6 @@ from .distortions import (
     is_convex,
     make_named,
     measure_of,
-    midpoint_convexity,
     mixture_measure_of,
     spectral_of,
     sqrt_example_distortion,

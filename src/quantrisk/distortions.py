@@ -30,7 +30,6 @@ __all__ = [
     "Piece",
     "DensityPiece",
     "Distortion",
-    "GridDistortion",
     "DistortionMeasure",
     "SpectralDensity",
     "MixtureMeasure",
@@ -43,7 +42,6 @@ __all__ = [
     "threshold_distortion",
     "sqrt_example_distortion",
     "is_convex",
-    "midpoint_convexity",
     "measure_of",
     "spectral_of",
     "distortion_of",
@@ -52,11 +50,6 @@ __all__ = [
 
 _MASS_TOL = 1e-12
 _JUMP_TOL = 1e-12
-
-# lattice for the grid-based convexity check on opaque distortions
-_GRID_U = 512
-_GRID_EPS = 1024
-
 
 @dataclass(frozen=True, kw_only=True)
 class Piece:
@@ -304,31 +297,6 @@ class Distortion(_Piecewise):
         return f"Distortion({self.label()})"
 
 
-class GridDistortion:
-    """Opaque distortion given only by a callable.
-
-    Supports evaluation and the lattice midpoint convexity check; the exact
-    structural operations require the piecewise representation.
-    """
-
-    def __init__(self, fn, name: str | None = None):
-        self._fn = fn
-        self.name = name
-        if abs(float(fn(0.0))) > 1e-9 or abs(float(fn(1.0)) - 1.0) > 1e-9:
-            raise ParameterError("callable distortion must map 0 to 0 and 1 to 1")
-
-    def eval(self, u):
-        arr = np.asarray(u, dtype=float)
-        if np.any((arr < 0.0) | (arr > 1.0)):
-            raise ParameterError("distortion argument must lie in [0,1]")
-        if np.isscalar(u) or arr.ndim == 0:
-            return float(self._fn(float(u)))
-        return np.array([float(self._fn(float(v))) for v in arr])
-
-    def label(self) -> str:
-        return self.name or "callable"
-
-
 # ---------------------------------------------------------------------------
 # named families
 
@@ -421,8 +389,8 @@ def measure_of(distortion: Distortion) -> DistortionMeasure:
     return distortion.measure
 
 
-def is_convex(distortion) -> ConvexityResult:
-    """Exact convexity decision for piecewise distortions, lattice check otherwise.
+def is_convex(distortion: Distortion) -> ConvexityResult:
+    """Exact convexity decision for a piecewise distortion.
 
     A piecewise distortion can only fail convexity at a jump, inside a
     concave piece or where the slope drops across a knot.  Each such place
@@ -431,8 +399,6 @@ def is_convex(distortion) -> ConvexityResult:
     ``2 D(u) > D(u-eps) + D(u+eps)``.  Knots are judged on ``_slope``, so a
     concave piece enters and leaves with its chord slope.
     """
-    if not isinstance(distortion, Distortion):
-        return midpoint_convexity(distortion)
     pieces = distortion.pieces
     suspects = itertools.chain(  # jumps, concave pieces, slope drops at knots
         ((loc, None) for loc, _height in distortion.jumps()),
@@ -473,27 +439,6 @@ def _shrink_witness(distortion, u: float, eps: float | None = None) -> tuple[flo
             return (u, eps)
         eps *= 0.5
     return None
-
-
-def midpoint_convexity(distortion, u_grid: int = _GRID_U, eps_grid: int = _GRID_EPS) -> ConvexityResult:
-    """Midpoint test on the (u, eps) lattice; works on any evaluable distortion.
-
-    Scans u = k/u_grid, eps = j/eps_grid with eps < min(u, 1-u); returns the
-    first violation (smallest u, then smallest eps).
-    """
-    for k in range(1, u_grid):
-        u = k / u_grid
-        du = float(distortion.eval(u))
-        cap = min(u, 1.0 - u)
-        eps = np.arange(1, eps_grid) / eps_grid
-        eps = eps[eps < cap]
-        if len(eps) == 0:
-            continue
-        bad = 2.0 * du > np.asarray(distortion.eval(u - eps)) + np.asarray(distortion.eval(u + eps)) + 1e-12
-        if np.any(bad):
-            j = int(np.argmax(bad))
-            return ConvexityResult(False, (u, float(eps[j])))
-    return ConvexityResult(True)
 
 
 class SpectralDensity(_Piecewise):

@@ -315,22 +315,20 @@ def _judge_partials(partials) -> Verdict:
 # the three representations
 
 
-def quantile_risk(dist: Distribution, distortion, *, epsabs: float = QUAD_TOL) -> RiskValue:
+def quantile_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = QUAD_TOL) -> RiskValue:
     """Integral of the lower quantile function against the distortion measure.
 
-    Exact for discrete distributions (for any evaluable distortion); adaptive
-    quadrature with absolute tolerance ``epsabs`` otherwise.  There D's jumps
-    are summed exactly; q is integrated against the density of a convex
-    power piece, and against a concave one in the piece's own scale, where
-    its singular density disappears.  A divergent positive part yields the
-    not-in-domain flag, a divergent negative part alone yields -inf.
+    Exact for discrete distributions; adaptive quadrature with absolute
+    tolerance ``epsabs`` otherwise.  There D's jumps are summed exactly; q
+    is integrated against the density of a convex power piece, and against
+    a concave one in the piece's own scale, where its singular density
+    disappears.  A divergent positive part yields the not-in-domain flag, a
+    divergent negative part alone yields -inf.
     """
     if dist.is_discrete:
         levels = np.asarray(dist.cum)
         dw = np.diff(np.concatenate(([0.0], np.asarray(distortion.eval(levels), dtype=float))))
         return RiskValue.finite(float(np.dot(dist.values, dw)))
-    if not isinstance(distortion, Distortion):
-        raise ParameterError("non-discrete distributions require a piecewise distortion")
     flagged = _forced_value(dist, distortion)
     if flagged is not None:
         return flagged
@@ -343,7 +341,7 @@ def quantile_risk(dist: Distribution, distortion, *, epsabs: float = QUAD_TOL) -
     return RiskValue.finite(total)
 
 
-def choquet_risk(dist: Distribution, distortion, *, epsabs: float = QUAD_TOL) -> RiskValue:
+def choquet_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = QUAD_TOL) -> RiskValue:
     """Tail-integral form: distorted survival over (0,inf) minus distorted CDF over (-inf,0).
 
     One path for every input, cut in level space.  On the step [q(t), q+(t))
@@ -354,8 +352,6 @@ def choquet_risk(dist: Distribution, distortion, *, epsabs: float = QUAD_TOL) ->
     each call with absolute tolerance ``epsabs / 4``.  A discrete input is
     all steps and calls no quadrature.  All terms are summed in one fsum.
     """
-    if not (dist.is_discrete or isinstance(distortion, Distortion)):
-        raise ParameterError("non-discrete distributions require a piecewise distortion")
     flagged = _forced_value(dist, distortion)
     if flagged is not None:
         return flagged
@@ -679,11 +675,10 @@ def compare_domains(d1: Distortion, d2: Distortion, delta: float = 0.25) -> Doma
 def _comparison_grid(d1, d2, delta) -> np.ndarray:
     pts = set(np.linspace(delta, 1.0, 2049)[:-1])
     for d in (d1, d2):
-        if isinstance(d, Distortion):
-            for p in d.pieces:
-                pts.add(p.lo)
-            for loc, _ in d.jumps():
-                pts.update((loc, loc - 1e-9, loc + 1e-9))
+        for p in d.pieces:
+            pts.add(p.lo)
+        for loc, _ in d.jumps():
+            pts.update((loc, loc - 1e-9, loc + 1e-9))
     return np.array(sorted(p for p in pts if delta <= p < 1.0))
 
 

@@ -9,14 +9,12 @@ from quantrisk.distortions import (
     ConvexityResult,
     DensityPiece,
     Distortion,
-    GridDistortion,
     Piece,
     SpectralDensity,
     distortion_of,
     is_convex,
     make_named,
     measure_of,
-    midpoint_convexity,
     mixture_measure_of,
     spectral_of,
 )
@@ -185,20 +183,6 @@ class TestConvexity:
     def test_var_witness_pinned(self):
         assert is_convex(NAMED["var(0.5)"]).witness == (0.5, 0.25)
         assert is_convex(NAMED["threshold(0.5)"]).witness == (0.5, 0.25)
-
-    @pytest.mark.parametrize("label", list(NAMED), ids=str)
-    def test_grid_test_agrees_with_structural(self, label):
-        assert midpoint_convexity(NAMED[label]).convex == is_convex(NAMED[label]).convex
-
-    def test_opaque_distortion_uses_grid_path(self):
-        opaque = GridDistortion(lambda u: u * u, name="square")
-        assert is_convex(opaque).convex
-        bumpy = GridDistortion(lambda u: min(1.0, math.sqrt(u)), name="root")
-        res = is_convex(bumpy)
-        assert not res.convex
-        u, eps = res.witness
-        assert 2 * bumpy.eval(u) > bumpy.eval(u - eps) + bumpy.eval(u + eps)
-
 
     def test_violation_below_the_margin_counts_as_convex(self):
         # the concave piece bends by about 1e-301, below the midpoint test's

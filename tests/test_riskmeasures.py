@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from quantrisk.distortions import GridDistortion, is_convex, make_named
+from quantrisk.distortions import is_convex, make_named
 from quantrisk.distributions import (
     Discrete,
     Distribution,
@@ -95,22 +95,6 @@ class TestQuantileRisk:
 
     def test_higher_order_order_one_is_shortfall(self):
         assert expected_shortfall_higher_order(FOUR, 1, 0.5).as_float() == 3.5
-
-
-class TestOpaqueDistortion:
-    def test_discrete_risk_accepts_callables(self):
-        from quantrisk.distortions import GridDistortion
-
-        square = GridDistortion(lambda u: u * u, name="square")
-        got = quantile_risk(FOUR, square).as_float()
-        want = quantile_risk(FOUR, make_named("es_n", n=2, alpha=0.0)).as_float()
-        assert abs(got - want) < 1e-12
-
-    def test_non_discrete_requires_piecewise(self):
-        from quantrisk.distortions import GridDistortion
-
-        with pytest.raises(ParameterError):
-            quantile_risk(ParetoNegative(1.0), GridDistortion(lambda u: u))
 
 
 class TestChoquetAgreement:
@@ -321,10 +305,7 @@ class TestDiscreteEngine:
     @given(dist=large_discretes())
     @settings(max_examples=40, deadline=None)
     def test_choquet_equals_loop_exactly(self, dist):
-        from quantrisk.distortions import GridDistortion
-
-        families = SIX_FAMILIES + (GridDistortion(lambda u: u * u, name="square"),)
-        for D in families:
+        for D in SIX_FAMILIES + (make_named("es_n", n=2, alpha=0.0),):
             assert choquet_risk(dist, D).as_float() == oracle_choquet_loop(dist, D)
 
     @pytest.mark.parametrize("n", [1_000, 10_000])
@@ -526,7 +507,7 @@ class TestOneChoquetPath:
     """Choquet cuts in level space: steps and flat stretches exact, quadrature only where D(F) moves."""
 
     @pytest.mark.parametrize(
-        "D", SIX_FAMILIES + (GridDistortion(lambda u: u * u, name="square"),), ids=lambda D: D.label()
+        "D", SIX_FAMILIES + (make_named("es_n", n=2, alpha=0.0),), ids=lambda D: D.label()
     )
     def test_discrete_choquet_makes_no_quadrature_call(self, monkeypatch, D):
         import quantrisk.riskmeasures as rm
