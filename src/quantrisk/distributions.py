@@ -12,7 +12,6 @@ from __future__ import annotations
 import bisect
 import math
 import struct
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -230,7 +229,7 @@ class Discrete(Distribution):
             weights = np.asarray(weights, dtype=float)
             if weights.shape != samples.shape:
                 raise ParameterError("weights must match samples in length")
-            if np.any(weights < 0):
+            if not np.all(weights >= 0):  # NaN too
                 raise ParameterError("weights must be non-negative")
         keep = weights > 0
         samples, weights = samples[keep], weights[keep]
@@ -609,13 +608,14 @@ class _AbsMixed(Distribution):
     """|X| for a non-discrete base X straddling zero, evaluated in level space.
 
     The CDF F(x) - F(-x-) is exact up to the rounding of that difference,
-    which loses relative accuracy where it is small.  |X| <= x holds on the
-    base levels (s, s+u] exactly when q(s+u) <= x and q+(s) >= -x, so the
-    quantile at u is the least over s of max(q(s+u), -q+(s)): one bracketing
-    search in s over the base quantiles finds it, and a bisection over a few
-    floats around it makes the float Galois relation hold exactly,
-    ``quantile_lower(u) <= x`` iff ``u <= cdf(x)``.  Quantile integrals are
-    closed form in the base's CDF and quantile integrals.
+    which loses relative accuracy where it is small.  A quantile is the
+    least float x where that CDF reaches the level, so the float Galois
+    relation ``quantile_lower(u) <= x`` iff ``u <= cdf(x)`` holds exactly.
+    :func:`_search` finds it twice: in the level s, where the base
+    quantiles bound |X| <= x on the levels (s, s+u], for an estimate
+    (``_window``), then in x around the estimate on the CDF itself
+    (``_least``).  Quantile integrals are closed form in the base's CDF
+    and quantile integrals.
     """
 
     def __init__(self, base: Distribution):
@@ -632,56 +632,79 @@ class _AbsMixed(Distribution):
         return self.base.cdf_left(x) - self.base.cdf(-x)
 
     def quantile_lower(self, u):
-        u = _check_level(u)
-        return _polish(lambda x: self.cdf(x) >= u, self._window_min(u))
+        return self._least(self.cdf, _check_level(u))
 
     def quantile_upper(self, u):
-        u = _check_level(u)
-        return _polish(lambda x: self.cdf_left(x) > u, self._window_min(u))
+        return self._least(self.cdf_left, math.nextafter(_check_level(u), 1.0))
 
-    def _window_min(self, u):
-        """min over s in [0, 1-u] of max(q(s+u), -q+(s)), to a few ulps.
+    def _least(self, cdf, v):
+        """Least float x >= 0 with cdf(x) >= v; cdf_left(x) > u is cdf_left(x) >= the float above u.
 
-        The left bound L(s) = -q+(s) falls and the right bound R(s) = q(s+u)
-        rises, so the minimum sits where they cross.  Regula falsi on R - L
-        (Illinois variant, bisecting while a bound is infinite) shrinks a
-        bracket [a, b] around the crossing; the minimum then lies in
-        [max(L(b), R(a)), min(L(a), R(b))], and the search stops once that
-        is a few ulps wide.
+        First the window's estimate and its neighbour: two CDF calls when the
+        estimate is exact.  Then :func:`_search` in x, bracketed by the
+        estimate and the point w past it, or 0 or inf if the test is wrong
+        there too, on the sign of cdf(x) - v only: at small levels that is a
+        staircase whose values place no step, and a power-of-two w puts the
+        bisection points on the base quantile's float grid and halfway between.
+        """
+
+        def side(x):
+            return -1.0 if cdf(x) < v else 1.0
+
+        est, w = self._window(v)
+        if side(est) > 0.0:
+            lo, hi = max(math.nextafter(est, 0.0), 0.0), est
+            if hi > 0.0 and side(lo) > 0.0:
+                lo = max(est - w, 0.0)
+                if side(lo) > 0.0:
+                    lo, hi = 0.0, lo
+                    if hi == 0.0 or side(0.0) > 0.0:
+                        return 0.0
+        else:
+            lo, hi = est, math.nextafter(est, math.inf)
+            if side(hi) < 0.0:
+                hi = est + w
+                if side(hi) < 0.0:
+                    lo, hi = hi, math.inf
+        return _search(side, lo, hi, -1.0, 1.0, math.inf)[1]
+
+    def _window(self, v):
+        """Estimate of the least x with cdf(x) >= v from the base quantiles alone, and a step w.
+
+        F(x) >= t iff x >= q(t), and F(-x-) <= s iff x >= -q(s+) (s+ the float
+        above s), so F(x) - F(-x-) >= v holds in floats iff x >= R(s) = q(t),
+        t the least float with t - s >= v, and x >= L(s) = -q(s+) for some s.
+        R rises and L falls in s: :func:`_search` on R - L finds where they
+        cross, exact where q inverts F exactly.  Rounding in q moves the
+        answer by about the step of R or L across the crossing, so w is the
+        least power of two above the larger step and above 4 ulps.
         """
         base = self.base
-        lo, hi = base.support()
+        low, high = base.support()
+        q, below_one = base.quantile_lower, math.nextafter(1.0, 0.0)
+        reach = {}
 
-        def reach(s):
-            left = -lo if s <= 0.0 else -base.quantile_upper(s)
-            return left, hi if s + u >= 1.0 else base.quantile_lower(s + u)
+        def gap(s):
+            t = s + v  # moved to the least float t with t - s >= v
+            while t - s < v:
+                t = math.nextafter(t, 1.0)
+            while math.nextafter(t, 0.0) - s >= v:
+                t = math.nextafter(t, 0.0)
+            right = q(t) if t < 1.0 else high
+            left = -q(math.nextafter(s, 1.0)) if 0.0 < s < below_one else -low if s <= 0.0 else -high
+            reach[s] = right, left
+            return right - left
 
-        a, b = 0.0, min(1.0 - u, math.nextafter(1.0, 0.0))
-        la, ra = reach(a)
-        if ra >= la:
-            return ra
-        lb, rb = reach(b)
-        if rb < lb:
-            return lb
-        ga, gb = ra - la, rb - lb  # ga < 0 <= gb
-        kept = 0  # -1 or 1 when the last step left a or b in place
-        for _ in range(200):
-            if min(la, rb) <= max(lb, ra) + 4.0 * math.ulp(max(lb, ra)):
-                break
-            d = gb - ga
-            s = b - gb * (b - a) / d if math.isfinite(d) and d > 0.0 else 0.5 * (a + b)
-            if not a < s < b:
-                s = 0.5 * (a + b)
-                if not a < s < b:
-                    break
-            ls, rs = reach(s)
-            if rs >= ls:
-                b, lb, rb, gb = s, ls, rs, rs - ls
-                ga, kept = (0.5 * ga if kept == -1 else ga), -1
-            else:
-                a, la, ra, ga = s, ls, rs, rs - ls
-                gb, kept = (0.5 * gb if kept == 1 else gb), 1
-        return min(la, rb)
+        top = (1.0 - v) + 0.5 * (v - math.nextafter(v, 0.0))  # the largest s with 1 - s >= v, or next to it
+        while 1.0 - top < v:
+            top = math.nextafter(top, 0.0)
+        while 1.0 - math.nextafter(top, 1.0) >= v:
+            top = math.nextafter(top, 1.0)
+        a, b = _search(gap, 0.0, top, gap(0.0), gap(top), top)
+        (ra, la), (rb, lb) = reach[a], reach[b]
+        est = max(min(max(ra, la), max(rb, lb)), 0.0)
+        w = max((d for d in (la - lb, rb - ra) if d < math.inf), default=0.0)
+        return est, math.ldexp(1.0, math.frexp(max(w, 4.0 * math.ulp(est)))[1])
 
     def quantile_integral(self, a, b):
         """Closed form of the integral of q over (a, b).
@@ -745,7 +768,8 @@ class ComonotoneSum(Distribution):
     operand's CDF.  With two non-discrete operands the CDF inverts the
     summed quantile in the level by :func:`_invert_level`: the largest float
     u with q(u) <= x (q(u) < x for ``cdf_left``), so the float Galois
-    relation holds exactly, found by safeguarded regula falsi.
+    relation holds exactly, found by the safeguarded regula falsi of
+    :func:`_search`.
     """
 
     def __init__(self, first: Distribution, second: Distribution):
@@ -859,44 +883,7 @@ def _heavier_tail(t1, t2):
     return t1 if t1.theta < t2.theta else t2
 
 
-def _polish(pred, x):
-    """Smallest float x' >= 0 with pred(x') true, pred monotone, searched outward from the estimate x.
-
-    The estimate is usually exact, so the first step out is one ulp: pred
-    then runs twice, at x and at its neighbour.  Otherwise the step doubles
-    until pred changes across it, and the bracket is bisected down to
-    adjacent floats; inf is returned when pred holds at no finite float.
-    """
-    x = min(x, sys.float_info.max)
-    step = math.ulp(x)
-    lo = hi = x
-    if pred(x):
-        while lo > 0.0:
-            lo = max(x - step, 0.0)
-            step *= 2.0
-            if not pred(lo):
-                break
-            hi = lo
-        else:
-            return 0.0
-    else:
-        while True:
-            hi = x + step
-            step *= 2.0
-            if hi == math.inf or pred(hi):
-                break
-            lo = hi
-    while True:  # pred is false at lo and true at hi
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            return hi
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-
-
-_DEEP = 2.0**-10  # within it of 0 or 1 the level bracket is split in float bit order
+_DEEP = 2.0**-10  # within _DEEP * top of 0 or of top, [0, top] is split in float bit order
 
 
 def _bits(u):
@@ -907,66 +894,74 @@ def _from_bits(i):
     return struct.unpack("<d", struct.pack("<q", i))[0]
 
 
-def _split(a, b):
-    """Bisection point of the level bracket (a, b), a and b not adjacent floats.
+def _search(f, a, b, ga=-math.inf, gb=math.inf, top=1.0):
+    """Shrink [a, b] in [0, top] to adjacent floats around the flip of a monotone test.
 
-    The midpoint, or within ``_DEEP`` of 0 or 1 the midpoint in float bit
-    order of the distances to that end (the float below 1 is 2**-53 from
-    it), which halves their exponent range.
+    f(s) < 0 puts s on a's side, anything else (0, NaN) on b's side: only
+    its sign decides, its value places the next step.  ga and gb are f at a
+    and b, infinite when unknown; f is never called at a or b, and when ga
+    or gb is on the wrong side, (a, a) or (b, b) is the answer.  Steps are
+    Illinois regula falsi, 4 ulps inside the bracket.  It is bisected
+    instead while an end's value is infinite, after a step onto a flat
+    stretch of f that falsi would creep along (the replaced end had the
+    smaller value), after two steps that did not halve it, and while within
+    ``_DEEP * top`` of 0 or top it spans over a factor of two in the
+    distance to that end, where it is split in float bit order of that
+    distance (everywhere when top is inf).  So every third step at least
+    bisects or halves it, and a call costs at most about three times the
+    60-odd steps of a bisection.
     """
-    if b <= _DEEP:
-        s = _from_bits((_bits(a) + _bits(b)) // 2)
-    elif a >= 1.0 - _DEEP:
-        s = 1.0 - _from_bits((_bits(1.0 - a) + _bits(max(1.0 - b, 2.0**-53))) // 2)
-    else:
-        s = 0.5 * (a + b)
-    return s if a < s < b else 0.5 * (a + b)
-
-
-def _invert_level(q, x, strict=False):
-    """Largest float u in [0, 1) with q(u) <= x (q(u) < x when strict), for nondecreasing q.
-
-    This is the measure of {u : q(u) <= x} in floats, bitwise what bisection
-    in u down to adjacent floats returns, and 0.0 when no positive float
-    qualifies; q is never called at 0 or 1.  The bracket [a, b] keeps
-    q(a) <= x < q(b).  Each step compares q(s) with x directly; the
-    difference q - x only places the next step, and one that rounds to 0
-    counts as an ulp of x.  Steps are Illinois regula falsi, kept at least
-    4 ulps inside the bracket.  The bracket is bisected instead (by
-    :func:`_split`) while a bound's difference is infinite, after a step that
-    found the value of the bound it replaced (a flat stretch of q, such as
-    q == x), when two steps in a row failed to halve its width, and while it
-    lies within ``_DEEP`` of 0 or 1 but spans more than a factor of two in
-    the distance to that end.  So at least every third step is a bisection
-    or halves the bracket, and a call costs at most about three times the
-    60-odd calls of q a bisection makes, and usually far fewer.
-    """
-    a, b, qa, qb, ga, gb = 0.0, 1.0, -math.inf, math.inf, -math.inf, math.inf
-    kept = 0  # -1 or 1 when the last falsi step left a or b in place
-    goal, misses = 0.5, 0  # width the next steps must reach, steps that did not
-    flat = False
-    while math.nextafter(a, 1.0) < b:
-        lo, hi = a + 4.0 * math.ulp(a), b - 4.0 * math.ulp(b)
-        falsi = (misses < 2 and not flat and lo < hi and -math.inf < ga < 0.0 < gb < math.inf
-                 and (b > _DEEP or b <= 2.0 * a) and (a < 1.0 - _DEEP or 1.0 - a <= 2.0 * (1.0 - b)))
-        s = min(max(b - gb * (b - a) / (gb - ga), lo), hi) if falsi else _split(a, b)
-        qs = q(s)
-        g = (qs - x) or (math.ulp(x) if strict else -math.ulp(x))
-        if qs < x or (not strict and qs == x):
-            flat = qs == qa
-            a, qa, ga = s, qs, g
+    if not ga < 0.0 or gb < 0.0:  # no flip inside: the test holds at a, or fails at b
+        return (b, b) if gb < 0.0 else (a, a)
+    kept = flat = 0  # -1 or 1: the end the last falsi step left in place, the end the last step found flat
+    goal, misses = 0.5 * (b - a), 0  # width the next steps must reach, steps in a row that did not
+    deep, high = _DEEP * top, (1.0 - _DEEP) * top
+    inf, ulp, nextafter = math.inf, math.ulp, math.nextafter
+    while nextafter(a, inf) < b:
+        lo, hi = a + 4.0 * ulp(a), b - 4.0 * ulp(b)
+        falsi = (misses < 2 and -inf < ga < 0.0 <= gb < inf and lo < hi and not flat * (ga + gb) < 0.0
+                 and (b > deep or b <= 2.0 * a) and (a < high or top - a <= 2.0 * (top - b)))
+        if falsi:
+            s = min(max(b - gb * (b - a) / (gb - ga), lo), hi)
+        elif b <= deep:
+            s = _from_bits((_bits(a) + _bits(b)) // 2)
+        elif a >= high:  # the float below top is top - nextafter(top, 0) from it
+            s = top - _from_bits((_bits(top - a) + _bits(max(top - b, top - nextafter(top, 0.0)))) // 2)
+        else:
+            s = 0.5 * (a + b)
+        if not a < s < b:
+            s = 0.5 * (a + b)
+        g = f(s)
+        if g < 0.0:
+            flat = -1 if g == ga else 0
+            a, ga = s, g
             if falsi:
                 gb, kept = (0.5 * gb if kept == 1 else gb), 1
         else:
-            flat = qs == qb
-            b, qb, gb = s, qs, g
+            flat = 1 if g == gb else 0
+            b, gb = s, g
             if falsi:
                 ga, kept = (0.5 * ga if kept == -1 else ga), -1
         if b - a <= goal or not falsi:
             goal, misses = 0.5 * (b - a), 0
         else:
             misses += 1
-    return a
+    return a, b
+
+
+def _invert_level(q, x, strict=False):
+    """Largest float u in [0, 1) with q(u) <= x (q(u) < x when strict), for nondecreasing q.
+
+    Bitwise what bisection in u down to adjacent floats returns; q is never
+    called at 0 or 1.  q(u) == x counts as an ulp of x on its side of x.
+    """
+    tie = math.ulp(x) if strict else -math.ulp(x)
+
+    def gap(u):
+        qu = q(u)
+        return qu - x if qu != x else tie
+
+    return _search(gap, 0.0, 1.0)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,63 @@
+"""Print float.hex of every |X| quantile and two-operand lazy-sum CDF on a fixed level set.
+
+Run by hand, not by pytest:
+
+    PYTHONPATH=src python tests/golden/lazy_hex.py > lazy_hex.txt
+
+Each line is ``node<TAB>method<TAB>argument<TAB>value``, arguments and values
+as ``float.hex``.  The results of these searches are fixed by their
+contract (the least or largest float where a monotone test holds), so two
+trees that keep it print identical files: diff one against the other.
+"""
+
+import math
+import sys
+
+from quantrisk.distributions import ParetoNegative, ParetoPositive, comonotone_sum
+
+COMO_TAILS = comonotone_sum(ParetoNegative(1.0, 3.0), ParetoPositive(1.0, 3.0))
+ABS = {
+    "abs_shift2": ParetoNegative(1.0, 2.0).shift(2.0).abs(),
+    "abs_shift5": ParetoNegative(1.0, 3.0).shift(5.0).abs(),
+    "abs_como_tails": COMO_TAILS.abs(),
+}
+SUMS = {
+    "como_tails": COMO_TAILS,
+    "pn1_pp0.8": comonotone_sum(ParetoNegative(1.0, 1.0), ParetoPositive(2.0, 0.8)),
+    "flat_start": comonotone_sum(
+        ParetoNegative(1.0, 2.0).shift(1.5).pos_part(), ParetoNegative(1.0, 3.0).shift(1.2).pos_part()
+    ),
+}
+# the level set of tests/test_distributions.py::TestAbsQuantileSearch
+LEVELS = sorted(
+    {(k + 0.5) / 500 for k in range(500)}
+    | {t for k in range(1, 16) for t in (10.0**-k, 1.0 - 10.0**-k)}
+    | {t for k in range(1, 54) for t in (2.0**-k, 1.0 - 2.0**-k)}
+    | {t for j in range(2, 301, 2) for t in (10.0 ** (-j / 20), 1.0 - 10.0 ** (-j / 20))}
+    | {math.nextafter(1.0, 0.0)}
+)
+SPECIAL_X = [0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e20, -1e20, 1e30, -1e30, 1e300, -1e300]
+
+
+def sum_points(s):
+    """x at the lower quantile of each level and at its two float neighbours, and SPECIAL_X."""
+    xs = set(SPECIAL_X)
+    for u in LEVELS:
+        x = s.quantile_lower(u)
+        xs.update(t for t in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)) if math.isfinite(t))
+    return sorted(xs)
+
+
+def main(out=sys.stdout):
+    for name, m in ABS.items():
+        for u in LEVELS:
+            for method in ("quantile_lower", "quantile_upper"):
+                out.write(f"{name}\t{method}\t{u.hex()}\t{getattr(m, method)(u).hex()}\n")
+    for name, s in SUMS.items():
+        for x in sum_points(s):
+            for method in ("cdf", "cdf_left"):
+                out.write(f"{name}\t{method}\t{x.hex()}\t{getattr(s, method)(x).hex()}\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -1,6 +1,7 @@
 """Distribution algebra: quantiles against brute-force oracles, transform laws."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -82,6 +83,13 @@ class TestDiscreteQuantiles:
             Discrete([1.0, 2.0], [0.5, 0.4])  # mass deficit
         with pytest.raises(ParameterError):
             Discrete([1.0, 2.0], [1.0, 0.0])  # zero probability atom
+
+    @pytest.mark.parametrize("weights", [[math.nan, 1.0], [1.0, math.nan], [math.nan, math.nan], [-1.0, 2.0]])
+    def test_sample_weights_must_be_non_negative_numbers(self, weights):
+        # a NaN weight failed both `weights < 0` and `weights > 0`, so its
+        # sample was dropped: [nan, 1.0] gave a point mass at 2
+        with pytest.raises(ParameterError, match="non-negative"):
+            Discrete.from_samples([1.0, 2.0], weights)
 
 
 class TestParetoNegative:
@@ -315,6 +323,21 @@ def bisection_level_cdf(dist, x, strict=False):
             hi = mid
 
 
+def bisection_abs_quantile(m, u, upper=False):
+    """Least float x >= 0 with cdf(x) >= u (cdf_left(x) > u when upper), by bisection over [0, inf] in bit order."""
+    holds = (lambda x: m.cdf_left(x) > u) if upper else (lambda x: m.cdf(x) >= u)
+    if holds(0.0):
+        return 0.0
+    lo, hi = 0, struct.unpack("<q", struct.pack("<d", math.inf))[0]  # bit patterns: holds fails at lo, holds at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(struct.unpack("<d", struct.pack("<q", mid))[0]):
+            hi = mid
+        else:
+            lo = mid
+    return struct.unpack("<d", struct.pack("<q", hi))[0]
+
+
 def small_stratified_normal(n, seed):
     from scipy.special import ndtri
 
@@ -374,21 +397,34 @@ class TestComonotoneStepCdf:
             assert g.tobytes() == w.tobytes()
 
 
+def counted(node, method, arg, inner):
+    """(node.method(arg), calls the lazy node makes of its own methods named in inner meanwhile).
+
+    A lazy sum inverts its summed quantile (``quantile_lower``) for a CDF;
+    |X| searches its own ``cdf`` and ``cdf_left`` for a quantile.
+    """
+    calls = 0
+
+    def counting(f):
+        def call(*args):
+            nonlocal calls
+            calls += 1
+            return f(*args)
+
+        return call
+
+    for name in inner:
+        setattr(node, name, counting(getattr(node, name)))
+    try:
+        return getattr(node, method)(arg), calls
+    finally:
+        for name in inner:
+            delattr(node, name)
+
+
 def counted_cdf(s, x, strict=False):
     """(cdf(x), or cdf_left(x) when strict, of the lazy sum s; calls of its summed quantile)."""
-    calls = 0
-    quantile = s.quantile_lower
-
-    def counting(u):
-        nonlocal calls
-        calls += 1
-        return quantile(u)
-
-    s.quantile_lower = counting
-    try:
-        return (s.cdf_left if strict else s.cdf)(x), calls
-    finally:
-        del s.quantile_lower
+    return counted(s, "cdf_left" if strict else "cdf", x, ("quantile_lower",))
 
 
 def assert_bisection_cdfs(s, x):
@@ -507,15 +543,55 @@ def test_abs_quantiles_satisfy_the_float_galois_relation(base, u):
     assert qu == math.inf or m.cdf_left(qu) > u
     assert m.cdf_left(math.nextafter(qu, 0.0)) <= u
     assert q <= qu
+    assert q.hex() == bisection_abs_quantile(m, u).hex()
+    assert qu.hex() == bisection_abs_quantile(m, u, upper=True).hex()
 
 
 def test_abs_upper_quantile_where_cdf_left_never_exceeds_the_level():
     # in floats cdf_left stays at the last level below 1 up to x = inf, so
-    # no finite float qualifies; the outward search must stop at inf
+    # no finite float qualifies; the search must end at inf
     m = comonotone_sum(ParetoNegative(1.0, 3.9), ParetoPositive(1.0, 1.8)).shift(0.04).abs()
     u = math.nextafter(1.0, 0.0)
     assert m.quantile_upper(u) == math.inf
     assert m.cdf(m.quantile_lower(u)) >= u
+
+
+ABS_INPUTS = {
+    "abs_shift2": ParetoNegative(1.0, 2.0).shift(2.0).abs(),
+    "abs_shift5": ParetoNegative(1.0, 3.0).shift(5.0).abs(),
+    "abs_como_tails": COMO_TAILS.abs(),
+}
+# uniform levels, decimal and dyadic tails on both sides, and the float below 1
+ABS_LEVELS = sorted(
+    {(k + 0.5) / 500 for k in range(500)}
+    | {t for k in range(1, 16) for t in (10.0**-k, 1.0 - 10.0**-k)}
+    | {t for k in range(1, 54) for t in (2.0**-k, 1.0 - 2.0**-k)}
+    | {t for j in range(2, 301, 2) for t in (10.0 ** (-j / 20), 1.0 - 10.0 ** (-j / 20))}
+    | {math.nextafter(1.0, 0.0)}
+)
+
+
+class TestAbsQuantileSearch:
+    @pytest.mark.parametrize("name", ABS_INPUTS)
+    def test_quantiles_are_bitwise_the_bisection_ones(self, name):
+        m = ABS_INPUTS[name]
+        assert len(ABS_LEVELS) >= 900
+        for u in ABS_LEVELS:
+            assert m.quantile_lower(u).hex() == bisection_abs_quantile(m, u).hex(), u
+            assert m.quantile_upper(u).hex() == bisection_abs_quantile(m, u, upper=True).hex(), u
+
+    @pytest.mark.parametrize("name", ABS_INPUTS)
+    @pytest.mark.parametrize("method", ["quantile_lower", "quantile_upper"])
+    @pytest.mark.parametrize("u", [1e-12, 1e-6, 1.0 - 1e-9, 1.0 - 1e-15])
+    def test_cdf_calls_at_deep_levels(self, name, method, u):
+        # where s + u rounds coarsely: the estimate must use the float levels the CDF rounds to
+        assert counted(ABS_INPUTS[name], method, u, ("cdf", "cdf_left"))[1] <= 20
+
+    @pytest.mark.parametrize("name", ABS_INPUTS)
+    @pytest.mark.parametrize("method", ["quantile_lower", "quantile_upper"])
+    def test_cdf_calls_at_uniform_levels(self, name, method):
+        counts = [counted(ABS_INPUTS[name], method, (k + 0.5) / 500, ("cdf", "cdf_left"))[1] for k in range(500)]
+        assert sum(counts) / len(counts) <= 5
 
 
 class TestAbsQuantileIntegral:
