@@ -646,6 +646,8 @@ class _AbsMixed(Distribution):
         there too, on the sign of cdf(x) - v only: at small levels that is a
         staircase whose values place no step, and a power-of-two w puts the
         bisection points on the base quantile's float grid and halfway between.
+        Its top is twice the bracket's upper end, so it splits at plain
+        midpoints down to 1/512 of that end and in bit order below.
         """
 
         def side(x):
@@ -666,7 +668,7 @@ class _AbsMixed(Distribution):
                 hi = est + w
                 if side(hi) < 0.0:
                     lo, hi = hi, math.inf
-        return _search(side, lo, hi, -1.0, 1.0, math.inf)[1]
+        return _search(side, lo, hi, -1.0, 1.0, 2.0 * hi)[1]
 
     def _window(self, v):
         """Estimate of the least x with cdf(x) >= v from the base quantiles alone, and a step w.
