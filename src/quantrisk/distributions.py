@@ -3,8 +3,8 @@
 Every distribution exposes its CDF (with left limits), both generalized
 inverses, and exact integrals of the lower quantile function.  The algebra
 is closed under positive scaling, shifts, positive/negative part, absolute
-value and comonotone addition; discrete inputs are transformed eagerly into
-new atom lists, parametric tails stay symbolic.
+value and comonotone addition; discrete inputs are transformed eagerly, by
+mapping their atoms and cumulative levels, parametric tails stay symbolic.
 """
 
 from __future__ import annotations
@@ -86,26 +86,18 @@ def _check_level(u: float) -> float:
     return u
 
 
-def _fsum(xs) -> float:
-    """``math.fsum``, or inf when a partial sum leaves the float range."""
-    try:
-        return math.fsum(xs)
-    except OverflowError:
-        return math.inf
-
-
 def _compensated_cumsum(xs) -> np.ndarray:
-    """Running Kahan sum; keeps cumulative probabilities tie-exact."""
-    out = np.empty(len(xs))
-    total = 0.0
-    carry = 0.0
-    for i, x in enumerate(xs):
-        y = float(x) - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-        out[i] = total
-    return out
+    """Running sum carrying each step's exact rounding error: exact for integer masses.
+
+    ``numpy.cumsum`` plus the running sum of its TwoSum step errors.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite total is refused by the callers
+        run = xs.cumsum()
+        prev = np.concatenate(([0.0], run[:-1]))
+        back = run - prev
+        err = (prev - (run - back)) + (xs - back)
+    err[np.isnan(err)] = 0.0  # past an overflow, where the sum stays inf
+    return run + err.cumsum()
 
 
 class Distribution:
@@ -191,11 +183,16 @@ class Distribution:
 
 
 class Discrete(Distribution):
-    """Finitely supported distribution given by sorted atoms.
+    """Finitely supported distribution: atoms ``values`` at cumulative levels ``cum``.
 
     ``values`` must be strictly increasing and ``probs`` strictly positive
-    with total mass 1 within 1e-12.  Duplicate sample values are merged by
-    the ``from_samples`` constructor, not here.
+    with total mass 1 within 1e-12.  ``cum`` is the running sum of ``probs``
+    with every step's rounding error carried, divided by its last entry,
+    which is then exactly 1.  The quantile is ``values[i]`` on the levels
+    (cum[i-1], cum[i]]: every derived discrete is built from these levels by
+    :func:`_from_levels`, and its ``probs`` are their differences.
+    Duplicate sample values are merged by the ``from_samples`` constructor,
+    not here.
     """
 
     def __init__(self, values, probs):
@@ -209,17 +206,24 @@ class Discrete(Distribution):
             raise ParameterError("atom values must be strictly increasing")
         if np.any(probs <= 0):
             raise ParameterError("atom probabilities must be strictly positive")
-        total = _fsum(probs.tolist())
-        if not abs(total - 1.0) <= _ATOM_TOL:
-            raise ParameterError(f"atom probabilities must sum to 1 within {_ATOM_TOL}, got {total!r}")
+        run = _compensated_cumsum(probs)
+        if not abs(run[-1] - 1.0) <= _ATOM_TOL:
+            raise ParameterError(f"atom probabilities must sum to 1 within {_ATOM_TOL}, got {float(run[-1])!r}")
         self.values = values
         self.probs = probs
-        self.cum = _compensated_cumsum(probs)
-        self.cum[-1] = 1.0
+        self.cum = run / run[-1]
 
     @classmethod
     def from_samples(cls, samples, weights=None) -> Discrete:
-        """Empirical distribution; equal weights unless given, duplicates merged."""
+        """Empirical distribution; equal weights unless given, duplicates merged.
+
+        One stable sort: the level of the k-th sorted sample is the running
+        sum of the sorted weights over their total, within one float of the
+        correctly rounded exact level, and the float k/n for equal weights.
+        A run of equal samples is one atom at the run's last level; a sample
+        whose level does not rise (zero weight, or too light to move a float
+        level) is dropped.
+        """
         samples = np.asarray(samples, dtype=float)
         if samples.ndim != 1 or len(samples) == 0:
             raise ParameterError("need at least one sample value")
@@ -231,19 +235,13 @@ class Discrete(Distribution):
                 raise ParameterError("weights must match samples in length")
             if not np.all(weights >= 0):  # NaN too
                 raise ParameterError("weights must be non-negative")
-        keep = weights > 0
-        samples, weights = samples[keep], weights[keep]
-        if len(samples) == 0:
-            raise ParameterError("total weight must be positive")
         order = np.argsort(samples, kind="stable")
-        values, inverse = np.unique(samples[order], return_inverse=True)
-        masses = np.zeros(len(values))
-        with np.errstate(over="ignore"):  # an infinite total is refused below
-            np.add.at(masses, inverse, weights[order])
-        total = _fsum(masses.tolist())
-        if total == math.inf:
+        run = _compensated_cumsum(weights[order])
+        if not run[-1] < math.inf:  # NaN too
             raise ParameterError("total weight must be finite")
-        return cls(values, masses / total)
+        if run[-1] == 0.0:
+            raise ParameterError("total weight must be positive")
+        return _from_levels(samples[order], run / run[-1])
 
     def cdf(self, x: float) -> float:
         idx = int(np.searchsorted(self.values, x, side="right"))
@@ -980,17 +978,17 @@ def transform(dist: Distribution, op) -> Distribution:
         if op.factor == 1.0:
             return dist
         if isinstance(dist, Discrete):
-            return _move_discrete(dist, dist.values * op.factor)
+            return _from_levels(dist.values * op.factor, dist.cum)
         return _Scaled(dist, op.factor)
     if isinstance(op, Shift):
         if op.offset == 0.0:
             return dist
         if isinstance(dist, Discrete):
-            return _move_discrete(dist, dist.values + op.offset)
+            return _from_levels(dist.values + op.offset, dist.cum)
         return _Shifted(dist, op.offset)
     if isinstance(op, PosPart):
         if isinstance(dist, Discrete):
-            return Discrete.from_samples(np.maximum(dist.values, 0.0), dist.probs)
+            return _from_levels(np.maximum(dist.values, 0.0), dist.cum)
         lo, hi = dist.support()
         if lo >= 0:
             return dist
@@ -998,11 +996,9 @@ def transform(dist: Distribution, op) -> Distribution:
             return point_mass(0.0)
         return _PosPart(dist)
     if isinstance(op, NegPart):
-        if isinstance(dist, Discrete):
-            return Discrete.from_samples(np.maximum(-dist.values, 0.0), dist.probs)
         return transform(_negate(dist), PosPart())
     if isinstance(op, Abs):
-        if isinstance(dist, Discrete):
+        if isinstance(dist, Discrete):  # |x| is not monotone: the atoms are sorted again
             return Discrete.from_samples(np.abs(dist.values), dist.probs)
         lo, hi = dist.support()
         if lo >= 0:
@@ -1014,45 +1010,44 @@ def transform(dist: Distribution, op) -> Distribution:
 
 
 def _negate(dist: Distribution) -> Distribution:
-    if isinstance(dist, Discrete):
-        return Discrete.from_samples(-dist.values, dist.probs)
+    if isinstance(dist, Discrete):  # P(-X <= -v_i) = 1 - cum[i-1]
+        return _from_levels(-dist.values[::-1], np.append(1.0 - dist.cum[-2::-1], 1.0))
     if isinstance(dist, _Negated):
         return dist.base
     return _Negated(dist)
 
 
-def _move_discrete(dist: Discrete, new_values: np.ndarray) -> Discrete:
-    """``dist`` with its atoms moved by an increasing map, masses and levels kept.
+def _from_levels(values: np.ndarray, cum: np.ndarray) -> Discrete:
+    """The discrete whose quantile is ``values[i]`` on the levels (cum[i-1], cum[i]].
 
-    Rounding can map adjacent atoms onto one value; those are merged.
+    ``values`` and ``cum`` are nondecreasing, and ``cum`` ends at 1.  A run
+    of equal values is one atom at the run's last level, and an atom whose
+    level does not rise is dropped: no quantile returns it.
     """
-    if not np.all(np.isfinite(new_values)):
+    last = np.concatenate((values[1:] != values[:-1], [True]))
+    values, cum = values[last], cum[last]
+    probs = cum - np.concatenate(([0.0], cum[:-1]))  # a dropped atom's level is its predecessor's
+    rises = probs > 0.0
+    values, cum, probs = values[rises], cum[rises], probs[rises]
+    if not np.isfinite(values).all():
         raise ParameterError("atom values must be finite")
-    if np.any(np.diff(new_values) <= 0):
-        return Discrete.from_samples(new_values, dist.probs)
     out = Discrete.__new__(Discrete)
-    out.values, out.probs, out.cum = new_values, dist.probs, dist.cum
+    out.values, out.cum, out.probs = values, cum, probs
     return out
 
 
 def comonotone_sum(d1: Distribution, d2: Distribution) -> Distribution:
     """Distribution of X+Y under the comonotone coupling of d1 and d2."""
     if isinstance(d1, Discrete) and isinstance(d2, Discrete):
-        return _discrete_comonotone(d1, d2)
+        # on the union of the levels both quantiles are constant, so their sums are the atoms
+        grid = np.union1d(d1.cum, d2.cum)
+        sums = d1.values[np.searchsorted(d1.cum, grid)] + d2.values[np.searchsorted(d2.cum, grid)]
+        return _from_levels(sums, grid)
     if isinstance(d1, Discrete) and len(d1.values) == 1:
         return transform(d2, Shift(float(d1.values[0])))
     if isinstance(d2, Discrete) and len(d2.values) == 1:
         return transform(d1, Shift(float(d2.values[0])))
     return ComonotoneSum(d1, d2)
-
-
-def _discrete_comonotone(d1: Discrete, d2: Discrete) -> Discrete:
-    grid = np.unique(np.concatenate((d1.cum, d2.cum)))
-    grid = grid[(grid > 0.0) & (grid <= 1.0)]
-    i1 = np.searchsorted(d1.cum, grid, side="left")
-    i2 = np.searchsorted(d2.cum, grid, side="left")
-    sums = d1.values[np.minimum(i1, len(d1.values) - 1)] + d2.values[np.minimum(i2, len(d2.values) - 1)]
-    return Discrete.from_samples(sums, np.diff(np.concatenate(([0.0], grid))))
 
 
 def _check_range(a: float, b: float) -> tuple[float, float]:

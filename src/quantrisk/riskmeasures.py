@@ -319,11 +319,13 @@ def quantile_risk(dist: Distribution, distortion: Distortion, *, epsabs: float =
     """Integral of the lower quantile function against the distortion measure.
 
     Exact for discrete distributions; adaptive quadrature with absolute
-    tolerance ``epsabs`` otherwise.  There D's jumps are summed exactly; q
-    is integrated against the density of a convex power piece, and against
-    a concave one in the piece's own scale, where its singular density
-    disappears.  A divergent positive part yields the not-in-domain flag, a
-    divergent negative part alone yields -inf.
+    tolerance ``epsabs`` otherwise.  There D's jumps are summed exactly, and
+    a linear piece, whose density is constant, adds that density times the
+    closed-form quantile integral over the piece.  q is integrated against
+    the density of any other convex power piece, and against a concave one
+    in the piece's own scale, where its singular density disappears.  A
+    divergent positive part yields the not-in-domain flag, a divergent
+    negative part alone yields -inf.
     """
     if dist.is_discrete:
         levels = np.asarray(dist.cum)
@@ -337,7 +339,10 @@ def quantile_risk(dist: Distribution, distortion: Distortion, *, epsabs: float =
     points = dist.quantile_breakpoints()
     tol = epsabs / max(len(pieces), 1)
     for p in pieces:
-        total += _piece_integral(dist.quantile_lower, p, p.lo, p.hi, points=points, epsabs=tol)
+        if p.expo == 1.0:  # the density is the constant coef/width
+            total += p.coef / p.width * dist.quantile_integral(p.lo, p.hi)
+        else:
+            total += _piece_integral(dist.quantile_lower, p, p.lo, p.hi, points=points, epsabs=tol)
     return RiskValue.finite(total)
 
 
