@@ -1,10 +1,11 @@
 """Closed algebra of one-dimensional distributions with exact evaluation.
 
 Every distribution exposes its CDF (with left limits), both generalized
-inverses, and exact integrals of the lower quantile function.  The algebra
-is closed under positive scaling, shifts, positive/negative part, absolute
-value and comonotone addition; discrete inputs are transformed eagerly, by
-mapping their atoms and cumulative levels, parametric tails stay symbolic.
+inverses, and exact integrals of the lower quantile function, plain and
+against a power weight (quantile moments).  The algebra is closed under
+positive scaling, shifts, positive/negative part, absolute value and
+comonotone addition; discrete inputs are transformed eagerly, by mapping
+their atoms and cumulative levels, parametric tails stay symbolic.
 """
 
 from __future__ import annotations
@@ -105,7 +106,8 @@ class Distribution:
 
     Subclasses implement ``cdf``, ``cdf_left``, ``quantile_lower``,
     ``quantile_upper``, ``quantile_integral``, ``quantile_breakpoints``,
-    ``support`` and the two tail descriptors.  All instances are immutable
+    ``support`` and the two tail descriptors, and ``quantile_moment`` for
+    the weights they integrate in closed form.  All instances are immutable
     and all operations are pure.
     """
 
@@ -131,6 +133,21 @@ class Distribution:
         endpoints 0 and 1 are admissible.
         """
         raise NotImplementedError
+
+    def quantile_moment(self, a: float, b: float, k: float, origin: float, *, epsabs: float = 1e-10) -> float:
+        """Integral of q(u) |u - origin|**k over (a, b), for k > -1 and origin outside (a, b).
+
+        The origin's side of (a, b) says which way the weight grows.  k = 0
+        is ``quantile_integral``.  This default integrates every other k
+        numerically, with absolute tolerance ``epsabs``; a node overrides it
+        with the closed forms it has and defers here for the rest.
+        """
+        a, b = _check_moment(a, b, k, origin)
+        if k == 0.0:
+            return self.quantile_integral(a, b)
+        from .riskmeasures import _piece_integral  # the one quadrature route, loading scipy on first use
+
+        return _piece_integral(self, a, b, k, origin, epsabs=epsabs)
 
     def quantile_breakpoints(self) -> tuple[float, ...]:
         """Levels in (0,1) where the quantile function jumps or kinks."""
@@ -262,11 +279,15 @@ class Discrete(Distribution):
         return float(self.values[min(idx, len(self.values) - 1)])
 
     def quantile_integral(self, a: float, b: float) -> float:
-        a, b = _check_range(a, b)
-        lower = np.concatenate(([0.0], self.cum[:-1]))
-        overlap = np.minimum(self.cum, b) - np.maximum(lower, a)
-        overlap = np.maximum(overlap, 0.0)
-        return float(np.dot(self.values, overlap))
+        return self.quantile_moment(a, b, 0.0, a)
+
+    def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
+        """Sum over the atoms of v_i times the weight's integral over their levels clipped to (a, b)."""
+        a, b = _check_moment(a, b, k, origin)
+        knots = np.minimum(np.maximum(np.concatenate(([0.0], self.cum)), a), b)
+        if k != 0.0:  # |u - origin|**(k+1) / (k+1) is a primitive of the weight, up to the origin's side
+            knots = np.abs(knots - origin) ** (k + 1.0) / (k + 1.0)
+        return float(np.dot(self.values, np.abs(knots[1:] - knots[:-1])))
 
     def quantile_breakpoints(self) -> tuple[float, ...]:
         return tuple(float(c) for c in self.cum[:-1])
@@ -302,17 +323,99 @@ def point_mass(value: float) -> Discrete:
     return Discrete([value], [1.0])
 
 
-def _power_gap(s: float, t: float, e: float) -> float:
-    """``(s**e - t**e) / -e`` for 0 < s < t and e < 0 where ``s**e`` overflows.
+_SERIES_TERMS = 2000  # beyond this the binomial series of a power moment defers to quadrature
 
-    Formed in logs as ``s**e * -expm1(e*log(t/s)) / -e``; +inf when the result
-    itself is beyond the float range.
+
+def _power_integral(a: float, b: float, p: float) -> float:
+    """``(b**p - a**p) / p``, the integral of t**(p-1) over (a, b), for 0 <= a <= b; +inf where it diverges.
+
+    Plain where a**p < b**p / e, so that nothing cancels; otherwise in logs,
+    as ``a**p * expm1(p * log(b/a)) / p`` with log(b/a) = log1p((b-a)/a),
+    which keeps its relative accuracy near p = 0 and a = b, and where a**p
+    is beyond the float range.
     """
-    gap = -math.expm1(e * math.log1p((t - s) / s))  # > 0, since s**e overflowing forces s < t
+    if a == b:
+        return 0.0
+    if a == 0.0:
+        return b**p / p if p > 0.0 else math.inf
+    span = math.log1p((b - a) / a)
+    if p == 0.0:
+        return span
+    if p * span > 1.0:
+        return (b**p - a**p) / p
+    ratio = math.expm1(p * span) / p
     try:
-        return math.exp(e * math.log(s) + math.log(gap / -e))
-    except OverflowError:
+        return a**p * ratio
+    except OverflowError:  # a**p beyond the float range, p < 0
+        try:
+            return math.exp(p * math.log(a) + math.log(ratio))
+        except OverflowError:
+            return math.inf
+
+
+def _weight_integral(a: float, b: float, k: float, origin: float) -> float:
+    """Integral of |u - origin|**k over (a, b), origin outside (a, b); b - a exactly for k = 0."""
+    if k == 0.0:
+        return b - a
+    if origin <= a:
+        return _power_integral(a - origin, b - origin, k + 1.0)
+    return _power_integral(origin - b, origin - a, k + 1.0)
+
+
+def _power_moment(a: float, b: float, r: float, k: float, o: float) -> float | None:
+    """Integral of t**r |t - o|**k over (a, b) for 0 <= a <= b <= 1 and o outside (a, b); None without a closed form.
+
+    At o = 0 a power integral.  Elsewhere two binomial series, each in a
+    ratio of at most 2/3, term by term in power integrals: within o/2 of o,
+    where |t - o|**k is small, the series of t**r about o; beyond, that of
+    |t - o|**k in o/t or t/o, which ends after k + 1 terms for an integer k.
+    Left of 0 (o < 0) only that last one is taken, and only where it ends.
+    """
+    if a == b:
+        return 0.0
+    if o == 0.0:
+        return _power_integral(a, b, r + k + 1.0)
+    if a == 0.0 and r <= -1.0:  # t**r times a weight bounded away from 0 near t = 0
         return math.inf
+    near = far = 0.0
+    if o <= a:  # weight (t - o)**k
+        if o < 0.0 and not float(k).is_integer():
+            return None
+        cut = 1.5 * o  # below: t**r = o**r (1 + z)**r, z = t/o - 1; above: (t - o)**k = t**k (1 - o/t)**k
+        if a < cut:
+            z1, z2 = (a - o) / o, (min(b, cut) - o) / o
+            near = _binomial_sum(r, 1.0, lambda m: _power_integral(z1, z2, m + k + 1.0))
+        if cut < b:
+            lo = max(a, cut)
+            far = _binomial_sum(k, -o, lambda j: _power_integral(lo, b, r + k + 1.0 - j))
+    else:  # weight (o - t)**k
+        cut = 0.5 * o  # above: t**r = o**r (1 - z)**r, z = 1 - t/o; below: (o - t)**k = o**k (1 - t/o)**k
+        if cut < b:
+            z1, z2 = (o - b) / o, (o - max(a, cut)) / o
+            near = _binomial_sum(r, -1.0, lambda m: _power_integral(z1, z2, m + k + 1.0))
+        if a < cut:
+            s1, s2 = a / o, min(b, cut) / o
+            far = _binomial_sum(k, -1.0, lambda j: _power_integral(s1, s2, r + j + 1.0))
+            far = None if far is None else o ** (r + k + 1.0) * far
+    if near is None or far is None:
+        return None
+    total = (o ** (r + k + 1.0) * near if near else 0.0) + far
+    return total if math.isfinite(total) else None  # a power beyond the float range: left to quadrature
+
+
+def _binomial_sum(k: float, x: float, integral) -> float | None:
+    """Sum over j of C(k, j) x**j integral(j), up to its first negligible term; None if none comes.
+
+    An integer k >= 0 ends the sum after k + 1 terms.
+    """
+    total, coef = 0.0, 1.0
+    for j in range(_SERIES_TERMS):
+        term = coef * integral(j)
+        total += term
+        if abs(term) <= 2.0**-60 * abs(total):
+            return total
+        coef *= x * (k - j) / (j + 1)
+    return None
 
 
 class ParetoNegative(Distribution):
@@ -361,7 +464,17 @@ class ParetoNegative(Distribution):
             lo = 0.0 if a == 0.0 else a**e
             return -self.beta * (b**e - lo) / e
         except OverflowError:  # a**e beyond the float range
-            return -self.beta * _power_gap(a, b, e)
+            return -self.beta * _power_integral(a, b, e)
+
+    def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
+        """-beta times the power moment of u**(-1/theta) (:func:`_power_moment`)."""
+        a, b = _check_moment(a, b, k, origin)
+        if k == 0.0:
+            return self.quantile_integral(a, b)
+        moment = _power_moment(a, b, -1.0 / self.theta, k, origin)
+        if moment is None:
+            return super().quantile_moment(a, b, k, origin, epsabs=epsabs)
+        return -self.beta * moment
 
     def support(self) -> tuple[float, float]:
         return -math.inf, -self.beta
@@ -422,7 +535,17 @@ class ParetoPositive(Distribution):
             hi = 0.0 if b == 1.0 else (1.0 - b) ** e
             return -self.beta * (hi - (1.0 - a) ** e) / e
         except OverflowError:  # (1-b)**e beyond the float range
-            return self.beta * _power_gap(1.0 - b, 1.0 - a, e)
+            return self.beta * _power_integral(1.0 - b, 1.0 - a, e)
+
+    def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
+        """beta times the power moment of t**(-1/theta) in t = 1 - u (:func:`_power_moment`)."""
+        a, b = _check_moment(a, b, k, origin)
+        if k == 0.0:
+            return self.quantile_integral(a, b)
+        moment = _power_moment(1.0 - b, 1.0 - a, -1.0 / self.theta, k, 1.0 - origin)
+        if moment is None:
+            return super().quantile_moment(a, b, k, origin, epsabs=epsabs)
+        return self.beta * moment
 
     def support(self) -> tuple[float, float]:
         return self.beta, math.inf
@@ -462,7 +585,10 @@ class _Scaled(Distribution):
         return self.factor * self.base.quantile_upper(u)
 
     def quantile_integral(self, a, b):
-        return self.factor * self.base.quantile_integral(a, b)
+        return self.quantile_moment(a, b, 0.0, a)
+
+    def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
+        return self.factor * self.base.quantile_moment(a, b, k, origin, epsabs=epsabs / self.factor)
 
     def quantile_breakpoints(self):
         return self.base.quantile_breakpoints()
@@ -499,7 +625,11 @@ class _Shifted(Distribution):
         return self.base.quantile_upper(u) + self.offset
 
     def quantile_integral(self, a, b):
-        return self.base.quantile_integral(a, b) + self.offset * (b - a)
+        return self.quantile_moment(a, b, 0.0, a)
+
+    def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
+        moment = self.base.quantile_moment(a, b, k, origin, epsabs=epsabs)
+        return moment + self.offset * _weight_integral(a, b, k, origin)
 
     def quantile_breakpoints(self):
         return self.base.quantile_breakpoints()
@@ -537,8 +667,12 @@ class _Negated(Distribution):
         return -self.base.quantile_lower(1.0 - _check_level(u))
 
     def quantile_integral(self, a, b):
-        a, b = _check_range(a, b)
-        return -self.base.quantile_integral(1.0 - b, 1.0 - a)
+        return self.quantile_moment(a, b, 0.0, a)
+
+    def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
+        """Minus the base moment at the mirrored levels: |u - origin| is |(1-u) - (1-origin)|."""
+        a, b = _check_moment(a, b, k, origin)
+        return -self.base.quantile_moment(1.0 - b, 1.0 - a, k, 1.0 - origin, epsabs=epsabs)
 
     def quantile_breakpoints(self):
         return tuple(sorted(1.0 - t for t in self.base.quantile_breakpoints()))
@@ -575,11 +709,15 @@ class _PosPart(Distribution):
         return max(self.base.quantile_upper(u), 0.0)
 
     def quantile_integral(self, a, b):
-        a, b = _check_range(a, b)
+        return self.quantile_moment(a, b, 0.0, a)
+
+    def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
+        """The base moment over the levels above the split, where q is positive."""
+        a, b = _check_moment(a, b, k, origin)
         lo = max(a, min(self._split, b))
         if b <= lo:
             return 0.0
-        return self.base.quantile_integral(lo, b)
+        return self.base.quantile_moment(lo, b, k, origin, epsabs=epsabs)
 
     def quantile_breakpoints(self):
         pts = set(self.base.quantile_breakpoints())
@@ -613,7 +751,8 @@ class _AbsMixed(Distribution):
     quantiles bound |X| <= x on the levels (s, s+u], for an estimate
     (``_window``), then in x around the estimate on the CDF itself
     (``_least``).  Quantile integrals are closed form in the base's CDF
-    and quantile integrals.
+    and quantile integrals; other quantile moments are integrated
+    numerically, by the default ``quantile_moment``.
     """
 
     def __init__(self, base: Distribution):
@@ -836,7 +975,12 @@ class ComonotoneSum(Distribution):
         return min(max(other.cdf_left(x - values[i]), levels[i]), levels[i + 1])
 
     def quantile_integral(self, a, b):
-        return self.first.quantile_integral(a, b) + self.second.quantile_integral(a, b)
+        return self.quantile_moment(a, b, 0.0, a)
+
+    def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
+        """The operands' moments added, as their quantiles add: each in closed form where it has one."""
+        return (self.first.quantile_moment(a, b, k, origin, epsabs=epsabs)
+                + self.second.quantile_moment(a, b, k, origin, epsabs=epsabs))
 
     def quantile_breakpoints(self):
         return tuple(sorted(set(self.first.quantile_breakpoints()) | set(self.second.quantile_breakpoints())))
@@ -1024,11 +1168,14 @@ def _from_levels(values: np.ndarray, cum: np.ndarray) -> Discrete:
     of equal values is one atom at the run's last level, and an atom whose
     level does not rise is dropped: no quantile returns it.
     """
+    # the arrays are indexed only where an atom goes: a copy through an all-True mask is waste
     last = np.concatenate((values[1:] != values[:-1], [True]))
-    values, cum = values[last], cum[last]
+    if not last.all():
+        values, cum = values[last], cum[last]
     probs = cum - np.concatenate(([0.0], cum[:-1]))  # a dropped atom's level is its predecessor's
     rises = probs > 0.0
-    values, cum, probs = values[rises], cum[rises], probs[rises]
+    if not rises.all():
+        values, cum, probs = values[rises], cum[rises], probs[rises]
     if not np.isfinite(values).all():
         raise ParameterError("atom values must be finite")
     out = Discrete.__new__(Discrete)
@@ -1054,5 +1201,14 @@ def _check_range(a: float, b: float) -> tuple[float, float]:
     a, b = float(a), float(b)
     if not (0.0 <= a <= b <= 1.0):
         raise ParameterError(f"integration range must satisfy 0 <= a <= b <= 1, got ({a!r}, {b!r})")
+    return a, b
+
+
+def _check_moment(a: float, b: float, k: float, origin: float) -> tuple[float, float]:
+    a, b = _check_range(a, b)
+    if not k > -1.0:
+        raise ParameterError(f"moment exponent must exceed -1, got {k!r}")
+    if not (origin <= a or origin >= b):  # NaN too
+        raise ParameterError(f"moment origin must lie outside ({a!r}, {b!r}), got {origin!r}")
     return a, b
 

@@ -3,20 +3,25 @@
 The same functional is computed three ways: integrating the quantile
 function against the distortion measure, integrating the distorted tail
 probabilities over the real line, and mixing expected shortfall across
-levels.  Discrete distributions and piecewise distortions are evaluated in
-closed form by all three, with no quadrature; parametric tails fall back to
-adaptive quadrature with the tolerances declared here.  The quantile and
-mixture forms and the dyadic probe integrate piece by piece through one
-helper, which takes a concave piece in its own scale, where its singular
-density disappears.  The tail integral shares none of this: it walks the
-quantile's breakpoint levels, takes each flat step of the CDF and each
-stretch where D is flat in closed form, and integrates only where D(F(x))
-moves.  Whether max(q, 0) or max(-q, 0) is integrable against D is decided
-in one place, for the forms' domain flags and the class verdicts alike.
-scipy's ``quad`` is imported on the first quadrature call, so a process
-that only evaluates closed forms never loads scipy.  ``+inf`` is never
-returned as a risk value: a divergent positive part is reported as
-non-membership instead.
+levels.  Against one power piece of D, of the spectrum s or of a probe
+band, the quantile form is a quantile moment, the integral of q times a
+power of the distance to the piece's origin, and the mixture form is one
+by parts.  So the quantile and mixture forms and the dyadic probe take
+each piece as one ``quantile_moment`` call, which every distribution node
+answers in closed form where it can: discretes, power tails, their affine
+maps, positive parts and comonotone sums, for every piece exponent.  Only
+what a node cannot do in closed form, the moments of |X| other than its
+quantile integral, and distributions defined outside this package, is
+integrated by adaptive quadrature with the tolerances declared here.  The
+tail integral shares none of this: it walks the quantile's breakpoint
+levels, takes each flat step of the CDF and each stretch where D is flat
+in closed form, and integrates only where D(F(x)) moves.  Whether
+max(q, 0) or max(-q, 0) is integrable against D is decided in one place,
+for the forms' domain flags and the class verdicts alike.  scipy's
+``quad`` is imported on the first quadrature call, so a process that only
+evaluates closed forms never loads scipy.  ``+inf`` is never returned as a
+risk value: a divergent positive part is reported as non-membership
+instead.
 """
 
 from __future__ import annotations
@@ -178,22 +183,40 @@ def _quad(f, a, b, *, points=(), epsabs=1e-10):
     return val
 
 
-def _piece_integral(f, p, a: float, b: float, *, points, epsabs: float) -> float:
-    """Integral of f against d(p) over (a, b), for one increasing, non-flat piece p.
+def _piece_integral(dist, a: float, b: float, k: float, origin: float, *, epsabs: float) -> float:
+    """Integral of q(u) |u - origin|**k over (a, b) by quadrature: the numeric route of ``quantile_moment``.
 
-    A convex piece (expo >= 1) has a bounded density, and f is integrated
-    against it.  A concave power's density is singular at its origin, at or
-    just below lo; in v = ((u - origin)/width)**expo the measure is coef dv,
-    so f is integrated in v, where the singularity disappears.
+    A node reaches it only for a weight it has no closed form for.  For
+    k >= 0 the weight is bounded, and q times it is integrated.  For k < 0
+    it is singular at the origin, an end of (a, b); in
+    v = |u - origin|**(k+1) / (k+1) the measure is dv, so q is integrated
+    in v, where the singularity disappears.
     """
-    if p.expo >= 1.0:
-        dens = p.derivative
-        return _quad(lambda u: f(u) * float(dens.value(u)), a, b, points=points, epsabs=epsabs)
-    v = lambda u: ((u - p.origin) / p.width) ** p.expo
-    # u(v), kept inside [lo, hi] and (0, 1) against rounding
-    u = lambda x: min(max(p.origin + p.width * x ** (1.0 / p.expo), p.lo, 5e-324), p.hi, 1 - 2**-53)
-    return p.coef * _quad(lambda x: f(u(x)), v(a), v(b), points=[v(t) for t in points if a < t < b],
-                          epsabs=epsabs / max(p.coef, 1.0))  # the v-integral is scaled by coef
+    q, points = dist.quantile_lower, dist.quantile_breakpoints()
+    if k >= 0.0:
+        return _quad(lambda u: q(u) * abs(u - origin) ** k, a, b, points=points, epsabs=epsabs)
+    e = k + 1.0
+    side = 1.0 if origin <= a else -1.0
+    v = lambda u: abs(u - origin) ** e / e
+    # u(v), kept inside [a, b] and (0, 1) against rounding
+    u = lambda x: min(max(origin + side * (e * x) ** (1.0 / e), a, 5e-324), b, 1 - 2**-53)
+    lo, hi = sorted((v(a), v(b)))
+    return _quad(lambda x: q(u(x)), lo, hi, points=[v(t) for t in points if a < t < b], epsabs=epsabs)
+
+
+def _density_moment(dist, p, a: float, b: float, epsabs: float) -> float:
+    """Integral of q against d(p) over (a, b), for one increasing, non-flat piece p.
+
+    The density c (u - origin)**(expo - 1), c = coef * expo / width**expo,
+    makes it c times one quantile moment.  A moment reached by quadrature
+    gets the tolerance ``epsabs / c``, but never a looser one than
+    ``epsabs``: ``_quad`` accepts an error estimate by its own scale.
+    """
+    a = max(a, p.origin)
+    if b <= a:
+        return 0.0
+    c = p.coef * p.expo / p.width**p.expo
+    return c * dist.quantile_moment(a, b, p.expo - 1.0, p.origin, epsabs=epsabs / max(c, 1.0))
 
 
 def _tail_rule(tail, dens) -> bool | None:
@@ -247,22 +270,19 @@ def _part_verdict(dist, distortion, part: str, method: str = "auto") -> tuple[Ve
             return Verdict.INCONCLUSIVE, ()
     # q > 0 exactly above the level F(0), so each part lives on one side of it
     zero = dist.cdf(0.0)
-    if upper:
-        h, span = (lambda u: max(dist.quantile_lower(u), 0.0)), (zero, 1.0)
-    else:
-        h, span = (lambda u: max(-dist.quantile_lower(u), 0.0)), (0.0, zero)
-    partials = _dyadic_partials(dist, distortion, h, span)
+    sign, span = (1.0, (zero, 1.0)) if upper else (-1.0, (0.0, zero))
+    partials = _dyadic_partials(dist, distortion, sign, span)
     return _judge_partials(partials), partials
 
 
-def _dyadic_partials(dist, distortion, h, span) -> tuple[float, ...]:
-    """Cumulative integrals of h dQ over the windows (2^-k, 1 - 2^-k).
+def _dyadic_partials(dist, distortion, sign: float, span) -> tuple[float, ...]:
+    """Cumulative integrals of h = max(sign * q, 0) dQ over the windows (2^-k, 1 - 2^-k).
 
-    Only the levels ``span`` are integrated: h vanishes outside them.
+    Only the levels ``span`` are integrated, where h is sign * q: each band
+    of a piece of D adds sign times one quantile moment.
     """
     atoms = distortion.jumps()
     pieces = [p for p in distortion.pieces if not p.flat]
-    points = dist.quantile_breakpoints()
     total = 0.0
     out = []
     prev_lo, prev_hi = math.inf, -math.inf  # empty previous window
@@ -271,7 +291,7 @@ def _dyadic_partials(dist, distortion, h, span) -> tuple[float, ...]:
         inc = 0.0
         for loc, mass in atoms:
             if lo <= loc <= hi and not (prev_lo <= loc <= prev_hi):
-                inc += mass * h(loc)
+                inc += mass * max(sign * dist.quantile_lower(loc), 0.0)
         if lo < hi:
             segments = [(lo, min(prev_lo, hi)), (max(prev_hi, lo), hi)] if prev_lo <= prev_hi else [(lo, hi)]
             for a, b in segments:
@@ -280,7 +300,7 @@ def _dyadic_partials(dist, distortion, h, span) -> tuple[float, ...]:
                 for piece in pieces:
                     pa, pb = max(a, piece.lo, span[0]), min(b, piece.hi, span[1])
                     if pb > pa:
-                        inc += _piece_integral(h, piece, pa, pb, points=points, epsabs=1e-11)
+                        inc += sign * _density_moment(dist, piece, pa, pb, 1e-11)
         total += inc
         out.append(total)
         prev_lo, prev_hi = lo, hi
@@ -318,12 +338,11 @@ def _judge_partials(partials) -> Verdict:
 def quantile_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = QUAD_TOL) -> RiskValue:
     """Integral of the lower quantile function against the distortion measure.
 
-    Exact for discrete distributions; adaptive quadrature with absolute
-    tolerance ``epsabs`` otherwise.  There D's jumps are summed exactly, and
-    a linear piece, whose density is constant, adds that density times the
-    closed-form quantile integral over the piece.  q is integrated against
-    the density of any other convex power piece, and against a concave one
-    in the piece's own scale, where its singular density disappears.  A
+    Exact for discrete distributions.  Otherwise D's jumps are summed
+    exactly, and each moving piece of D, whose density is a power of the
+    distance to its origin, adds one quantile moment: a linear piece the
+    quantile integral, any other power its moment.  A moment with no closed
+    form on the node is integrated with absolute tolerance ``epsabs``.  A
     divergent positive part yields the not-in-domain flag, a divergent
     negative part alone yields -inf.
     """
@@ -336,13 +355,9 @@ def quantile_risk(dist: Distribution, distortion: Distortion, *, epsabs: float =
         return flagged
     total = math.fsum(mass * dist.quantile_lower(loc) for loc, mass in distortion.jumps())
     pieces = [p for p in distortion.pieces if not p.flat]
-    points = dist.quantile_breakpoints()
     tol = epsabs / max(len(pieces), 1)
     for p in pieces:
-        if p.expo == 1.0:  # the density is the constant coef/width
-            total += p.coef / p.width * dist.quantile_integral(p.lo, p.hi)
-        else:
-            total += _piece_integral(dist.quantile_lower, p, p.lo, p.hi, points=points, epsabs=tol)
+        total += _density_moment(dist, p, p.lo, p.hi, tol)
     return RiskValue.finite(total)
 
 
@@ -412,9 +427,10 @@ def mixture_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = 
     Only convex distortions admit this representation.  Atoms of the mixing
     measure are summed exactly.  Its density is integrated in closed form for
     discrete inputs, whose rescaled shortfall is piecewise linear in the
-    level.  Otherwise it is integrated against each moving piece of the
-    spectrum s, with absolute tolerance ``epsabs``, as the quantile form
-    integrates against D's pieces.
+    level.  Otherwise each moving piece of the spectrum s is taken by parts:
+    the rescaled shortfall times s at the piece's ends, plus one quantile
+    moment, integrated with absolute tolerance ``epsabs`` where the node has
+    no closed form for it.
     """
     try:
         spectrum = spectral_of(distortion)
@@ -441,10 +457,17 @@ def mixture_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = 
     if dist.is_discrete:
         return RiskValue.finite(total + math.fsum(_mixture_density_discrete(dist, p) for p in nu.density))
     pieces = [p for p in spectrum.pieces if not p.flat]
-    points = dist.quantile_breakpoints()
     tol = epsabs / max(len(pieces), 1)
     for p in pieces:
-        total += _piece_integral(scaled_es, p, p.lo, p.hi, points=points, epsabs=tol)
+        # by parts against P = coef ((u - origin)/width)**expo, the piece's value
+        # (spectral pieces have no base): [scaled_es P]_a^b plus the integral of
+        # q P, as scaled_es' = -q, which is q against d(the primitive of P).  The
+        # end term is 0 where P vanishes, at the origin, and where scaled_es
+        # does, at 1: never inf * 0.
+        a, b = max(p.lo, p.origin), p.hi
+        ends = 0.0 if b == 1.0 else scaled_es(b) * float(p.value(b))
+        ends -= 0.0 if a == p.origin else scaled_es(a) * float(p.value(a))
+        total += ends + _density_moment(dist, p.antiderivative(0.0), a, b, tol)
     return RiskValue.finite(total)
 
 

@@ -483,6 +483,11 @@ class TestScipyImport:
             ["spectrum", "--distortion", '{"kind": "es_n", "n": 3, "alpha": 0.2}'],
             ["counterexample", "--distortion", '{"kind": "var", "alpha": 0.5}'],
             ["classify", "--dist", pareto, "--distortion", '{"kind": "sqrt_example"}'],
+            # quantile moments: the quantile and mixture forms and the probe on a Pareto
+            ["eval", "--dist", pareto, "--distortion", '{"kind": "es_n", "n": 3, "alpha": 0.2}',
+             "--representation", "mixture"],
+            ["eval", "--dist", pareto, "--distortion", '{"kind": "es_n", "n": 3, "alpha": 0.2}'],
+            ["classify", "--dist", pareto, "--distortion", '{"kind": "sqrt_example"}', "--method", "probe"],
         ]
         argvs = [[*argv, "--format", "json"] for argv in argvs]
         got = self.fresh(*argvs)
@@ -493,14 +498,19 @@ class TestScipyImport:
         "argv",
         [
             ["eval", "--dist", "PARETO", "--distortion", '{"kind": "es_n", "n": 3, "alpha": 0.2}',
-             "--representation", "mixture"],
-            ["classify", "--dist", "PARETO", "--distortion", '{"kind": "sqrt_example"}',
-             "--method", "probe"],
+             "--representation", "choquet"],
+            # |X - 2| straddles 0: its moments other than k = 0 are integrated numerically
+            ["classify", "--dist", "SHIFTED", "--distortion", '{"kind": "es_n", "n": 2, "alpha": 0.5}',
+             "--domain-class", "pichler", "--method", "probe"],
         ],
-        ids=["eval-mixture", "classify-probe"],
+        ids=["eval-choquet", "classify-probe-abs"],
     )
-    def test_quadrature_commands_load_scipy(self, capsys, files, argv):
-        argv = [files[1] if a == "PARETO" else a for a in argv] + ["--format", "json"]
+    def test_quadrature_commands_load_scipy(self, capsys, files, tmp_path, argv):
+        shifted = tmp_path / "shifted.json"
+        shifted.write_text('{"kind": "transformed", "base": {"kind": "pareto_negative", "beta": 1.0, "theta": 2.0},'
+                           ' "op": {"kind": "shift", "offset": 2.0}}')
+        paths = {"PARETO": files[1], "SHIFTED": str(shifted)}
+        argv = [paths.get(a, a) for a in argv] + ["--format", "json"]
         got = self.fresh(argv)
         assert "scipy.integrate" in got["scipy"]
         assert got["runs"] == [self.in_process(capsys, argv)]
