@@ -199,7 +199,14 @@ class Distribution:
         return repr(self)
 
 
-class Discrete(Distribution):
+class _MomentNode(Distribution):
+    """A node whose primitive is ``quantile_moment``: its quantile integral is the k = 0 moment."""
+
+    def quantile_integral(self, a: float, b: float) -> float:
+        return self.quantile_moment(a, b, 0.0, a)
+
+
+class Discrete(_MomentNode):
     """Finitely supported distribution: atoms ``values`` at cumulative levels ``cum``.
 
     ``values`` must be strictly increasing and ``probs`` strictly positive
@@ -278,9 +285,6 @@ class Discrete(Distribution):
         idx = int(np.searchsorted(self.cum, u, side="right"))
         return float(self.values[min(idx, len(self.values) - 1)])
 
-    def quantile_integral(self, a: float, b: float) -> float:
-        return self.quantile_moment(a, b, 0.0, a)
-
     def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
         """Sum over the atoms of v_i times the weight's integral over their levels clipped to (a, b)."""
         a, b = _check_moment(a, b, k, origin)
@@ -324,6 +328,7 @@ def point_mass(value: float) -> Discrete:
 
 
 _SERIES_TERMS = 2000  # beyond this the binomial series of a power moment defers to quadrature
+_CANCEL = 2.0**10  # nor may a term of it exceed its sum by more
 
 
 def _power_integral(a: float, b: float, p: float) -> float:
@@ -396,29 +401,53 @@ def _power_moment(a: float, b: float, r: float, k: float, o: float) -> float | N
         if a < cut:
             s1, s2 = a / o, min(b, cut) / o
             far = _binomial_sum(k, -1.0, lambda j: _power_integral(s1, s2, r + j + 1.0))
-            far = None if far is None else o ** (r + k + 1.0) * far
     if near is None or far is None:
         return None
-    total = (o ** (r + k + 1.0) * near if near else 0.0) + far
+    try:  # the near series is in units of o**(r+k+1), and so is the far one right of (a, b)
+        unit = o ** (r + k + 1.0) if near or o > a else 0.0
+    except OverflowError:
+        return None
+    total = unit * near + (unit * far if o > a else far)
     return total if math.isfinite(total) else None  # a power beyond the float range: left to quadrature
 
 
 def _binomial_sum(k: float, x: float, integral) -> float | None:
-    """Sum over j of C(k, j) x**j integral(j), up to its first negligible term; None if none comes.
+    """Sum over j of C(k, j) x**j integral(j), up to its first negligible term.
 
-    An integer k >= 0 ends the sum after k + 1 terms.
+    An integer k >= 0 ends the sum after k + 1 terms.  None if no term
+    comes, or if the terms cancel: a term over _CANCEL times the sum has
+    already lost that many units of its last place.  An alternating series
+    does so for a steep power, in t**r about o for r well below -1.
     """
-    total, coef = 0.0, 1.0
+    total, coef, largest = 0.0, 1.0, 0.0
     for j in range(_SERIES_TERMS):
         term = coef * integral(j)
         total += term
+        largest = max(largest, abs(term))
         if abs(term) <= 2.0**-60 * abs(total):
-            return total
+            return total if largest <= _CANCEL * abs(total) else None
         coef *= x * (k - j) / (j + 1)
     return None
 
 
-class ParetoNegative(Distribution):
+class _ParetoTail(Distribution):
+    """A Pareto tail: q(u) is -beta u**(-1/theta) for a left tail, beta (1-u)**(-1/theta) for a right one."""
+
+    _anchor = 0.0  # 0 for a left tail, 1 for a right one
+
+    def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
+        """-beta or beta times the power moment of t**(-1/theta), t = u or 1 - u (:func:`_power_moment`)."""
+        a, b = _check_moment(a, b, k, origin)
+        if k == 0.0:
+            return self.quantile_integral(a, b)
+        lo, hi, o = (1.0 - b, 1.0 - a, 1.0 - origin) if self._anchor else (a, b, origin)
+        moment = _power_moment(lo, hi, -1.0 / self.theta, k, o)
+        if moment is None:
+            return super().quantile_moment(a, b, k, origin, epsabs=epsabs)
+        return (self.beta if self._anchor else -self.beta) * moment
+
+
+class ParetoNegative(_ParetoTail):
     """Power-law left tail supported on (-inf, -beta].
 
     ``cdf(x) = (beta / -x)**theta`` for x < -beta and 1 beyond.  ``theta``
@@ -466,16 +495,6 @@ class ParetoNegative(Distribution):
         except OverflowError:  # a**e beyond the float range
             return -self.beta * _power_integral(a, b, e)
 
-    def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
-        """-beta times the power moment of u**(-1/theta) (:func:`_power_moment`)."""
-        a, b = _check_moment(a, b, k, origin)
-        if k == 0.0:
-            return self.quantile_integral(a, b)
-        moment = _power_moment(a, b, -1.0 / self.theta, k, origin)
-        if moment is None:
-            return super().quantile_moment(a, b, k, origin, epsabs=epsabs)
-        return -self.beta * moment
-
     def support(self) -> tuple[float, float]:
         return -math.inf, -self.beta
 
@@ -492,8 +511,10 @@ class ParetoNegative(Distribution):
         return f"ParetoNegative(beta={self.beta!r}, theta={self.theta!r})"
 
 
-class ParetoPositive(Distribution):
+class ParetoPositive(_ParetoTail):
     """Classic Pareto right tail on [beta, inf): cdf(x) = 1 - (beta/x)**theta."""
+
+    _anchor = 1.0
 
     def __init__(self, beta: float, theta: float):
         if not beta > 0:
@@ -537,16 +558,6 @@ class ParetoPositive(Distribution):
         except OverflowError:  # (1-b)**e beyond the float range
             return self.beta * _power_integral(1.0 - b, 1.0 - a, e)
 
-    def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
-        """beta times the power moment of t**(-1/theta) in t = 1 - u (:func:`_power_moment`)."""
-        a, b = _check_moment(a, b, k, origin)
-        if k == 0.0:
-            return self.quantile_integral(a, b)
-        moment = _power_moment(1.0 - b, 1.0 - a, -1.0 / self.theta, k, 1.0 - origin)
-        if moment is None:
-            return super().quantile_moment(a, b, k, origin, epsabs=epsabs)
-        return self.beta * moment
-
     def support(self) -> tuple[float, float]:
         return self.beta, math.inf
 
@@ -567,7 +578,7 @@ class ParetoPositive(Distribution):
 # lazy transform nodes (non-discrete bases only; discrete transforms are eager)
 
 
-class _Scaled(Distribution):
+class _Scaled(_MomentNode):
     def __init__(self, base: Distribution, factor: float):
         self.base = base
         self.factor = float(factor)  # > 0; factor 0 collapses to point_mass earlier
@@ -583,9 +594,6 @@ class _Scaled(Distribution):
 
     def quantile_upper(self, u):
         return self.factor * self.base.quantile_upper(u)
-
-    def quantile_integral(self, a, b):
-        return self.quantile_moment(a, b, 0.0, a)
 
     def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
         return self.factor * self.base.quantile_moment(a, b, k, origin, epsabs=epsabs / self.factor)
@@ -607,7 +615,7 @@ class _Scaled(Distribution):
         return f"scale({self.factor:g},{self.base.label()})"
 
 
-class _Shifted(Distribution):
+class _Shifted(_MomentNode):
     def __init__(self, base: Distribution, offset: float):
         self.base = base
         self.offset = float(offset)
@@ -623,9 +631,6 @@ class _Shifted(Distribution):
 
     def quantile_upper(self, u):
         return self.base.quantile_upper(u) + self.offset
-
-    def quantile_integral(self, a, b):
-        return self.quantile_moment(a, b, 0.0, a)
 
     def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
         moment = self.base.quantile_moment(a, b, k, origin, epsabs=epsabs)
@@ -648,7 +653,7 @@ class _Shifted(Distribution):
         return f"shift({self.offset:g},{self.base.label()})"
 
 
-class _Negated(Distribution):
+class _Negated(_MomentNode):
     """Reflection x -> -x; internal only, used to realize NegPart and Abs."""
 
     def __init__(self, base: Distribution):
@@ -665,9 +670,6 @@ class _Negated(Distribution):
 
     def quantile_upper(self, u):
         return -self.base.quantile_lower(1.0 - _check_level(u))
-
-    def quantile_integral(self, a, b):
-        return self.quantile_moment(a, b, 0.0, a)
 
     def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
         """Minus the base moment at the mirrored levels: |u - origin| is |(1-u) - (1-origin)|."""
@@ -691,7 +693,7 @@ class _Negated(Distribution):
         return f"negate({self.base.label()})"
 
 
-class _PosPart(Distribution):
+class _PosPart(_MomentNode):
     def __init__(self, base: Distribution):
         self.base = base
         self._split = base.cdf(0.0)  # quantile_lower(u) <= 0 iff u <= split
@@ -707,9 +709,6 @@ class _PosPart(Distribution):
 
     def quantile_upper(self, u):
         return max(self.base.quantile_upper(u), 0.0)
-
-    def quantile_integral(self, a, b):
-        return self.quantile_moment(a, b, 0.0, a)
 
     def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
         """The base moment over the levels above the split, where q is positive."""
@@ -894,7 +893,7 @@ class _AbsMixed(Distribution):
         return f"abs({self.base.label()})"
 
 
-class ComonotoneSum(Distribution):
+class ComonotoneSum(_MomentNode):
     """Sum of two comonotone risks: the lower quantiles add pointwise.
 
     Two discrete operands are merged exactly by :func:`comonotone_sum`; this
@@ -973,9 +972,6 @@ class ComonotoneSum(Distribution):
         if x > ends[i]:
             return levels[i + 1]
         return min(max(other.cdf_left(x - values[i]), levels[i]), levels[i + 1])
-
-    def quantile_integral(self, a, b):
-        return self.quantile_moment(a, b, 0.0, a)
 
     def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
         """The operands' moments added, as their quantiles add: each in closed form where it has one."""
@@ -1168,14 +1164,11 @@ def _from_levels(values: np.ndarray, cum: np.ndarray) -> Discrete:
     of equal values is one atom at the run's last level, and an atom whose
     level does not rise is dropped: no quantile returns it.
     """
-    # the arrays are indexed only where an atom goes: a copy through an all-True mask is waste
     last = np.concatenate((values[1:] != values[:-1], [True]))
-    if not last.all():
-        values, cum = values[last], cum[last]
+    values, cum = values[last], cum[last]
     probs = cum - np.concatenate(([0.0], cum[:-1]))  # a dropped atom's level is its predecessor's
     rises = probs > 0.0
-    if not rises.all():
-        values, cum, probs = values[rises], cum[rises], probs[rises]
+    values, cum, probs = values[rises], cum[rises], probs[rises]
     if not np.isfinite(values).all():
         raise ParameterError("atom values must be finite")
     out = Discrete.__new__(Discrete)

@@ -1,7 +1,7 @@
 """Print the oracle tables of tests/test_moments.py: quantile moments and risk forms on power tails.
 
 Run by hand, not by pytest (mpmath is not a test dependency), and paste the
-output over the two tables of that file:
+output over the three tables of that file:
 
     PYTHONPATH=src python tests/golden/make_moments.py > tables.txt
 
@@ -23,6 +23,9 @@ ANCHORED = {"pareto_negative": (0.2, 1.0, -0.5, 0.0), "pareto_positive": (0.0, 0
 NODES = ("raw", "negated", "scaled_shifted", "pos_part")
 SHIFT = {"pareto_negative": 3.0, "pareto_positive": -3.0}  # moves the support across 0 for pos_part
 DISTORTIONS = ("expectation", "es(0.9)", "es_n(2,0.5)", "es_n(3,0.2)")
+# left tails steep enough that u**(-1/theta) about an origin right of 0 is a series that cancels
+STEEP_THETAS = (0.05, 0.02)
+STEEP_DISTORTIONS = ("es_n(2,0.5)", "es_n(3,0.2)")
 
 
 def cells():
@@ -108,6 +111,11 @@ def main():
         for theta in THETAS:
             for label in DISTORTIONS:
                 print(f"    {(tail, theta, label)!r}: {mp.nstr(form_value(tail, theta, label), 30)!r},")
+    print("}")
+    print("STEEP_FORMS = {")
+    for theta in STEEP_THETAS:
+        for label in STEEP_DISTORTIONS:
+            print(f"    {(theta, label)!r}: {mp.nstr(form_value('pareto_negative', theta, label), 30)!r},")
     print("}")
 
 

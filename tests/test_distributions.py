@@ -109,11 +109,6 @@ class TestDiscreteLevels:
         assert list(d.values) == [0.0, 1.0, 2.0]
         assert list(d.cum) == [0.25, 0.5, 1.0]
 
-    def test_a_monotone_map_keeps_the_levels_without_a_copy(self):
-        d = Discrete.from_samples(np.arange(10.0))
-        for moved in (d.shift(1.5), d.scale(2.0)):
-            assert moved.cum is d.cum
-
     def test_atom_whose_level_does_not_rise_is_dropped(self):
         d = Discrete.from_samples([1, 2, 3], [1e20, 1, 1e20])
         assert list(d.values) == [1.0, 3.0]
