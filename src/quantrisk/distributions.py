@@ -5,7 +5,9 @@ inverses, and exact integrals of the lower quantile function, plain and
 against a power weight (quantile moments).  The algebra is closed under
 positive scaling, shifts, positive/negative part, absolute value and
 comonotone addition; discrete inputs are transformed eagerly, by mapping
-their atoms and cumulative levels, parametric tails stay symbolic.
+their atoms and cumulative levels, parametric tails stay symbolic.  The
+two Pareto tails are one node, a power of the distance to the anchored
+end of (0,1), whose quantile integral and moments are power integrals.
 """
 
 from __future__ import annotations
@@ -85,6 +87,11 @@ def _check_level(u: float) -> float:
     if not 0.0 < u < 1.0:
         raise ParameterError(f"quantile level must lie in (0,1), got {u!r}")
     return u
+
+
+def _mirror(u: float) -> float:
+    """The level 1 - u, kept below 1: for u < 2**-53 it would round to 1."""
+    return min(1.0 - _check_level(u), 1.0 - 2.0**-53)
 
 
 def _compensated_cumsum(xs) -> np.ndarray:
@@ -431,9 +438,30 @@ def _binomial_sum(k: float, x: float, integral) -> float | None:
 
 
 class _ParetoTail(Distribution):
-    """A Pareto tail: q(u) is -beta u**(-1/theta) for a left tail, beta (1-u)**(-1/theta) for a right one."""
+    """A Pareto tail: q(u) is -beta u**(-1/theta) for a left tail, beta (1-u)**(-1/theta) for a right one.
+
+    Both are -beta or beta times t**(-1/theta), t = u or 1 - u the distance
+    to the anchored end, so one constructor, label, quantile integral and
+    moment serve both.  An integral reaching the anchored end with
+    theta <= 1 diverges to -inf or +inf.
+    """
 
     _anchor = 0.0  # 0 for a left tail, 1 for a right one
+    _kind = "pareto_negative"  # the spec kind its label starts with
+
+    def __init__(self, beta: float, theta: float):
+        if not beta > 0:
+            raise ParameterError(f"beta must be positive, got {beta!r}")
+        if not theta > 0:
+            raise ParameterError(f"theta must be positive, got {theta!r}")
+        self.beta = float(beta)
+        self.theta = float(theta)
+
+    def quantile_integral(self, a: float, b: float) -> float:
+        """-beta or beta times the integral of t**(-1/theta), t = u or 1 - u (:func:`_power_integral`)."""
+        a, b = _check_range(a, b)
+        lo, hi = (1.0 - b, 1.0 - a) if self._anchor else (a, b)
+        return (self.beta if self._anchor else -self.beta) * _power_integral(lo, hi, 1.0 - 1.0 / self.theta)
 
     def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
         """-beta or beta times the power moment of t**(-1/theta), t = u or 1 - u (:func:`_power_moment`)."""
@@ -446,6 +474,12 @@ class _ParetoTail(Distribution):
             return super().quantile_moment(a, b, k, origin, epsabs=epsabs)
         return (self.beta if self._anchor else -self.beta) * moment
 
+    def label(self) -> str:
+        return f"{self._kind}(beta={self.beta:g},theta={self.theta:g})"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(beta={self.beta!r}, theta={self.theta!r})"
+
 
 class ParetoNegative(_ParetoTail):
     """Power-law left tail supported on (-inf, -beta].
@@ -455,12 +489,7 @@ class ParetoNegative(_ParetoTail):
     """
 
     def __init__(self, beta: float, theta: float = 2.0):
-        if not beta > 0:
-            raise ParameterError(f"beta must be positive, got {beta!r}")
-        if not theta > 0:
-            raise ParameterError(f"theta must be positive, got {theta!r}")
-        self.beta = float(beta)
-        self.theta = float(theta)
+        super().__init__(beta, theta)
 
     def cdf(self, x: float) -> float:
         if x >= -self.beta:
@@ -478,23 +507,6 @@ class ParetoNegative(_ParetoTail):
 
     quantile_upper = quantile_lower  # strictly increasing CDF, no flat levels
 
-    def quantile_integral(self, a: float, b: float) -> float:
-        a, b = _check_range(a, b)
-        if a == b:
-            return 0.0
-        if self.theta == 1.0:
-            if a == 0.0:
-                return -math.inf
-            return -self.beta * (math.log(b) - math.log(a))
-        e = 1.0 - 1.0 / self.theta
-        if a == 0.0 and e <= 0:
-            return -math.inf
-        try:
-            lo = 0.0 if a == 0.0 else a**e
-            return -self.beta * (b**e - lo) / e
-        except OverflowError:  # a**e beyond the float range
-            return -self.beta * _power_integral(a, b, e)
-
     def support(self) -> tuple[float, float]:
         return -math.inf, -self.beta
 
@@ -504,25 +516,12 @@ class ParetoNegative(_ParetoTail):
     def upper_tail(self):
         return BOUNDED
 
-    def label(self) -> str:
-        return f"pareto_negative(beta={self.beta:g},theta={self.theta:g})"
-
-    def __repr__(self) -> str:
-        return f"ParetoNegative(beta={self.beta!r}, theta={self.theta!r})"
-
 
 class ParetoPositive(_ParetoTail):
     """Classic Pareto right tail on [beta, inf): cdf(x) = 1 - (beta/x)**theta."""
 
     _anchor = 1.0
-
-    def __init__(self, beta: float, theta: float):
-        if not beta > 0:
-            raise ParameterError(f"beta must be positive, got {beta!r}")
-        if not theta > 0:
-            raise ParameterError(f"theta must be positive, got {theta!r}")
-        self.beta = float(beta)
-        self.theta = float(theta)
+    _kind = "pareto_positive"
 
     def cdf(self, x: float) -> float:
         if x < self.beta:
@@ -540,24 +539,6 @@ class ParetoPositive(_ParetoTail):
 
     quantile_upper = quantile_lower
 
-    def quantile_integral(self, a: float, b: float) -> float:
-        a, b = _check_range(a, b)
-        if a == b:
-            return 0.0
-        # substitute t = 1-u
-        if self.theta == 1.0:
-            if b == 1.0:
-                return math.inf
-            return self.beta * (math.log1p(-a) - math.log1p(-b))
-        e = 1.0 - 1.0 / self.theta
-        if b == 1.0 and e <= 0:
-            return math.inf
-        try:
-            hi = 0.0 if b == 1.0 else (1.0 - b) ** e
-            return -self.beta * (hi - (1.0 - a) ** e) / e
-        except OverflowError:  # (1-b)**e beyond the float range
-            return self.beta * _power_integral(1.0 - b, 1.0 - a, e)
-
     def support(self) -> tuple[float, float]:
         return self.beta, math.inf
 
@@ -566,12 +547,6 @@ class ParetoPositive(_ParetoTail):
 
     def upper_tail(self):
         return TailPower(self.theta, self.beta)
-
-    def label(self) -> str:
-        return f"pareto_positive(beta={self.beta:g},theta={self.theta:g})"
-
-    def __repr__(self) -> str:
-        return f"ParetoPositive(beta={self.beta!r}, theta={self.theta!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -666,10 +641,10 @@ class _Negated(_MomentNode):
         return 1.0 - self.base.cdf(-x)
 
     def quantile_lower(self, u):
-        return -self.base.quantile_upper(1.0 - _check_level(u))
+        return -self.base.quantile_upper(_mirror(u))
 
     def quantile_upper(self, u):
-        return -self.base.quantile_lower(1.0 - _check_level(u))
+        return -self.base.quantile_lower(_mirror(u))
 
     def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
         """Minus the base moment at the mirrored levels: |u - origin| is |(1-u) - (1-origin)|."""

@@ -191,8 +191,16 @@ def _piece_integral(dist, a: float, b: float, k: float, origin: float, *, epsabs
     it is singular at the origin, an end of (a, b); in
     v = |u - origin|**(k+1) / (k+1) the measure is dv, so q is integrated
     in v, where the singularity disappears.
+
+    q is non-decreasing, so its values at the levels of (a, b) nearest the
+    ends bound it at every node.  Beyond the float range there, the
+    integral is inconclusive: ``quad`` can give up on such an integrand
+    and return 0 without meeting a non-finite value.
     """
     q, points = dist.quantile_lower, dist.quantile_breakpoints()
+    for end in (max(a, 5e-324), min(b, 1 - 2**-53)):
+        if not math.isfinite(q(end)):
+            raise InconclusiveError(f"the quantile at level {end!r} is {q(end)!r}, beyond the float range")
     if k >= 0.0:
         return _quad(lambda u: q(u) * abs(u - origin) ** k, a, b, points=points, epsabs=epsabs)
     e = k + 1.0

@@ -91,6 +91,14 @@ class TestShortfallAndVar:
         code, out, _ = run(capsys, "var", "--dist", samples, "--alpha", "0.5", "--format", "json")
         assert code == 0 and json.loads(out)["value"] == 2.0
 
+    def test_var_of_a_reflected_tail_below_the_last_float_under_1(self, capsys, tmp_path):
+        # |X| of a left tail is its reflection, which reads the base at 1 - alpha: 1.0 in floats
+        path = tmp_path / "absp.json"
+        path.write_text('{"kind":"transformed","base":{"kind":"pareto_negative","beta":1,"theta":2},'
+                        '"op":{"kind":"abs"}}')
+        code, out, _ = run(capsys, "var", "--dist", str(path), "--alpha", "1e-20", "--format", "json")
+        assert code == 0 and abs(json.loads(out)["value"] - 1.0) <= 1e-15
+
 
 class TestSpectrum:
     def test_convex_lists_pieces(self, capsys):

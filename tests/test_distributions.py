@@ -263,6 +263,17 @@ class TestTransforms:
         for u in np.linspace(0.05, 0.95, 19):
             assert abs(left.quantile_lower(u) - right.quantile_lower(u)) < 1e-12
 
+    @pytest.mark.parametrize("u", [1e-20, 2.0**-54])
+    def test_reflected_quantiles_below_the_last_float_under_1(self, u):
+        # 1 - u rounds to 1.0, outside (0, 1): the mirrored level stays at the last float below it
+        d = ParetoNegative(1.0, 2.0).abs()
+        for q in (d.quantile_lower(u), d.quantile_upper(u)):
+            assert abs(q - 1.0) <= 1e-15
+
+    def test_neg_part_of_a_lazy_node_below_the_last_float_under_1(self):
+        npart = ParetoPositive(1.0, 2.0).shift(-3.0).neg_part()
+        assert npart.quantile_lower(1e-20) == npart.quantile_upper(1e-20) == 0.0
+
     def test_shift_merges_atoms_that_round_together(self):
         d = Discrete([1e-17, 2e-17], [0.5, 0.5]).shift(1.0)
         assert list(d.values) == [1.0]
