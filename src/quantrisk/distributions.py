@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import InconclusiveError, ParameterError
 
 __all__ = [
     "Distribution",
@@ -87,11 +87,6 @@ def _check_level(u: float) -> float:
     if not 0.0 < u < 1.0:
         raise ParameterError(f"quantile level must lie in (0,1), got {u!r}")
     return u
-
-
-def _mirror(u: float) -> float:
-    """The level 1 - u, kept below 1: for u < 2**-53 it would round to 1."""
-    return min(1.0 - _check_level(u), 1.0 - 2.0**-53)
 
 
 def _compensated_cumsum(xs) -> np.ndarray:
@@ -440,13 +435,12 @@ def _binomial_sum(k: float, x: float, integral) -> float | None:
 class _ParetoTail(Distribution):
     """A Pareto tail: q(u) is -beta u**(-1/theta) for a left tail, beta (1-u)**(-1/theta) for a right one.
 
-    Both are -beta or beta times t**(-1/theta), t = u or 1 - u the distance
-    to the anchored end, so one constructor, label, quantile integral and
-    moment serve both.  An integral reaching the anchored end with
-    theta <= 1 diverges to -inf or +inf.
+    Both are -beta or beta times t**(-1/theta), t the distance to the
+    anchored end, so one constructor, label, quantile integral and moment
+    serve both; ``_sign`` and ``_distances`` orient them.
     """
 
-    _anchor = 0.0  # 0 for a left tail, 1 for a right one
+    _sign = -1.0
     _kind = "pareto_negative"  # the spec kind its label starts with
 
     def __init__(self, beta: float, theta: float):
@@ -457,22 +451,27 @@ class _ParetoTail(Distribution):
         self.beta = float(beta)
         self.theta = float(theta)
 
+    @staticmethod
+    def _distances(a: float, b: float, origin: float) -> tuple[float, float, float]:
+        """Levels a <= b and an origin as distances t to the anchored end 0: unchanged."""
+        return a, b, origin
+
     def quantile_integral(self, a: float, b: float) -> float:
-        """-beta or beta times the integral of t**(-1/theta), t = u or 1 - u (:func:`_power_integral`)."""
+        """-beta or beta times the integral of t**(-1/theta) (:func:`_power_integral`)."""
         a, b = _check_range(a, b)
-        lo, hi = (1.0 - b, 1.0 - a) if self._anchor else (a, b)
-        return (self.beta if self._anchor else -self.beta) * _power_integral(lo, hi, 1.0 - 1.0 / self.theta)
+        lo, hi, _ = self._distances(a, b, a)
+        return self._sign * self.beta * _power_integral(lo, hi, 1.0 - 1.0 / self.theta)
 
     def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
-        """-beta or beta times the power moment of t**(-1/theta), t = u or 1 - u (:func:`_power_moment`)."""
+        """-beta or beta times the power moment of t**(-1/theta) (:func:`_power_moment`)."""
         a, b = _check_moment(a, b, k, origin)
         if k == 0.0:
             return self.quantile_integral(a, b)
-        lo, hi, o = (1.0 - b, 1.0 - a, 1.0 - origin) if self._anchor else (a, b, origin)
+        lo, hi, o = self._distances(a, b, origin)
         moment = _power_moment(lo, hi, -1.0 / self.theta, k, o)
         if moment is None:
             return super().quantile_moment(a, b, k, origin, epsabs=epsabs)
-        return (self.beta if self._anchor else -self.beta) * moment
+        return self._sign * self.beta * moment
 
     def label(self) -> str:
         return f"{self._kind}(beta={self.beta:g},theta={self.theta:g})"
@@ -520,8 +519,13 @@ class ParetoNegative(_ParetoTail):
 class ParetoPositive(_ParetoTail):
     """Classic Pareto right tail on [beta, inf): cdf(x) = 1 - (beta/x)**theta."""
 
-    _anchor = 1.0
+    _sign = 1.0
     _kind = "pareto_positive"
+
+    @staticmethod
+    def _distances(a: float, b: float, origin: float) -> tuple[float, float, float]:
+        """Levels a <= b and an origin as distances t to the anchored end 1."""
+        return 1.0 - b, 1.0 - a, 1.0 - origin
 
     def cdf(self, x: float) -> float:
         if x < self.beta:
@@ -640,11 +644,20 @@ class _Negated(_MomentNode):
     def cdf_left(self, x):
         return 1.0 - self.base.cdf(-x)
 
+    def _mirror(self, u: float) -> float:
+        """1 - u; below u = 2**-53 it rounds to 1, and a base bounded above is read at 1 - 2**-53."""
+        m = 1.0 - _check_level(u)
+        if m < 1.0:
+            return m
+        if math.isinf(self.base.support()[1]):
+            raise InconclusiveError(f"the level 1 - {u!r} rounds to 1, where the base is unbounded above")
+        return 1.0 - 2.0**-53
+
     def quantile_lower(self, u):
-        return -self.base.quantile_upper(_mirror(u))
+        return -self.base.quantile_upper(self._mirror(u))
 
     def quantile_upper(self, u):
-        return -self.base.quantile_lower(_mirror(u))
+        return -self.base.quantile_lower(self._mirror(u))
 
     def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
         """Minus the base moment at the mirrored levels: |u - origin| is |(1-u) - (1-origin)|."""

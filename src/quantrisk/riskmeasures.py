@@ -148,14 +148,16 @@ _POINTS_PER_CALL = 100  # leaves room for refinement under quad's 400-subinterva
 quad = None  # scipy.integrate.quad, bound by the first _quad call
 
 
-def _quad(f, a, b, *, points=(), epsabs=1e-10):
+def _quad(f, a, b, *, points=(), epsabs=1e-10) -> tuple[float, bool]:
     """Adaptive quadrature over (a, b), which may be infinite, with interior breakpoints.
 
     A call to ``quad`` takes at most ``_POINTS_PER_CALL`` breakpoints and no
     breakpoint beside an infinite limit, so the range is split at every
     ``_POINTS_PER_CALL + 1``-th breakpoint and at the breakpoints next to an
     infinite limit.  The pieces share ``epsabs``; their values and error
-    estimates are summed.
+    estimates are summed.  Returns the value and whether QUADPACK gave up on
+    a piece (a nonzero ``ier``): its value may then be 0.0 for an integrand
+    beyond the float range.
     """
     global quad
     if quad is None:
@@ -168,19 +170,21 @@ def _quad(f, a, b, *, points=(), epsabs=1e-10):
         edges.add(pts[-1])
     edges = sorted(edges)
     val = err = 0.0
+    gave_up = False
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for lo, hi in zip(edges, edges[1:]):
             inner = pts[bisect.bisect_right(pts, lo) : bisect.bisect_left(pts, hi)]
-            v, e = quad(f, lo, hi, points=inner or None, limit=400,
-                        epsabs=epsabs / (len(edges) - 1), epsrel=1e-10)
+            v, e, *rest = quad(f, lo, hi, points=inner or None, limit=400, full_output=1,
+                               epsabs=epsabs / (len(edges) - 1), epsrel=1e-10)
             val += v
             err += e
+            gave_up = gave_up or len(rest) > 1  # a message follows the info dict iff ier != 0
     if not math.isfinite(val) or err > max(1e-7, abs(val) * 1e-6):
         raise InconclusiveError(
             f"quadrature did not converge on ({a!r}, {b!r})", diagnostics=[val, err]
         )
-    return val
+    return val, gave_up
 
 
 def _piece_integral(dist, a: float, b: float, k: float, origin: float, *, epsabs: float) -> float:
@@ -192,24 +196,23 @@ def _piece_integral(dist, a: float, b: float, k: float, origin: float, *, epsabs
     v = |u - origin|**(k+1) / (k+1) the measure is dv, so q is integrated
     in v, where the singularity disappears.
 
-    q is non-decreasing, so its values at the levels of (a, b) nearest the
-    ends bound it at every node.  Beyond the float range there, the
-    integral is inconclusive: ``quad`` can give up on such an integrand
-    and return 0 without meeting a non-finite value.
+    When QUADPACK gives up and q is beyond the float range at the levels of
+    (a, b) nearest its ends, which bound q, the integral is inconclusive.
     """
     q, points = dist.quantile_lower, dist.quantile_breakpoints()
-    for end in (max(a, 5e-324), min(b, 1 - 2**-53)):
-        if not math.isfinite(q(end)):
-            raise InconclusiveError(f"the quantile at level {end!r} is {q(end)!r}, beyond the float range")
     if k >= 0.0:
-        return _quad(lambda u: q(u) * abs(u - origin) ** k, a, b, points=points, epsabs=epsabs)
-    e = k + 1.0
-    side = 1.0 if origin <= a else -1.0
-    v = lambda u: abs(u - origin) ** e / e
-    # u(v), kept inside [a, b] and (0, 1) against rounding
-    u = lambda x: min(max(origin + side * (e * x) ** (1.0 / e), a, 5e-324), b, 1 - 2**-53)
-    lo, hi = sorted((v(a), v(b)))
-    return _quad(lambda x: q(u(x)), lo, hi, points=[v(t) for t in points if a < t < b], epsabs=epsabs)
+        val, gave_up = _quad(lambda u: q(u) * abs(u - origin) ** k, a, b, points=points, epsabs=epsabs)
+    else:
+        e = k + 1.0
+        side = 1.0 if origin <= a else -1.0
+        v = lambda u: abs(u - origin) ** e / e
+        # u(v), kept inside [a, b] and (0, 1) against rounding
+        u = lambda x: min(max(origin + side * (e * x) ** (1.0 / e), a, 5e-324), b, 1 - 2**-53)
+        lo, hi = sorted((v(a), v(b)))
+        val, gave_up = _quad(lambda x: q(u(x)), lo, hi, points=[v(t) for t in points if a < t < b], epsabs=epsabs)
+    if gave_up and not all(math.isfinite(q(t)) for t in (max(a, 5e-324), min(b, 1 - 2**-53))):
+        raise InconclusiveError(f"quad gave up on ({a!r}, {b!r}), where q leaves the float range", diagnostics=[val])
+    return val
 
 
 def _density_moment(dist, p, a: float, b: float, epsabs: float) -> float:
@@ -412,9 +415,9 @@ def choquet_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = 
                 flat_d.append([float(p.value(p.lo))])
                 continue
             if a < 0.0:
-                terms.append(-_quad(dist_fx, a, min(b, 0.0), epsabs=epsabs / 4))
+                terms.append(-_quad(dist_fx, a, min(b, 0.0), epsabs=epsabs / 4)[0])
             if b > 0.0:
-                terms.append(_quad(lambda x: 1.0 - dist_fx(x), max(a, 0.0), b, epsabs=epsabs / 4))
+                terms.append(_quad(lambda x: 1.0 - dist_fx(x), max(a, 0.0), b, epsabs=epsabs / 4)[0])
     a, b, d = (np.concatenate(v) for v in (flat_a, flat_b, flat_d))
     above = np.maximum(b, 0.0) - np.maximum(a, 0.0)
     below = np.minimum(b, 0.0) - np.minimum(a, 0.0)

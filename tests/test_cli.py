@@ -99,6 +99,14 @@ class TestShortfallAndVar:
         code, out, _ = run(capsys, "var", "--dist", str(path), "--alpha", "1e-20", "--format", "json")
         assert code == 0 and abs(json.loads(out)["value"] - 1.0) <= 1e-15
 
+    def test_var_of_a_reflected_unbounded_tail_below_the_last_float_under_1(self, capsys, tmp_path):
+        # the negative part of a right tail shifted by -50 is 0 at 1e-20; 1 - 1e-20 has no float level
+        path = tmp_path / "negp.json"
+        path.write_text('{"kind":"transformed","op":{"kind":"neg_part"},"base":{"kind":"transformed",'
+                        '"base":{"kind":"pareto_positive","beta":1,"theta":10},"op":{"kind":"shift","offset":-50}}}')
+        code, out, err = run(capsys, "var", "--dist", str(path), "--alpha", "1e-20", "--format", "json")
+        assert code == 2 and out == "" and "unbounded above" in err
+
 
 class TestSpectrum:
     def test_convex_lists_pieces(self, capsys):

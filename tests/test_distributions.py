@@ -22,7 +22,7 @@ from quantrisk.distributions import (
     point_mass,
     transform,
 )
-from quantrisk.errors import ParameterError
+from quantrisk.errors import InconclusiveError, ParameterError
 from quantrisk.riskmeasures import value_at_risk
 
 
@@ -271,8 +271,16 @@ class TestTransforms:
             assert abs(q - 1.0) <= 1e-15
 
     def test_neg_part_of_a_lazy_node_below_the_last_float_under_1(self):
-        npart = ParetoPositive(1.0, 2.0).shift(-3.0).neg_part()
+        npart = ParetoNegative(1.0, 2.0).shift(3.0).neg_part()
         assert npart.quantile_lower(1e-20) == npart.quantile_upper(1e-20) == 0.0
+
+    def test_a_base_unbounded_above_is_not_read_at_the_last_float_under_1(self):
+        # max(-(1e20**0.1 - 50), 0) = 0 at 1e-20; read at 1 - 2**-53 it would be 50 - 2**5.3, about 10.6
+        npart = ParetoPositive(1.0, 10.0).shift(-50.0).neg_part()
+        assert abs(npart.quantile_lower(2.0**-52) - (50.0 - 2.0**5.2)) <= 1e-13
+        for q in (npart.quantile_lower, npart.quantile_upper):
+            with pytest.raises(InconclusiveError):
+                q(1e-20)
 
     def test_shift_merges_atoms_that_round_together(self):
         d = Discrete([1e-17, 2e-17], [0.5, 0.5]).shift(1.0)
