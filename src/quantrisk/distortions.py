@@ -93,6 +93,15 @@ class Piece:
         # density pieces run inside quadrature integrands: no add of a zero base
         return power + self.base if self.base else power
 
+    def at(self, u: float) -> float:
+        """``value`` at one float, in Python floats, for integrands that call it point by point.
+
+        Its power is libm's, which can differ from numpy's array power in the last bit.
+        """
+        # x**0.0 is 1.0, for x = 0 too: a flat piece needs no branch
+        power = self.coef * max((u - self.origin) / self.width, 0.0) ** self.expo
+        return power + self.base if self.base else power
+
     @cached_property
     def derivative(self) -> Piece:
         """Derivative on (lo, hi); the zero piece when this one is flat.  Built once."""

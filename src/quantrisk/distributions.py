@@ -144,7 +144,7 @@ class Distribution:
         numerically, with absolute tolerance ``epsabs``; a node overrides it
         with the closed forms it has and defers here for the rest.
         """
-        a, b = _check_moment(a, b, k, origin)
+        a, b, k, origin = _check_moment(a, b, k, origin)
         if k == 0.0:
             return self.quantile_integral(a, b)
         from .riskmeasures import _piece_integral  # the one quadrature route, loading scipy on first use
@@ -289,7 +289,7 @@ class Discrete(_MomentNode):
 
     def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
         """Sum over the atoms of v_i times the weight's integral over their levels clipped to (a, b)."""
-        a, b = _check_moment(a, b, k, origin)
+        a, b, k, origin = _check_moment(a, b, k, origin)
         knots = np.minimum(np.maximum(np.concatenate(([0.0], self.cum)), a), b)
         if k != 0.0:  # |u - origin|**(k+1) / (k+1) is a primitive of the weight, up to the origin's side
             knots = np.abs(knots - origin) ** (k + 1.0) / (k + 1.0)
@@ -464,7 +464,7 @@ class _ParetoTail(Distribution):
 
     def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
         """-beta or beta times the power moment of t**(-1/theta) (:func:`_power_moment`)."""
-        a, b = _check_moment(a, b, k, origin)
+        a, b, k, origin = _check_moment(a, b, k, origin)
         if k == 0.0:
             return self.quantile_integral(a, b)
         lo, hi, o = self._distances(a, b, origin)
@@ -661,7 +661,7 @@ class _Negated(_MomentNode):
 
     def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
         """Minus the base moment at the mirrored levels: |u - origin| is |(1-u) - (1-origin)|."""
-        a, b = _check_moment(a, b, k, origin)
+        a, b, k, origin = _check_moment(a, b, k, origin)
         return -self.base.quantile_moment(1.0 - b, 1.0 - a, k, 1.0 - origin, epsabs=epsabs)
 
     def quantile_breakpoints(self):
@@ -700,7 +700,7 @@ class _PosPart(_MomentNode):
 
     def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
         """The base moment over the levels above the split, where q is positive."""
-        a, b = _check_moment(a, b, k, origin)
+        a, b, k, origin = _check_moment(a, b, k, origin)
         lo = max(a, min(self._split, b))
         if b <= lo:
             return 0.0
@@ -933,7 +933,7 @@ class ComonotoneSum(_MomentNode):
         return self.first.quantile_upper(u) + self.second.quantile_upper(u)
 
     def cdf(self, x):
-        lo, hi = self.support()
+        lo, hi = self._support
         if x < lo:
             return 0.0
         if x >= hi:
@@ -948,7 +948,7 @@ class ComonotoneSum(_MomentNode):
         return min(max(other.cdf(x - values[i]), levels[i]), levels[i + 1])
 
     def cdf_left(self, x):
-        lo, hi = self.support()
+        lo, hi = self._support
         if x <= lo:
             return 0.0
         if x > hi:
@@ -978,10 +978,14 @@ class ComonotoneSum(_MomentNode):
                 return np.array(levels[1:-1]), np.array(ends[:-1]), np.array(starts[1:])
         return super().quantile_steps()
 
-    def support(self):
+    @cached_property
+    def _support(self) -> tuple[float, float]:
         lo1, hi1 = self.first.support()
         lo2, hi2 = self.second.support()
         return lo1 + lo2, hi1 + hi2
+
+    def support(self):
+        return self._support
 
     def lower_tail(self):
         return _heavier_tail(self.first.lower_tail(), self.second.lower_tail())
@@ -1185,11 +1189,13 @@ def _check_range(a: float, b: float) -> tuple[float, float]:
     return a, b
 
 
-def _check_moment(a: float, b: float, k: float, origin: float) -> tuple[float, float]:
+def _check_moment(a: float, b: float, k: float, origin: float) -> tuple[float, float, float, float]:
+    """The range, exponent and origin as Python floats: their powers raise ``OverflowError``, numpy's warn."""
     a, b = _check_range(a, b)
+    k, origin = float(k), float(origin)
     if not k > -1.0:
         raise ParameterError(f"moment exponent must exceed -1, got {k!r}")
     if not (origin <= a or origin >= b):  # NaN too
         raise ParameterError(f"moment origin must lie outside ({a!r}, {b!r}), got {origin!r}")
-    return a, b
+    return a, b, k, origin
 

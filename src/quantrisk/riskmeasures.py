@@ -15,9 +15,10 @@ quantile integral, and distributions defined outside this package, is
 integrated by adaptive quadrature with the tolerances declared here.  The
 tail integral shares none of this: it walks the quantile's breakpoint
 levels, takes each flat step of the CDF and each stretch where D is flat
-in closed form, and integrates only where D(F(x)) moves.  Whether
-max(q, 0) or max(-q, 0) is integrable against D is decided in one place,
-for the forms' domain flags and the class verdicts alike.  scipy's
+in closed form, and integrates only where D(F(x)) moves, each stretch
+against the one piece of D that applies there, evaluated in floats.
+Whether max(q, 0) or max(-q, 0) is integrable against D is decided in one
+place, for the forms' domain flags and the class verdicts alike.  scipy's
 ``quad`` is imported on the first quadrature call, so a process that only
 evaluates closed forms never loads scipy.  ``+inf`` is never returned as a
 risk value: a divergent positive part is reported as non-membership
@@ -29,6 +30,7 @@ from __future__ import annotations
 import bisect
 import enum
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -68,6 +70,8 @@ PROBE_LEVELS = 40
 PROBE_CAUCHY = 1e-9
 PROBE_RATIO = 0.85
 PROBE_GROWTH = 1e-3
+_FLOAT_MAX = sys.float_info.max
+_BELOW_ONE = 1.0 - 2.0**-53  # the last float level below 1, where a CDF that inverts q stops
 
 
 @dataclass(frozen=True)
@@ -378,17 +382,28 @@ def choquet_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = 
     One path for every input, cut in level space.  On the step [q(t), q+(t))
     at a quantile breakpoint t the CDF is t, so the step adds its width times
     1 - D(t) above 0 and -D(t) below.  Between two breakpoint levels the
-    stretch is cut again at D's knots: where D's piece is flat, D(F) is that
-    constant; elsewhere ``1 - D(F)`` and ``D(F)`` are integrated numerically,
-    each call with absolute tolerance ``epsabs / 4``.  A discrete input is
-    all steps and calls no quadrature.  All terms are summed in one fsum.
+    stretch is cut again at D's knots, so one piece p of D applies on each
+    cut: where p is flat, D(F) is that constant; elsewhere ``1 - p(F)`` and
+    ``p(F)`` are integrated numerically in Python floats, each call with
+    absolute tolerance ``epsabs / 4``.  Where ``quad`` gives up on an
+    infinite end and F at the last float has not reached 0 (left) or the
+    last level below 1 (right), the value is inconclusive.  A discrete input
+    is all steps and calls no quadrature.  All terms are summed in one fsum.
     """
     flagged = _forced_value(dist, distortion)
     if flagged is not None:
         return flagged
+    cdf = dist.cdf
 
-    def dist_fx(x: float) -> float:
-        return distortion.eval(dist.cdf(x))
+    def integral(f, x0: float, x1: float) -> float:
+        val, gave_up = _quad(f, x0, x1, epsabs=epsabs / 4)
+        # at an infinite end with mass beyond the last float the integral may diverge
+        if gave_up and (x0 == -math.inf and cdf(-_FLOAT_MAX) > 0.0
+                        or x1 == math.inf and cdf(_FLOAT_MAX) < _BELOW_ONE):
+            raise InconclusiveError(
+                f"quad gave up on ({x0!r}, {x1!r}), where F has mass beyond the float range", diagnostics=[val]
+            )
+        return val
 
     levels, lower, upper = dist.quantile_steps()
     lo, hi = dist.support()
@@ -414,10 +429,11 @@ def choquet_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = 
                 flat_b.append([b])
                 flat_d.append([float(p.value(p.lo))])
                 continue
+            # on (a, b) D(F) is p(F): p is bound once, and evaluated in floats
             if a < 0.0:
-                terms.append(-_quad(dist_fx, a, min(b, 0.0), epsabs=epsabs / 4)[0])
+                terms.append(-integral(lambda x, at=p.at: at(cdf(x)), a, min(b, 0.0)))
             if b > 0.0:
-                terms.append(_quad(lambda x: 1.0 - dist_fx(x), max(a, 0.0), b, epsabs=epsabs / 4)[0])
+                terms.append(integral(lambda x, at=p.at: 1.0 - at(cdf(x)), max(a, 0.0), b))
     a, b, d = (np.concatenate(v) for v in (flat_a, flat_b, flat_d))
     above = np.maximum(b, 0.0) - np.maximum(a, 0.0)
     below = np.minimum(b, 0.0) - np.minimum(a, 0.0)

@@ -1,7 +1,8 @@
 """Print the oracle tables of tests/test_moments.py: quantile moments and risk forms on power tails.
 
-Run by hand, not by pytest (mpmath is not a test dependency), and paste the
-output over the three tables of that file:
+Run by hand, not by pytest (mpmath is not a test dependency: install the
+``oracle`` extra, ``pip install -e .[oracle]``), and paste the output over
+the three tables of that file:
 
     PYTHONPATH=src python tests/golden/make_moments.py > tables.txt
 

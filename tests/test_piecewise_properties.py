@@ -29,7 +29,8 @@ from quantrisk.errors import ParameterError
 from quantrisk.riskmeasures import choquet_risk, mixture_risk, quantile_risk
 from quantrisk.suite import Tolerances
 
-# positive exponents stay away from 0, where expo - 1 rounds to -1
+# positive exponents stay away from 0, where expo - 1 loses the bits of expo
+# below 2**-53 (README "Numerical contract": the floor of piece exponents)
 _EXPO = st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(0.01, 4.0))
 _CONVEX_EXPO = st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(1.0, 4.0))
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from quantrisk.distortions import is_convex, make_named
+from quantrisk.distortions import Distortion, Piece, is_convex, make_named
 from quantrisk.distributions import (
     Discrete,
     Distribution,
@@ -588,6 +588,28 @@ class TestOneChoquetPath:
             if ref.is_finite:
                 assert abs(tail.value - ref.value) < 1e-8
 
+    # 20 equal atoms: their level intervals are (k/20, (k+1)/20], and every knot
+    # below lies strictly inside one of them, so D's piece changes mid-stretch
+    KNOTS_INSIDE = [
+        make_named("es", alpha=0.925),
+        make_named("threshold", delta=0.525),
+        Distortion([
+            Piece(lo=0.0, hi=0.33, coef=0.6, origin=0.0, width=1.0, expo=1.0),
+            Piece(lo=0.33, hi=0.66, base=0.198, coef=0.3, origin=0.33, width=0.33, expo=1.5),
+            Piece(lo=0.66, hi=1.0, base=0.6, coef=0.4, origin=0.66, width=0.34, expo=1.5),
+        ]),
+    ]
+
+    @pytest.mark.parametrize("D", KNOTS_INSIDE, ids=lambda D: D.label())
+    def test_agrees_with_quantile_where_a_knot_cuts_an_atom_interval(self, D):
+        values = [-2.7, -2.1, -1.6, -1.2, -0.9, -0.5, -0.2, 0.1, 0.3, 0.6,
+                  0.8, 1.1, 1.3, 1.7, 2.0, 2.4, 2.9, 3.3, 3.8, 4.5]
+        s = comonotone_sum(Discrete.from_samples(values), ParetoNegative(1.0, 2.0))
+        ref = quantile_risk(s, D).as_float()
+        assert abs(choquet_risk(s, D).as_float() - ref) < 1e-8
+        if is_convex(D):
+            assert abs(mixture_risk(s, D).as_float() - ref) < 1e-6
+
     def test_infinite_flat_stretch_adds_nothing(self):
         # D(0) = 1e-13 lies inside the 1e-12 tolerance; the flat first piece
         # spans (-inf, q(0.5)) on a Pareto left tail and must not add -inf
@@ -613,8 +635,6 @@ class TestOneChoquetPath:
         # the second piece's density (u - origin)**(-2/3) blows up 1e-10 below
         # its knot; integrated against that density, quad converged falsely
         # and the quantile form was off by about 1e-3
-        from quantrisk.distortions import Distortion, Piece
-
         D = Distortion([
             Piece(lo=0.0, hi=0.5, coef=0.5, origin=0.0, width=1.0, expo=1.0),
             Piece(lo=0.5, hi=1.0, base=0.25, coef=0.75, origin=0.5 - 1e-10, width=0.5 + 1e-10, expo=1.0 / 3.0),
@@ -666,8 +686,6 @@ class TestOneIntegralAgainstD:
     def near_singular_convex():
         # D = 0 on [0, 0.5), ((u - o)/(1 - o))**1.5 after it: convex, but the
         # mixing density of nu, s' ~ (u - o)**-0.5, blows up 1e-10 below the knot
-        from quantrisk.distortions import Distortion, Piece
-
         o = 0.5 - 1e-10
         return Distortion([
             Piece(lo=0.0, hi=0.5, coef=0.0, origin=0.0, width=1.0, expo=0.0),
