@@ -479,7 +479,8 @@ def mixture_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = 
     for loc, mass in nu.atoms:
         contrib = scaled_es(loc)
         if math.isinf(contrib):
-            return RiskValue.neg_inf() if contrib < 0 else RiskValue.not_in_domain()
+            # both parts converge, so this is a finite value beyond the float range
+            raise InconclusiveError(f"the shortfall at the mixing atom {loc!r} is {contrib!r}", diagnostics=[contrib])
         total += mass * contrib
     if dist.is_discrete:
         return RiskValue.finite(total + math.fsum(_mixture_density_discrete(dist, p) for p in nu.density))
