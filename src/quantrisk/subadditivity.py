@@ -249,37 +249,55 @@ def _offsets(lengths) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(lengths)))
 
 
+_BLOCK = 1024  # trials per generator; every block is drawn in full
+
+
+def _draw_block(seed: int, block: int):
+    """One block's sizes, grid masks and row-major weights, in whole-array draws.
+
+    The draw order is the seeded contract: the sizes m and k, 21 uniform keys
+    per trial for x and then for y (the m, or k, smallest keys pick the grid
+    points), 64 int8 weights in 0..4 per trial (the first m*k are used), and
+    a cell in 0..m*k-1 that is set to 1 where the used weights are all 0.
+    """
+    rng = np.random.default_rng([seed, block])
+    m, k = rng.integers(1, 9, size=(2, _BLOCK))
+    x_mask = rng.random((_BLOCK, 21)).argsort(axis=1).argsort(axis=1) < m[:, None]
+    y_mask = rng.random((_BLOCK, 21)).argsort(axis=1).argsort(axis=1) < k[:, None]
+    w = rng.integers(0, 5, size=(_BLOCK, 64), dtype=np.int8)
+    cell = rng.integers(0, m * k)
+    used = np.arange(64) < (m * k)[:, None]
+    empty = np.flatnonzero(~(w.astype(bool) & used).any(axis=1))
+    w[empty, cell[empty]] = 1
+    return m, k, x_mask, y_mask, w, used
+
+
 @lru_cache(maxsize=4)
 def _trial_pack(trials: int, seed: int) -> _TrialPack:
     """Random joint tables packed into flat arrays for batched evaluation.
 
-    Each role (x, y and the sum s) merges masses with one ``bincount`` over
-    ``trial * 41 + slot``, where a slot is an integer value plus its offset.
-    Cumulative levels are integer counts divided by the integer total, so a
-    level shared by a marginal and the sum distribution is bit-identical and
-    distortion jumps cannot fire inconsistently.  The draws are taken in a
-    fixed order per trial; the seeded output depends on it.
+    Trials are drawn in blocks of 1,024 by :func:`_draw_block`, block ``b``
+    from ``default_rng([seed, b])``, and every block in full, so a shorter
+    pack is an exact prefix of a longer one.  ``np.nonzero`` of the grid
+    masks, in row-major order, gives each trial's sorted grid indices
+    already concatenated.  Each role (x, y and the sum s) merges masses with
+    one ``bincount`` over ``trial * 41 + slot``, where a slot is an integer
+    value plus its offset.  Cumulative levels are integer counts divided by
+    the integer total, so a level shared by a marginal and the sum
+    distribution is bit-identical and distortion jumps cannot fire
+    inconsistently.
     """
-    rng = np.random.default_rng(seed)
-    xs, ys, ws = [], [], []
-    for _ in range(trials):
-        m = int(rng.integers(1, 9))
-        k = int(rng.integers(1, 9))
-        xs.append(np.sort(rng.choice(21, size=m, replace=False)))
-        ys.append(np.sort(rng.choice(21, size=k, replace=False)))
-        w = rng.integers(0, 5, size=(m, k))
-        if not w.any():
-            w[int(rng.integers(m)), int(rng.integers(k))] = 1
-        ws.append(w.ravel())
+    blocks = [_draw_block(seed, b) for b in range(-(-trials // _BLOCK))]
+    m, k, x_mask, y_mask, w, used = (np.concatenate(a)[:trials] for a in zip(*blocks))
     tables = _Tables(
-        np.concatenate(xs).astype(np.int8),
-        np.concatenate(ys).astype(np.int8),
-        np.concatenate(ws).astype(np.int8),
-        _offsets([len(x) for x in xs]),
-        _offsets([len(y) for y in ys]),
-        _offsets([len(w) for w in ws]),
+        np.nonzero(x_mask)[1].astype(np.int8),
+        np.nonzero(y_mask)[1].astype(np.int8),
+        w[used],
+        _offsets(m),
+        _offsets(k),
+        _offsets(m * k),
     )
-    del xs, ys, ws  # free the per-trial arrays before the flat work below
+    del blocks, x_mask, y_mask, w, used  # free the block draws before the flat work below
     # each cell's trial, row and column, by index arithmetic over the flat cells
     trial = np.repeat(np.arange(trials), np.diff(tables.w_at))
     cell = np.arange(len(tables.w)) - tables.w_at[trial]

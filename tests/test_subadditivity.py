@@ -1,6 +1,15 @@
-"""Joint tables, the explicit counterexample, and the randomized search."""
+"""Joint tables, the explicit counterexample, and the randomized search.
+
+The seeded pins of the trial pack are recorded from a slow per-trial
+reference of its block scheme, kept below.  To print them again after an
+intended change of the scheme (change the reference first):
+
+    PYTHONPATH=src python tests/test_subadditivity.py --record
+"""
 
 import hashlib
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +21,7 @@ from quantrisk.distributions import Discrete, point_mass
 from quantrisk.errors import NoCounterexampleError, ParameterError
 from quantrisk.riskmeasures import quantile_risk
 from quantrisk.subadditivity import (
+    SEARCH_SLACK,
     JointTable,
     build_counterexample,
     comonotone_additivity_check,
@@ -180,15 +190,90 @@ def _pack_digest(pack) -> str:
     return h.hexdigest()
 
 
+BLOCK = 1024  # trials per generator in the seeded scheme
+
+
+def _reference_pack(trials: int, seed: int):
+    """The block scheme, one trial at a time.
+
+    Block b is drawn in full from ``default_rng([seed, b])``: the sizes m and
+    k, 21 keys per trial for x and then for y, 64 int8 weights per trial and
+    one cell in 0..m*k-1.  Each trial's grid is the sorted indices of its m
+    (or k) smallest keys, its weights the first m*k, with the cell set to 1
+    if they are all 0, and each role is merged with ``np.unique`` and
+    ``np.add.at``.
+    """
+    tables, values, levels, lengths = [], {}, {}, {}
+    for t in range(trials):
+        b, i = divmod(t, BLOCK)
+        if i == 0:
+            rng = np.random.default_rng([seed, b])
+            m, k = rng.integers(1, 9, size=(2, BLOCK))
+            x_keys, y_keys = rng.random((BLOCK, 21)), rng.random((BLOCK, 21))
+            weights = rng.integers(0, 5, size=(BLOCK, 64), dtype=np.int8)
+            cell = rng.integers(0, m * k)
+        mi, ki = int(m[i]), int(k[i])
+        xv = np.sort(np.argsort(x_keys[i])[:mi]).astype(float) - 10.0
+        yv = np.sort(np.argsort(y_keys[i])[:ki]).astype(float) - 10.0
+        w = weights[i, : mi * ki].astype(np.int64).reshape(mi, ki)
+        if not w.any():
+            w.flat[cell[i]] = 1
+        total = int(w.sum())
+        tables.append((xv, yv, w.astype(float), float(total)))
+        for role, vals, masses in (
+            ("x", xv, w.sum(axis=1)),
+            ("y", yv, w.sum(axis=0)),
+            ("s", (xv[:, None] + yv[None, :]).ravel(), w.ravel()),
+        ):
+            uniq, inverse = np.unique(vals, return_inverse=True)
+            merged = np.zeros(len(uniq), dtype=np.int64)
+            np.add.at(merged, inverse, masses)
+            keep = merged > 0
+            values.setdefault(role, []).append(uniq[keep])
+            levels.setdefault(role, []).append(np.cumsum(merged[keep]) / total)
+            lengths.setdefault(role, []).append(int(keep.sum()))
+    roles = {
+        role: (
+            np.concatenate(values[role]),
+            np.concatenate(levels[role]),
+            np.concatenate(([0], np.cumsum(lengths[role])[:-1])),
+        )
+        for role in ("x", "y", "s")
+    }
+    return SimpleNamespace(tables=tables, roles=roles)
+
+
+def _reference_search(distortion, trials: int, seed: int):
+    """(gap, trial) of the worst violation over the reference tables.
+
+    The constructed counterexample is trial -1.  The trials' risks are
+    summed by ``_stieltjes_batch``, the search's own evaluator.
+    """
+    pack = _reference_pack(trials, seed)
+    rho = {role: _stieltjes_batch(distortion, *pack.roles[role]) for role in ("x", "y", "s")}
+    gaps = rho["s"] - rho["x"] - rho["y"]
+    i = int(np.argmax(gaps))
+    constructed = build_counterexample(distortion).gap
+    return (float(gaps[i]), i) if gaps[i] > max(SEARCH_SLACK, constructed) else (constructed, -1)
+
+
+_SEARCH_TRIALS, _SEARCH_SEED = 1000, 2008
+_SEARCH_CASES = [(kind, level) for kind in ("var", "threshold") for level in (0.25, 0.5, 0.75)]
+
+
+def _named(kind: str, level: float):
+    return make_named(kind, **{"alpha" if kind == "var" else "delta": level})
+
+
 class TestTrialPack:
-    # Recorded from the per-trial np.unique/np.add.at implementation; the flat
-    # bincount build must reproduce it bit for bit.
+    # Recorded from _reference_pack; the flat build must reproduce it bit for bit.
     DIGESTS = {
         (2000, 21): "075fc12d3f979a3c645430b18c26c1450f138edfdf66d2d241b5d27cf073be6c",
         (60, 5): "37536e950a23f49fad901cf98c9f49058584e99a35146e727c93e91e8a9fab6a",
         (1, 0): "ffac9401a394dbe48b2817c4c4d30390faa9065e80c9013b99d1e085f03b047f",
     }
-    # worst gap (float.hex) and its trial index at trials=1000, seed=2008
+    # worst gap (float.hex) and its trial index at trials=1000, seed=2008,
+    # recorded from _reference_search
     SEARCH = {
         ("var", 0.25): ("0x1.c000000000000p+3", 406),
         ("var", 0.5): ("0x1.c000000000000p+3", 682),
@@ -198,14 +283,17 @@ class TestTrialPack:
         ("threshold", 0.75): ("0x1.b6db6db6db6dcp+1", 660),
     }
 
+    @pytest.mark.parametrize("trials, seed", [*sorted(DIGESTS), (2049, 3)])
+    def test_matches_the_reference(self, trials, seed):
+        assert _pack_digest(_trial_pack(trials, seed)) == _pack_digest(_reference_pack(trials, seed))
+
     @pytest.mark.parametrize("trials, seed", sorted(DIGESTS))
     def test_pinned_digest(self, trials, seed):
         assert _pack_digest(_trial_pack(trials, seed)) == self.DIGESTS[trials, seed]
 
     @pytest.mark.parametrize("kind, level", sorted(SEARCH))
     def test_pinned_search(self, kind, level):
-        param = "alpha" if kind == "var" else "delta"
-        found = subadditivity_search(make_named(kind, **{param: level}), trials=1000, seed=2008)
+        found = subadditivity_search(_named(kind, level), trials=_SEARCH_TRIALS, seed=_SEARCH_SEED)
         assert (found.gap.hex(), found.trial) == self.SEARCH[kind, level]
 
     def test_invariants(self):
@@ -234,9 +322,10 @@ class TestTrialPack:
         with pytest.raises(IndexError):
             pack.tables[60]
 
-    def test_prefix_of_a_longer_pack(self):
-        short, long = _trial_pack(300, 11), _trial_pack(1000, 11)
-        for i in range(300):
+    @pytest.mark.parametrize("short_trials, long_trials", [(300, 1000), (1000, 3000)])
+    def test_prefix_of_a_longer_pack(self, short_trials, long_trials):
+        short, long = _trial_pack(short_trials, 11), _trial_pack(long_trials, 11)
+        for i in range(short_trials):
             for a, b in zip(short.tables[i], long.tables[i]):
                 assert np.array_equal(a, b)
         for role in ("x", "y", "s"):
@@ -244,7 +333,36 @@ class TestTrialPack:
             n = len(values)
             assert np.array_equal(values, long.roles[role][0][:n])
             assert np.array_equal(levels, long.roles[role][1][:n])
-            assert np.array_equal(starts, long.roles[role][2][:300])
+            assert np.array_equal(starts, long.roles[role][2][:short_trials])
+
+    def test_each_trial_keeps_its_law(self):
+        # chi-square statistics against their 0.999 quantiles at 7, 20 and 4 degrees of freedom
+        chi2_999 = {4: 18.47, 7: 24.32, 20: 45.31}
+        trials = 10_000
+        pack = _trial_pack(trials, 2008)
+        sizes = np.zeros((2, 9), dtype=np.int64)  # [x or y, m or k]
+        points = np.zeros((9, 21), dtype=np.int64)  # [size, grid index], x and y pooled
+        weights = np.zeros(5, dtype=np.int64)
+        for i in range(trials):
+            xv, yv, w, total = pack.tables[i]
+            assert total > 0
+            for axis, grid in enumerate((xv, yv)):
+                assert np.all(np.diff(grid) > 0) and np.array_equal(grid, np.round(grid))
+                sizes[axis, len(grid)] += 1
+                points[len(grid)] += np.bincount((grid + 10).astype(int), minlength=21)
+            weights += np.bincount(w.ravel().astype(int), minlength=5)
+        for axis in range(2):
+            assert sizes[axis, 0] == 0
+            observed, expected = sizes[axis, 1:], trials / 8
+            assert np.sum((observed - expected) ** 2 / expected) <= chi2_999[7]
+        for size in range(1, 9):
+            # each of the 21 points is chosen with probability p = size / 21; the counts
+            # sum to size * n, so their covariance is n p (1-p) (21/20) (I - J/21)
+            n, p = sizes[:, size].sum(), size / 21
+            stat = np.sum((points[size] - n * p) ** 2) * 20 / (21 * n * p * (1 - p))
+            assert stat <= chi2_999[20], size
+        expected = weights.sum() / 5
+        assert np.sum((weights - expected) ** 2 / expected) <= chi2_999[4]
 
     @pytest.mark.parametrize(
         "kwargs", [{"trials": 2.5}, {"trials": True}, {"trials": -1}, {"seed": -1}, {"seed": 1.0}]
@@ -311,3 +429,30 @@ def test_expectation_additive_on_random_tables(table):
     r1 = quantile_risk(table.marginal_x(), D).as_float()
     r2 = quantile_risk(table.marginal_y(), D).as_float()
     assert abs(rs - r1 - r2) <= 1e-10
+
+
+def _record():
+    digests = {key: _pack_digest(_reference_pack(*key)) for key in TestTrialPack.DIGESTS}
+    search = {}
+    for kind, level in _SEARCH_CASES:
+        gap, trial = _reference_search(_named(kind, level), _SEARCH_TRIALS, _SEARCH_SEED)
+        search[kind, level] = (gap.hex(), trial)
+    print("DIGESTS = {")
+    for key, digest in digests.items():
+        print(f'    {key}: "{digest}",')
+    print("}")
+    print("SEARCH = {")
+    for (kind, level), (gap, trial) in search.items():
+        print(f'    ("{kind}", {level}): ("{gap}", {trial}),')
+    print("}")
+    print("search-finds-violation lines of golden/suite_records.json:")
+    for (kind, level), (gap, _trial) in search.items():
+        label = _named(kind, level).label()
+        print(f'["subadditivity", "search-finds-violation {label}", "expected-violation", '
+              f'"worst gap {float.fromhex(gap):.12g}"]')
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        raise SystemExit("usage: python tests/test_subadditivity.py --record")
+    _record()
