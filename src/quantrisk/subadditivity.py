@@ -168,7 +168,9 @@ def subadditivity_search(
     Tables have at most 8x8 atoms on the integer grid [-10, 10] with integer
     weights, so every risk evaluation stays on the exact code path.  Returns
     the worst :class:`SubadditivityViolation` beyond ``slack``, or None.
-    Deterministic for a fixed seed.  When the distortion is not convex the
+    Deterministic for a fixed seed: the tables are drawn in blocks of 1,024
+    trials from ``default_rng([seed, block])``, so the first n trials are
+    the same whatever ``trials`` is.  When the distortion is not convex the
     constructed counterexample is evaluated as an extra seeded trial.
     """
     trials, seed = _count("trials", trials), _count("seed", seed)
@@ -253,12 +255,14 @@ _BLOCK = 1024  # trials per generator; every block is drawn in full
 
 
 def _draw_block(seed: int, block: int):
-    """One block's sizes, grid masks and row-major weights, in whole-array draws.
+    """Block ``block`` of the trials, drawn from ``default_rng([seed, block])``.
 
-    The draw order is the seeded contract: the sizes m and k, 21 uniform keys
-    per trial for x and then for y (the m, or k, smallest keys pick the grid
-    points), 64 int8 weights in 0..4 per trial (the first m*k are used), and
-    a cell in 0..m*k-1 that is set to 1 where the used weights are all 0.
+    Returns the sizes, grid masks, weights and the mask of used weights.
+    The order of the whole-array draws is the seeded contract: the sizes m
+    and k, 21 uniform keys per trial for x and then for y (the m, or k,
+    smallest keys pick the grid points), 64 int8 weights in 0..4 per trial
+    (the first m*k are used), and a cell in 0..m*k-1 that is set to 1 where
+    the used weights are all 0.
     """
     rng = np.random.default_rng([seed, block])
     m, k = rng.integers(1, 9, size=(2, _BLOCK))
@@ -267,7 +271,7 @@ def _draw_block(seed: int, block: int):
     w = rng.integers(0, 5, size=(_BLOCK, 64), dtype=np.int8)
     cell = rng.integers(0, m * k)
     used = np.arange(64) < (m * k)[:, None]
-    empty = np.flatnonzero(~(w.astype(bool) & used).any(axis=1))
+    empty = ~(w * used).any(axis=1)
     w[empty, cell[empty]] = 1
     return m, k, x_mask, y_mask, w, used
 
@@ -276,10 +280,9 @@ def _draw_block(seed: int, block: int):
 def _trial_pack(trials: int, seed: int) -> _TrialPack:
     """Random joint tables packed into flat arrays for batched evaluation.
 
-    Trials are drawn in blocks of 1,024 by :func:`_draw_block`, block ``b``
-    from ``default_rng([seed, b])``, and every block in full, so a shorter
-    pack is an exact prefix of a longer one.  ``np.nonzero`` of the grid
-    masks, in row-major order, gives each trial's sorted grid indices
+    Trials are drawn by :func:`_draw_block`, every block in full, so a
+    shorter pack is an exact prefix of a longer one.  ``np.nonzero`` of the
+    grid masks, in row-major order, gives each trial's sorted grid indices
     already concatenated.  Each role (x, y and the sum s) merges masses with
     one ``bincount`` over ``trial * 41 + slot``, where a slot is an integer
     value plus its offset.  Cumulative levels are integer counts divided by

@@ -258,7 +258,6 @@ def _reference_search(distortion, trials: int, seed: int):
 
 
 _SEARCH_TRIALS, _SEARCH_SEED = 1000, 2008
-_SEARCH_CASES = [(kind, level) for kind in ("var", "threshold") for level in (0.25, 0.5, 0.75)]
 
 
 def _named(kind: str, level: float):
@@ -434,7 +433,7 @@ def test_expectation_additive_on_random_tables(table):
 def _record():
     digests = {key: _pack_digest(_reference_pack(*key)) for key in TestTrialPack.DIGESTS}
     search = {}
-    for kind, level in _SEARCH_CASES:
+    for kind, level in TestTrialPack.SEARCH:
         gap, trial = _reference_search(_named(kind, level), _SEARCH_TRIALS, _SEARCH_SEED)
         search[kind, level] = (gap.hex(), trial)
     print("DIGESTS = {")
