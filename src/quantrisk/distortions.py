@@ -127,17 +127,6 @@ class Piece:
         zb = (b - self.origin) / self.width
         return self.coef * self.width / e1 * (max(zb, 0.0) ** e1 - max(za, 0.0) ** e1)
 
-    def primitive(self, u, order: int = 1):
-        """The order-th iterated primitive of the power, vanishing at ``origin``.
-
-        Not restricted to (lo, hi): callers clip their arguments.
-        """
-        scale = self.coef
-        for k in range(1, order + 1):
-            scale *= self.width / (self.expo + k)
-        z = np.maximum((np.asarray(u, dtype=float) - self.origin) / self.width, 0.0)
-        return scale * z ** (self.expo + order)
-
     def antiderivative(self, start: float) -> Piece:
         """Primitive on [lo, hi) taking the value ``start`` at lo."""
         e1 = self.expo + 1.0

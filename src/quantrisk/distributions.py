@@ -288,12 +288,37 @@ class Discrete(_MomentNode):
         return float(self.values[min(idx, len(self.values) - 1)])
 
     def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
-        """Sum over the atoms of v_i times the weight's integral over their levels clipped to (a, b)."""
+        """Sum over the atoms of v_i times the weight's integral over their levels clipped to (a, b).
+
+        For k != 0 only the atoms whose levels meet (a, b) are summed, each
+        by the rule of :func:`_power_integral` with e = k + 1, from its level
+        width w and the distance ``near`` of its nearer end to the origin:
+        (far**e - near**e) / e where far**e exceeds exp(1) * near**e (w**e / e
+        at the origin), and otherwise near**e * expm1(e * log1p(w / near)) / e,
+        so that no difference of close powers is taken.
+        """
         a, b, k, origin = _check_moment(a, b, k, origin)
-        knots = np.minimum(np.maximum(np.concatenate(([0.0], self.cum)), a), b)
-        if k != 0.0:  # |u - origin|**(k+1) / (k+1) is a primitive of the weight, up to the origin's side
-            knots = np.abs(knots - origin) ** (k + 1.0) / (k + 1.0)
-        return float(np.dot(self.values, np.abs(knots[1:] - knots[:-1])))
+        if k == 0.0:
+            knots = np.minimum(np.maximum(np.concatenate(([0.0], self.cum)), a), b)
+            return float(np.dot(self.values, np.abs(knots[1:] - knots[:-1])))
+        if a == b:
+            return 0.0
+        first = int(np.searchsorted(self.cum, a, side="right"))
+        stop = int(np.searchsorted(self.cum, b, side="left")) + 1
+        knots = np.concatenate(([a], self.cum[first : stop - 1], [b]))
+        width = knots[1:] - knots[:-1]
+        e = k + 1.0
+        dist = np.abs(knots - origin)
+        near, far = (dist[:-1], dist[1:]) if origin <= a else (dist[1:], dist[:-1])
+        # w < near * expm1(1/e) is e * log1p(w / near) < 1, with 1/e capped inside
+        # expm1's range.  The log form runs on every atom, a plain one over the
+        # divisor 1, which keeps w / near finite for a subnormal near; the few
+        # plain atoms are then overwritten.
+        close = width < near * math.expm1(min(1.0 / e, 700.0))
+        weight = near**e * np.expm1(e * np.log1p(width / np.where(close, near, 1.0))) / e
+        plain = np.flatnonzero(~close)
+        weight[plain] = (far[plain] ** e - near[plain] ** e) / e
+        return float(np.dot(self.values[first:stop], weight))
 
     def quantile_breakpoints(self) -> tuple[float, ...]:
         return tuple(float(c) for c in self.cum[:-1])

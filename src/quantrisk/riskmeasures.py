@@ -42,7 +42,7 @@ from .distortions import (
     mixture_measure_of,
     spectral_of,
 )
-from .distributions import BOUNDED, Discrete, Distribution, transform, Abs
+from .distributions import BOUNDED, Distribution, transform, Abs
 from .errors import InconclusiveError, NotSpectralError, ParameterError
 
 __all__ = [
@@ -452,12 +452,11 @@ def mixture_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = 
     """Average of rescaled expected shortfalls against the spectral mixing measure.
 
     Only convex distortions admit this representation.  Atoms of the mixing
-    measure are summed exactly.  Its density is integrated in closed form for
-    discrete inputs, whose rescaled shortfall is piecewise linear in the
-    level.  Otherwise each moving piece of the spectrum s is taken by parts:
-    the rescaled shortfall times s at the piece's ends, plus one quantile
-    moment, integrated with absolute tolerance ``epsabs`` where the node has
-    no closed form for it.
+    measure are summed exactly.  Its density is taken by parts on each moving
+    piece of the spectrum s, for every input: the rescaled shortfall times s
+    at the piece's ends, plus one quantile moment, which a discrete takes in
+    closed form and other nodes integrate with absolute tolerance ``epsabs``
+    where they have no closed form for it.
     """
     try:
         spectrum = spectral_of(distortion)
@@ -482,8 +481,6 @@ def mixture_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = 
             # both parts converge, so this is a finite value beyond the float range
             raise InconclusiveError(f"the shortfall at the mixing atom {loc!r} is {contrib!r}", diagnostics=[contrib])
         total += mass * contrib
-    if dist.is_discrete:
-        return RiskValue.finite(total + math.fsum(_mixture_density_discrete(dist, p) for p in nu.density))
     pieces = [p for p in spectrum.pieces if not p.flat]
     tol = epsabs / max(len(pieces), 1)
     for p in pieces:
@@ -497,29 +494,6 @@ def mixture_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = 
         ends -= 0.0 if a == p.origin else scaled_es(a) * float(p.value(a))
         total += ends + _density_moment(dist, p.antiderivative(0.0), a, b, tol)
     return RiskValue.finite(total)
-
-
-def _mixture_density_discrete(dist: Discrete, piece) -> float:
-    """Exact integral of s(alpha) = quantile_integral(alpha, 1) against one density piece.
-
-    On atom i's level interval [L_i, C_i] the integrand is linear,
-    s(alpha) = A_i + v_i (C_i - alpha) with A_i = quantile_integral(C_i, 1).
-    With F, G the first and second primitives of the density and a, b the
-    interval clipped to [lo, hi], integrating by parts and collecting the A_i
-    parts by atom gives
-    sum_i v_i p_i (F(clip L_i) - F(lo)) + v_i [(C_i-b) F(b) - (C_i-a) F(a) + G(b) - G(a)].
-    """
-    levels = np.concatenate(([0.0], dist.cum))  # L_i = levels[i], C_i = levels[i + 1]
-    knots = np.clip(levels, piece.lo, piece.hi)
-    f = piece.primitive(knots, 1)
-    g = piece.primitive(knots, 2)
-    cum = dist.cum
-    term = np.diff(levels)
-    term *= f[:-1] - float(piece.primitive(piece.lo, 1))
-    term += (cum - knots[1:]) * f[1:]
-    term -= (cum - knots[:-1]) * f[:-1]
-    term += np.diff(g)
-    return float(np.dot(dist.values, term))
 
 
 # ---------------------------------------------------------------------------
