@@ -308,8 +308,8 @@ class Discrete(_MomentNode):
         knots = np.concatenate(([a], self.cum[first : stop - 1], [b]))
         width = knots[1:] - knots[:-1]
         e = k + 1.0
-        dist = np.abs(knots - origin)
-        near, far = (dist[:-1], dist[1:]) if origin <= a else (dist[1:], dist[:-1])
+        distance = np.abs(knots - origin)
+        near, far = (distance[:-1], distance[1:]) if origin <= a else (distance[1:], distance[:-1])
         # w < near * expm1(1/e) is e * log1p(w / near) < 1, with 1/e capped inside
         # expm1's range.  The log form runs on every atom, a plain one over the
         # divisor 1, which keeps w / near finite for a subnormal near; the few
