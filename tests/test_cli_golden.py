@@ -8,6 +8,9 @@ covered, so the transcript does not depend on scipy's ``quad``.
 To record the transcript again after an intended change of output:
 
     PYTHONPATH=src python tests/test_cli_golden.py --record
+
+It prints the index, argv and old and new output of every case whose
+output changed from the file on disk, then how many changed.
 """
 
 import contextlib
@@ -161,9 +164,21 @@ def _record():
     loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
     if loaded:
         raise SystemExit(f"a recorded command used quadrature (loaded {loaded[0]})")
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else []
+    changed = 0
+    for index, case in enumerate(transcript):
+        before = old[index] if index < len(old) and old[index]["argv"] == case["argv"] else {}
+        if case == before:
+            continue
+        changed += 1
+        print(f"{index:03d} {json.dumps(case['argv'])}")
+        for field in ("stdout", "stderr", "code"):
+            if before.get(field) != case[field]:
+                print(f"  old {field}: {before.get(field)!r}\n  new {field}: {case[field]!r}")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(transcript, indent=1) + "\n")
     print(f"recorded {len(transcript)} cases in {GOLDEN}")
+    print(f"{changed} of {len(transcript)} cases changed")
 
 
 if __name__ == "__main__":
