@@ -216,9 +216,9 @@ class Discrete(_MomentNode):
     with every step's rounding error carried, divided by its last entry,
     which is then exactly 1.  The quantile is ``values[i]`` on the levels
     (cum[i-1], cum[i]]: every derived discrete is built from these levels by
-    :func:`_from_levels`, and its ``probs`` are their differences.
-    Duplicate sample values are merged by the ``from_samples`` constructor,
-    not here.
+    :func:`_from_levels`, and its ``probs`` are their differences.  Every
+    integral, the mean too, is taken over these levels, never the given
+    ``probs``.  Duplicate values are merged by ``from_samples``, not here.
     """
 
     def __init__(self, values, probs):
@@ -334,9 +334,6 @@ class Discrete(_MomentNode):
 
     def upper_tail(self):
         return BOUNDED
-
-    def mean(self) -> float:
-        return float(np.dot(self.values, self.probs))
 
     def label(self) -> str:
         if len(self.values) == 1:

@@ -7,9 +7,9 @@ levels.  Against one power piece of D, of the spectrum s or of a probe
 band, the quantile form is a quantile moment, the integral of q times a
 power of the distance to the piece's origin, and the mixture form is one
 by parts.  So the quantile and mixture forms and the dyadic probe take
-each piece as one ``quantile_moment`` call, which every distribution node
-answers in closed form where it can: discretes, power tails, their affine
-maps, positive parts and comonotone sums, for every piece exponent.  Only
+each piece as one ``quantile_moment`` call, for every input, which each
+node answers in closed form where it can: discretes, power tails, their
+affine maps, positive parts and comonotone sums, for every exponent.  Only
 what a node cannot do in closed form, the moments of |X| other than its
 quantile integral, and distributions defined outside this package, is
 integrated by adaptive quadrature with the tolerances declared here.  The
@@ -353,18 +353,14 @@ def _judge_partials(partials) -> Verdict:
 def quantile_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = QUAD_TOL) -> RiskValue:
     """Integral of the lower quantile function against the distortion measure.
 
-    Exact for discrete distributions.  Otherwise D's jumps are summed
-    exactly, and each moving piece of D, whose density is a power of the
-    distance to its origin, adds one quantile moment: a linear piece the
-    quantile integral, any other power its moment.  A moment with no closed
-    form on the node is integrated with absolute tolerance ``epsabs``.  A
-    divergent positive part yields the not-in-domain flag, a divergent
-    negative part alone yields -inf.
+    One route for every input: D's jumps are summed exactly, and each
+    moving piece of D, whose density is a power of the distance to its
+    origin, adds one quantile moment: a linear piece the quantile integral,
+    any other power its moment.  A moment with no closed form on the node
+    (a discrete has one for every piece) is integrated with absolute
+    tolerance ``epsabs``.  A divergent positive part yields the
+    not-in-domain flag, a divergent negative part alone yields -inf.
     """
-    if dist.is_discrete:
-        levels = np.asarray(dist.cum)
-        dw = np.diff(np.concatenate(([0.0], np.asarray(distortion.eval(levels), dtype=float))))
-        return RiskValue.finite(float(np.dot(dist.values, dw)))
     flagged = _forced_value(dist, distortion)
     if flagged is not None:
         return flagged

@@ -166,8 +166,9 @@ def subadditivity_search(
     """Hunt for risk-of-sum exceeding summed risks over random joint tables.
 
     Tables have at most 8x8 atoms on the integer grid [-10, 10] with integer
-    weights, so every risk evaluation stays on the exact code path.  Returns
-    the worst :class:`SubadditivityViolation` beyond ``slack``, or None.
+    weights; the risks of all trials are taken in one batch by
+    :func:`_stieltjes_batch`, the counterexample's by :func:`quantile_risk`.
+    Returns the worst :class:`SubadditivityViolation` beyond ``slack``, or None.
     Deterministic for a fixed seed: the tables are drawn in blocks of 1,024
     trials from ``default_rng([seed, block])``, so the first n trials are
     the same whatever ``trials`` is.  When the distortion is not convex the
