@@ -347,11 +347,11 @@ class TestDiscreteEngine:
     def test_mixture_agrees_with_quantile_form(self, n, D):
         rng = np.random.default_rng(n)
         d = Discrete.from_samples(rng.standard_t(3, size=n), rng.random(n) + 0.05)
-        # the quantile form's discrete branch, which differences D at close levels,
-        # is the looser of the two: 1.5e-14 off the mixture under es_n(3,0.2) at 10^4
-        assert abs(mixture_risk(d, D).as_float() - quantile_risk(d, D).as_float()) <= 2e-14
+        # D's one moving piece starts at its origin, so both forms take it as the
+        # same closed-form quantile moment, with no end term: bit for bit equal
+        assert mixture_risk(d, D).as_float() == quantile_risk(d, D).as_float()
 
-    def test_discrete_mixture_makes_no_quadrature_call(self, monkeypatch):
+    def test_discrete_forms_make_no_quadrature_call(self, monkeypatch):
         import quantrisk.riskmeasures as rm
 
         def no_quad(*args, **kwargs):
@@ -368,6 +368,10 @@ class TestDiscreteEngine:
         ])
         for D in (EXPECTATION, make_named("es", alpha=0.9), make_named("es_n", n=3, alpha=0.2), custom_convex):
             assert mixture_risk(d, D).is_finite
+            assert quantile_risk(d, D).is_finite
+        # a jump of D, and sqrt_example's moment with k = -0.5
+        for D in (make_named("var", alpha=0.5), make_named("threshold", delta=0.5), make_named("sqrt_example")):
+            assert quantile_risk(d, D).is_finite
 
 
 class TestDivergenceFlags:
