@@ -1,13 +1,14 @@
 """Closed algebra of one-dimensional distributions with exact evaluation.
 
 Every distribution exposes its CDF (with left limits), both generalized
-inverses, and exact integrals of the lower quantile function, plain and
-against a power weight (quantile moments).  The algebra is closed under
-positive scaling, shifts, positive/negative part, absolute value and
+inverses, and exact integrals of the lower quantile function against a
+power weight (quantile moments), whose k = 0 case is the plain quantile
+integral.  The algebra is closed under positive affine maps (one node for
+a scale and a shift), positive/negative part, absolute value and
 comonotone addition; discrete inputs are transformed eagerly, by mapping
 their atoms and cumulative levels, parametric tails stay symbolic.  The
 two Pareto tails are one node, a power of the distance to the anchored
-end of (0,1), whose quantile integral and moments are power integrals.
+end of (0,1), whose quantile moments are power integrals.
 """
 
 from __future__ import annotations
@@ -107,10 +108,11 @@ class Distribution:
     """Abstract one-dimensional distribution.
 
     Subclasses implement ``cdf``, ``cdf_left``, ``quantile_lower``,
-    ``quantile_upper``, ``quantile_integral``, ``quantile_breakpoints``,
-    ``support`` and the two tail descriptors, and ``quantile_moment`` for
-    the weights they integrate in closed form.  All instances are immutable
-    and all operations are pure.
+    ``quantile_upper``, ``quantile_breakpoints``, ``support`` and the two
+    tail descriptors, and ``quantile_moment`` for the weights they integrate
+    in closed form; ``quantile_integral`` is its k = 0 case and is never
+    overridden.  The default moment integrates every k numerically.  All
+    instances are immutable and all operations are pure.
     """
 
     def cdf(self, x: float) -> float:
@@ -129,24 +131,22 @@ class Distribution:
         raise NotImplementedError
 
     def quantile_integral(self, a: float, b: float) -> float:
-        """Lebesgue integral of the lower quantile function over (a, b).
+        """Lebesgue integral of the lower quantile function over (a, b): the k = 0 quantile moment.
 
         May return ``+-inf`` when the improper integral diverges; the
         endpoints 0 and 1 are admissible.
         """
-        raise NotImplementedError
+        return self.quantile_moment(a, b, 0.0, a)
 
     def quantile_moment(self, a: float, b: float, k: float, origin: float, *, epsabs: float = 1e-10) -> float:
         """Integral of q(u) |u - origin|**k over (a, b), for k > -1 and origin outside (a, b).
 
-        The origin's side of (a, b) says which way the weight grows.  k = 0
-        is ``quantile_integral``.  This default integrates every other k
-        numerically, with absolute tolerance ``epsabs``; a node overrides it
-        with the closed forms it has and defers here for the rest.
+        The origin's side of (a, b) says which way the weight grows.  This
+        default integrates every k, 0 too, numerically with absolute
+        tolerance ``epsabs``; a node overrides it with the closed forms it
+        has and defers here for the rest.
         """
         a, b, k, origin = _check_moment(a, b, k, origin)
-        if k == 0.0:
-            return self.quantile_integral(a, b)
         from .riskmeasures import _piece_integral  # the one quadrature route, loading scipy on first use
 
         return _piece_integral(self, a, b, k, origin, epsabs=epsabs)
@@ -201,14 +201,7 @@ class Distribution:
         return repr(self)
 
 
-class _MomentNode(Distribution):
-    """A node whose primitive is ``quantile_moment``: its quantile integral is the k = 0 moment."""
-
-    def quantile_integral(self, a: float, b: float) -> float:
-        return self.quantile_moment(a, b, 0.0, a)
-
-
-class Discrete(_MomentNode):
+class Discrete(Distribution):
     """Finitely supported distribution: atoms ``values`` at cumulative levels ``cum``.
 
     ``values`` must be strictly increasing and ``probs`` strictly positive
@@ -458,7 +451,7 @@ class _ParetoTail(Distribution):
     """A Pareto tail: q(u) is -beta u**(-1/theta) for a left tail, beta (1-u)**(-1/theta) for a right one.
 
     Both are -beta or beta times t**(-1/theta), t the distance to the
-    anchored end, so one constructor, label, quantile integral and moment
+    anchored end, so one constructor, label and quantile moment
     serve both; ``_sign`` and ``_distances`` orient them.
     """
 
@@ -478,18 +471,12 @@ class _ParetoTail(Distribution):
         """Levels a <= b and an origin as distances t to the anchored end 0: unchanged."""
         return a, b, origin
 
-    def quantile_integral(self, a: float, b: float) -> float:
-        """-beta or beta times the integral of t**(-1/theta) (:func:`_power_integral`)."""
-        a, b = _check_range(a, b)
-        lo, hi, _ = self._distances(a, b, a)
-        return self._sign * self.beta * _power_integral(lo, hi, 1.0 - 1.0 / self.theta)
-
     def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
-        """-beta or beta times the power moment of t**(-1/theta) (:func:`_power_moment`)."""
+        """-beta or beta times the power moment of t**(-1/theta) (:func:`_power_moment`), at k = 0 a power integral."""
         a, b, k, origin = _check_moment(a, b, k, origin)
-        if k == 0.0:
-            return self.quantile_integral(a, b)
         lo, hi, o = self._distances(a, b, origin)
+        if k == 0.0:
+            return self._sign * self.beta * _power_integral(lo, hi, 1.0 - 1.0 / self.theta)
         moment = _power_moment(lo, hi, -1.0 / self.theta, k, o)
         if moment is None:
             return super().quantile_moment(a, b, k, origin, epsabs=epsabs)
@@ -579,82 +566,52 @@ class ParetoPositive(_ParetoTail):
 # lazy transform nodes (non-discrete bases only; discrete transforms are eager)
 
 
-class _Scaled(_MomentNode):
-    def __init__(self, base: Distribution, factor: float):
+class _Affine(Distribution):
+    """factor * X + offset, factor > 0: ``transform`` builds one per scale (no offset) or shift (factor 1)."""
+
+    def __init__(self, base: Distribution, factor: float = 1.0, offset: float = -0.0):
         self.base = base
-        self.factor = float(factor)  # > 0; factor 0 collapses to point_mass earlier
+        self.factor = float(factor)  # factor 0 collapses to point_mass earlier
+        self.offset = float(offset)  # -0.0 adds nothing, not even to the sign of a zero quantile
 
     def cdf(self, x):
-        return self.base.cdf(x / self.factor)
+        return self.base.cdf((x - self.offset) / self.factor)
 
     def cdf_left(self, x):
-        return self.base.cdf_left(x / self.factor)
+        return self.base.cdf_left((x - self.offset) / self.factor)
 
     def quantile_lower(self, u):
-        return self.factor * self.base.quantile_lower(u)
+        return self.factor * self.base.quantile_lower(u) + self.offset
 
     def quantile_upper(self, u):
-        return self.factor * self.base.quantile_upper(u)
+        return self.factor * self.base.quantile_upper(u) + self.offset
 
     def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
-        return self.factor * self.base.quantile_moment(a, b, k, origin, epsabs=epsabs / self.factor)
+        moment = self.factor * self.base.quantile_moment(a, b, k, origin, epsabs=epsabs / self.factor)
+        if self.offset:
+            moment += self.offset * _weight_integral(a, b, k, origin)
+        return moment
 
     def quantile_breakpoints(self):
         return self.base.quantile_breakpoints()
 
     def support(self):
         lo, hi = self.base.support()
-        return self.factor * lo, self.factor * hi
+        return self.factor * lo + self.offset, self.factor * hi + self.offset
 
     def lower_tail(self):
-        return _scale_tail(self.base.lower_tail(), self.factor)
+        return _scale_tail(self.base.lower_tail(), self.factor)  # a shift does not change the blow-up
 
     def upper_tail(self):
         return _scale_tail(self.base.upper_tail(), self.factor)
 
     def label(self):
+        if self.offset:
+            return f"shift({self.offset:g},{self.base.label()})"
         return f"scale({self.factor:g},{self.base.label()})"
 
 
-class _Shifted(_MomentNode):
-    def __init__(self, base: Distribution, offset: float):
-        self.base = base
-        self.offset = float(offset)
-
-    def cdf(self, x):
-        return self.base.cdf(x - self.offset)
-
-    def cdf_left(self, x):
-        return self.base.cdf_left(x - self.offset)
-
-    def quantile_lower(self, u):
-        return self.base.quantile_lower(u) + self.offset
-
-    def quantile_upper(self, u):
-        return self.base.quantile_upper(u) + self.offset
-
-    def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
-        moment = self.base.quantile_moment(a, b, k, origin, epsabs=epsabs)
-        return moment + self.offset * _weight_integral(a, b, k, origin)
-
-    def quantile_breakpoints(self):
-        return self.base.quantile_breakpoints()
-
-    def support(self):
-        lo, hi = self.base.support()
-        return lo + self.offset, hi + self.offset
-
-    def lower_tail(self):
-        return self.base.lower_tail()  # shift does not change the blow-up
-
-    def upper_tail(self):
-        return self.base.upper_tail()
-
-    def label(self):
-        return f"shift({self.offset:g},{self.base.label()})"
-
-
-class _Negated(_MomentNode):
+class _Negated(Distribution):
     """Reflection x -> -x; internal only, used to realize NegPart and Abs."""
 
     def __init__(self, base: Distribution):
@@ -703,7 +660,7 @@ class _Negated(_MomentNode):
         return f"negate({self.base.label()})"
 
 
-class _PosPart(_MomentNode):
+class _PosPart(Distribution):
     def __init__(self, base: Distribution):
         self.base = base
         self._split = base.cdf(0.0)  # quantile_lower(u) <= 0 iff u <= split
@@ -854,8 +811,8 @@ class _AbsMixed(Distribution):
         w = max((d for d in (la - lb, rb - ra) if d < math.inf), default=0.0)
         return est, math.ldexp(1.0, math.frexp(max(w, 4.0 * math.ulp(est)))[1])
 
-    def quantile_integral(self, a, b):
-        """Closed form of the integral of q over (a, b).
+    def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
+        """Closed form of the integral of q over (a, b) at k = 0; other k by the default quadrature.
 
         With c_t = q(t), G the CDF of |X| and F that of X,
         int_a^1 q = c_a (G(c_a) - a) + E[(X - c_a)+] + E[(-X - c_a)+], and
@@ -866,7 +823,9 @@ class _AbsMixed(Distribution):
         enters as inf - inf.  For b = 1 the c_b term drops, F(c_b) = 1 and
         F(-c_b-) = 0.
         """
-        a, b = _check_range(a, b)
+        a, b, k, origin = _check_moment(a, b, k, origin)
+        if k != 0.0:
+            return super().quantile_moment(a, b, k, origin, epsabs=epsabs)
         if a == b:
             return 0.0
         ca, pa, na = self._levels(a)
@@ -903,7 +862,7 @@ class _AbsMixed(Distribution):
         return f"abs({self.base.label()})"
 
 
-class ComonotoneSum(_MomentNode):
+class ComonotoneSum(Distribution):
     """Sum of two comonotone risks: the lower quantiles add pointwise.
 
     Two discrete operands are merged exactly by :func:`comonotone_sum`; this
@@ -1020,7 +979,7 @@ class ComonotoneSum(_MomentNode):
 
 
 def _scale_tail(tail, factor):
-    if isinstance(tail, TailPower):
+    if factor != 1.0 and isinstance(tail, TailPower):
         return TailPower(tail.theta, tail.coef * factor)
     return tail
 
@@ -1133,13 +1092,13 @@ def transform(dist: Distribution, op) -> Distribution:
             return dist
         if isinstance(dist, Discrete):
             return _from_levels(dist.values * op.factor, dist.cum)
-        return _Scaled(dist, op.factor)
+        return _Affine(dist, factor=op.factor)
     if isinstance(op, Shift):
         if op.offset == 0.0:
             return dist
         if isinstance(dist, Discrete):
             return _from_levels(dist.values + op.offset, dist.cum)
-        return _Shifted(dist, op.offset)
+        return _Affine(dist, offset=op.offset)
     if isinstance(op, PosPart):
         if isinstance(dist, Discrete):
             return _from_levels(np.maximum(dist.values, 0.0), dist.cum)
@@ -1204,16 +1163,11 @@ def comonotone_sum(d1: Distribution, d2: Distribution) -> Distribution:
     return ComonotoneSum(d1, d2)
 
 
-def _check_range(a: float, b: float) -> tuple[float, float]:
+def _check_moment(a: float, b: float, k: float, origin: float) -> tuple[float, float, float, float]:
+    """The range, exponent and origin as Python floats: their powers raise ``OverflowError``, numpy's warn."""
     a, b = float(a), float(b)
     if not (0.0 <= a <= b <= 1.0):
         raise ParameterError(f"integration range must satisfy 0 <= a <= b <= 1, got ({a!r}, {b!r})")
-    return a, b
-
-
-def _check_moment(a: float, b: float, k: float, origin: float) -> tuple[float, float, float, float]:
-    """The range, exponent and origin as Python floats: their powers raise ``OverflowError``, numpy's warn."""
-    a, b = _check_range(a, b)
     k, origin = float(k), float(origin)
     if not k > -1.0:
         raise ParameterError(f"moment exponent must exceed -1, got {k!r}")

@@ -22,7 +22,8 @@ place, for the forms' domain flags and the class verdicts alike.  scipy's
 ``quad`` is imported on the first quadrature call, so a process that only
 evaluates closed forms never loads scipy.  ``+inf`` is never returned as a
 risk value: a divergent positive part is reported as non-membership
-instead.
+instead, and a value or quantile beyond the float range, where both parts
+converge, is inconclusive.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distortions import (
+    _MASS_TOL,
     Distortion,
     higher_order_es_distortion,
     mixture_measure_of,
@@ -84,7 +86,8 @@ class RiskValue:
     @classmethod
     def finite(cls, value: float) -> RiskValue:
         if not math.isfinite(value):
-            raise ValueError(f"finite risk value required, got {value!r}")
+            # every caller has found both parts convergent: the value is finite but beyond the float range
+            raise InconclusiveError(f"the risk value came out {value!r}: beyond the float range", diagnostics=[value])
         return cls("finite", float(value))
 
     @classmethod
@@ -433,10 +436,15 @@ def choquet_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = 
     a, b, d = (np.concatenate(v) for v in (flat_a, flat_b, flat_d))
     above = np.maximum(b, 0.0) - np.maximum(a, 0.0)
     below = np.minimum(b, 0.0) - np.minimum(a, 0.0)
-    # an infinite flat stretch lies at D(0+) or D(1-), which are 0 and 1
-    # within the distortion's 1e-12 tolerance: it adds nothing
-    above[np.isinf(above)] = 0.0
-    below[np.isinf(below)] = 0.0
+    past_above, past_below = np.isinf(above), np.isinf(below)
+    if np.count_nonzero(past_above | past_below):
+        # an infinite flat stretch at an end of the support lies at D(0+) or D(1-),
+        # which are 0 and 1 within the distortion's 1e-12 tolerance: it adds
+        # nothing; where it counts, q has left the float range inside (0, 1)
+        if np.any(past_above & (1.0 - d > _MASS_TOL) | past_below & (d > _MASS_TOL)):
+            raise InconclusiveError("a flat stretch of F reaches past the float range at a level inside (0, 1)")
+        above[past_above] = 0.0
+        below[past_below] = 0.0
     up, down = above * (1.0 - d), below * d
     sides = up - down  # exact wherever one side is empty
     both = np.flatnonzero((above > 0.0) & (below > 0.0))  # at most one: the stretches are disjoint
@@ -497,10 +505,13 @@ def mixture_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = 
 
 
 def value_at_risk(dist: Distribution, alpha: float) -> float:
-    """Lower quantile at alpha; defined and finite for every distribution."""
+    """Lower quantile at alpha, finite for every distribution; inconclusive where it overflows the float range."""
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"value-at-risk level must lie in (0,1), got {alpha!r}")
-    return dist.quantile_lower(alpha)
+    q = dist.quantile_lower(alpha)
+    if not math.isfinite(q):
+        raise InconclusiveError(f"the quantile at {alpha!r} is {q!r}, beyond the float range", diagnostics=[q])
+    return q
 
 
 def _stop_loss(dist: Distribution, c: float) -> float:

@@ -1,4 +1,4 @@
-"""Print float.hex of every |X| quantile and two-operand lazy-sum CDF on a fixed level set.
+"""Print float.hex of every |X| quantile, two-operand lazy-sum CDF and affine-node result on fixed points.
 
 Run by hand, not by pytest:
 
@@ -8,12 +8,16 @@ Each line is ``node<TAB>method<TAB>argument<TAB>value``, arguments and values
 as ``float.hex``.  The results of these searches are fixed by their
 contract (the least or largest float where a monotone test holds), so two
 trees that keep it print identical files: diff one against the other.
+The affine nodes (a scale, a shift, and both orders of the two) add their
+quantiles, CDFs, quantile integrals and quantile moments, with several
+arguments joined by commas; an inconclusive moment prints the error's name.
 """
 
 import math
 import sys
 
 from quantrisk.distributions import ParetoNegative, ParetoPositive, comonotone_sum
+from quantrisk.errors import InconclusiveError
 
 COMO_TAILS = comonotone_sum(ParetoNegative(1.0, 3.0), ParetoPositive(1.0, 3.0))
 ABS = {
@@ -28,6 +32,19 @@ SUMS = {
         ParetoNegative(1.0, 2.0).shift(1.5).pos_part(), ParetoNegative(1.0, 3.0).shift(1.2).pos_part()
     ),
 }
+AFFINE_BASES = {"pn1_2": ParetoNegative(1.0, 2.0), "pp1_3": ParetoPositive(1.0, 3.0), "como_tails": COMO_TAILS}
+AFFINE = {
+    f"{op}_{name}": make(base)
+    for name, base in AFFINE_BASES.items()
+    for op, make in (
+        ("scale", lambda d: d.scale(0.5)),
+        ("shift", lambda d: d.shift(3.0)),
+        ("shift_scale", lambda d: d.scale(0.5).shift(3.0)),
+        ("scale_shift", lambda d: d.shift(3.0).scale(0.5)),
+    )
+}
+RANGES = [(0.0, 1.0), (0.0, 0.5), (0.5, 1.0), (0.1, 0.9)]
+MOMENT_KS = [-0.5, 1.0, 2.5]
 # the level set of tests/test_distributions.py::TestAbsQuantileSearch
 LEVELS = sorted(
     {(k + 0.5) / 500 for k in range(500)}
@@ -48,6 +65,28 @@ def sum_points(s):
     return sorted(xs)
 
 
+def _hex(*xs):
+    return ",".join(float(x).hex() for x in xs)
+
+
+def affine_lines(name, d):
+    for u in LEVELS:
+        for method in ("quantile_lower", "quantile_upper"):
+            yield name, method, _hex(u), _hex(getattr(d, method)(u))
+    for x in sum_points(d):
+        for method in ("cdf", "cdf_left"):
+            yield name, method, _hex(x), _hex(getattr(d, method)(x))
+    for a, b in RANGES:
+        yield name, "quantile_integral", _hex(a, b), _hex(d.quantile_integral(a, b))
+        for k in MOMENT_KS:
+            for origin in (a, b):
+                try:
+                    value = _hex(d.quantile_moment(a, b, k, origin))
+                except InconclusiveError as exc:
+                    value = type(exc).__name__
+                yield name, "quantile_moment", _hex(a, b, k, origin), value
+
+
 def main(out=sys.stdout):
     for name, m in ABS.items():
         for u in LEVELS:
@@ -57,6 +96,9 @@ def main(out=sys.stdout):
         for x in sum_points(s):
             for method in ("cdf", "cdf_left"):
                 out.write(f"{name}\t{method}\t{x.hex()}\t{getattr(s, method)(x).hex()}\n")
+    for name, d in AFFINE.items():
+        for line in affine_lines(name, d):
+            out.write("\t".join(line) + "\n")
 
 
 if __name__ == "__main__":

@@ -107,6 +107,26 @@ class TestShortfallAndVar:
         code, out, err = run(capsys, "var", "--dist", str(path), "--alpha", "1e-20", "--format", "json")
         assert code == 2 and out == "" and "unbounded above" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--distortion", '{"kind":"es","alpha":0.9}'],
+            ["eval", "--distortion", '{"kind":"es","alpha":0.9}', "--representation", "mixture"],
+            ["eval", "--distortion", '{"kind":"es","alpha":0.9}', "--representation", "choquet"],
+            ["es", "--alpha", "0.9"],
+            ["es", "--alpha", "0.9", "--order", "2"],
+            ["var", "--alpha", "0.9"],
+        ],
+        ids=["quantile", "mixture", "choquet", "es", "es-order-2", "var"],
+    )
+    def test_a_value_beyond_the_float_range_is_inconclusive(self, capsys, tmp_path, argv):
+        # 3 (1.7e308 - u**-0.5) overflows at every level: never a traceback, 0.0 or Infinity
+        path = tmp_path / "huge.json"
+        path.write_text('{"kind":"transformed","op":{"kind":"scale","factor":3},"base":{"kind":"transformed",'
+                        '"op":{"kind":"shift","offset":1.7e308},"base":{"kind":"pareto_negative","beta":1}}}')
+        code, out, err = run(capsys, *argv, "--dist", str(path), "--format", "json")
+        assert code == 2 and out == "" and "float range" in err
+
 
 class TestSpectrum:
     def test_convex_lists_pieces(self, capsys):

@@ -679,9 +679,6 @@ class _TailLess(Distribution):
     def quantile_upper(self, u):
         return self.base.quantile_upper(u)
 
-    def quantile_integral(self, a, b):
-        return self.base.quantile_integral(a, b)
-
     def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
         return self.base.quantile_moment(a, b, k, origin, epsabs=epsabs)
 
