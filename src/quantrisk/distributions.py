@@ -812,7 +812,14 @@ class _AbsMixed(Distribution):
         return est, math.ldexp(1.0, math.frexp(max(w, 4.0 * math.ulp(est)))[1])
 
     def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
-        """Closed form of the integral of q over (a, b) at k = 0; other k by the default quadrature.
+        """Closed form of the integral of q over (a, b) at k = 0; other k by the default quadrature."""
+        a, b, k, origin = _check_moment(a, b, k, origin)
+        if k != 0.0:
+            return super().quantile_moment(a, b, k, origin, epsabs=epsabs)
+        return self._integral(a, b, self.quantile_lower)
+
+    def _integral(self, a, b, q):
+        """Integral of q over (a, b) in closed form, given this node's lower quantile ``q``.
 
         With c_t = q(t), G the CDF of |X| and F that of X,
         int_a^1 q = c_a (G(c_a) - a) + E[(X - c_a)+] + E[(-X - c_a)+], and
@@ -821,31 +828,33 @@ class _AbsMixed(Distribution):
         c_a (G(c_a) - a) - c_b (G(c_b) - b) + int_{F(c_a)}^{F(c_b)} q_X
         - int_{F(-c_b-)}^{F(-c_a-)} q_X, so a divergent tail of X never
         enters as inf - inf.  For b = 1 the c_b term drops, F(c_b) = 1 and
-        F(-c_b-) = 0.
+        F(-c_b-) = 0.  The dyadic probe passes a ``q`` that remembers its
+        searches.
         """
-        a, b, k, origin = _check_moment(a, b, k, origin)
-        if k != 0.0:
-            return super().quantile_moment(a, b, k, origin, epsabs=epsabs)
         if a == b:
             return 0.0
-        ca, pa, na = self._levels(a)
-        cb, pb, nb = (0.0, 1.0, 0.0) if b == 1.0 else self._levels(b)
+        ca, pa, na = self._levels(a, q)
+        cb, pb, nb = (0.0, 1.0, 0.0) if b == 1.0 else self._levels(b, q)
         atoms = ca * (pa - na - a) - cb * (pb - nb - b)
         return atoms + self.base.quantile_integral(pa, pb) - self.base.quantile_integral(nb, na)
 
-    def _levels(self, t):
+    def _levels(self, t, q):
         """(c, F(c), F(-c-)) for c = q(t), with c = 0 at t = 0."""
-        c = 0.0 if t == 0.0 else self.quantile_lower(t)
+        c = 0.0 if t == 0.0 else q(t)
         return c, self.base.cdf(c), self.base.cdf_left(-c)
 
-    def quantile_breakpoints(self):
-        """Levels where one side of the base runs out of support, and images of the base's breakpoints."""
+    def _kinks(self):
+        """Sorted finite x where the CDF may kink or jump: |x| of the base's support ends and breakpoints."""
         base = self.base
         lo, hi = base.support()
         xs = [-lo, hi]
         for t in base.quantile_breakpoints():
             xs += [abs(base.quantile_lower(t)), abs(base.quantile_upper(t))]
-        levels = {self.cdf(x) for x in xs if math.isfinite(x)}
+        return sorted({x for x in xs if math.isfinite(x)})
+
+    def quantile_breakpoints(self):
+        """The levels of the kinks inside (0, 1)."""
+        levels = {self.cdf(x) for x in self._kinks()}
         return tuple(sorted(t for t in levels if 0.0 < t < 1.0))
 
     def support(self):

@@ -12,7 +12,8 @@ node answers in closed form where it can: discretes, power tails, their
 affine maps, positive parts and comonotone sums, for every exponent.  Only
 what a node cannot do in closed form, the moments of |X| other than its
 quantile integral, and distributions defined outside this package, is
-integrated by adaptive quadrature with the tolerances declared here.  The
+integrated by adaptive quadrature with the tolerances declared here; the
+probe alone takes such an |X| band by parts in x instead.  The
 tail integral shares none of this: it walks the quantile's breakpoint
 levels, takes each flat step of the CDF and each stretch where D is flat
 in closed form, and integrates only where D(F(x)) moves, each stretch
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import bisect
 import enum
+import functools
 import math
 import sys
 import warnings
@@ -44,7 +46,7 @@ from .distortions import (
     mixture_measure_of,
     spectral_of,
 )
-from .distributions import BOUNDED, Distribution, transform, Abs
+from .distributions import BOUNDED, Distribution, transform, Abs, _AbsMixed
 from .errors import InconclusiveError, NotSpectralError, ParameterError
 
 __all__ = [
@@ -297,10 +299,18 @@ def _dyadic_partials(dist, distortion, sign: float, span) -> tuple[float, ...]:
     """Cumulative integrals of h = max(sign * q, 0) dQ over the windows (2^-k, 1 - 2^-k).
 
     Only the levels ``span`` are integrated, where h is sign * q: each band
-    of a piece of D adds sign times one quantile moment.
+    of a piece of D adds sign times one quantile moment, or on |X| one
+    :func:`_abs_band`, which searches q only at the band's ends and
+    remembers each search for the next band.
     """
     atoms = distortion.jumps()
     pieces = [p for p in distortion.pieces if not p.flat]
+    if isinstance(dist, _AbsMixed):
+        q, kinks = functools.cache(dist.quantile_lower), dist._kinks()
+        band = lambda p, a, b: _abs_band(dist, p, a, b, q, kinks)
+    else:
+        q = dist.quantile_lower
+        band = lambda p, a, b: _density_moment(dist, p, a, b, 1e-11)
     total = 0.0
     out = []
     prev_lo, prev_hi = math.inf, -math.inf  # empty previous window
@@ -309,7 +319,7 @@ def _dyadic_partials(dist, distortion, sign: float, span) -> tuple[float, ...]:
         inc = 0.0
         for loc, mass in atoms:
             if lo <= loc <= hi and not (prev_lo <= loc <= prev_hi):
-                inc += mass * max(sign * dist.quantile_lower(loc), 0.0)
+                inc += mass * max(sign * q(loc), 0.0)
         if lo < hi:
             segments = [(lo, min(prev_lo, hi)), (max(prev_hi, lo), hi)] if prev_lo <= prev_hi else [(lo, hi)]
             for a, b in segments:
@@ -318,11 +328,44 @@ def _dyadic_partials(dist, distortion, sign: float, span) -> tuple[float, ...]:
                 for piece in pieces:
                     pa, pb = max(a, piece.lo, span[0]), min(b, piece.hi, span[1])
                     if pb > pa:
-                        inc += sign * _density_moment(dist, piece, pa, pb, 1e-11)
+                        inc += sign * band(piece, pa, pb)
         total += inc
         out.append(total)
         prev_lo, prev_hi = lo, hi
     return tuple(out)
+
+
+def _abs_band(dist, p, a: float, b: float, q, kinks) -> float:
+    """Integral of the |X| quantile q against d(p) over a probe band (a, b), b < 1.
+
+    A linear piece takes the closed-form quantile integral, as
+    :func:`_density_moment` does.  Any other piece W = p is taken by parts
+    in x: u > G(y) exactly where q(u) > y, G the CDF of |X| (two base CDF
+    calls), so
+
+        int_a^b q dW = q(a) (W(b) - W(a)) + int_{q(a)}^{q(b)} (W(b) - W(min(max(G(y), a), b))) dy,
+
+    integrated with absolute tolerance 1e-11 and the ``kinks`` of G as
+    breakpoints, in place of a quantile search at every node of a moment.
+    Where ``_quad`` cannot certify that integral (in a deep band the
+    rounding of G is a large part of W(b) - W(G)) or q(b) is past the float
+    range, the band takes the level-space moment instead.  Only the forced
+    probe takes this route: the risk forms keep level space, and the
+    x-space integral of W(G) stays the tail integral's own.
+    """
+    if p.expo == 1.0:
+        a = max(a, p.origin)
+        return p.coef / p.width * dist._integral(a, b, q) if b > a else 0.0
+    qa, qb = q(a), q(b)
+    if math.isfinite(qb):
+        at, cdf, wb = p.at, dist.cdf, p.at(b)
+        points = kinks[bisect.bisect_right(kinks, qa) : bisect.bisect_left(kinks, qb)]
+        try:
+            val, _ = _quad(lambda y: wb - at(min(max(cdf(y), a), b)), qa, qb, points=points, epsabs=1e-11)
+            return qa * (wb - at(a)) + val
+        except InconclusiveError:
+            pass
+    return _density_moment(dist, p, a, b, 1e-11)
 
 
 def _judge_partials(partials) -> Verdict:
@@ -386,7 +429,8 @@ def choquet_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = 
     ``p(F)`` are integrated numerically in Python floats, each call with
     absolute tolerance ``epsabs / 4``.  Where ``quad`` gives up on an
     infinite end and F at the last float has not reached 0 (left) or the
-    last level below 1 (right), the value is inconclusive.  A discrete input
+    last level below 1 (right), the value is inconclusive, as it is for a
+    step whose q and q+ are both past the float range.  A discrete input
     is all steps and calls no quadrature.  All terms are summed in one fsum.
     """
     flagged = _forced_value(dist, distortion)
@@ -405,6 +449,9 @@ def choquet_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = 
         return val
 
     levels, lower, upper = dist.quantile_steps()
+    # q and q+ rise with the level: a step past the float range on both ends is the last or the first
+    if len(levels) and (lower[-1] == math.inf or upper[0] == -math.inf):
+        raise InconclusiveError("a step of F lies past the float range at a level inside (0, 1)")
     lo, hi = dist.support()
     # (a, b, D) for every stretch of x on which D(F(x)) is constant
     flat_a, flat_b, flat_d = [lower], [upper], [np.asarray(distortion.eval(levels), dtype=float)]

@@ -11,6 +11,8 @@ trees that keep it print identical files: diff one against the other.
 The affine nodes (a scale, a shift, and both orders of the two) add their
 quantiles, CDFs, quantile integrals and quantile moments, with several
 arguments joined by commas; an inconclusive moment prints the error's name.
+Last come the |X| quantiles at the forced probe's band ends 2**-k and
+1 - 2**-k, k = 1..41, method ``probe_level``.
 """
 
 import math
@@ -53,6 +55,8 @@ LEVELS = sorted(
     | {t for j in range(2, 301, 2) for t in (10.0 ** (-j / 20), 1.0 - 10.0 ** (-j / 20))}
     | {math.nextafter(1.0, 0.0)}
 )
+# the forced probe's band ends, where the probe of an |X| makes its only searches
+PROBE_LEVELS = sorted({t for k in range(1, 42) for t in (2.0**-k, 1.0 - 2.0**-k)})
 SPECIAL_X = [0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e20, -1e20, 1e30, -1e30, 1e300, -1e300]
 
 
@@ -99,6 +103,9 @@ def main(out=sys.stdout):
     for name, d in AFFINE.items():
         for line in affine_lines(name, d):
             out.write("\t".join(line) + "\n")
+    for name, m in ABS.items():
+        for u in PROBE_LEVELS:
+            out.write(f"{name}\tprobe_level\t{u.hex()}\t{m.quantile_lower(u).hex()}\n")
 
 
 if __name__ == "__main__":

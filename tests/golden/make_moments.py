@@ -2,7 +2,7 @@
 
 Run by hand, not by pytest (mpmath is not a test dependency: install the
 ``oracle`` extra, ``pip install -e .[oracle]``), and paste the output over
-the three tables of that file:
+the four tables of that file:
 
     PYTHONPATH=src python tests/golden/make_moments.py > tables.txt
 
@@ -102,6 +102,17 @@ def form_value(tail, theta, label):
     return n / width**n * tail_moment(tail, theta, alpha, 1.0, float(n - 1), alpha)
 
 
+# abs(shift(2, pareto_negative(1, 2))) under es_n(2,0.5): for u >= 8/9 its quantile is
+# (1 - u)**-0.5 - 2 and D(u) = (2u - 1)**2, so in v = 1 - u the probe band
+# (1 - 2**-k, 1 - 2**-(k+1)) is the integral of (v**-0.5 - 2) 4 (1 - 2v) over (2**-(k+1), 2**-k)
+ABS_BAND_KS = range(4, 41)
+
+
+def abs_band(k):
+    prim = lambda v: 4 * (2 * mp.sqrt(v) - 2 * v - mp.mpf(4) / 3 * v * mp.sqrt(v) + 2 * v**2)
+    return prim(mp.ldexp(1, -k)) - prim(mp.ldexp(1, -k - 1))
+
+
 def main():
     print("MOMENTS = {")
     for cell in cells():
@@ -117,6 +128,10 @@ def main():
     for theta in STEEP_THETAS:
         for label in STEEP_DISTORTIONS:
             print(f"    {(theta, label)!r}: {mp.nstr(form_value('pareto_negative', theta, label), 30)!r},")
+    print("}")
+    print("ABS_BANDS = {")
+    for k in ABS_BAND_KS:
+        print(f"    {k}: {mp.nstr(abs_band(k), 30)!r},")
     print("}")
 
 
