@@ -7,8 +7,8 @@ integral.  The algebra is closed under positive affine maps (one node for
 a scale and a shift), positive/negative part, absolute value and
 comonotone addition; discrete inputs are transformed eagerly, by mapping
 their atoms and cumulative levels, parametric tails stay symbolic.  The
-two Pareto tails are one node, a power of the distance to the anchored
-end of (0,1), whose quantile moments are power integrals.
+right Pareto tail is the left one reflected by the negation node, which
+also realizes the negative part and the absolute value.
 """
 
 from __future__ import annotations
@@ -387,15 +387,15 @@ def _weight_integral(a: float, b: float, k: float, origin: float) -> float:
 def _power_moment(a: float, b: float, r: float, k: float, o: float) -> float | None:
     """Integral of t**r |t - o|**k over (a, b) for 0 <= a <= b <= 1 and o outside (a, b); None without a closed form.
 
-    At o = 0 a power integral.  Elsewhere two binomial series, each in a
-    ratio of at most 2/3, term by term in power integrals: within o/2 of o,
+    At o = 0 or k = 0 a power integral.  Elsewhere two binomial series, each
+    in a ratio of at most 2/3, term by term in power integrals: within o/2 of o,
     where |t - o|**k is small, the series of t**r about o; beyond, that of
     |t - o|**k in o/t or t/o, which ends after k + 1 terms for an integer k.
     Left of 0 (o < 0) only that last one is taken, and only where it ends.
     """
     if a == b:
         return 0.0
-    if o == 0.0:
+    if o == 0.0 or k == 0.0:
         return _power_integral(a, b, r + k + 1.0)
     if a == 0.0 and r <= -1.0:  # t**r times a weight bounded away from 0 near t = 0
         return math.inf
@@ -447,57 +447,20 @@ def _binomial_sum(k: float, x: float, integral) -> float | None:
     return None
 
 
-class _ParetoTail(Distribution):
-    """A Pareto tail: q(u) is -beta u**(-1/theta) for a left tail, beta (1-u)**(-1/theta) for a right one.
-
-    Both are -beta or beta times t**(-1/theta), t the distance to the
-    anchored end, so one constructor, label and quantile moment
-    serve both; ``_sign`` and ``_distances`` orient them.
-    """
-
-    _sign = -1.0
-    _kind = "pareto_negative"  # the spec kind its label starts with
-
-    def __init__(self, beta: float, theta: float):
-        if not beta > 0:
-            raise ParameterError(f"beta must be positive, got {beta!r}")
-        if not theta > 0:
-            raise ParameterError(f"theta must be positive, got {theta!r}")
-        self.beta = float(beta)
-        self.theta = float(theta)
-
-    @staticmethod
-    def _distances(a: float, b: float, origin: float) -> tuple[float, float, float]:
-        """Levels a <= b and an origin as distances t to the anchored end 0: unchanged."""
-        return a, b, origin
-
-    def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
-        """-beta or beta times the power moment of t**(-1/theta) (:func:`_power_moment`), at k = 0 a power integral."""
-        a, b, k, origin = _check_moment(a, b, k, origin)
-        lo, hi, o = self._distances(a, b, origin)
-        if k == 0.0:
-            return self._sign * self.beta * _power_integral(lo, hi, 1.0 - 1.0 / self.theta)
-        moment = _power_moment(lo, hi, -1.0 / self.theta, k, o)
-        if moment is None:
-            return super().quantile_moment(a, b, k, origin, epsabs=epsabs)
-        return self._sign * self.beta * moment
-
-    def label(self) -> str:
-        return f"{self._kind}(beta={self.beta:g},theta={self.theta:g})"
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(beta={self.beta!r}, theta={self.theta!r})"
-
-
-class ParetoNegative(_ParetoTail):
-    """Power-law left tail supported on (-inf, -beta].
+class ParetoNegative(Distribution):
+    """Power-law left tail supported on (-inf, -beta]: q(u) = -beta u**(-1/theta).
 
     ``cdf(x) = (beta / -x)**theta`` for x < -beta and 1 beyond.  ``theta``
     defaults to 2, which has a finite mean; ``theta <= 1`` gives mean -inf.
     """
 
     def __init__(self, beta: float, theta: float = 2.0):
-        super().__init__(beta, theta)
+        if not beta > 0:
+            raise ParameterError(f"beta must be positive, got {beta!r}")
+        if not theta > 0:
+            raise ParameterError(f"theta must be positive, got {theta!r}")
+        self.beta = float(beta)
+        self.theta = float(theta)
 
     def cdf(self, x: float) -> float:
         if x >= -self.beta:
@@ -515,6 +478,14 @@ class ParetoNegative(_ParetoTail):
 
     quantile_upper = quantile_lower  # strictly increasing CDF, no flat levels
 
+    def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
+        """-beta times the power moment of u**(-1/theta) (:func:`_power_moment`), or the default quadrature."""
+        a, b, k, origin = _check_moment(a, b, k, origin)
+        moment = _power_moment(a, b, -1.0 / self.theta, k, origin)
+        if moment is None:
+            return super().quantile_moment(a, b, k, origin, epsabs=epsabs)
+        return -self.beta * moment
+
     def support(self) -> tuple[float, float]:
         return -math.inf, -self.beta
 
@@ -524,42 +495,11 @@ class ParetoNegative(_ParetoTail):
     def upper_tail(self):
         return BOUNDED
 
+    def label(self) -> str:
+        return f"pareto_negative(beta={self.beta:g},theta={self.theta:g})"
 
-class ParetoPositive(_ParetoTail):
-    """Classic Pareto right tail on [beta, inf): cdf(x) = 1 - (beta/x)**theta."""
-
-    _sign = 1.0
-    _kind = "pareto_positive"
-
-    @staticmethod
-    def _distances(a: float, b: float, origin: float) -> tuple[float, float, float]:
-        """Levels a <= b and an origin as distances t to the anchored end 1."""
-        return 1.0 - b, 1.0 - a, 1.0 - origin
-
-    def cdf(self, x: float) -> float:
-        if x < self.beta:
-            return 0.0
-        return 1.0 - (self.beta / x) ** self.theta
-
-    cdf_left = cdf
-
-    def quantile_lower(self, u: float) -> float:
-        u = _check_level(u)
-        try:
-            return self.beta * (1.0 - u) ** (-1.0 / self.theta)
-        except OverflowError:  # beyond the float range
-            return math.inf
-
-    quantile_upper = quantile_lower
-
-    def support(self) -> tuple[float, float]:
-        return self.beta, math.inf
-
-    def lower_tail(self):
-        return BOUNDED
-
-    def upper_tail(self):
-        return TailPower(self.theta, self.beta)
+    def __repr__(self) -> str:
+        return f"ParetoNegative(beta={self.beta!r}, theta={self.theta!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +552,10 @@ class _Affine(Distribution):
 
 
 class _Negated(Distribution):
-    """Reflection x -> -x; internal only, used to realize NegPart and Abs."""
+    """Reflection x -> -x: realizes NegPart and Abs, and is the right Pareto tail.
+
+    Where 1 - u rounds to 1 (u below 2**-53) both quantiles are minus the base's supremum, inconclusive if infinite.
+    """
 
     def __init__(self, base: Distribution):
         self.base = base
@@ -623,20 +566,19 @@ class _Negated(Distribution):
     def cdf_left(self, x):
         return 1.0 - self.base.cdf(-x)
 
-    def _mirror(self, u: float) -> float:
-        """1 - u; below u = 2**-53 it rounds to 1, and a base bounded above is read at 1 - 2**-53."""
-        m = 1.0 - _check_level(u)
-        if m < 1.0:
-            return m
-        if math.isinf(self.base.support()[1]):
-            raise InconclusiveError(f"the level 1 - {u!r} rounds to 1, where the base is unbounded above")
-        return 1.0 - 2.0**-53
-
     def quantile_lower(self, u):
-        return -self.base.quantile_upper(self._mirror(u))
+        m = 1.0 - _check_level(u)
+        return -self.base.quantile_upper(m) if m < 1.0 else self._top(u)
 
     def quantile_upper(self, u):
-        return -self.base.quantile_lower(self._mirror(u))
+        m = 1.0 - _check_level(u)
+        return -self.base.quantile_lower(m) if m < 1.0 else self._top(u)
+
+    def _top(self, u):
+        hi = self.base.support()[1]
+        if math.isinf(hi):
+            raise InconclusiveError(f"the level 1 - {u!r} rounds to 1, where the base is unbounded above")
+        return -hi
 
     def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
         """Minus the base moment at the mirrored levels: |u - origin| is |(1-u) - (1-origin)|."""
@@ -658,6 +600,23 @@ class _Negated(Distribution):
 
     def label(self):
         return f"negate({self.base.label()})"
+
+
+class ParetoPositive(_Negated):
+    """Classic Pareto right tail on [beta, inf): cdf(x) = 1 - (beta/x)**theta, q(u) = beta (1-u)**(-1/theta).
+
+    The reflection of ``ParetoNegative(beta, theta)``: every evaluation is the negation node's.
+    """
+
+    def __init__(self, beta: float, theta: float):
+        super().__init__(ParetoNegative(beta, theta))
+        self.beta, self.theta = self.base.beta, self.base.theta
+
+    def label(self):
+        return f"pareto_positive(beta={self.beta:g},theta={self.theta:g})"
+
+    def __repr__(self):
+        return f"ParetoPositive(beta={self.beta!r}, theta={self.theta!r})"
 
 
 class _PosPart(Distribution):
@@ -915,7 +874,10 @@ class ComonotoneSum(Distribution):
         return values, levels, starts, ends, other
 
     def quantile_lower(self, u):
-        u = _check_level(u)
+        return self._summed(_check_level(u))
+
+    def _summed(self, u):
+        """The operands' lower quantiles added, at a level already in (0, 1): the CDF's search asks no other."""
         return self.first.quantile_lower(u) + self.second.quantile_lower(u)
 
     def quantile_upper(self, u):
@@ -930,7 +892,7 @@ class ComonotoneSum(Distribution):
             return 1.0
         if self._steps is None:
             # largest u with q(u) <= x; measure of {q <= x}
-            return _invert_level(self.quantile_lower, x)
+            return _invert_level(self._summed, x)
         values, levels, starts, ends, other = self._steps
         i = bisect.bisect_right(starts, x) - 1
         if x >= ends[i]:
@@ -944,7 +906,7 @@ class ComonotoneSum(Distribution):
         if x > hi:
             return 1.0
         if self._steps is None:
-            return _invert_level(self.quantile_lower, x, strict=True)
+            return _invert_level(self._summed, x, strict=True)
         values, levels, starts, ends, other = self._steps
         i = bisect.bisect_left(starts, x) - 1
         if x > ends[i]:

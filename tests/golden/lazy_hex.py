@@ -11,8 +11,11 @@ trees that keep it print identical files: diff one against the other.
 The affine nodes (a scale, a shift, and both orders of the two) add their
 quantiles, CDFs, quantile integrals and quantile moments, with several
 arguments joined by commas; an inconclusive moment prints the error's name.
-Last come the |X| quantiles at the forced probe's band ends 2**-k and
-1 - 2**-k, k = 1..41, method ``probe_level``.
+Then come the |X| quantiles at the forced probe's band ends 2**-k and
+1 - 2**-k, k = 1..41, method ``probe_level``.  Last, the right Pareto tail
+(a negation node) at levels where 1 - u rounds to 1 or nearly so, its CDF,
+quantile integrals and moments, and a negated shifted left tail at those
+levels.
 """
 
 import math
@@ -57,6 +60,9 @@ LEVELS = sorted(
 )
 # the forced probe's band ends, where the probe of an |X| makes its only searches
 PROBE_LEVELS = sorted({t for k in range(1, 42) for t in (2.0**-k, 1.0 - 2.0**-k)})
+PARETO_POSITIVE = {f"pp1_{theta:g}": ParetoPositive(1.0, theta) for theta in (0.05, 0.5, 3.0)}
+NEGATED_SHIFT = {"pn1_0.05_shift0.5_neg": ParetoNegative(1.0, 0.05).shift(0.5).neg_part()}
+EDGE_LEVELS = [1e-20, 2.0**-54, 2.0**-53, 1.0 - 2.0**-53]
 SPECIAL_X = [0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e20, -1e20, 1e30, -1e30, 1e300, -1e300]
 
 
@@ -73,10 +79,14 @@ def _hex(*xs):
     return ",".join(float(x).hex() for x in xs)
 
 
-def affine_lines(name, d):
-    for u in LEVELS:
+def quantile_lines(name, d, levels):
+    for u in levels:
         for method in ("quantile_lower", "quantile_upper"):
             yield name, method, _hex(u), _hex(getattr(d, method)(u))
+
+
+def affine_lines(name, d):
+    yield from quantile_lines(name, d, LEVELS)
     for x in sum_points(d):
         for method in ("cdf", "cdf_left"):
             yield name, method, _hex(x), _hex(getattr(d, method)(x))
@@ -89,6 +99,18 @@ def affine_lines(name, d):
                 except InconclusiveError as exc:
                     value = type(exc).__name__
                 yield name, "quantile_moment", _hex(a, b, k, origin), value
+
+
+def pareto_positive_lines(name, d):
+    yield from quantile_lines(name, d, EDGE_LEVELS)
+    for x in (d.beta, 1.5 * d.beta, 1e300):
+        for method in ("cdf", "cdf_left"):
+            yield name, method, _hex(x), _hex(getattr(d, method)(x))
+    for a, b in RANGES:
+        yield name, "quantile_integral", _hex(a, b), _hex(d.quantile_integral(a, b))
+        for k in MOMENT_KS:
+            for origin in (a, b):
+                yield name, "quantile_moment", _hex(a, b, k, origin), _hex(d.quantile_moment(a, b, k, origin))
 
 
 def main(out=sys.stdout):
@@ -106,6 +128,12 @@ def main(out=sys.stdout):
     for name, m in ABS.items():
         for u in PROBE_LEVELS:
             out.write(f"{name}\tprobe_level\t{u.hex()}\t{m.quantile_lower(u).hex()}\n")
+    for name, d in PARETO_POSITIVE.items():
+        for line in pareto_positive_lines(name, d):
+            out.write("\t".join(line) + "\n")
+    for name, d in NEGATED_SHIFT.items():
+        for line in quantile_lines(name, d, EDGE_LEVELS):
+            out.write("\t".join(line) + "\n")
 
 
 if __name__ == "__main__":

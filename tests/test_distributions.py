@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantrisk.distributions import (
+    BOUNDED,
     Abs,
     Discrete,
     NegPart,
@@ -18,6 +19,7 @@ from quantrisk.distributions import (
     PosPart,
     Scale,
     Shift,
+    TailPower,
     comonotone_sum,
     point_mass,
     transform,
@@ -191,6 +193,40 @@ class TestParetoNegative:
         assert abs(got / -9.0954183084019709e302 - 1.0) < 1e-12
 
 
+class TestParetoPositive:
+    BETAS = [1e-8, 1.0, 1e8, 1e300]
+    THETAS = [0.05, 0.3, 0.5, 0.8, 1.0, 3.0, 50.0]
+    # the first three round 1 - u to 1, where both quantiles are beta
+    LEVELS = [5e-324, 1e-20, 2.0**-54, 2.0**-53, 1e-10, 0.1, 0.5, 0.9, 1.0 - 1e-10, 1.0 - 2.0**-53]
+
+    @staticmethod
+    def quantile(beta, theta, u):
+        try:
+            return beta * (1.0 - u) ** (-1.0 / theta)
+        except OverflowError:
+            return math.inf
+
+    def test_bitwise_the_closed_forms(self):
+        for beta, theta in itertools.product(self.BETAS, self.THETAS):
+            d = ParetoPositive(beta, theta)
+            for u in self.LEVELS:
+                want = self.quantile(beta, theta, u)
+                assert d.quantile_lower(u) == d.quantile_upper(u) == want, (beta, theta, u)
+            for u in self.LEVELS[:3]:
+                assert d.quantile_lower(u) == beta
+            below = [-1.0, 0.0, 0.5 * beta, math.nextafter(beta, 0.0)]
+            above = [beta, math.nextafter(beta, math.inf), 1.5 * beta, 2.0 * beta, 1e300, math.inf]
+            for x in below:
+                assert d.cdf(x) == d.cdf_left(x) == 0.0, (beta, theta, x)
+            for x in above:
+                assert d.cdf(x) == d.cdf_left(x) == 1.0 - (beta / x) ** theta, (beta, theta, x)
+            assert d.support() == (beta, math.inf)
+            assert d.lower_tail() == BOUNDED
+            assert d.upper_tail() == TailPower(theta, beta)
+            assert d.label() == f"pareto_positive(beta={beta:g},theta={theta:g})"
+            assert repr(d) == f"ParetoPositive(beta={beta!r}, theta={theta!r})"
+
+
 class TestGaloisProperty:
     # the coupling inf{x : F(x) >= u} <= x  <=>  u <= F(x)
     dists = [
@@ -265,14 +301,18 @@ class TestTransforms:
 
     @pytest.mark.parametrize("u", [1e-20, 2.0**-54])
     def test_reflected_quantiles_below_the_last_float_under_1(self, u):
-        # 1 - u rounds to 1.0, outside (0, 1): the mirrored level stays at the last float below it
+        # 1 - u rounds to 1.0, outside (0, 1): both quantiles are minus the base's supremum
         d = ParetoNegative(1.0, 2.0).abs()
-        for q in (d.quantile_lower(u), d.quantile_upper(u)):
-            assert abs(q - 1.0) <= 1e-15
+        assert d.quantile_lower(u) == d.quantile_upper(u) == 1.0
 
     def test_neg_part_of_a_lazy_node_below_the_last_float_under_1(self):
         npart = ParetoNegative(1.0, 2.0).shift(3.0).neg_part()
         assert npart.quantile_lower(1e-20) == npart.quantile_upper(1e-20) == 0.0
+
+    def test_a_base_bounded_above_is_read_at_its_supremum(self):
+        # the true quantile at 1e-20 is 0.5 + 2e-19, which rounds to 0.5; read at 1 - 2**-53 it would be 0.5 + 2.2e-15
+        npart = ParetoNegative(1.0, 0.05).shift(0.5).neg_part()
+        assert npart.quantile_lower(1e-20) == npart.quantile_upper(1e-20) == 0.5
 
     def test_a_base_unbounded_above_is_not_read_at_the_last_float_under_1(self):
         # max(-(1e20**0.1 - 50), 0) = 0 at 1e-20; read at 1 - 2**-53 it would be 50 - 2**5.3, about 10.6
