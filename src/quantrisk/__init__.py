@@ -22,18 +22,12 @@ from .distortions import (
     value_at_risk_distortion,
 )
 from .distributions import (
-    Abs,
     Discrete,
     Distribution,
-    NegPart,
     ParetoNegative,
     ParetoPositive,
-    PosPart,
-    Scale,
-    Shift,
     comonotone_sum,
     point_mass,
-    transform,
 )
 from .errors import (
     InconclusiveError,

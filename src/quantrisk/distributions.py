@@ -28,15 +28,9 @@ __all__ = [
     "Discrete",
     "ParetoNegative",
     "ParetoPositive",
-    "Scale",
-    "Shift",
-    "PosPart",
-    "NegPart",
-    "Abs",
     "TailPower",
     "BOUNDED",
     "point_mass",
-    "transform",
     "comonotone_sum",
 ]
 
@@ -52,35 +46,6 @@ BOUNDED = "bounded"
 class TailPower:
     theta: float
     coef: float
-
-
-# ---------------------------------------------------------------------------
-# transform operations
-
-
-@dataclass(frozen=True)
-class Scale:
-    factor: float
-
-
-@dataclass(frozen=True)
-class Shift:
-    offset: float
-
-
-@dataclass(frozen=True)
-class PosPart:
-    pass
-
-
-@dataclass(frozen=True)
-class NegPart:
-    pass
-
-
-@dataclass(frozen=True)
-class Abs:
-    pass
 
 
 def _check_level(u: float) -> float:
@@ -181,21 +146,47 @@ class Distribution:
     def is_discrete(self) -> bool:
         return isinstance(self, Discrete)
 
-    # fluent aliases for the transform algebra
+    # the transform algebra: lazy nodes here, atoms mapped eagerly by Discrete
     def scale(self, factor: float) -> Distribution:
-        return transform(self, Scale(factor))
+        """factor * X, for factor >= 0."""
+        if factor < 0:
+            raise ParameterError("negative scale factors are outside the quantile calculus")
+        if factor == 0:
+            return point_mass(0.0)
+        return self if factor == 1.0 else self._affine(factor, -0.0)
 
     def shift(self, offset: float) -> Distribution:
-        return transform(self, Shift(offset))
+        """X + offset."""
+        return self if offset == 0.0 else self._affine(1.0, offset)
+
+    def _affine(self, factor, offset) -> Distribution:
+        return _Affine(self, factor, offset)
+
+    def _reflect(self) -> Distribution:
+        """-X."""
+        return _Negated(self)
 
     def pos_part(self) -> Distribution:
-        return transform(self, PosPart())
+        """max(X, 0)."""
+        lo, hi = self.support()
+        if lo >= 0:
+            return self
+        if hi <= 0:
+            return point_mass(0.0)
+        return _PosPart(self)
 
     def neg_part(self) -> Distribution:
-        return transform(self, NegPart())
+        """max(-X, 0)."""
+        return self._reflect().pos_part()
 
     def abs(self) -> Distribution:
-        return transform(self, Abs())
+        """|X|."""
+        lo, hi = self.support()
+        if lo >= 0:
+            return self
+        if hi <= 0:
+            return self._reflect()
+        return _AbsMixed(self)
 
     def label(self) -> str:
         return repr(self)
@@ -312,6 +303,18 @@ class Discrete(Distribution):
         plain = np.flatnonzero(~close)
         weight[plain] = (far[plain] ** e - near[plain] ** e) / e
         return float(np.dot(self.values[first:stop], weight))
+
+    def _affine(self, factor, offset):
+        return _from_levels(self.values * factor + offset, self.cum)
+
+    def _reflect(self):  # P(-X <= -v_i) = 1 - cum[i-1]
+        return _from_levels(-self.values[::-1], np.append(1.0 - self.cum[-2::-1], 1.0))
+
+    def pos_part(self):
+        return _from_levels(np.maximum(self.values, 0.0), self.cum)
+
+    def abs(self):  # |x| is not monotone: the atoms are sorted again
+        return Discrete.from_samples(np.abs(self.values), self.probs)
 
     def quantile_breakpoints(self) -> tuple[float, ...]:
         return tuple(float(c) for c in self.cum[:-1])
@@ -507,9 +510,9 @@ class ParetoNegative(Distribution):
 
 
 class _Affine(Distribution):
-    """factor * X + offset, factor > 0: ``transform`` builds one per scale (no offset) or shift (factor 1)."""
+    """factor * X + offset, factor > 0: ``scale`` builds one with no offset, ``shift`` one with factor 1."""
 
-    def __init__(self, base: Distribution, factor: float = 1.0, offset: float = -0.0):
+    def __init__(self, base: Distribution, factor: float, offset: float):
         self.base = base
         self.factor = float(factor)  # factor 0 collapses to point_mass earlier
         self.offset = float(offset)  # -0.0 adds nothing, not even to the sign of a zero quantile
@@ -552,7 +555,7 @@ class _Affine(Distribution):
 
 
 class _Negated(Distribution):
-    """Reflection x -> -x: realizes NegPart and Abs, and is the right Pareto tail.
+    """Reflection x -> -x: realizes ``neg_part`` and ``abs``, and is the right Pareto tail.
 
     Where 1 - u rounds to 1 (u below 2**-53) both quantiles are minus the base's supremum, inconclusive if infinite.
     """
@@ -573,6 +576,9 @@ class _Negated(Distribution):
     def quantile_upper(self, u):
         m = 1.0 - _check_level(u)
         return -self.base.quantile_lower(m) if m < 1.0 else self._top(u)
+
+    def _reflect(self):
+        return self.base
 
     def _top(self, u):
         hi = self.base.support()[1]
@@ -1048,59 +1054,6 @@ def _invert_level(q, x, strict=False):
     return _search(gap, 0.0, 1.0)[0]
 
 
-# ---------------------------------------------------------------------------
-# algebra entry points
-
-
-def transform(dist: Distribution, op) -> Distribution:
-    """Apply Scale/Shift/PosPart/NegPart/Abs; discrete inputs stay discrete."""
-    if isinstance(op, Scale):
-        if op.factor < 0:
-            raise ParameterError("negative scale factors are outside the quantile calculus")
-        if op.factor == 0:
-            return point_mass(0.0)
-        if op.factor == 1.0:
-            return dist
-        if isinstance(dist, Discrete):
-            return _from_levels(dist.values * op.factor, dist.cum)
-        return _Affine(dist, factor=op.factor)
-    if isinstance(op, Shift):
-        if op.offset == 0.0:
-            return dist
-        if isinstance(dist, Discrete):
-            return _from_levels(dist.values + op.offset, dist.cum)
-        return _Affine(dist, offset=op.offset)
-    if isinstance(op, PosPart):
-        if isinstance(dist, Discrete):
-            return _from_levels(np.maximum(dist.values, 0.0), dist.cum)
-        lo, hi = dist.support()
-        if lo >= 0:
-            return dist
-        if hi <= 0:
-            return point_mass(0.0)
-        return _PosPart(dist)
-    if isinstance(op, NegPart):
-        return transform(_negate(dist), PosPart())
-    if isinstance(op, Abs):
-        if isinstance(dist, Discrete):  # |x| is not monotone: the atoms are sorted again
-            return Discrete.from_samples(np.abs(dist.values), dist.probs)
-        lo, hi = dist.support()
-        if lo >= 0:
-            return dist
-        if hi <= 0:
-            return _negate(dist)
-        return _AbsMixed(dist)
-    raise ParameterError(f"unknown transform op {op!r}")
-
-
-def _negate(dist: Distribution) -> Distribution:
-    if isinstance(dist, Discrete):  # P(-X <= -v_i) = 1 - cum[i-1]
-        return _from_levels(-dist.values[::-1], np.append(1.0 - dist.cum[-2::-1], 1.0))
-    if isinstance(dist, _Negated):
-        return dist.base
-    return _Negated(dist)
-
-
 def _from_levels(values: np.ndarray, cum: np.ndarray) -> Discrete:
     """The discrete whose quantile is ``values[i]`` on the levels (cum[i-1], cum[i]].
 
@@ -1128,9 +1081,9 @@ def comonotone_sum(d1: Distribution, d2: Distribution) -> Distribution:
         sums = d1.values[np.searchsorted(d1.cum, grid)] + d2.values[np.searchsorted(d2.cum, grid)]
         return _from_levels(sums, grid)
     if isinstance(d1, Discrete) and len(d1.values) == 1:
-        return transform(d2, Shift(float(d1.values[0])))
+        return d2.shift(float(d1.values[0]))
     if isinstance(d2, Discrete) and len(d2.values) == 1:
-        return transform(d1, Shift(float(d2.values[0])))
+        return d1.shift(float(d2.values[0]))
     return ComonotoneSum(d1, d2)
 
 

@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "QuantRiskError",
+    "ParameterError",
+    "NotSpectralError",
+    "NoCounterexampleError",
+    "InconclusiveError",
+    "ParseError",
+]
+
 
 class QuantRiskError(Exception):
     """Base class for all domain-level errors raised by this package."""

@@ -13,20 +13,7 @@ import math
 from pathlib import Path
 
 from .distortions import Distortion, Piece, SpectralDensity, make_named
-from .distributions import (
-    Abs,
-    Discrete,
-    Distribution,
-    NegPart,
-    ParetoNegative,
-    ParetoPositive,
-    PosPart,
-    Scale,
-    Shift,
-    comonotone_sum,
-    point_mass,
-    transform,
-)
+from .distributions import Discrete, Distribution, ParetoNegative, ParetoPositive, comonotone_sum, point_mass
 from .errors import ParameterError, ParseError
 
 __all__ = [
@@ -80,11 +67,11 @@ def distribution_from_csv_text(text: str) -> Discrete:
 
 
 _TRANSFORM_OPS = {
-    "scale": lambda spec: Scale(_num(spec, "factor")),
-    "shift": lambda spec: Shift(_num(spec, "offset")),
-    "pos_part": lambda spec: PosPart(),
-    "neg_part": lambda spec: NegPart(),
-    "abs": lambda spec: Abs(),
+    "scale": lambda dist, spec: dist.scale(_num(spec, "factor")),
+    "shift": lambda dist, spec: dist.shift(_num(spec, "offset")),
+    "pos_part": lambda dist, spec: dist.pos_part(),
+    "neg_part": lambda dist, spec: dist.neg_part(),
+    "abs": lambda dist, spec: dist.abs(),
 }
 
 
@@ -111,7 +98,7 @@ def distribution_from_json(spec) -> Distribution:
         op_kind = _kind(op_spec)
         if op_kind not in _TRANSFORM_OPS:
             raise ParseError(f"unknown transform op {op_kind!r}")
-        return transform(base, _TRANSFORM_OPS[op_kind](op_spec))
+        return _TRANSFORM_OPS[op_kind](base, op_spec)
     if kind == "comonotone_sum":
         terms = spec.get("terms", [])
         if not isinstance(terms, list) or len(terms) < 2:

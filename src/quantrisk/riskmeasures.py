@@ -46,7 +46,7 @@ from .distortions import (
     mixture_measure_of,
     spectral_of,
 )
-from .distributions import BOUNDED, Distribution, transform, Abs, _AbsMixed
+from .distributions import BOUNDED, Distribution, _AbsMixed
 from .errors import InconclusiveError, NotSpectralError, ParameterError
 
 __all__ = [
@@ -160,24 +160,18 @@ quad = None  # scipy.integrate.quad, bound by the first _quad call
 def _quad(f, a, b, *, points=(), epsabs=1e-10) -> tuple[float, bool]:
     """Adaptive quadrature over (a, b), which may be infinite, with interior breakpoints.
 
-    A call to ``quad`` takes at most ``_POINTS_PER_CALL`` breakpoints and no
-    breakpoint beside an infinite limit, so the range is split at every
-    ``_POINTS_PER_CALL + 1``-th breakpoint and at the breakpoints next to an
-    infinite limit.  The pieces share ``epsabs``; their values and error
-    estimates are summed.  Returns the value and whether QUADPACK gave up on
-    a piece (a nonzero ``ier``): its value may then be 0.0 for an integrand
-    beyond the float range.
+    A call to ``quad`` takes at most ``_POINTS_PER_CALL`` breakpoints, so
+    the range is split at every ``_POINTS_PER_CALL + 1``-th breakpoint.  The
+    pieces share ``epsabs``; their values and error estimates are summed.
+    Returns the value and whether QUADPACK gave up on a piece (a nonzero
+    ``ier``): its value may then be 0.0 for an integrand beyond the float
+    range.
     """
     global quad
     if quad is None:
         from scipy.integrate import quad
     pts = sorted({p for p in points if a < p < b})
-    edges = {a, b, *pts[_POINTS_PER_CALL :: _POINTS_PER_CALL + 1]}
-    if pts and math.isinf(a):
-        edges.add(pts[0])
-    if pts and math.isinf(b):
-        edges.add(pts[-1])
-    edges = sorted(edges)
+    edges = sorted({a, b, *pts[_POINTS_PER_CALL :: _POINTS_PER_CALL + 1]})
     val = err = 0.0
     gave_up = False
     with warnings.catch_warnings():
@@ -200,17 +194,24 @@ def _piece_integral(dist, a: float, b: float, k: float, origin: float, *, epsabs
     """Integral of q(u) |u - origin|**k over (a, b) by quadrature: the numeric route of ``quantile_moment``.
 
     A node reaches it only for a weight it has no closed form for.  For
-    k >= 0 the weight is bounded, and q times it is integrated.  For k < 0
-    it is singular at the origin, an end of (a, b); in
-    v = |u - origin|**(k+1) / (k+1) the measure is dv, so q is integrated
-    in v, where the singularity disappears.
+    k >= 0 the weight is bounded, and q times it is integrated; a
+    quadrature node that rounds onto the level 0 or 1, where q is not
+    defined, makes the integral inconclusive.  For k < 0 it is singular at
+    the origin, an end of (a, b); in v = |u - origin|**(k+1) / (k+1) the
+    measure is dv, so q is integrated in v, where the singularity
+    disappears.
 
     When QUADPACK gives up and q is beyond the float range at the levels of
     (a, b) nearest its ends, which bound q, the integral is inconclusive.
     """
     q, points = dist.quantile_lower, dist.quantile_breakpoints()
     if k >= 0.0:
-        val, gave_up = _quad(lambda u: q(u) * abs(u - origin) ** k, a, b, points=points, epsabs=epsabs)
+        def f(u):
+            if not 0.0 < u < 1.0:
+                raise InconclusiveError(f"a quadrature node on ({a!r}, {b!r}) rounded to the level {u!r}")
+            return q(u) * abs(u - origin) ** k
+
+        val, gave_up = _quad(f, a, b, points=points, epsabs=epsabs)
     else:
         e = k + 1.0
         side = 1.0 if origin <= a else -1.0
@@ -598,7 +599,7 @@ class InfimumResult:
     minimizer: float
 
 
-def expected_shortfall_infimum(dist: Distribution, alpha: float, *, tol: float = INFIMUM_TOL) -> InfimumResult:
+def expected_shortfall_infimum(dist: Distribution, alpha: float) -> InfimumResult:
     """Shortfall as the infimum of c + E[(X-c)+]/(1-alpha) over c.
 
     Golden-section search over a quantile bracket; the objective is convex,
@@ -615,11 +616,11 @@ def expected_shortfall_infimum(dist: Distribution, alpha: float, *, tol: float =
     lo = dist.quantile_lower(alpha / 2.0)
     hi = dist.quantile_lower((1.0 + alpha) / 2.0)
     for _ in range(4):
-        c = 0.5 * (lo + hi) if hi - lo <= tol else _golden_section(objective, lo, hi, tol)
+        c = 0.5 * (lo + hi) if hi - lo <= INFIMUM_TOL else _golden_section(objective, lo, hi, INFIMUM_TOL)
         val = objective(c)
         if not math.isfinite(val):
             raise InconclusiveError(f"the shortfall objective at c={c!r} is {val!r}, beyond the float range")
-        if hi - lo <= tol:
+        if hi - lo <= INFIMUM_TOL:
             return InfimumResult(val, c)
         pad = hi - lo + 1.0
         if objective(lo) < val - 1e-12:
@@ -682,7 +683,7 @@ def classify_membership(
         return MembershipVerdict(domain_class, Verdict.MEMBER, "discrete")
     if method not in ("auto", "analytic", "probe"):
         raise ParameterError(f"unknown classify method {method!r}")
-    target = transform(dist, Abs()) if domain_class is DomainClass.PICHLER else dist
+    target = dist.abs() if domain_class is DomainClass.PICHLER else dist
     parts = "+-" if domain_class is DomainClass.ACERBI else "+"
     verdicts, partials = zip(*(_part_verdict(target, distortion, part, method) for part in parts))
     # the class takes its parts' worst verdict

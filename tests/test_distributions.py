@@ -11,18 +11,12 @@ from hypothesis import strategies as st
 
 from quantrisk.distributions import (
     BOUNDED,
-    Abs,
     Discrete,
-    NegPart,
     ParetoNegative,
     ParetoPositive,
-    PosPart,
-    Scale,
-    Shift,
     TailPower,
     comonotone_sum,
     point_mass,
-    transform,
 )
 from quantrisk.errors import InconclusiveError, ParameterError
 from quantrisk.riskmeasures import value_at_risk
@@ -177,7 +171,7 @@ class TestParetoNegative:
     def test_quantiles_beyond_the_float_range_are_infinite(self):
         assert ParetoNegative(1.0, 0.5).quantile_lower(1e-300) == -math.inf
         assert ParetoPositive(1.0, 0.01).quantile_upper(1.0 - 2**-53) == math.inf
-        m = transform(transform(ParetoNegative(1.0, 0.5), Shift(2.0)), Abs())
+        m = ParetoNegative(1.0, 0.5).shift(2.0).abs()
         assert m.cdf(m.quantile_lower(1e-300)) >= 1e-300
 
     def test_quantile_integrals_beyond_the_float_range_are_infinite(self):
@@ -234,8 +228,8 @@ class TestGaloisProperty:
         Discrete.from_samples([-2, -1, 1, 5]),
         ParetoNegative(1.0),
         ParetoPositive(1.0, 2.0),
-        transform(ParetoNegative(1.0), Shift(5.0)),
-        transform(Discrete.from_samples([-2, 5]), PosPart()),
+        ParetoNegative(1.0).shift(5.0),
+        Discrete.from_samples([-2, 5]).pos_part(),
         comonotone_sum(ParetoNegative(1.0), ParetoPositive(1.0, 2.0)),
     ]
 
@@ -256,45 +250,45 @@ class TestGaloisProperty:
 
 class TestTransforms:
     def test_shift(self):
-        d = transform(Discrete.from_samples([1, 2]), Shift(3.0))
+        d = Discrete.from_samples([1, 2]).shift(3.0)
         assert d.quantile_lower(0.7) == 5.0
 
     def test_pos_part(self):
-        d = transform(Discrete.from_samples([-2, 5]), PosPart())
+        d = Discrete.from_samples([-2, 5]).pos_part()
         assert d.quantile_lower(0.9) == 5.0
         assert d.quantile_lower(0.3) == 0.0
 
     def test_scale_zero_degenerate(self):
-        d = transform(Discrete.from_samples([1, 2, 3]), Scale(0.0))
+        d = Discrete.from_samples([1, 2, 3]).scale(0.0)
         for u in (0.1, 0.5, 0.9):
             assert d.quantile_lower(u) == 0.0
 
     def test_scale_negative_rejected(self):
         with pytest.raises(ParameterError):
-            transform(point_mass(1.0), Scale(-1.0))
+            point_mass(1.0).scale(-1.0)
 
     def test_pos_part_law_on_grid(self):
         base = Discrete.from_samples([-3, -1, 0, 2, 4])
-        clipped = transform(base, PosPart())
+        clipped = base.pos_part()
         for u in np.linspace(0.01, 0.99, 49):
             assert clipped.quantile_lower(u) == max(base.quantile_lower(u), 0.0)
 
     def test_scale_shift_commute(self):
         base = Discrete.from_samples([-1, 0, 2])
         a, c = 2.5, -3.0
-        left = transform(transform(base, Scale(a)), Shift(a * c))
-        right = transform(transform(base, Shift(c)), Scale(a))
+        left = base.scale(a).shift(a * c)
+        right = base.shift(c).scale(a)
         for u in np.linspace(0.05, 0.95, 19):
             assert abs(left.quantile_lower(u) - right.quantile_lower(u)) < 1e-12
 
     def test_abs_cdf_consistency_discrete(self):
         base = Discrete.from_samples([-3, -1, 0, 2, 5])
-        ad = transform(base, Abs())
+        ad = base.abs()
         for x in [0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 7.0]:
             assert abs(ad.cdf(x) - (base.cdf(x) - base.cdf_left(-x))) < 1e-15
 
     def test_abs_of_negative_pareto_is_positive_pareto(self):
-        left = transform(ParetoNegative(1.5, 2.0), Abs())
+        left = ParetoNegative(1.5, 2.0).abs()
         right = ParetoPositive(1.5, 2.0)
         for u in np.linspace(0.05, 0.95, 19):
             assert abs(left.quantile_lower(u) - right.quantile_lower(u)) < 1e-12
@@ -340,12 +334,12 @@ class TestTransforms:
 
     def test_neg_part(self):
         base = Discrete.from_samples([-2, 5])
-        npart = transform(base, NegPart())
+        npart = base.neg_part()
         assert list(npart.values) == [0.0, 2.0]
         assert list(npart.probs) == [0.5, 0.5]
 
     def test_abs_mixed_support_bisection(self):
-        mixed = transform(transform(ParetoNegative(1.0), Shift(5.0)), Abs())
+        mixed = ParetoNegative(1.0).shift(5.0).abs()
         for u in (0.2, 0.5, 0.8):
             q = mixed.quantile_lower(u)
             assert mixed.cdf(q) >= u
@@ -373,6 +367,11 @@ class TestComonotoneSum:
         s = comonotone_sum(d1, d2)
         for u in np.linspace(0.05, 0.95, 19):
             assert abs(s.quantile_lower(u) - (d1.quantile_lower(u) + d2.quantile_lower(u))) < 1e-12
+
+    def test_the_heavier_of_two_tails_decides(self):
+        # theta 2 blows up faster than theta 3 at u = 0; equal thetas would add the coefficients
+        for d1, d2 in itertools.permutations((ParetoNegative(1.0, 2.0), ParetoNegative(1.0, 3.0))):
+            assert comonotone_sum(d1, d2).lower_tail() == TailPower(2.0, 1.0)
 
 
 @st.composite
@@ -406,8 +405,8 @@ def test_quantiles_increasing_random(dist, u1, u2):
 @given(dist=discrete_dists(), a=st.floats(0.0, 5.0), c=st.floats(-10.0, 10.0), u=st.floats(0.01, 0.99))
 @settings(max_examples=80, deadline=None)
 def test_affine_quantile_laws_random(dist, a, c, u):
-    scaled = transform(dist, Scale(a))
-    shifted = transform(dist, Shift(c))
+    scaled = dist.scale(a)
+    shifted = dist.shift(c)
     assert abs(scaled.quantile_lower(u) - a * dist.quantile_lower(u)) < 1e-9
     assert abs(shifted.quantile_lower(u) - (dist.quantile_lower(u) + c)) < 1e-9
 
@@ -456,7 +455,7 @@ def small_stratified_normal(n, seed):
 class TestComonotoneStepCdf:
     @pytest.mark.parametrize(
         "other",
-        [ParetoNegative(1.0, 2.0), ParetoPositive(1.0, 1.5), transform(ParetoPositive(2.0, 3.0), Shift(-4.0))],
+        [ParetoNegative(1.0, 2.0), ParetoPositive(1.0, 1.5), ParetoPositive(2.0, 3.0).shift(-4.0)],
         ids=lambda d: d.label(),
     )
     def test_matches_bisection_to_the_rounding_of_x(self, other):
@@ -715,15 +714,15 @@ class TestAbsQuantileIntegral:
     @pytest.mark.parametrize(
         "base",
         [
-            transform(ParetoNegative(1.0, 2.0), Shift(2.0)),
-            transform(ParetoNegative(1.0, 3.0), Shift(5.0)),
-            transform(ParetoNegative(1.0, 0.5), Shift(2.0)),
+            ParetoNegative(1.0, 2.0).shift(2.0),
+            ParetoNegative(1.0, 3.0).shift(5.0),
+            ParetoNegative(1.0, 0.5).shift(2.0),
             comonotone_sum(ParetoNegative(1.0, 3.0), ParetoPositive(1.0, 3.0)),
         ],
         ids=lambda d: d.label(),
     )
     def test_closed_form_matches_nested_quadrature(self, base):
-        m = transform(base, Abs())
+        m = base.abs()
         ranges = [(0.0, 0.5), (0.1, 0.9), (0.3, 0.31), (0.6, 0.99), (0.2, 0.2)]
         if base.lower_tail().theta > 1.0:  # finite mean: the upper end may be 1
             ranges += [(0.0, 1.0), (0.25, 1.0), (0.99, 1.0)]
@@ -731,7 +730,7 @@ class TestAbsQuantileIntegral:
             assert abs(m.quantile_integral(a, b) - self.nested_quad(m, a, b)) < 1e-10
 
     def test_divergent_tail_is_infinite_and_never_nan(self):
-        m = transform(transform(ParetoNegative(1.0, 0.5), Shift(2.0)), Abs())
+        m = ParetoNegative(1.0, 0.5).shift(2.0).abs()
         assert m.quantile_integral(0.3, 1.0) == math.inf
         assert m.mean() == math.inf
         assert math.isfinite(m.quantile_integral(0.3, 1.0 - 1e-9))
@@ -739,6 +738,6 @@ class TestAbsQuantileIntegral:
     def test_breakpoint_where_the_upper_side_runs_out(self):
         # shift(5, pareto_negative) lives on (-inf, 4]: beyond |X| = 4 only
         # the left tail counts, so the quantile of |X| kinks at G(4)
-        m = transform(transform(ParetoNegative(1.0, 3.0), Shift(5.0)), Abs())
+        m = ParetoNegative(1.0, 3.0).shift(5.0).abs()
         assert m.quantile_breakpoints() == (m.cdf(4.0),)
         assert abs(m.cdf(4.0) - (1.0 - 9.0**-3)) < 1e-15
