@@ -35,6 +35,11 @@ __all__ = [
 ]
 
 _ATOM_TOL = 1e-12
+# A discrete of this many atoms or more takes its k = 0 moments from a prefix
+# table.  It is the measured break-even of one expected_shortfall_infimum (about
+# 55 k = 0 calls) on a fresh discrete: below it the table's build costs more
+# than clipping every atom at each call saves.
+_PREFIX_CUT = 256
 
 # Tail descriptor at an endpoint of (0,1): BOUNDED means the quantile
 # function stays bounded there; TailPower(theta, coef) means it blows up
@@ -55,18 +60,22 @@ def _check_level(u: float) -> float:
     return u
 
 
-def _compensated_cumsum(xs) -> np.ndarray:
-    """Running sum carrying each step's exact rounding error: exact for integer masses.
+def _running_sum(xs) -> tuple[np.ndarray, np.ndarray]:
+    """Running sum of ``xs`` in double-double: ``numpy.cumsum`` and the running sum of its TwoSum step errors.
 
-    ``numpy.cumsum`` plus the running sum of its TwoSum step errors.
+    hi + lo carries each step's exact rounding error, so it is exact for
+    integer masses.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite total is refused by the callers
-        run = xs.cumsum()
-        prev = np.concatenate(([0.0], run[:-1]))
-        back = run - prev
-        err = (prev - (run - back)) + (xs - back)
+        hi = xs.cumsum()
+        prev = np.concatenate(([0.0], hi[:-1]))
+        back = hi - prev
+        # TwoSum's error (prev - (hi - back)) + (xs - back), in place: 15% of the call at 10^5 atoms
+        err = hi - back
+        np.subtract(prev, err, out=err)
+        err += np.subtract(xs, back, out=back)
     err[np.isnan(err)] = 0.0  # past an overflow, where the sum stays inf
-    return run + err.cumsum()
+    return hi, err.cumsum(out=err)
 
 
 class Distribution:
@@ -200,9 +209,12 @@ class Discrete(Distribution):
     with every step's rounding error carried, divided by its last entry,
     which is then exactly 1.  The quantile is ``values[i]`` on the levels
     (cum[i-1], cum[i]]: every derived discrete is built from these levels by
-    :func:`_from_levels`, and its ``probs`` are their differences.  Every
-    integral, the mean too, is taken over these levels, never the given
-    ``probs``.  Duplicate values are merged by ``from_samples``, not here.
+    :func:`_from_levels`, stores no masses, and its ``probs`` are the level
+    steps ``np.diff(cum, prepend=0.0)``.  Every integral, the mean too, is
+    taken over these levels, never the given ``probs``.  A discrete of
+    ``_PREFIX_CUT`` atoms or more builds, on its first k = 0 moment, a prefix
+    table of v_i times the level steps in double-double (16 bytes an atom)
+    and keeps it.  Duplicate values are merged by ``from_samples``, not here.
     """
 
     def __init__(self, values, probs):
@@ -216,11 +228,12 @@ class Discrete(Distribution):
             raise ParameterError("atom values must be strictly increasing")
         if np.any(probs <= 0):
             raise ParameterError("atom probabilities must be strictly positive")
-        run = _compensated_cumsum(probs)
+        hi, lo = _running_sum(probs)
+        run = hi + lo
         if not abs(run[-1] - 1.0) <= _ATOM_TOL:
             raise ParameterError(f"atom probabilities must sum to 1 within {_ATOM_TOL}, got {float(run[-1])!r}")
         self.values = values
-        self.probs = probs
+        self._given = probs
         self.cum = run / run[-1]
 
     @classmethod
@@ -246,12 +259,23 @@ class Discrete(Distribution):
             if not np.all(weights >= 0):  # NaN too
                 raise ParameterError("weights must be non-negative")
         order = np.argsort(samples, kind="stable")
-        run = _compensated_cumsum(weights[order])
+        hi, lo = _running_sum(weights[order])
+        run = hi + lo
         if not run[-1] < math.inf:  # NaN too
             raise ParameterError("total weight must be finite")
         if run[-1] == 0.0:
             raise ParameterError("total weight must be positive")
         return _from_levels(samples[order], run / run[-1])
+
+    @property
+    def probs(self) -> np.ndarray:
+        """The masses given to the constructor; for a derived discrete, its level steps."""
+        return _level_steps(self.cum) if self._given is None else self._given
+
+    @cached_property
+    def _prefix(self) -> tuple[np.ndarray, np.ndarray]:
+        """hi + lo: the running sums of v_i times the level steps, in double-double, 16 bytes an atom."""
+        return _running_sum(self.values * _level_steps(self.cum))
 
     def cdf(self, x: float) -> float:
         idx = int(np.searchsorted(self.values, x, side="right"))
@@ -274,6 +298,13 @@ class Discrete(Distribution):
     def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
         """Sum over the atoms of v_i times the weight's integral over their levels clipped to (a, b).
 
+        For k = 0 a discrete under ``_PREFIX_CUT`` atoms clips every atom's
+        levels to (a, b) and sums them all.  A larger one takes the atoms
+        strictly inside (a, b) as one difference of its prefix table, hi and
+        lo, and adds the two clipped edge atoms by ``math.fsum``: O(log n),
+        within about 2**-53 of the sum of |v_i| times the clipped level steps,
+        since each product's rounding stays with its atom.
+
         For k != 0 only the atoms whose levels meet (a, b) are summed, each
         by the rule of :func:`_power_integral` with e = k + 1, from its level
         width w and the distance ``near`` of its nearer end to the origin:
@@ -282,13 +313,20 @@ class Discrete(Distribution):
         so that no difference of close powers is taken.
         """
         a, b, k, origin = _check_moment(a, b, k, origin)
-        if k == 0.0:
+        if k == 0.0 and len(self.values) < _PREFIX_CUT:
             knots = np.minimum(np.maximum(np.concatenate(([0.0], self.cum)), a), b)
             return float(np.dot(self.values, np.abs(knots[1:] - knots[:-1])))
         if a == b:
             return 0.0
         first = int(np.searchsorted(self.cum, a, side="right"))
         stop = int(np.searchsorted(self.cum, b, side="left")) + 1
+        if k == 0.0:  # hi[j] + lo[j] sums the atoms up to j, so the difference spans first + 1 to last - 1
+            v, cum, last = self.values, self.cum, stop - 1
+            if first == last:
+                return float(v[first] * (b - a))
+            hi, lo = self._prefix
+            edges = v[first] * (cum[first] - a), v[last] * (b - cum[last - 1])
+            return math.fsum((hi[last - 1], -hi[first], lo[last - 1], -lo[first], *edges))
         knots = np.concatenate(([a], self.cum[first : stop - 1], [b]))
         width = knots[1:] - knots[:-1]
         e = k + 1.0
@@ -1054,6 +1092,11 @@ def _invert_level(q, x, strict=False):
     return _search(gap, 0.0, 1.0)[0]
 
 
+def _level_steps(cum: np.ndarray) -> np.ndarray:
+    """``np.diff(cum, prepend=0.0)``, bit for bit, without its fixed cost of several microseconds."""
+    return cum - np.concatenate(([0.0], cum[:-1]))
+
+
 def _from_levels(values: np.ndarray, cum: np.ndarray) -> Discrete:
     """The discrete whose quantile is ``values[i]`` on the levels (cum[i-1], cum[i]].
 
@@ -1063,13 +1106,12 @@ def _from_levels(values: np.ndarray, cum: np.ndarray) -> Discrete:
     """
     last = np.concatenate((values[1:] != values[:-1], [True]))
     values, cum = values[last], cum[last]
-    probs = cum - np.concatenate(([0.0], cum[:-1]))  # a dropped atom's level is its predecessor's
-    rises = probs > 0.0
-    values, cum, probs = values[rises], cum[rises], probs[rises]
+    rises = _level_steps(cum) > 0.0  # a dropped atom's level is its predecessor's
+    values, cum = values[rises], cum[rises]
     if not np.isfinite(values).all():
         raise ParameterError("atom values must be finite")
     out = Discrete.__new__(Discrete)
-    out.values, out.cum, out.probs = values, cum, probs
+    out.values, out.cum, out._given = values, cum, None
     return out
 
 

@@ -18,8 +18,9 @@ from quantrisk.distributions import (
     comonotone_sum,
     point_mass,
 )
+import quantrisk.distributions as qd
 from quantrisk.errors import InconclusiveError, ParameterError
-from quantrisk.riskmeasures import value_at_risk
+from quantrisk.riskmeasures import expected_shortfall_infimum, value_at_risk
 
 
 def oracle_quantile_lower(dist, u, candidates):
@@ -135,6 +136,48 @@ class TestDiscreteLevels:
         # negation maps the levels to 1 - c, reversed: P(-X <= -v_i) = 1 - cum[i-1]
         assert list(neg.values) == [0.0, 1.0, 3.0]
         assert list(neg.cum) == [1.0 - base.cum[1], 1.0 - base.cum[0], 1.0]
+
+
+class TestPrefixTable:
+    """k = 0 moments of a large discrete read a table built once; derived discretes store no masses."""
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        builds, running_sum = [], qd._running_sum
+
+        def counted(xs):
+            builds.append(len(xs))
+            return running_sum(xs)
+
+        monkeypatch.setattr(qd, "_running_sum", counted)
+        return builds
+
+    def test_one_infimum_builds_the_table_once(self, monkeypatch):
+        d = Discrete.from_samples(np.random.default_rng(24).standard_t(3.0, 10**4))
+        builds = self.count_builds(monkeypatch)
+        expected_shortfall_infimum(d, 0.9)
+        expected_shortfall_infimum(d, 0.5)
+        assert builds == [10**4]
+
+    def test_a_discrete_below_the_cut_builds_none(self, monkeypatch):
+        d = Discrete.from_samples(np.random.default_rng(24).standard_t(3.0, qd._PREFIX_CUT - 1))
+        builds = self.count_builds(monkeypatch)
+        expected_shortfall_infimum(d, 0.9)
+        assert builds == []
+
+    def test_derived_probs_are_the_level_steps(self):
+        # a run of equal samples, and atoms whose levels do not rise, are dropped
+        d = Discrete.from_samples([3, 1, 2, 2, 5, 4, 6], [1, 1e-300, 0, 3, 1e20, 0.5, 2])
+        assert d._given is None  # no masses stored
+        assert d.probs.tobytes() == np.diff(d.cum, prepend=0.0).tobytes()
+        for moved in (d.shift(0.1), d.scale(3.0), d.neg_part(), d.abs()):
+            assert moved.probs.tobytes() == np.diff(moved.cum, prepend=0.0).tobytes()
+
+    def test_a_constructed_discrete_keeps_its_given_probs(self):
+        probs = np.array([0.1, 0.2, 0.7]) * (1.0 + 9e-13)
+        d = Discrete([1.0, 2.0, 3.0], probs)
+        assert d.probs is probs
+        assert not np.array_equal(d.probs, np.diff(d.cum, prepend=0.0))
 
 
 class TestParetoNegative:
