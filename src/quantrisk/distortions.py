@@ -272,21 +272,19 @@ class Distortion(_Piecewise):
         """Interior discontinuities as (location, height) pairs."""
         return self.measure.atoms
 
-    def density_exponent_at(self, endpoint: int):
-        """Local density behaviour q(u) ~ coef * t**expo at endpoint 0 or 1.
+    def density_exponent_at(self, endpoint: int) -> float | None:
+        """The exponent p of the density D' ~ t**p at endpoint 0 or 1, p > -1.
 
-        Returns (expo, coef) with t the distance to the endpoint, or None
-        when no density piece touches it (D flat there or atom-only).
+        t is the distance to the endpoint.  None when no density piece
+        touches it (D flat there or atom-only).
         """
         piece = self.pieces[0 if endpoint == 0 else -1]
         if piece.flat:
             return None
         dens = piece.derivative
-        if endpoint == 0 and dens.origin == 0.0:
-            return dens.expo, dens.coef * dens.width ** (-dens.expo)
-        # otherwise origin < 0 at 0+, or origin <= lo < 1 at 1-: the density
-        # is bounded and positive at the endpoint
-        return 0.0, float(dens.value(float(endpoint)))
+        # origin < 0 at 0+, or origin <= lo < 1 at 1-: the density is bounded
+        # and positive at the endpoint
+        return dens.expo if endpoint == 0 and dens.origin == 0.0 else 0.0
 
     def label(self) -> str:
         return self.name or f"piecewise({len(self.pieces)} pieces)"

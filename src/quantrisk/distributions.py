@@ -16,7 +16,6 @@ from __future__ import annotations
 import bisect
 import math
 import struct
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -28,8 +27,6 @@ __all__ = [
     "Discrete",
     "ParetoNegative",
     "ParetoPositive",
-    "TailPower",
-    "BOUNDED",
     "point_mass",
     "comonotone_sum",
 ]
@@ -40,18 +37,6 @@ _ATOM_TOL = 1e-12
 # 55 k = 0 calls) on a fresh discrete: below it the table's build costs more
 # than clipping every atom at each call saves.
 _PREFIX_CUT = 256
-
-# Tail descriptor at an endpoint of (0,1): BOUNDED means the quantile
-# function stays bounded there; TailPower(theta, coef) means it blows up
-# like coef * t**(-1/theta) in the distance t to the endpoint.
-BOUNDED = "bounded"
-
-
-@dataclass(frozen=True)
-class TailPower:
-    theta: float
-    coef: float
-
 
 def _check_level(u: float) -> float:
     u = float(u)
@@ -82,8 +67,8 @@ class Distribution:
     """Abstract one-dimensional distribution.
 
     Subclasses implement ``cdf``, ``cdf_left``, ``quantile_lower``,
-    ``quantile_upper``, ``quantile_breakpoints``, ``support`` and the two
-    tail descriptors, and ``quantile_moment`` for the weights they integrate
+    ``quantile_upper``, ``quantile_breakpoints``, ``support`` and ``tails``,
+    and ``quantile_moment`` for the weights they integrate
     in closed form; ``quantile_integral`` is its k = 0 case and is never
     overridden.  The default moment integrates every k numerically.  All
     instances are immutable and all operations are pure.
@@ -140,13 +125,14 @@ class Distribution:
         """Essential bounds of the distribution, possibly infinite."""
         raise NotImplementedError
 
-    def lower_tail(self):
-        """Behaviour of the quantile function at 0+: BOUNDED, TailPower or None."""
-        return None
+    def tails(self) -> tuple[float | None, float | None]:
+        """The tail exponents θ of the quantile function at 0+ and at 1-.
 
-    def upper_tail(self):
-        """Behaviour of the quantile function at 1-: BOUNDED, TailPower or None."""
-        return None
+        A tail θ in (0, inf) means |q| blows up like t**(-1/θ) in the distance
+        t to the endpoint, inf means q stays bounded there, and None that the
+        node does not know: the domain checks then probe that end.
+        """
+        return None, None
 
     def mean(self) -> float:
         return self.quantile_integral(0.0, 1.0)
@@ -363,11 +349,8 @@ class Discrete(Distribution):
     def support(self) -> tuple[float, float]:
         return float(self.values[0]), float(self.values[-1])
 
-    def lower_tail(self):
-        return BOUNDED
-
-    def upper_tail(self):
-        return BOUNDED
+    def tails(self):
+        return math.inf, math.inf
 
     def label(self) -> str:
         if len(self.values) == 1:
@@ -530,11 +513,8 @@ class ParetoNegative(Distribution):
     def support(self) -> tuple[float, float]:
         return -math.inf, -self.beta
 
-    def lower_tail(self):
-        return TailPower(self.theta, self.beta)
-
-    def upper_tail(self):
-        return BOUNDED
+    def tails(self):
+        return self.theta, math.inf
 
     def label(self) -> str:
         return f"pareto_negative(beta={self.beta:g},theta={self.theta:g})"
@@ -580,11 +560,8 @@ class _Affine(Distribution):
         lo, hi = self.base.support()
         return self.factor * lo + self.offset, self.factor * hi + self.offset
 
-    def lower_tail(self):
-        return _scale_tail(self.base.lower_tail(), self.factor)  # a shift does not change the blow-up
-
-    def upper_tail(self):
-        return _scale_tail(self.base.upper_tail(), self.factor)
+    def tails(self):
+        return self.base.tails()  # a positive scale and a shift keep the blow-up's exponent
 
     def label(self):
         if self.offset:
@@ -636,11 +613,8 @@ class _Negated(Distribution):
         lo, hi = self.base.support()
         return -hi, -lo
 
-    def lower_tail(self):
-        return self.base.upper_tail()
-
-    def upper_tail(self):
-        return self.base.lower_tail()
+    def tails(self):
+        return self.base.tails()[::-1]
 
     def label(self):
         return f"negate({self.base.label()})"
@@ -698,12 +672,8 @@ class _PosPart(Distribution):
         lo, hi = self.base.support()
         return max(lo, 0.0), max(hi, 0.0)
 
-    def lower_tail(self):
-        return BOUNDED
-
-    def upper_tail(self):
-        hi = self.base.support()[1]
-        return self.base.upper_tail() if hi > 0 else BOUNDED
+    def tails(self):
+        return math.inf, self.base.tails()[1]
 
     def label(self):
         return f"pos_part({self.base.label()})"
@@ -864,11 +834,8 @@ class _AbsMixed(Distribution):
         lo, hi = self.base.support()
         return 0.0, max(abs(lo), abs(hi))
 
-    def lower_tail(self):
-        return BOUNDED
-
-    def upper_tail(self):
-        return _heavier_tail(self.base.lower_tail(), self.base.upper_tail())
+    def tails(self):
+        return math.inf, _heavier(*self.base.tails())
 
     def label(self):
         return f"abs({self.base.label()})"
@@ -983,32 +950,17 @@ class ComonotoneSum(Distribution):
     def support(self):
         return self._support
 
-    def lower_tail(self):
-        return _heavier_tail(self.first.lower_tail(), self.second.lower_tail())
-
-    def upper_tail(self):
-        return _heavier_tail(self.first.upper_tail(), self.second.upper_tail())
+    def tails(self):
+        (lo1, hi1), (lo2, hi2) = self.first.tails(), self.second.tails()
+        return _heavier(lo1, lo2), _heavier(hi1, hi2)
 
     def label(self):
         return f"comonotone({self.first.label()},{self.second.label()})"
 
 
-def _scale_tail(tail, factor):
-    if factor != 1.0 and isinstance(tail, TailPower):
-        return TailPower(tail.theta, tail.coef * factor)
-    return tail
-
-
-def _heavier_tail(t1, t2):
-    if t1 is None or t2 is None:
-        return None
-    if t1 == BOUNDED:
-        return t2
-    if t2 == BOUNDED:
-        return t1
-    if t1.theta == t2.theta:
-        return TailPower(t1.theta, t1.coef + t2.coef)
-    return t1 if t1.theta < t2.theta else t2
+def _heavier(t1, t2):
+    """The heavier of two tail exponents: the smaller θ, None if either is unknown."""
+    return None if t1 is None or t2 is None else min(t1, t2)
 
 
 _DEEP = 2.0**-10  # within _DEEP * top of 0 or of top, [0, top] is split in float bit order

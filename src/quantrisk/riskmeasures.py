@@ -46,7 +46,7 @@ from .distortions import (
     mixture_measure_of,
     spectral_of,
 )
-from .distributions import BOUNDED, Distribution, _AbsMixed
+from .distributions import Distribution, _AbsMixed
 from .errors import InconclusiveError, NotSpectralError, ParameterError
 
 __all__ = [
@@ -240,21 +240,19 @@ def _density_moment(dist, p, a: float, b: float, epsabs: float) -> float:
     return c * dist.quantile_moment(a, b, p.expo - 1.0, p.origin, epsabs=epsabs / max(c, 1.0))
 
 
-def _tail_rule(tail, dens) -> bool | None:
+def _tail_rule(theta, p) -> bool | None:
     """Does the quantile-vs-density integral diverge at this endpoint?
 
-    ``tail`` describes the quantile blow-up, ``dens`` the local density
-    ``q(t) ~ coef * t**p`` in the distance t to the endpoint, with None
-    meaning no density reaches it.  Returns None when undecidable analytically.
+    A quantile ~ t**(-1/theta) in the distance t to the endpoint, against a
+    density ~ t**p, is integrable exactly when p - 1/theta > -1.  ``theta`` is
+    inf for a bounded quantile (1/inf = 0, and p > -1), ``p`` None when no
+    density reaches the endpoint.  Returns None when ``theta`` is unknown.
     """
-    if tail == BOUNDED:
+    if p is None:
         return False
-    if dens is None:
-        return False
-    if tail is None:
+    if theta is None:
         return None
-    p, _coef = dens
-    return p - 1.0 / tail.theta <= -1.0
+    return p - 1.0 / theta <= -1.0
 
 
 def _forced_value(dist: Distribution, distortion: Distortion) -> RiskValue | None:
@@ -283,8 +281,7 @@ def _part_verdict(dist, distortion, part: str, method: str = "auto") -> tuple[Ve
     """
     upper = part == "+"
     if method != "probe":
-        tail = dist.upper_tail() if upper else dist.lower_tail()
-        diverges = _tail_rule(tail, distortion.density_exponent_at(int(upper)))
+        diverges = _tail_rule(dist.tails()[upper], distortion.density_exponent_at(int(upper)))
         if diverges is not None:
             return (Verdict.NON_MEMBER if diverges else Verdict.MEMBER), ()
         if method == "analytic":

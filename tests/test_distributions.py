@@ -10,11 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantrisk.distributions import (
-    BOUNDED,
     Discrete,
     ParetoNegative,
     ParetoPositive,
-    TailPower,
     comonotone_sum,
     point_mass,
 )
@@ -89,6 +87,27 @@ class TestDiscreteQuantiles:
         # sample was dropped: [nan, 1.0] gave a point mass at 2
         with pytest.raises(ParameterError, match="non-negative"):
             Discrete.from_samples([1.0, 2.0], weights)
+
+
+class TestValidation:
+    def test_atom_values_must_be_finite(self):
+        with pytest.raises(ParameterError, match="atom values must be finite"):
+            Discrete([1.0, math.inf], [0.5, 0.5])
+
+    def test_samples_must_not_be_empty(self):
+        with pytest.raises(ParameterError, match="need at least one sample value"):
+            Discrete.from_samples([])
+
+    @pytest.mark.parametrize("dist", [Discrete.from_samples([1.0, 2.0, 4.0]), ParetoNegative(1.0, 2.0)],
+                             ids=["discrete", "pareto_negative"])
+    @pytest.mark.parametrize("args, message", [
+        ((0.6, 0.4, 0.0, 0.0), r"integration range must satisfy 0 <= a <= b <= 1"),
+        ((0.2, 0.6, -1.0, 0.0), r"moment exponent must exceed -1"),
+        ((0.2, 0.6, 0.5, 0.4), r"moment origin must lie outside \(0.2, 0.6\)"),
+    ], ids=["reversed", "k=-1", "origin-inside"])
+    def test_moment_arguments_are_checked(self, dist, args, message):
+        with pytest.raises(ParameterError, match=message):
+            dist.quantile_moment(*args)
 
 
 class TestDiscreteLevels:
@@ -258,8 +277,7 @@ class TestParetoPositive:
             for x in above:
                 assert d.cdf(x) == d.cdf_left(x) == 1.0 - (beta / x) ** theta, (beta, theta, x)
             assert d.support() == (beta, math.inf)
-            assert d.lower_tail() == BOUNDED
-            assert d.upper_tail() == TailPower(theta, beta)
+            assert d.tails() == (math.inf, theta)
             assert d.label() == f"pareto_positive(beta={beta:g},theta={theta:g})"
             assert repr(d) == f"ParetoPositive(beta={beta!r}, theta={theta!r})"
 
@@ -412,9 +430,9 @@ class TestComonotoneSum:
             assert abs(s.quantile_lower(u) - (d1.quantile_lower(u) + d2.quantile_lower(u))) < 1e-12
 
     def test_the_heavier_of_two_tails_decides(self):
-        # theta 2 blows up faster than theta 3 at u = 0; equal thetas would add the coefficients
+        # theta 2 blows up faster than theta 3 at u = 0
         for d1, d2 in itertools.permutations((ParetoNegative(1.0, 2.0), ParetoNegative(1.0, 3.0))):
-            assert comonotone_sum(d1, d2).lower_tail() == TailPower(2.0, 1.0)
+            assert comonotone_sum(d1, d2).tails() == (2.0, math.inf)
 
 
 @st.composite
@@ -767,7 +785,7 @@ class TestAbsQuantileIntegral:
     def test_closed_form_matches_nested_quadrature(self, base):
         m = base.abs()
         ranges = [(0.0, 0.5), (0.1, 0.9), (0.3, 0.31), (0.6, 0.99), (0.2, 0.2)]
-        if base.lower_tail().theta > 1.0:  # finite mean: the upper end may be 1
+        if base.tails()[0] > 1.0:  # finite mean: the upper end may be 1
             ranges += [(0.0, 1.0), (0.25, 1.0), (0.99, 1.0)]
         for a, b in ranges:
             assert abs(m.quantile_integral(a, b) - self.nested_quad(m, a, b)) < 1e-10

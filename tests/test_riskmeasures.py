@@ -220,6 +220,30 @@ class TestShortfallInfimum:
         with pytest.raises(ParameterError):
             expected_shortfall_infimum(ParetoPositive(1.0, 0.5), 0.5)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_alpha_must_lie_inside_the_unit_interval(self, alpha):
+        with pytest.raises(ParameterError, match=r"infimum form needs alpha in \(0,1\)"):
+            expected_shortfall_infimum(FOUR, alpha)
+
+    @staticmethod
+    def infimum_inputs():
+        # t3 samples rounded to 0.01, so that many values tie, with random weights
+        rng = np.random.default_rng(20260)
+        for _ in range(20):
+            n = int(rng.integers(10, 501))
+            yield Discrete.from_samples(np.round(rng.standard_t(3.0, size=n), 2), rng.random(n) + 0.05)
+        yield ParetoNegative(1.0, 3.0)
+        yield ParetoPositive(1.0, 3.0)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9, 0.99])
+    def test_matches_the_closed_form_shortfall(self, alpha):
+        # the minimum of the convex objective is the shortfall itself, so a
+        # search that stops short of it (a midpoint of the bracket) fails here
+        for d in self.infimum_inputs():
+            want = expected_shortfall(d, alpha).value
+            got = expected_shortfall_infimum(d, alpha).value
+            assert abs(got - want) <= 1e-8 * max(1.0, abs(want)), (d.label(), alpha, got, want)
+
     @pytest.fixture
     def bounded_search(self, monkeypatch):
         # the search used to loop forever here; fail instead of hanging
@@ -659,7 +683,7 @@ class TestOneChoquetPath:
 
 
 class _TailLess(Distribution):
-    """A distribution with its tail descriptors hidden, so every domain flag is probed.
+    """A distribution with its tail exponents hidden, so every domain flag is probed.
 
     Its quantile moments are the base's closed forms: only the tail data is hidden.
     """
@@ -723,7 +747,7 @@ class TestOneIntegralAgainstD:
     def test_probe_matches_the_tail_rule_without_tail_data(self, theta, D):
         pn = ParetoNegative(1.0, theta)
         hidden = _TailLess(pn)
-        assert hidden.upper_tail() is None and hidden.lower_tail() is None
+        assert hidden.tails() == (None, None)
         assert quantile_risk(hidden, D).kind == quantile_risk(pn, D).kind
         for cls in DomainClass:
             analytic = classify_membership(pn, D, cls)
@@ -775,6 +799,16 @@ class TestOneIntegralAgainstD:
         assert len(acerbi.partials) == len(pos) == len(neg) == rm.PROBE_LEVELS
         assert acerbi.partials == tuple(math.fsum(pair) for pair in zip(pos, neg))
 
+    def test_an_undecided_probe_makes_every_form_inconclusive(self, monkeypatch):
+        # a node with no tail data is probed by the forms; an undecided part
+        # must raise with its partials, never fall through to a number
+        monkeypatch.setattr(riskmeasures, "_judge_partials", lambda partials: Verdict.INCONCLUSIVE)
+        hidden, D = _TailLess(ParetoNegative(1.0, 2.0)), make_named("es", alpha=0.9)
+        for form in (quantile_risk, choquet_risk, mixture_risk):
+            with pytest.raises(InconclusiveError, match=r"dyadic probe undecided for the \+ part") as info:
+                form(hidden, D)
+            assert len(info.value.diagnostics) == riskmeasures.PROBE_LEVELS
+
     def test_a_divergent_positive_part_decides_before_the_negative_part_is_probed(self):
         # without tail data the positive part of this sum diverges under the
         # probe: the risk is not in the domain, whatever the negative part is
@@ -806,8 +840,8 @@ class TestOneIntegralAgainstD:
         # the positive part of a Pareto right tail with theta < 1 diverges under
         # the expectation, whatever the hidden left tail does
         class UpperTailOnly(_TailLess):
-            def upper_tail(self):
-                return self.base.upper_tail()
+            def tails(self):
+                return None, self.base.tails()[1]
 
         D = make_named("expectation")
         for dist, want in ((UpperTailOnly(ParetoPositive(1.0, 0.8)), Verdict.NON_MEMBER),
