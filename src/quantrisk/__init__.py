@@ -2,10 +2,8 @@
 
 from .distortions import (
     ConvexityResult,
-    DensityPiece,
     Distortion,
     DistortionMeasure,
-    MixtureMeasure,
     Piece,
     SpectralDensity,
     distortion_of,
@@ -14,8 +12,6 @@ from .distortions import (
     higher_order_es_distortion,
     is_convex,
     make_named,
-    measure_of,
-    mixture_measure_of,
     spectral_of,
     sqrt_example_distortion,
     threshold_distortion,

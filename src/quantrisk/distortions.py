@@ -28,11 +28,9 @@ from .errors import NotSpectralError, ParameterError
 
 __all__ = [
     "Piece",
-    "DensityPiece",
     "Distortion",
     "DistortionMeasure",
     "SpectralDensity",
-    "MixtureMeasure",
     "ConvexityResult",
     "make_named",
     "expectation",
@@ -42,10 +40,8 @@ __all__ = [
     "threshold_distortion",
     "sqrt_example_distortion",
     "is_convex",
-    "measure_of",
     "spectral_of",
     "distortion_of",
-    "mixture_measure_of",
 ]
 
 _MASS_TOL = 1e-12
@@ -143,31 +139,21 @@ class Piece:
         )
 
 
-DensityPiece = Piece
-
-
 @dataclass(frozen=True)
 class DistortionMeasure:
     """Atoms plus density of the measure an increasing piecewise function induces.
 
-    Q = dD for a distortion D (``measure_of``) and nu = ds for a spectral
-    density s (``mixture_measure_of``), with nu[[0,u]] = s(u).
+    Q = dD is a distortion's ``measure`` and nu = ds a spectral density's.
     """
 
     atoms: tuple[tuple[float, float], ...]
     density: tuple[Piece, ...]
-
-    def total_mass(self) -> float:
-        return self.cumulative(1.0)
 
     def cumulative(self, u: float) -> float:
         """Mass of [0,u] for u in (0,1]."""
         atom_part = math.fsum(m for loc, m in self.atoms if loc <= u)
         dens_part = math.fsum(p.integral(0.0, u) for p in self.density)
         return atom_part + dens_part
-
-
-MixtureMeasure = DistortionMeasure
 
 
 @dataclass(frozen=True)
@@ -378,11 +364,7 @@ def make_named(name: str, **params) -> Distortion:
 
 
 # ---------------------------------------------------------------------------
-# measure, convexity, spectrum
-
-
-def measure_of(distortion: Distortion) -> DistortionMeasure:
-    return distortion.measure
+# convexity, spectrum
 
 
 def is_convex(distortion: Distortion) -> ConvexityResult:
@@ -438,7 +420,11 @@ def _shrink_witness(distortion, u: float, eps: float | None = None) -> tuple[flo
 
 
 class SpectralDensity(_Piecewise):
-    """Increasing density s on (0,1) with unit integral, stored piecewise."""
+    """Increasing density s on (0,1) with unit integral, stored piecewise.
+
+    Its ``measure`` is nu = ds, with nu[[0,u]] = s(u): the mixing measure
+    that weights the expected-shortfall mixture.
+    """
 
     _NOUN = "spectral density"
     _COVER = "density pieces must cover (0,1)"
@@ -489,8 +475,3 @@ def distortion_of(spectrum: SpectralDensity) -> Distortion:
         cum = float(piece.value(piece.hi))
         pieces.append(piece)
     return Distortion(pieces, name="integral")
-
-
-def mixture_measure_of(spectrum: SpectralDensity) -> MixtureMeasure:
-    """The measure nu with nu[[0,u]] = s(u) that weights the shortfall mixture."""
-    return spectrum.measure

@@ -329,7 +329,9 @@ class Discrete(Distribution):
         return float(np.dot(self.values[first:stop], weight))
 
     def _affine(self, factor, offset):
-        return _from_levels(self.values * factor + offset, self.cum)
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite atom is refused by _from_levels
+            values = self.values * factor + offset
+        return _from_levels(values, self.cum)
 
     def _reflect(self):  # P(-X <= -v_i) = 1 - cum[i-1]
         return _from_levels(-self.values[::-1], np.append(1.0 - self.cum[-2::-1], 1.0))
@@ -773,11 +775,10 @@ class _AbsMixed(Distribution):
             reach[s] = right, left
             return right - left
 
-        top = (1.0 - v) + 0.5 * (v - math.nextafter(v, 0.0))  # the largest s with 1 - s >= v, or next to it
+        # never below the largest s with 1 - s >= v in floats, so it only steps down to it
+        top = (1.0 - v) + 0.5 * (v - math.nextafter(v, 0.0))
         while 1.0 - top < v:
             top = math.nextafter(top, 0.0)
-        while 1.0 - math.nextafter(top, 1.0) >= v:
-            top = math.nextafter(top, 1.0)
         a, b = _search(gap, 0.0, top, gap(0.0), gap(top), top)
         (ra, la), (rb, lb) = reach[a], reach[b]
         est = max(min(max(ra, la), max(rb, lb)), 0.0)
@@ -817,12 +818,10 @@ class _AbsMixed(Distribution):
         return c, self.base.cdf(c), self.base.cdf_left(-c)
 
     def _kinks(self):
-        """Sorted finite x where the CDF may kink or jump: |x| of the base's support ends and breakpoints."""
-        base = self.base
-        lo, hi = base.support()
-        xs = [-lo, hi]
-        for t in base.quantile_breakpoints():
-            xs += [abs(base.quantile_lower(t)), abs(base.quantile_upper(t))]
+        """Sorted finite x where the CDF may kink or jump: |x| of the base's support ends and ``quantile_steps``."""
+        lo, hi = self.base.support()
+        _levels, lower, upper = self.base.quantile_steps()
+        xs = [-lo, hi, *np.abs(lower).tolist(), *np.abs(upper).tolist()]
         return sorted({x for x in xs if math.isfinite(x)})
 
     def quantile_breakpoints(self):
@@ -1072,7 +1071,8 @@ def comonotone_sum(d1: Distribution, d2: Distribution) -> Distribution:
     if isinstance(d1, Discrete) and isinstance(d2, Discrete):
         # on the union of the levels both quantiles are constant, so their sums are the atoms
         grid = np.union1d(d1.cum, d2.cum)
-        sums = d1.values[np.searchsorted(d1.cum, grid)] + d2.values[np.searchsorted(d2.cum, grid)]
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite atom is refused by _from_levels
+            sums = d1.values[np.searchsorted(d1.cum, grid)] + d2.values[np.searchsorted(d2.cum, grid)]
         return _from_levels(sums, grid)
     if isinstance(d1, Discrete) and len(d1.values) == 1:
         return d2.shift(float(d1.values[0]))

@@ -43,7 +43,6 @@ from .distortions import (
     _MASS_TOL,
     Distortion,
     higher_order_es_distortion,
-    mixture_measure_of,
     spectral_of,
 )
 from .distributions import Distribution, _AbsMixed
@@ -296,10 +295,13 @@ def _part_verdict(dist, distortion, part: str, method: str = "auto") -> tuple[Ve
 def _dyadic_partials(dist, distortion, sign: float, span) -> tuple[float, ...]:
     """Cumulative integrals of h = max(sign * q, 0) dQ over the windows (2^-k, 1 - 2^-k).
 
-    Only the levels ``span`` are integrated, where h is sign * q: each band
-    of a piece of D adds sign times one quantile moment, or on |X| one
-    :func:`_abs_band`, which searches q only at the band's ends and
-    remembers each search for the next band.
+    Window 1 is the level 0.5 and adds only D's atom there.  Window k >= 2
+    adds D's atoms in [2^-k, 2^-(k-1)) and (1 - 2^-(k-1), 1 - 2^-k], then
+    the two bands (2^-k, 2^-(k-1)) and (1 - 2^-(k-1), 1 - 2^-k), but only
+    the levels ``span``, where h is sign * q: each band of a piece of D adds
+    sign times one quantile moment, or on |X| one :func:`_abs_band`, which
+    searches q only at the band's ends and remembers each search for the
+    next band.
     """
     atoms = distortion.jumps()
     pieces = [p for p in distortion.pieces if not p.flat]
@@ -311,25 +313,19 @@ def _dyadic_partials(dist, distortion, sign: float, span) -> tuple[float, ...]:
         band = lambda p, a, b: _density_moment(dist, p, a, b, 1e-11)
     total = 0.0
     out = []
-    prev_lo, prev_hi = math.inf, -math.inf  # empty previous window
     for k in range(1, PROBE_LEVELS + 1):
         lo, hi = 2.0**-k, 1.0 - 2.0**-k
         inc = 0.0
         for loc, mass in atoms:
-            if lo <= loc <= hi and not (prev_lo <= loc <= prev_hi):
+            if lo <= loc <= hi and not 2.0 * lo <= loc <= 1.0 - 2.0 * lo:
                 inc += mass * max(sign * q(loc), 0.0)
-        if lo < hi:
-            segments = [(lo, min(prev_lo, hi)), (max(prev_hi, lo), hi)] if prev_lo <= prev_hi else [(lo, hi)]
-            for a, b in segments:
-                if b <= a:
-                    continue
-                for piece in pieces:
-                    pa, pb = max(a, piece.lo, span[0]), min(b, piece.hi, span[1])
-                    if pb > pa:
-                        inc += sign * band(piece, pa, pb)
+        for a, b in ((lo, 2.0 * lo), (1.0 - 2.0 * lo, hi)) if k > 1 else ():
+            for piece in pieces:
+                pa, pb = max(a, piece.lo, span[0]), min(b, piece.hi, span[1])
+                if pb > pa:
+                    inc += sign * band(piece, pa, pb)
         total += inc
         out.append(total)
-        prev_lo, prev_hi = lo, hi
     return tuple(out)
 
 
@@ -517,14 +513,13 @@ def mixture_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = 
     flagged = _forced_value(dist, distortion)
     if flagged is not None:
         return flagged
-    nu = mixture_measure_of(spectrum)
 
     def scaled_es(alpha: float) -> float:
         # (1-alpha) * ES_alpha = integral of the quantile function over (alpha, 1)
         return dist.quantile_integral(alpha, 1.0)
 
     total = 0.0
-    for loc, mass in nu.atoms:
+    for loc, mass in spectrum.measure.atoms:
         contrib = scaled_es(loc)
         if math.isinf(contrib):
             # both parts converge, so this is a finite value beyond the float range

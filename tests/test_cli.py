@@ -74,6 +74,17 @@ class TestEval:
             main(["eval", "--dist", samples, "--distortion", "{}", "--bogus"])
 
 
+class TestOutput:
+    def test_an_unwritable_output_is_an_io_error(self, capsys, monkeypatch, samples):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["var", "--dist", samples, "--alpha", "0.5"]) == 1
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+
 class TestShortfallAndVar:
     def test_es_closed_form(self, capsys, samples):
         code, out, _ = run(capsys, "es", "--dist", samples, "--alpha", "0.75", "--format", "json")
@@ -333,6 +344,37 @@ class TestSuite:
         assert code == 1
         assert "no cases" in err
 
+    def test_unreadable_config_exits_1(self, capsys, tmp_path):
+        code, out, err = run(capsys, "suite", "--config", str(tmp_path / "absent.json"))
+        assert (code, out) == (1, "")
+        assert "cannot read" in err and "absent.json" in err
+
+    def test_invalid_json_config_exits_1(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text('{"distributions": [')
+        code, out, err = run(capsys, "suite", "--config", str(config))
+        assert (code, out) == (1, "")
+        assert "invalid JSON in" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("fmt, failing", [
+        ("table", "SUITE FAILED (2 failing checks)"),
+        ("csv", "agreement,\"quantile-vs-choquet pareto_negative(beta=1,theta=3) x sqrt_example\",fail,"),
+    ])
+    def test_failing_checks_print_the_report_and_exit_2(self, capsys, tmp_path, fmt, failing):
+        # quantile and Choquet forms of a power tail differ in the last bits: 1e-300 fails them
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "distributions": [{"kind": "pareto_negative", "beta": 1, "theta": 3},
+                              {"kind": "empirical", "values": [1, 2, 3, 4]}],
+            "distortions": [{"kind": "es", "alpha": 0.5}, {"kind": "sqrt_example"}],
+            "checks": ["agreement"],
+        }))
+        code, out, err = run(capsys, "suite", "--config", str(config), "--tol-quantile-choquet", "1e-300",
+                             "--format", fmt)
+        assert code == 2
+        assert failing in out and "> 1e-300" in out
+        assert err == "error: verification suite reported failing checks\n"
+
     def test_deterministic_output(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(
@@ -450,6 +492,14 @@ class TestJsonDistributionFields:
             capsys, "eval", "--dist", str(path), "--distortion", '{"kind":"es","alpha":0.5}', "--format", "json"
         )
         assert code == 0 and json.loads(out)["value"] == 3.5
+
+    @pytest.mark.parametrize("op", [{"kind": "scale", "factor": 1e308}, {"kind": "shift", "offset": 1.7e308}])
+    def test_atoms_moved_past_the_float_range_are_a_domain_error(self, capsys, tmp_path, op):
+        path = tmp_path / "dist.json"
+        path.write_text(json.dumps({"kind": "transformed", "base": {"kind": "empirical", "values": [1, 1e308]},
+                                    "op": op}))
+        code, out, err = run(capsys, "var", "--dist", str(path), "--alpha", "0.5")
+        assert (code, out, err) == (2, "", "error: atom values must be finite\n")
 
     @pytest.mark.parametrize(
         "name, body, want",

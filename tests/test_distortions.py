@@ -7,15 +7,12 @@ import pytest
 
 from quantrisk.distortions import (
     ConvexityResult,
-    DensityPiece,
     Distortion,
     Piece,
     SpectralDensity,
     distortion_of,
     is_convex,
     make_named,
-    measure_of,
-    mixture_measure_of,
     spectral_of,
 )
 from quantrisk.errors import NotSpectralError, ParameterError
@@ -128,8 +125,8 @@ class TestStructuralInvariants:
         assert np.all(np.diff(v) >= -1e-15)
 
     @pytest.mark.parametrize("label", list(NAMED), ids=str)
-    def test_total_mass(self, label):
-        assert abs(measure_of(NAMED[label]).total_mass() - 1.0) <= 1e-12
+    def test_unit_mass(self, label):
+        assert abs(NAMED[label].measure.cumulative(1.0) - 1.0) <= 1e-12
 
     def test_decreasing_pieces_rejected(self):
         with pytest.raises(ParameterError):
@@ -147,12 +144,12 @@ class TestStructuralInvariants:
 
 class TestMeasures:
     def test_var_is_dirac(self):
-        m = measure_of(make_named("var", alpha=0.3))
+        m = make_named("var", alpha=0.3).measure
         assert m.atoms == ((0.3, 1.0),)
         assert m.density == ()
 
     def test_es_density(self):
-        m = measure_of(NAMED["es(0.5)"])
+        m = NAMED["es(0.5)"].measure
         assert m.atoms == ()
         dens = [p for p in m.density if p.coef > 0]
         assert len(dens) == 1
@@ -160,7 +157,7 @@ class TestMeasures:
         assert (dens[0].lo, dens[0].hi) == (0.5, 1.0)
 
     def test_threshold_mixed(self):
-        m = measure_of(NAMED["threshold(0.5)"])
+        m = NAMED["threshold(0.5)"].measure
         assert m.atoms == ((0.5, 0.5),)
         live = [p for p in m.density if p.coef > 0]
         assert len(live) == 1 and abs(live[0].value(0.2) - 1.0) < 1e-15
@@ -257,7 +254,7 @@ class TestSpectra:
             assert float(nxt.value(nxt.lo)) >= float(prev.value(prev.hi)) - 1e-15
 
     def test_integrate_then_differentiate(self):
-        s = SpectralDensity([DensityPiece(lo=0.0, hi=1.0, coef=2.0, origin=0.0, width=1.0, expo=1.0)])
+        s = SpectralDensity([Piece(lo=0.0, hi=1.0, coef=2.0, origin=0.0, width=1.0, expo=1.0)])
         d = distortion_of(s)
         g = np.linspace(0, 1, 101)
         assert np.max(np.abs(np.asarray(d.eval(g)) - g * g)) < 1e-15
@@ -266,7 +263,7 @@ class TestSpectra:
             assert abs(s2.eval(u) - 2 * u) < 1e-15
 
     def test_constant_density_integrates_to_expectation(self):
-        s = SpectralDensity([DensityPiece(lo=0.0, hi=1.0, coef=1.0, origin=0.0, width=1.0, expo=0.0)])
+        s = SpectralDensity([Piece(lo=0.0, hi=1.0, coef=1.0, origin=0.0, width=1.0, expo=0.0)])
         d = distortion_of(s)
         g = np.linspace(0, 1, 101)
         assert np.max(np.abs(np.asarray(d.eval(g)) - g)) < 1e-15
@@ -275,26 +272,26 @@ class TestSpectra:
         with pytest.raises(ParameterError):
             SpectralDensity(
                 [
-                    DensityPiece(lo=0.0, hi=0.5, coef=2.0, origin=0.0, width=1.0, expo=0.0),
-                    DensityPiece(lo=0.5, hi=1.0, coef=0.0, origin=0.0, width=1.0, expo=0.0),
+                    Piece(lo=0.0, hi=0.5, coef=2.0, origin=0.0, width=1.0, expo=0.0),
+                    Piece(lo=0.5, hi=1.0, coef=0.0, origin=0.0, width=1.0, expo=0.0),
                 ]
             )  # decreasing across the knot
 
 
-class TestMixtureMeasure:
+class TestSpectrumMeasure:
     def test_constant_density_gives_unit_atom_at_zero(self):
-        nu = mixture_measure_of(spectral_of(NAMED["expectation"]))
+        nu = spectral_of(NAMED["expectation"]).measure
         assert nu.atoms == ((0.0, 1.0),)
         assert nu.density == ()
 
     def test_es_spectrum_gives_single_interior_atom(self):
-        nu = mixture_measure_of(spectral_of(NAMED["es(0.5)"]))
+        nu = spectral_of(NAMED["es(0.5)"]).measure
         assert len(nu.atoms) == 1
         loc, mass = nu.atoms[0]
         assert loc == 0.5 and abs(mass - 2.0) < 1e-15
 
     def test_linear_density_gives_pure_density(self):
-        nu = mixture_measure_of(spectral_of(NAMED["es_n(2,0)"]))
+        nu = spectral_of(NAMED["es_n(2,0)"]).measure
         assert nu.atoms == ()
         assert len(nu.density) == 1
         assert abs(nu.density[0].value(0.3) - 2.0) < 1e-15
@@ -302,6 +299,53 @@ class TestMixtureMeasure:
     @pytest.mark.parametrize("label", CONVEX, ids=str)
     def test_cumulative_matches_spectrum(self, label):
         s = spectral_of(NAMED[label])
-        nu = mixture_measure_of(s)
+        nu = s.measure
         for u in np.linspace(0.02, 0.98, 49):
             assert abs(nu.cumulative(u) - s.eval(u)) <= 1e-10
+
+
+def _linear(lo, hi, **kw):
+    return Piece(**{"lo": lo, "hi": hi, "coef": 1.0, "origin": 0.0, "width": 1.0, "expo": 1.0, **kw})
+
+
+def _flat_density(lo, hi, level):
+    return Piece(lo=lo, hi=hi, coef=level, origin=0.0, width=1.0, expo=0.0)
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: _linear(0.0, 1.0, width=0.0), "width must be positive"),
+            (lambda: _linear(0.0, 1.0, coef=-1.0), r"increasing \(coef >= 0\)"),
+            (lambda: _linear(0.0, 1.0, expo=-1.0), "exceed -1"),
+            (lambda: Distortion([]), "a distortion needs at least one piece"),
+            (lambda: Distortion([_linear(0.1, 1.0)]), r"pieces must cover \[0,1\)"),
+            (lambda: Distortion([_linear(0.0, 0.4), _linear(0.5, 1.0)]), "pieces must be contiguous"),
+            (lambda: Distortion([_linear(0.0, 0.5), _linear(0.5, 1.0, origin=0.6)]), "origin must not exceed"),
+            (lambda: Distortion([_linear(0.0, 1.0, expo=-0.5)]), "exponent must be >= 0"),
+            (lambda: SpectralDensity([_flat_density(0.0, 0.5, 2.0)]), r"density pieces must cover \(0,1\)"),
+            (lambda: SpectralDensity([_flat_density(0.0, 0.4, 1.0), _flat_density(0.5, 1.0, 1.0)]),
+             "density pieces must be contiguous"),
+            (lambda: SpectralDensity([_linear(0.0, 1.0, coef=0.5, expo=-0.5)]), r"increasing \(expo >= 0\)"),
+            (lambda: SpectralDensity([_flat_density(0.0, 1.0, 2.0)]), "must integrate to 1"),
+        ],
+        ids=["piece-width", "piece-coef", "piece-expo", "no-piece", "cover", "gap", "origin", "negative-expo",
+             "density-cover", "density-gap", "density-expo", "density-total"],
+    )
+    def test_malformed_pieces_are_refused(self, build, match):
+        with pytest.raises(ParameterError, match=match):
+            build()
+
+    def test_distortion_argument_outside_the_unit_interval(self):
+        with pytest.raises(ParameterError, match=r"must lie in \[0,1\]"):
+            NAMED["es(0.5)"].eval(np.array([0.5, 1.5]))
+
+    @pytest.mark.parametrize("u", [0.0, 1.0, np.array([0.5, 1.0])], ids=["0", "1", "array"])
+    def test_spectral_density_argument_outside_the_open_interval(self, u):
+        with pytest.raises(ParameterError, match=r"must lie in \(0,1\)"):
+            spectral_of(NAMED["es(0.5)"]).eval(u)
+
+    def test_repr_names_the_distortion(self):
+        assert repr(NAMED["es(0.5)"]) == "Distortion(es(0.5))"
+        assert repr(Distortion([_linear(0.0, 1.0)])) == "Distortion(piecewise(1 pieces))"

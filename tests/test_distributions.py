@@ -109,6 +109,28 @@ class TestValidation:
         with pytest.raises(ParameterError, match=message):
             dist.quantile_moment(*args)
 
+    def test_values_and_probs_must_match(self):
+        with pytest.raises(ParameterError, match="equal-length, non-empty 1-D sequences"):
+            Discrete([1.0, 2.0], [1.0])
+
+    def test_weights_must_match_the_samples(self):
+        with pytest.raises(ParameterError, match="weights must match samples in length"):
+            Discrete.from_samples([1.0, 2.0], [1.0])
+
+    def test_total_weight_must_be_positive(self):
+        with pytest.raises(ParameterError, match="total weight must be positive"):
+            Discrete.from_samples([1.0, 2.0], [0.0, 0.0])
+
+    @pytest.mark.parametrize("build", [
+        lambda: Discrete.from_samples([1.0, 2.0]).scale(1e308),
+        lambda: Discrete.from_samples([1e308, 1.5e308]).shift(1e308),
+        lambda: comonotone_sum(Discrete.from_samples([1e308, 1.5e308]), Discrete.from_samples([1e308, 1.7e308])),
+    ], ids=["scale", "shift", "comonotone_sum"])
+    def test_eager_atoms_past_the_float_range_are_refused(self, build):
+        # warnings are errors under pyproject.toml: numpy's overflow warning must not escape first
+        with pytest.raises(ParameterError, match="atom values must be finite"):
+            build()
+
 
 class TestDiscreteLevels:
     """The cumulative levels are the representation: built once, then mapped."""
@@ -229,6 +251,30 @@ class TestParetoNegative:
             ParetoNegative(0.0)
         with pytest.raises(ParameterError):
             ParetoNegative(1.0, -2.0)
+
+    def test_a_moment_at_level_0_diverges_for_theta_1(self):
+        # t**(-1/theta) near 0 against a weight bounded away from 0: an origin left of (a, b)
+        assert ParetoNegative(1.0, 1.0).quantile_moment(0.0, 0.5, 1.0, -0.25) == -math.inf
+
+    def test_a_fractional_power_about_an_origin_below_0_is_integrated_numerically(self):
+        from scipy.integrate import quad
+
+        assert qd._power_moment(0.1, 0.5, -1.0 / 3.0, 0.5, -0.25) is None
+        want = -quad(lambda u: u ** (-1.0 / 3.0) * (u + 0.25) ** 0.5, 0.1, 0.5, epsabs=1e-14, epsrel=1e-14)[0]
+        assert abs(ParetoNegative(1.0, 3.0).quantile_moment(0.1, 0.5, 0.5, -0.25) - want) <= 1e-12
+
+    def test_a_series_that_runs_out_of_terms_is_integrated_numerically(self):
+        # the binomial series in (t - o)**1 ends, but its next power integral from 0 is inf
+        # and 0 * inf is nan: no term ever looks negligible and all _SERIES_TERMS run
+        assert qd._power_moment(0.0, 0.05, -1.0 / 3.0, 1.0, -0.5) is None
+        want = -(0.05 ** (5.0 / 3.0) / (5.0 / 3.0) + 0.5 * 0.05 ** (2.0 / 3.0) / (2.0 / 3.0))
+        assert abs(ParetoNegative(1.0, 3.0).quantile_moment(0.0, 0.05, 1.0, -0.5) - want) <= 1e-12
+
+    @pytest.mark.parametrize("dist", [Discrete.from_samples([1.0, 2.0, 4.0]), ParetoNegative(1.0, 2.0).shift(1.0)],
+                             ids=["discrete", "affine"])
+    @pytest.mark.parametrize("k", [0.0, 1.0, -0.5])
+    def test_a_moment_over_an_empty_range_is_0(self, dist, k):
+        assert dist.quantile_moment(0.3, 0.3, k, 0.0) == 0.0
 
     def test_quantiles_beyond_the_float_range_are_infinite(self):
         assert ParetoNegative(1.0, 0.5).quantile_lower(1e-300) == -math.inf
@@ -398,6 +444,28 @@ class TestTransforms:
         npart = base.neg_part()
         assert list(npart.values) == [0.0, 2.0]
         assert list(npart.probs) == [0.5, 0.5]
+
+    def test_the_negative_part_of_a_right_tail_is_a_point_mass_at_0(self):
+        npart = ParetoPositive(1.0, 2.0).neg_part()
+        assert isinstance(npart, Discrete)
+        assert (npart.values.tolist(), npart.cum.tolist()) == ([0.0], [1.0])
+
+    def test_a_comonotone_sum_with_a_point_mass_is_a_shift(self):
+        tail = ParetoNegative(1.0, 3.0)
+        for summed in (comonotone_sum(point_mass(2.0), tail), comonotone_sum(tail, point_mass(2.0))):
+            assert summed.label() == tail.shift(2.0).label() == "shift(2,pareto_negative(beta=1,theta=3))"
+            for u in (1e-9, 0.3, 0.9):
+                assert summed.quantile_lower(u) == tail.shift(2.0).quantile_lower(u)
+
+    def test_pos_part_left_limit(self):
+        base = ParetoNegative(1.0, 2.0).shift(3.0)
+        ppart = base.pos_part()
+        assert ppart.cdf_left(0.0) == 0.0
+        assert ppart.cdf_left(1.0) == base.cdf_left(1.0) == 0.25
+
+    def test_abs_cdf_below_zero(self):
+        mixed = ParetoNegative(1.0, 2.0).shift(2.0).abs()
+        assert (mixed.cdf(-1.0), mixed.cdf_left(-1.0), mixed.cdf_left(0.0)) == (0.0, 0.0, 0.0)
 
     def test_abs_mixed_support_bisection(self):
         mixed = ParetoNegative(1.0).shift(5.0).abs()
@@ -762,6 +830,18 @@ class TestAbsQuantileSearch:
         assert sum(counts) / len(counts) <= 5
 
 
+def test_abs_quantile_inside_an_atom_at_0_that_only_the_cdf_sees():
+    # the base's atom at 1.1 lands on 1.1 * 7 - 7.7 = 8.9e-16 in the quantile, but the CDF
+    # at 0 is the base's at 7.7 / 7 = 1.1: the window's estimate is 8.9e-16, the answer 0
+    base = comonotone_sum(Discrete.from_samples([0.0, 1.1]), ParetoPositive(1.0, 2.0).shift(-3.0).pos_part())
+    moved = base.scale(7.0).shift(-7.7)
+    assert moved.quantile_lower(0.6) == 2.0**-50
+    mixed = moved.abs()
+    assert mixed.cdf(0.0) == base.cdf(1.1) - base.cdf_left(1.1) >= 0.3
+    for u in (1e-10, 0.1, 0.3):
+        assert mixed.quantile_lower(u) == 0.0
+
+
 class TestAbsQuantileIntegral:
     @staticmethod
     def nested_quad(m, a, b):
@@ -802,3 +882,26 @@ class TestAbsQuantileIntegral:
         m = ParetoNegative(1.0, 3.0).shift(5.0).abs()
         assert m.quantile_breakpoints() == (m.cdf(4.0),)
         assert abs(m.cdf(4.0) - (1.0 - 9.0**-3)) < 1e-15
+
+
+class TestLabels:
+    def test_discrete_reprs(self):
+        assert repr(Discrete([-1.0, 2.5], [0.25, 0.75])) == "Discrete([(-1, 0.25), (2.5, 0.75)])"
+        assert repr(Discrete.from_samples(np.arange(7.0))) == "Discrete(n=7)"
+
+    def test_pareto_reprs(self):
+        assert repr(ParetoNegative(2.0, 3.0)) == "ParetoNegative(beta=2.0, theta=3.0)"
+        assert repr(ParetoPositive(2.0, 3.0)) == "ParetoPositive(beta=2.0, theta=3.0)"
+
+    def test_lazy_node_labels(self):
+        tail = ParetoNegative(1.0, 2.0)
+        assert tail.scale(2.0).label() == "scale(2,pareto_negative(beta=1,theta=2))"
+        assert tail.shift(3.0).pos_part().label() == "pos_part(shift(3,pareto_negative(beta=1,theta=2)))"
+        assert tail.shift(3.0).abs().label() == "abs(shift(3,pareto_negative(beta=1,theta=2)))"
+
+    def test_a_distribution_defined_outside_labels_itself_by_its_repr(self):
+        class Outside(qd.Distribution):
+            def __repr__(self):
+                return "Outside()"
+
+        assert Outside().label() == "Outside()"

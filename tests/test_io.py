@@ -52,6 +52,11 @@ class TestCsv:
             distribution_from_csv_text("1,2,3\n")
         assert err.value.line == 1
 
+    def test_non_numeric_weight(self):
+        with pytest.raises(ParseError, match="non-numeric weight 'heavy'") as err:
+            distribution_from_csv_text("1,1\n2,heavy\n")
+        assert err.value.line == 2
+
     def test_negative_weight(self):
         with pytest.raises(ParseError) as err:
             distribution_from_csv_text("1,-1\n")
@@ -108,6 +113,12 @@ class TestDistributionJson:
             distribution_from_json({"values": [1]})
 
 
+    def test_unknown_transform_op(self):
+        with pytest.raises(ParseError, match="unknown transform op 'negate'"):
+            distribution_from_json({"kind": "transformed", "base": {"kind": "pareto_negative", "beta": 1},
+                                    "op": {"kind": "negate"}})
+
+
 class TestDistortionJson:
     def test_named(self):
         d = distortion_from_json({"kind": "es", "alpha": 0.5})
@@ -136,6 +147,10 @@ class TestDistortionJson:
             distortion_from_json({"kind": "es"})  # missing alpha
         with pytest.raises(ParseError):
             distortion_from_json('{"kind":')
+
+    def test_missing_at_file(self, tmp_path):
+        with pytest.raises(ParseError, match="cannot read .*absent.json"):
+            load_distortion(f"@{tmp_path / 'absent.json'}")
 
     @pytest.mark.parametrize("pieces", [None, "abc", [5], [None]])
     def test_pieces_must_be_a_list_of_objects(self, pieces):

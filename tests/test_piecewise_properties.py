@@ -12,16 +12,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quantrisk.distortions import (
-    DensityPiece,
     Distortion,
     DistortionMeasure,
-    MixtureMeasure,
     Piece,
     SpectralDensity,
     distortion_of,
     is_convex,
-    measure_of,
-    mixture_measure_of,
     spectral_of,
 )
 from quantrisk.distributions import Discrete, ParetoNegative, ParetoPositive, comonotone_sum
@@ -93,10 +89,10 @@ def _discrete(seed):
 @settings(max_examples=150, deadline=None)
 @given(piecewise_distortions())
 def test_measure_cumulative_is_the_distortion(d):
-    m = measure_of(d)
+    m = d.measure
     for u in _grid(d):
         assert abs(m.cumulative(u) - d.eval(u)) <= 1e-12
-    assert abs(m.total_mass() - 1.0) <= 1e-12
+    assert abs(m.cumulative(1.0) - 1.0) <= 1e-12
 
 
 @settings(max_examples=150, deadline=None)
@@ -105,7 +101,7 @@ def test_convex_spectral_round_trip(d):
     assert is_convex(d)
     s = spectral_of(d)
     back = distortion_of(s)
-    nu = mixture_measure_of(s)
+    nu = s.measure
     for u in _grid(d):
         assert abs(back.eval(u) - d.eval(u)) <= 1e-12
         if 0.0 < u < 1.0:
@@ -179,14 +175,14 @@ class TestAtomAtZero:
             Piece(lo=0.0, hi=0.5, coef=1e-13, origin=0.0, width=1.0, expo=0.0),
             Piece(lo=0.5, hi=1.0, coef=2.0 - 1e-13, origin=0.0, width=1.0, expo=0.0),
         ])
-        nu = mixture_measure_of(s)
+        nu = s.measure
         assert nu.atoms[0] == (0.0, 1e-13)
         assert nu.atoms[1][0] == 0.5
 
     @pytest.mark.parametrize("start", [5e-13, -5e-13, 1e-12])
     def test_distortion_tolerates_a_tiny_start_without_an_atom(self, start):
         d = Distortion([Piece(lo=0.0, hi=1.0, base=start, coef=1.0 - start, origin=0.0, width=1.0, expo=1.0)])
-        assert measure_of(d).atoms == ()
+        assert d.measure.atoms == ()
         assert d.jumps() == ()
 
     def test_distortion_rejects_a_start_beyond_the_tolerance(self):
@@ -198,12 +194,12 @@ class TestAtomAtZero:
             Piece(lo=0.0, hi=0.5, coef=1.0, origin=0.0, width=1.0, expo=1.0),
             Piece(lo=0.5, hi=1.0, base=5e-13, coef=1.0, origin=0.0, width=1.0, expo=1.0),
         ])
-        assert measure_of(d).atoms == ()
+        assert d.measure.atoms == ()
         s = SpectralDensity([
             Piece(lo=0.0, hi=0.5, coef=1.0, origin=0.0, width=1.0, expo=0.0),
             Piece(lo=0.5, hi=1.0, coef=1.0 + 5e-13, origin=0.0, width=1.0, expo=0.0),
         ])
-        assert mixture_measure_of(s).atoms == ((0.0, 1.0),)
+        assert s.measure.atoms == ((0.0, 1.0),)
 
 
 class TestOnePieceType:
@@ -212,15 +208,14 @@ class TestOnePieceType:
         assert p.value(0.5) == 0.5
 
     def test_density_piece_builds_from_its_keyword_arguments(self):
-        p = DensityPiece(lo=0.0, hi=1.0, coef=2.0, origin=0.0, width=1.0, expo=1.0)
+        p = Piece(lo=0.0, hi=1.0, coef=2.0, origin=0.0, width=1.0, expo=1.0)
         assert isinstance(p, Piece) and p.base == 0.0
         assert p.integral(0.0, 1.0) == 1.0
 
     def test_one_measure_type(self):
-        assert MixtureMeasure is DistortionMeasure
         d = Distortion([Piece(lo=0.0, hi=1.0, coef=1.0, origin=0.0, width=1.0, expo=2.0)])
-        assert isinstance(mixture_measure_of(spectral_of(d)), DistortionMeasure)
-        assert measure_of(d) is measure_of(d)
+        assert isinstance(spectral_of(d).measure, DistortionMeasure)
+        assert d.measure is d.measure
 
     def test_spectral_pieces_take_no_base(self):
         with pytest.raises(ParameterError, match="no base"):

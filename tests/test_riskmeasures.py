@@ -202,6 +202,16 @@ class TestShortfallInfimum:
         assert abs(res.value - 3.5) < 1e-8
         assert 2.0 - 1e-6 <= res.minimizer <= 3.0 + 1e-6
 
+    def test_a_cdf_that_does_not_invert_the_quantile_leaves_the_bracket_open(self):
+        # defined outside the package, and wrong: its CDF is 0 everywhere, so the
+        # objective falls without end to the right of every bracket
+        class ZeroCdf(ParetoNegative):
+            def cdf(self, x):
+                return 0.0
+
+        with pytest.raises(InconclusiveError, match="failed to enclose a minimizer"):
+            expected_shortfall_infimum(ZeroCdf(1.0, 2.0), 0.5)
+
     def test_point_mass(self):
         res = expected_shortfall_infimum(point_mass(7.0), 0.3)
         assert abs(res.value - 7.0) < 1e-8
@@ -410,6 +420,12 @@ class TestDivergenceFlags:
         for fn in (quantile_risk, choquet_risk, mixture_risk):
             assert fn(pp, EXPECTATION).kind == "not-in-domain"
 
+    def test_an_undefined_risk_has_no_float(self):
+        risk = quantile_risk(ParetoPositive(1.0, 1.0), EXPECTATION)
+        assert str(risk) == "not-in-domain"
+        with pytest.raises(ValueError, match="risk value is undefined"):
+            risk.as_float()
+
     def test_infinite_mean_expectation(self):
         pn1 = ParetoNegative(1.0, 1.0)
         assert quantile_risk(pn1, EXPECTATION).kind == "neg-inf"
@@ -464,6 +480,27 @@ class TestClassification:
         assert analytic.verdict is Verdict.MEMBER
         assert probe.verdict is Verdict.MEMBER  # integral settles below the Cauchy tolerance
 
+    def test_unknown_method_is_refused(self):
+        with pytest.raises(ParameterError, match="unknown classify method 'quadrature'"):
+            classify_membership(ParetoNegative(1.0), EXPECTATION, DomainClass.ACERBI, method="quadrature")
+
+    def test_the_class_names_print_as_their_values(self):
+        assert [str(cls) for cls in DomainClass] == ["quantile", "acerbi", "pichler"]
+
+    def test_a_probe_band_left_of_its_piece_origin_adds_nothing(self):
+        # D's second piece starts 2e-16 below 0.5 with its origin 9e-16 above its start: in
+        # the band (2**-2, 2**-1) it is a sliver where D is flat, and its density integrates to 0
+        lo = 0.5 - 2e-16
+        origin = lo + 9e-16
+        sliver = Distortion([
+            Piece(lo=0.0, hi=lo, coef=0.5, origin=0.0, width=1.0, expo=1.0),
+            Piece(lo=lo, hi=1.0, base=0.5 * lo, coef=1.0 - 0.5 * lo, origin=origin, width=1.0 - origin, expo=0.5),
+        ])
+        dist = ParetoNegative(1.0, 50.0)  # the windows miss less than 1e-11 of its tails
+        probe = classify_membership(dist, sliver, DomainClass.ACERBI, method="probe")
+        assert probe.verdict is Verdict.MEMBER
+        assert abs(probe.partials[-1] + quantile_risk(dist, sliver).value) <= 1e-10
+
     def test_pichler_inside_acerbi_for_convex(self):
         dists = [ParetoNegative(1.0), ParetoNegative(2.0), ParetoNegative(1.0, 1.0)]
         convex = [EXPECTATION, make_named("es", alpha=0.5), make_named("es_n", n=3, alpha=0.2)]
@@ -492,6 +529,17 @@ class TestCompareDomains:
     def test_delta_validation(self):
         with pytest.raises(ParameterError):
             compare_domains(EXPECTATION, EXPECTATION, 0.0)
+
+    def test_var_and_expectation_are_incomparable(self):
+        cmp = compare_domains(make_named("var", alpha=0.5), EXPECTATION)
+        assert cmp.relation == "incomparable"
+        assert not cmp.d1_le_d2 and not cmp.d2_le_d1
+
+    def test_no_shortfall_curve_up_to_order_6_certifies_es_7(self):
+        # below the identity, but no es_n(n, alpha) with n <= 6 lies below it near 1
+        cmp = compare_domains(make_named("es_n", n=7, alpha=0.95), EXPECTATION)
+        assert cmp.sandwich_1 is None and not cmp.domain_equals_expectation_1
+        assert cmp.sandwich_2 == (1, 0.05)
 
 
 class TestAxiomIdentities:

@@ -38,6 +38,10 @@ class TestJointTable:
             probs=[[0.25, 0.0, 0.25], [0.0, 0.25, 0.25]],
         )
 
+    def test_shape_must_match_the_grids(self):
+        with pytest.raises(ParameterError, match="probability matrix shape must match the value grids"):
+            JointTable(x_values=[0.0, 1.0], y_values=[0.0], probs=[[0.5, 0.5]])
+
     def test_marginals(self):
         mx = self.table.marginal_x()
         assert list(mx.values) == [-1.25, 0.0]
