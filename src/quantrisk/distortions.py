@@ -15,7 +15,6 @@ measure nu of the expected-shortfall mixture.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import numbers
@@ -227,7 +226,6 @@ class Distortion(_Piecewise):
                 raise ParameterError("piece exponent must be >= 0")
         super().__init__(pieces)
         self.name = name
-        self._knot_list = self._knots.tolist()
         start = float(self.pieces[0].value(0.0))
         if abs(start) > _MASS_TOL:
             raise ParameterError(f"distortion must vanish at 0, got {start!r}")
@@ -237,16 +235,7 @@ class Distortion(_Piecewise):
             raise ParameterError(f"distortion must reach 1 at 1, got {top!r}")
 
     def eval(self, u):
-        """Evaluate D; scalar in, scalar out.  Right-continuous at jumps."""
-        if isinstance(u, float):
-            # the array path's arithmetic on a one-element array, so the
-            # same float comes out, without its masks and checks
-            if u < 0.0 or u > 1.0:
-                raise ParameterError("distortion argument must lie in [0,1]")
-            if u == 1.0:
-                return 1.0
-            piece = self.pieces[bisect.bisect_right(self._knot_list, u) - 1]
-            return float(piece.value(np.array([u]))[0])
+        """Evaluate D, right-continuous at jumps; one path for floats and arrays: a scalar is a 1-element array."""
         scalar = np.isscalar(u) or np.ndim(u) == 0
         arr = np.atleast_1d(np.asarray(u, dtype=float))
         if np.any((arr < 0.0) | (arr > 1.0)):
@@ -412,8 +401,9 @@ def _shrink_witness(distortion, u: float, eps: float | None = None) -> tuple[flo
     """Find eps with a midpoint violation above 1e-15 at u, halving from a safe start."""
     if eps is None:
         eps = 0.5 * min(u, 1.0 - u)
+    twice = 2.0 * distortion.eval(u)
     for _ in range(80):
-        if 2.0 * distortion.eval(u) > distortion.eval(u - eps) + distortion.eval(u + eps) + 1e-15:
+        if twice > distortion.eval(u - eps) + distortion.eval(u + eps) + 1e-15:
             return (u, eps)
         eps *= 0.5
     return None

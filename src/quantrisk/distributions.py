@@ -464,7 +464,8 @@ def _binomial_sum(k: float, x: float, integral) -> float | None:
     """
     total, coef, largest = 0.0, 1.0, 0.0
     for j in range(_SERIES_TERMS):
-        term = coef * integral(j)
+        # past an integer k's last term coef is 0, and integral(j) may be inf: 0 * inf = nan never ends the sum
+        term = coef * integral(j) if coef else 0.0
         total += term
         largest = max(largest, abs(term))
         if abs(term) <= 2.0**-60 * abs(total):
@@ -685,8 +686,9 @@ class _AbsMixed(Distribution):
     """|X| for a non-discrete base X straddling zero, evaluated in level space.
 
     The CDF F(x) - F(-x-) is exact up to the rounding of that difference,
-    which loses relative accuracy where it is small.  A quantile is the
-    least float x where that CDF reaches the level, so the float Galois
+    which loses relative accuracy where it is small; the left limit is
+    clamped at 0, below which rounding in the base can take it.  A quantile
+    is the least float x where that CDF reaches the level, so the float Galois
     relation ``quantile_lower(u) <= x`` iff ``u <= cdf(x)`` holds exactly.
     :func:`_search` finds it twice: in the level s, where the base
     quantiles bound |X| <= x on the levels (s, s+u], for an estimate
@@ -707,7 +709,8 @@ class _AbsMixed(Distribution):
     def cdf_left(self, x):
         if x <= 0:
             return 0.0
-        return self.base.cdf_left(x) - self.base.cdf(-x)
+        # an affine base can round x - c and -x - c onto one float, leaving minus an atom at 0
+        return max(self.base.cdf_left(x) - self.base.cdf(-x), 0.0)
 
     def quantile_lower(self, u):
         return self._least(self.cdf, _check_level(u))

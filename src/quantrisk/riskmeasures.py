@@ -67,7 +67,6 @@ __all__ = [
 ]
 
 QUAD_TOL = 1e-9
-MIXTURE_TOL = 1e-8
 INFIMUM_TOL = 1e-10
 PROBE_LEVELS = 40
 PROBE_CAUCHY = 1e-9
@@ -110,7 +109,7 @@ class RiskValue:
     def as_float(self) -> float:
         """Numeric value; raises when the risk is undefined (not in domain)."""
         if not self.in_domain:
-            raise ValueError("risk value is undefined: variable outside the domain")
+            raise ParameterError("risk value is undefined: variable outside the domain")
         return self.value
 
     def json_value(self):
@@ -156,7 +155,7 @@ _POINTS_PER_CALL = 100  # leaves room for refinement under quad's 400-subinterva
 quad = None  # scipy.integrate.quad, bound by the first _quad call
 
 
-def _quad(f, a, b, *, points=(), epsabs=1e-10) -> tuple[float, bool]:
+def _quad(f, a, b, *, points=(), epsabs) -> tuple[float, bool]:
     """Adaptive quadrature over (a, b), which may be infinite, with interior breakpoints.
 
     A call to ``quad`` takes at most ``_POINTS_PER_CALL`` breakpoints, so
@@ -493,15 +492,15 @@ def choquet_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = 
     return RiskValue.finite(math.fsum([*sides.tolist(), *(-down[both]).tolist(), *terms]))
 
 
-def mixture_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = MIXTURE_TOL) -> RiskValue:
+def mixture_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = QUAD_TOL) -> RiskValue:
     """Average of rescaled expected shortfalls against the spectral mixing measure.
 
     Only convex distortions admit this representation.  Atoms of the mixing
     measure are summed exactly.  Its density is taken by parts on each moving
     piece of the spectrum s, for every input: the rescaled shortfall times s
     at the piece's ends, plus one quantile moment, which a discrete takes in
-    closed form and other nodes integrate with absolute tolerance ``epsabs``
-    where they have no closed form for it.
+    closed form and other nodes integrate with absolute tolerance ``epsabs``,
+    by default ``QUAD_TOL`` as in the other forms, where they have none.
     """
     try:
         spectrum = spectral_of(distortion)
@@ -671,10 +670,10 @@ def classify_membership(
     probed, with the elementwise fsum of the probed parts' partials.
     """
     domain_class = DomainClass(domain_class)
-    if dist.is_discrete:
-        return MembershipVerdict(domain_class, Verdict.MEMBER, "discrete")
     if method not in ("auto", "analytic", "probe"):
         raise ParameterError(f"unknown classify method {method!r}")
+    if dist.is_discrete:
+        return MembershipVerdict(domain_class, Verdict.MEMBER, "discrete")
     target = dist.abs() if domain_class is DomainClass.PICHLER else dist
     parts = "+-" if domain_class is DomainClass.ACERBI else "+"
     verdicts, partials = zip(*(_part_verdict(target, distortion, part, method) for part in parts))

@@ -130,7 +130,7 @@ def build_counterexample(distortion: Distortion, a: float = 1.0) -> Counterexamp
     rx = quantile_risk(table.marginal_x(), distortion).as_float()
     ry = quantile_risk(table.marginal_y(), distortion).as_float()
     rs = quantile_risk(table.sum_distribution(), distortion).as_float()
-    du, dlo, dhi = distortion.eval(u), distortion.eval(u - eps), distortion.eval(u + eps)
+    du, dlo, dhi = distortion.eval(np.array([u, u - eps, u + eps])).tolist()
     predicted = mid * (2.0 * du - dlo - dhi)
     return CounterexampleReport(
         distortion_label=distortion.label(),

@@ -219,13 +219,14 @@ def _le_extended(a: RiskValue, b: RiskValue, tol: float) -> bool | None:
 
 
 def _check_agreement(group, config, tol):
+    convex = [is_convex(distortion).convex for _, distortion in config.distortions]
     for dlabel, dist in config.distributions:
-        for qlabel, distortion in config.distortions:
+        for (qlabel, distortion), spectral in zip(config.distortions, convex):
             name = f"{dlabel} x {qlabel}"
             rq = quantile_risk(dist, distortion)
             rc = choquet_risk(dist, distortion)
             yield _verdict(group, f"quantile-vs-choquet {name}", *_close(rq, rc, tol.quantile_choquet))
-            if is_convex(distortion).convex:
+            if spectral:
                 rm = mixture_risk(dist, distortion)
                 yield _verdict(group, f"quantile-vs-mixture {name}", *_close(rq, rm, tol.mixture))
 

@@ -1,16 +1,20 @@
 """Print every statement line of ``src/quantrisk`` that a test run never executes.
 
-Run by hand, not by pytest (tracing slows the run about sixfold):
+Not collected by pytest (tracing slows the run about sixfold):
 
-    PYTHONPATH=src python tests/golden/line_trace.py [pytest arguments]
+    PYTHONPATH=src python tests/golden/line_trace.py [--max-unrun N] [pytest arguments]
 
-With no arguments it runs the whole test suite, so run it from the repository
-root.  The statement lines are counted by ``ast``: every statement's first
-line, less docstrings and ``global`` declarations, which run no code of
-their own.  A ``sys.settrace`` and ``threading.settrace`` hook records the
-lines that run in files under ``src/quantrisk``, in this process only: the
-CLI tests that start a ``python -m quantrisk.cli`` subprocess are not
-followed, so a line they alone run is listed here.  Output is one
+With no pytest arguments it runs the whole test suite, so run it from the
+repository root.  It exits 1 when pytest fails, or when more than N
+statement lines never ran; CI runs it as that gate, with
+``--hypothesis-seed=0`` so that the count repeats from run to run.
+
+The statement lines are counted by ``ast``: every statement's first line,
+less docstrings and ``global`` declarations, which run no code of their
+own.  A ``sys.settrace`` and ``threading.settrace`` hook records the lines
+that run in files under ``src/quantrisk``, in this process only: the CLI
+tests that start a ``python -m quantrisk.cli`` subprocess are not followed,
+so a line they alone run is listed here.  Output is one
 ``path:line<TAB>source`` per unexecuted line, then the counts.
 """
 
@@ -42,6 +46,10 @@ def statement_lines(path):
 
 def main(argv):
     import pytest
+
+    max_unrun = None
+    if argv[:1] == ["--max-unrun"]:
+        max_unrun, argv = int(argv[1]), argv[2:]
 
     ran = {}  # path -> set of executed lines
 
@@ -80,7 +88,10 @@ def main(argv):
         missed += len(unrun)
     print(f"{missed} of {total} statement lines never ran in-process (pytest exit status {int(status)})")
     print("the CLI subprocess tests are not followed: a line only they run is listed")
-    return 0
+    if max_unrun is not None and missed > max_unrun:
+        print(f"more than the {max_unrun} unrun statement lines allowed")
+        return 1
+    return int(status != 0)
 
 
 if __name__ == "__main__":

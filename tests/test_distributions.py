@@ -263,12 +263,27 @@ class TestParetoNegative:
         want = -quad(lambda u: u ** (-1.0 / 3.0) * (u + 0.25) ** 0.5, 0.1, 0.5, epsabs=1e-14, epsrel=1e-14)[0]
         assert abs(ParetoNegative(1.0, 3.0).quantile_moment(0.1, 0.5, 0.5, -0.25) - want) <= 1e-12
 
-    def test_a_series_that_runs_out_of_terms_is_integrated_numerically(self):
-        # the binomial series in (t - o)**1 ends, but its next power integral from 0 is inf
-        # and 0 * inf is nan: no term ever looks negligible and all _SERIES_TERMS run
-        assert qd._power_moment(0.0, 0.05, -1.0 / 3.0, 1.0, -0.5) is None
-        want = -(0.05 ** (5.0 / 3.0) / (5.0 / 3.0) + 0.5 * 0.05 ** (2.0 / 3.0) / (2.0 / 3.0))
-        assert abs(ParetoNegative(1.0, 3.0).quantile_moment(0.0, 0.05, 1.0, -0.5) - want) <= 1e-12
+    def test_a_series_that_runs_out_of_terms_ends_in_closed_form(self):
+        # the binomial series in (t - o)**1 ends after two terms; its next power
+        # integral from 0 is inf, and 0 * inf must not keep the series running
+        want = 0.05 ** (5.0 / 3.0) / (5.0 / 3.0) + 0.5 * 0.05 ** (2.0 / 3.0) / (2.0 / 3.0)
+        assert abs(qd._power_moment(0.0, 0.05, -1.0 / 3.0, 1.0, -0.5) - want) <= 1e-15 * want
+        assert abs(ParetoNegative(1.0, 3.0).quantile_moment(0.0, 0.05, 1.0, -0.5) + want) <= 1e-15 * want
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("o", [-0.5, -0.1, -0.001])
+    def test_an_integer_power_about_an_origin_below_0_needs_no_quadrature(self, monkeypatch, k, o):
+        from quantrisk import riskmeasures as rm
+
+        def no_quad(*args, **kwargs):
+            raise AssertionError("quadrature called")
+
+        monkeypatch.setattr(rm, "quad", no_quad)
+        # -integral of u**(-1/3) (u - o)**k over (0, 0.05), term by term in the binomial expansion
+        want = -math.fsum(math.comb(k, j) * (-o) ** (k - j) * 0.05 ** (j + 2.0 / 3.0) / (j + 2.0 / 3.0)
+                          for j in range(k + 1))
+        got = ParetoNegative(1.0, 3.0).quantile_moment(0.0, 0.05, float(k), o)
+        assert abs(got - want) <= 1e-15 * abs(want)
 
     @pytest.mark.parametrize("dist", [Discrete.from_samples([1.0, 2.0, 4.0]), ParetoNegative(1.0, 2.0).shift(1.0)],
                              ids=["discrete", "affine"])
@@ -840,6 +855,18 @@ def test_abs_quantile_inside_an_atom_at_0_that_only_the_cdf_sees():
     assert mixed.cdf(0.0) == base.cdf(1.1) - base.cdf_left(1.1) >= 0.3
     for u in (1e-10, 0.1, 0.3):
         assert mixed.quantile_lower(u) == 0.0
+
+
+def test_abs_left_cdf_of_an_atom_at_0_stays_a_cdf():
+    # the shift takes the base's CDF at 1 + x and 1 - x, one float for x below 2**-53,
+    # where F(x-) - F(-x) is minus the atom of |X| at 0 before the clamp
+    mixed = comonotone_sum(
+        Discrete.from_samples([0.0, 1.0]), ParetoPositive(1.0, 2.0).shift(-3.0).pos_part()
+    ).shift(-1.0).abs()
+    assert mixed.cdf(0.0) > 0.38
+    values = [mixed.cdf_left(x) for x in (1e-300, 2.0**-60, 2.0**-54, 2.0**-53, 2.0**-52, 1e-10, 0.5)]
+    assert all(0.0 <= v <= 1.0 for v in values)
+    assert values == sorted(values)
 
 
 class TestAbsQuantileIntegral:

@@ -86,6 +86,17 @@ def _discrete(seed):
     return Discrete.from_samples(rng.normal(0.0, 3.0, size=50), rng.random(50) + 0.1)
 
 
+@settings(max_examples=100, deadline=None)
+@given(piecewise_distortions(), st.lists(st.floats(0.0, 1.0), max_size=10))
+def test_a_scalar_gives_the_bits_of_its_array_element(d, levels):
+    us = [0.0, 1.0, *(p.lo for p in d.pieces), *levels]
+    for u, want in zip(us, d.eval(np.array(us)).tolist()):
+        for scalar in (float(u), np.float64(u), np.array(u)):
+            got = d.eval(scalar)
+            assert type(got) is float
+            assert got.hex() == want.hex()
+
+
 @settings(max_examples=150, deadline=None)
 @given(piecewise_distortions())
 def test_measure_cumulative_is_the_distortion(d):

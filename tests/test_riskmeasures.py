@@ -19,7 +19,7 @@ from quantrisk.distributions import (
     point_mass,
 )
 from quantrisk import riskmeasures
-from quantrisk.errors import InconclusiveError, NotSpectralError, ParameterError
+from quantrisk.errors import InconclusiveError, NotSpectralError, ParameterError, QuantRiskError
 from quantrisk.riskmeasures import (
     DomainClass,
     Verdict,
@@ -423,7 +423,7 @@ class TestDivergenceFlags:
     def test_an_undefined_risk_has_no_float(self):
         risk = quantile_risk(ParetoPositive(1.0, 1.0), EXPECTATION)
         assert str(risk) == "not-in-domain"
-        with pytest.raises(ValueError, match="risk value is undefined"):
+        with pytest.raises(QuantRiskError, match="risk value is undefined"):
             risk.as_float()
 
     def test_infinite_mean_expectation(self):
@@ -483,6 +483,10 @@ class TestClassification:
     def test_unknown_method_is_refused(self):
         with pytest.raises(ParameterError, match="unknown classify method 'quadrature'"):
             classify_membership(ParetoNegative(1.0), EXPECTATION, DomainClass.ACERBI, method="quadrature")
+
+    def test_unknown_method_is_refused_for_a_discrete_too(self):
+        with pytest.raises(ParameterError, match="unknown classify method 'bogus'"):
+            classify_membership(point_mass(1.0), EXPECTATION, DomainClass.QUANTILE, method="bogus")
 
     def test_the_class_names_print_as_their_values(self):
         assert [str(cls) for cls in DomainClass] == ["quantile", "acerbi", "pichler"]

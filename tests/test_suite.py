@@ -3,7 +3,7 @@
 import pytest
 
 from quantrisk import suite
-from quantrisk.distortions import make_named
+from quantrisk.distortions import is_convex, make_named
 from quantrisk.distributions import Discrete, ParetoPositive
 from quantrisk.errors import ParameterError
 from quantrisk.riskmeasures import RiskValue
@@ -58,3 +58,20 @@ class TestOrdering:
         [failure] = report.failures()
         assert failure.name == "mean-below-risk four x es(0.5)"
         assert failure.detail == "mean 2.5 vs -inf"
+
+
+class TestAgreement:
+    def test_convexity_is_decided_once_per_distortion(self, monkeypatch):
+        calls = []
+
+        def counted(distortion):
+            calls.append(distortion)
+            return is_convex(distortion)
+
+        monkeypatch.setattr(suite, "is_convex", counted)
+        config = suite.default_config(trials=10)
+        records = list(suite._check_agreement("agreement", config, Tolerances()))
+        assert len(calls) == len(config.distortions) == 11
+        # a quantile-vs-choquet record per pair, a quantile-vs-mixture one per convex pair
+        convex = sum(is_convex(d).convex for _, d in config.distortions)
+        assert len(records) == len(config.distributions) * (11 + convex) == 14 * 18
