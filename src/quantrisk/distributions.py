@@ -226,32 +226,42 @@ class Discrete(Distribution):
     def from_samples(cls, samples, weights=None) -> Discrete:
         """Empirical distribution; equal weights unless given, duplicates merged.
 
-        One stable sort: the level of the k-th sorted sample is the running
-        sum of the sorted weights over their total, within one float of the
-        correctly rounded exact level, and the float k/n for equal weights.
-        A run of equal samples is one atom at the run's last level; a sample
-        whose level does not rise (zero weight, or too light to move a float
-        level) is dropped.
+        The atoms are the samples in their stable order: by value, and equal
+        values by index.  Equal weights sort with ``np.sort`` and give the
+        k-th sorted sample the float k/n.  Other weights take numpy's default
+        ``argsort`` and sort each run of neighbours that do not rise (equal,
+        or both NaN) again by index; the level of the k-th sample is then the
+        running sum of the sorted weights over their total, within one float
+        of the correctly rounded exact level.  A run of equal samples is one
+        atom at the run's last level, with the value of its last sample by
+        index (-0.0 or 0.0); a sample whose level does not rise (zero weight,
+        or too light to move a float level) is dropped.
         """
         samples = np.asarray(samples, dtype=float)
         if samples.ndim != 1 or len(samples) == 0:
             raise ParameterError("need at least one sample value")
         if weights is None:
-            weights = np.ones_like(samples)
-        else:
-            weights = np.asarray(weights, dtype=float)
-            if weights.shape != samples.shape:
-                raise ParameterError("weights must match samples in length")
-            if not np.all(weights >= 0):  # NaN too
-                raise ParameterError("weights must be non-negative")
-        order = np.argsort(samples, kind="stable")
-        hi, lo = _running_sum(weights[order])
-        run = hi + lo
-        if not run[-1] < math.inf:  # NaN too
-            raise ParameterError("total weight must be finite")
-        if run[-1] == 0.0:
-            raise ParameterError("total weight must be positive")
-        return _from_levels(samples[order], run / run[-1])
+            values = np.sort(samples)
+            zero = int(np.searchsorted(values, 0.0, side="right")) - 1
+            if zero >= 0 and values[zero] == 0.0:  # np.sort may end the run of zeros on either sign
+                values[zero] = samples[np.flatnonzero(samples == 0.0)[-1]]
+            return _from_levels(values, np.arange(1.0, len(values) + 1.0) / len(values))
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != samples.shape:
+            raise ParameterError("weights must match samples in length")
+        if not (weights >= 0).all():  # NaN too
+            raise ParameterError("weights must be non-negative")
+        order = samples.argsort()
+        values = samples[order]
+        flat = ~(values[1:] > values[:-1])
+        if flat.any():  # the stable order is unique: (value, index) inside the runs that do not rise
+            tied = np.flatnonzero(np.concatenate((flat, [False])) | np.concatenate(([False], flat)))
+            index = order[tied]
+            order[tied] = index = index[np.lexsort((index, values[tied]))]
+            values[tied] = samples[index]
+        weights = weights[order]
+        del order
+        return _from_weights(values, weights)
 
     @property
     def probs(self) -> np.ndarray:
@@ -339,8 +349,10 @@ class Discrete(Distribution):
     def pos_part(self):
         return _from_levels(np.maximum(self.values, 0.0), self.cum)
 
-    def abs(self):  # |x| is not monotone: the atoms are sorted again
-        return Discrete.from_samples(np.abs(self.values), self.probs)
+    def abs(self):  # the |v_i| fall, then rise: a stable argsort reverses the first run and merges
+        values = np.abs(self.values)
+        order = values.argsort(kind="stable")
+        return _from_weights(values[order], self.probs[order])
 
     def quantile_breakpoints(self) -> tuple[float, ...]:
         return tuple(float(c) for c in self.cum[:-1])
@@ -1051,6 +1063,16 @@ def _level_steps(cum: np.ndarray) -> np.ndarray:
     return cum - np.concatenate(([0.0], cum[:-1]))
 
 
+def _from_weights(values: np.ndarray, weights: np.ndarray) -> Discrete:
+    """The discrete of nondecreasing ``values`` whose levels are the running sum of ``weights`` over their total."""
+    run = np.add(*_running_sum(weights))
+    if not run[-1] < math.inf:  # NaN too
+        raise ParameterError("total weight must be finite")
+    if run[-1] == 0.0:
+        raise ParameterError("total weight must be positive")
+    return _from_levels(values, run / run[-1])
+
+
 def _from_levels(values: np.ndarray, cum: np.ndarray) -> Discrete:
     """The discrete whose quantile is ``values[i]`` on the levels (cum[i-1], cum[i]].
 
@@ -1069,14 +1091,29 @@ def _from_levels(values: np.ndarray, cum: np.ndarray) -> Discrete:
     return out
 
 
+def _merged_atoms(d1: Discrete, d2: Discrete) -> tuple[np.ndarray, np.ndarray]:
+    """The quantile sums of two discretes on the union of their levels, and that union.
+
+    A stable argsort merges the two sorted level runs.  The first entry of each
+    run of equal levels is a union level; the d1 entries before it count the
+    d1 levels below it, d1's atom index there, and the d2 entries d2's.
+    """
+    levels = np.concatenate((d1.cum, d2.cum))
+    order = levels.argsort(kind="stable")
+    levels, from1 = levels[order], order < len(d1.cum)
+    del order
+    first = np.concatenate(([True], levels[1:] != levels[:-1]))
+    i1 = (from1.cumsum() - from1)[first]
+    i2 = first.nonzero()[0] - i1
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite atom is refused by _from_levels
+        return d1.values[i1] + d2.values[i2], levels[first]
+
+
 def comonotone_sum(d1: Distribution, d2: Distribution) -> Distribution:
     """Distribution of X+Y under the comonotone coupling of d1 and d2."""
     if isinstance(d1, Discrete) and isinstance(d2, Discrete):
         # on the union of the levels both quantiles are constant, so their sums are the atoms
-        grid = np.union1d(d1.cum, d2.cum)
-        with np.errstate(over="ignore", invalid="ignore"):  # an infinite atom is refused by _from_levels
-            sums = d1.values[np.searchsorted(d1.cum, grid)] + d2.values[np.searchsorted(d2.cum, grid)]
-        return _from_levels(sums, grid)
+        return _from_levels(*_merged_atoms(d1, d2))
     if isinstance(d1, Discrete) and len(d1.values) == 1:
         return d2.shift(float(d1.values[0]))
     if isinstance(d2, Discrete) and len(d2.values) == 1:

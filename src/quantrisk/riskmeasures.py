@@ -669,7 +669,11 @@ def classify_membership(
     any is undecided, MEMBER otherwise; method 'probe' if any part was
     probed, with the elementwise fsum of the probed parts' partials.
     """
-    domain_class = DomainClass(domain_class)
+    try:
+        domain_class = DomainClass(domain_class)
+    except ValueError:
+        names = ", ".join(str(cls) for cls in DomainClass)
+        raise ParameterError(f"unknown domain class {domain_class!r}; expected one of {names}") from None
     if method not in ("auto", "analytic", "probe"):
         raise ParameterError(f"unknown classify method {method!r}")
     if dist.is_discrete:

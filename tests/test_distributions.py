@@ -179,6 +179,87 @@ class TestDiscreteLevels:
         assert list(neg.cum) == [1.0 - base.cum[1], 1.0 - base.cum[0], 1.0]
 
 
+def stable_from_samples(samples, weights=None):
+    """``from_samples`` by one stable argsort and the running sum of every sorted weight: the reference route."""
+    samples = np.asarray(samples, dtype=float)
+    weights = np.ones_like(samples) if weights is None else np.asarray(weights, dtype=float)
+    order = np.argsort(samples, kind="stable")
+    hi, lo = qd._running_sum(weights[order])
+    run = hi + lo
+    return qd._from_levels(samples[order], run / run[-1])
+
+
+def union_comonotone_sum(d1, d2):
+    """The comonotone sum of two discretes on ``union1d`` of their levels: the reference route."""
+    grid = np.union1d(d1.cum, d2.cum)
+    return qd._from_levels(d1.values[np.searchsorted(d1.cum, grid)] + d2.values[np.searchsorted(d2.cum, grid)], grid)
+
+
+def same_bytes(d, ref):
+    return d.values.tobytes() == ref.values.tobytes() and d.cum.tobytes() == ref.cum.tobytes()
+
+
+# few values, so that runs of equal samples are long; -0.0 and 0.0 compare equal
+POOL = [0.0, -0.0, 1.0, -1.0, 2.5, -7.0, 1e-300, 3.0]
+WEIGHTS = [0.0, 1e-300, 1e20, 1.0, 0.5, 3.0]
+
+
+@st.composite
+def sample_sets(draw):
+    """A drawn pattern repeated up to 400 times, then a drawn tail: one sample up to thousands, with ties."""
+    pattern = draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=8))
+    tail = draw(st.lists(st.one_of(st.sampled_from(POOL), st.floats(-5.0, 5.0)), max_size=20))
+    return pattern * draw(st.integers(1, 400)) + tail
+
+
+@st.composite
+def weighted_sets(draw):
+    samples = draw(sample_sets())
+    weights = draw(st.lists(st.one_of(st.sampled_from(WEIGHTS), st.floats(0.0, 10.0)), min_size=1, max_size=9))
+    weights = (weights * len(samples))[: len(samples)]
+    if not any(weights):
+        weights[-1] = 1.0
+    return samples, weights
+
+
+class TestSortRoutes:
+    """``from_samples`` (one plain sort) and ``comonotone_sum`` (one merge) give the stable reference's bytes."""
+
+    @given(samples=sample_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_equal_weights(self, samples):
+        assert same_bytes(Discrete.from_samples(samples), stable_from_samples(samples))
+
+    @given(case=weighted_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_given_weights_and_abs(self, case):
+        d = Discrete.from_samples(*case)
+        assert same_bytes(d, stable_from_samples(*case))
+        assert same_bytes(d.abs(), stable_from_samples(np.abs(d.values), d.probs))
+
+    @given(a=st.one_of(sample_sets().map(lambda s: (s,)), weighted_sets()),
+           b=st.one_of(sample_sets().map(lambda s: (s,)), weighted_sets()))
+    @settings(max_examples=150, deadline=None)
+    def test_comonotone_sum(self, a, b):
+        d1, d2 = Discrete.from_samples(*a), Discrete.from_samples(*b)
+        for x, y in ((d1, d2), (d1, d1), (d1, d1.shift(1.0)), (d1, point_mass(2.0)), (point_mass(-1.0), d2)):
+            assert same_bytes(comonotone_sum(x, y), union_comonotone_sum(x, y))
+
+    def test_a_run_of_signed_zeros_ends_on_its_last_sample(self):
+        # np.sort may leave either zero last in a long run; the last by index decides
+        for first, last in ((0.0, -0.0), (-0.0, 0.0)):
+            d = Discrete.from_samples([first, last] * 600 + [3.0])
+            assert d.values.tobytes() == np.array([last, 3.0]).tobytes()
+            assert list(d.cum) == [1200 / 1201, 1.0]
+
+    def test_a_tied_weighted_run_is_taken_in_index_order(self):
+        # the default argsort may leave either zero last; the run sorted again by index ends on the last sample
+        for first, last in ((0.0, -0.0), (-0.0, 0.0)):
+            d = Discrete.from_samples([first, last, 1.0] * 300, [1.0, 3.0, 2.0] * 300)
+            assert d.values.tobytes() == np.array([last, 1.0]).tobytes()
+            assert list(d.cum) == [1200 / 1800, 1.0]
+
+
 class TestPrefixTable:
     """k = 0 moments of a large discrete read a table built once; derived discretes store no masses."""
 

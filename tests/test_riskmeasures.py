@@ -488,6 +488,11 @@ class TestClassification:
         with pytest.raises(ParameterError, match="unknown classify method 'bogus'"):
             classify_membership(point_mass(1.0), EXPECTATION, DomainClass.QUANTILE, method="bogus")
 
+    def test_unknown_class_is_refused_with_the_class_names(self):
+        message = "unknown domain class 'bogus'; expected one of quantile, acerbi, pichler"
+        with pytest.raises(ParameterError, match=message):
+            classify_membership(point_mass(1.0), EXPECTATION, "bogus")
+
     def test_the_class_names_print_as_their_values(self):
         assert [str(cls) for cls in DomainClass] == ["quantile", "acerbi", "pichler"]
 
