@@ -43,8 +43,11 @@ __all__ = [
     "distortion_of",
 ]
 
-_MASS_TOL = 1e-12
-_JUMP_TOL = 1e-12
+# The one test of equal probability masses, for X, Q = dD, nu = ds and a joint table:
+# two masses differ when they are more than this apart.
+MASS_TOL = 1e-12
+# is_convex's midpoint margin: a bend at or below it counts as convex
+_CONVEX_MARGIN = 1e-15
 
 @dataclass(frozen=True, kw_only=True)
 class Piece:
@@ -167,7 +170,8 @@ class ConvexityResult:
 class _Piecewise:
     """Increasing function given by contiguous pieces covering (0,1).
 
-    Subclasses set ``_NOUN`` and the error texts ``_COVER`` and ``_GAP``.
+    Subclasses set ``_NOUN``, the error texts ``_COVER`` and ``_GAP``, and
+    ``_OPEN``: whether ``eval`` refuses the ends 0 and 1.
     """
 
     def __init__(self, pieces):
@@ -186,28 +190,34 @@ class _Piecewise:
         """Atoms at the jumps, density the derivative of each non-flat piece.
 
         The value at 0+ is a jump from 0, kept as an atom when it exceeds
-        ``zero_floor``; interior jumps count above ``_JUMP_TOL``.
+        ``zero_floor``; interior jumps count above ``MASS_TOL``.
         """
         atoms = []
         end, floor = 0.0, zero_floor
         for p in self.pieces:
             h = float(p.value(p.lo)) - end
-            if h < -_JUMP_TOL:
+            if h < -MASS_TOL:
                 raise ParameterError(f"{self._NOUN} decreases at {p.lo!r}")
             if h > floor:
                 atoms.append((p.lo, h))
-            end, floor = float(p.value(p.hi)), _JUMP_TOL
+            end, floor = float(p.value(p.hi)), MASS_TOL
         density = tuple(p.derivative for p in self.pieces if not p.flat)
         return DistortionMeasure(atoms=tuple(atoms), density=density)
 
-    def _eval_pieces(self, arr: np.ndarray) -> np.ndarray:
+    def eval(self, u):
+        """Evaluate right-continuously at jumps, with D(1) = 1; one path for floats and arrays: a scalar is a 1-element array."""
+        scalar = np.isscalar(u) or np.ndim(u) == 0
+        arr = np.atleast_1d(np.asarray(u, dtype=float))
+        if np.any((arr <= 0.0) | (arr >= 1.0) if self._OPEN else (arr < 0.0) | (arr > 1.0)):
+            raise ParameterError(f"{self._NOUN} argument must lie in {'(0,1)' if self._OPEN else '[0,1]'}")
         idx = np.minimum(np.searchsorted(self._knots, arr, side="right") - 1, len(self.pieces) - 1)
         out = np.empty_like(arr)
         for i, piece in enumerate(self.pieces):
             mask = idx == i
             if np.any(mask):
                 out[mask] = piece.value(arr[mask])
-        return out
+        out = np.where(arr == 1.0, 1.0, out)
+        return float(out[0]) if scalar else out
 
 
 class Distortion(_Piecewise):
@@ -216,6 +226,7 @@ class Distortion(_Piecewise):
     _NOUN = "distortion"
     _COVER = "pieces must cover [0,1)"
     _GAP = "pieces must be contiguous"
+    _OPEN = False
 
     def __init__(self, pieces, name: str | None = None):
         pieces = list(pieces)
@@ -227,21 +238,12 @@ class Distortion(_Piecewise):
         super().__init__(pieces)
         self.name = name
         start = float(self.pieces[0].value(0.0))
-        if abs(start) > _MASS_TOL:
+        if abs(start) > MASS_TOL:
             raise ParameterError(f"distortion must vanish at 0, got {start!r}")
-        self.measure = self._stieltjes(_JUMP_TOL)
+        self.measure = self._stieltjes(MASS_TOL)
         top = float(self.pieces[-1].value(1.0))
-        if abs(top - 1.0) > _MASS_TOL:
+        if abs(top - 1.0) > MASS_TOL:
             raise ParameterError(f"distortion must reach 1 at 1, got {top!r}")
-
-    def eval(self, u):
-        """Evaluate D, right-continuous at jumps; one path for floats and arrays: a scalar is a 1-element array."""
-        scalar = np.isscalar(u) or np.ndim(u) == 0
-        arr = np.atleast_1d(np.asarray(u, dtype=float))
-        if np.any((arr < 0.0) | (arr > 1.0)):
-            raise ParameterError("distortion argument must lie in [0,1]")
-        out = np.where(arr == 1.0, 1.0, self._eval_pieces(arr))
-        return float(out[0]) if scalar else out
 
     def jumps(self) -> tuple[tuple[float, float], ...]:
         """Interior discontinuities as (location, height) pairs."""
@@ -361,7 +363,7 @@ def is_convex(distortion: Distortion) -> ConvexityResult:
 
     A piecewise distortion can only fail convexity at a jump, inside a
     concave piece or where the slope drops across a knot.  Each such place
-    counts only when the midpoint test finds it above the 1e-15 margin, so a
+    counts only when the midpoint test finds it above ``_CONVEX_MARGIN``, so a
     non-convex result always carries a witness (u, eps) with
     ``2 D(u) > D(u-eps) + D(u+eps)``.  Knots are judged on ``_slope``, so a
     concave piece enters and leaves with its chord slope.
@@ -371,7 +373,7 @@ def is_convex(distortion: Distortion) -> ConvexityResult:
         ((loc, None) for loc, _height in distortion.jumps()),
         ((0.5 * (p.lo + p.hi), 0.25 * (p.hi - p.lo)) for p in pieces if _concave(p)),
         ((nxt.lo, None) for prev, nxt in zip(pieces, pieces[1:])
-         if float(_slope(prev).value(prev.hi)) > float(_slope(nxt).value(nxt.lo)) + 1e-15),
+         if float(_slope(prev).value(prev.hi)) > float(_slope(nxt).value(nxt.lo)) + _CONVEX_MARGIN),
     )
     for u, eps in suspects:
         witness = _shrink_witness(distortion, u, eps)
@@ -398,12 +400,12 @@ def _slope(p: Piece) -> Piece:
 
 
 def _shrink_witness(distortion, u: float, eps: float | None = None) -> tuple[float, float] | None:
-    """Find eps with a midpoint violation above 1e-15 at u, halving from a safe start."""
+    """Find eps with a midpoint violation above ``_CONVEX_MARGIN`` at u, halving from a safe start."""
     if eps is None:
         eps = 0.5 * min(u, 1.0 - u)
     twice = 2.0 * distortion.eval(u)
     for _ in range(80):
-        if twice > distortion.eval(u - eps) + distortion.eval(u + eps) + 1e-15:
+        if twice > distortion.eval(u - eps) + distortion.eval(u + eps) + _CONVEX_MARGIN:
             return (u, eps)
         eps *= 0.5
     return None
@@ -419,6 +421,7 @@ class SpectralDensity(_Piecewise):
     _NOUN = "spectral density"
     _COVER = "density pieces must cover (0,1)"
     _GAP = "density pieces must be contiguous"
+    _OPEN = True
 
     def __init__(self, pieces):
         super().__init__(pieces)
@@ -429,16 +432,8 @@ class SpectralDensity(_Piecewise):
                 raise ParameterError("spectral pieces take no base; a constant is coef with expo 0")
         self.measure = self._stieltjes(0.0)
         total = math.fsum(p.integral(p.lo, p.hi) for p in self.pieces)
-        if abs(total - 1.0) > _MASS_TOL:
+        if abs(total - 1.0) > MASS_TOL:
             raise ParameterError(f"spectral density must integrate to 1, got {total!r}")
-
-    def eval(self, u):
-        scalar = np.isscalar(u) or np.ndim(u) == 0
-        arr = np.atleast_1d(np.asarray(u, dtype=float))
-        if np.any((arr <= 0.0) | (arr >= 1.0)):
-            raise ParameterError("spectral density argument must lie in (0,1)")
-        out = self._eval_pieces(arr)
-        return float(out[0]) if scalar else out
 
 
 def spectral_of(distortion: Distortion) -> SpectralDensity:

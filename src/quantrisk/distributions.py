@@ -20,6 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .distortions import MASS_TOL
 from .errors import InconclusiveError, ParameterError
 
 __all__ = [
@@ -31,7 +32,9 @@ __all__ = [
     "comonotone_sum",
 ]
 
-_ATOM_TOL = 1e-12
+# the default absolute tolerance of a quantile moment taken by quadrature
+MOMENT_TOL = 1e-10
+_BELOW_ONE = 1.0 - 2.0**-53  # the last float level below 1, where a CDF that inverts q stops
 # A discrete of this many atoms or more takes its k = 0 moments from a prefix
 # table.  It is the measured break-even of one expected_shortfall_infimum (about
 # 55 k = 0 calls) on a fresh discrete: below it the table's build costs more
@@ -97,7 +100,7 @@ class Distribution:
         """
         return self.quantile_moment(a, b, 0.0, a)
 
-    def quantile_moment(self, a: float, b: float, k: float, origin: float, *, epsabs: float = 1e-10) -> float:
+    def quantile_moment(self, a: float, b: float, k: float, origin: float, *, epsabs: float = MOMENT_TOL) -> float:
         """Integral of q(u) |u - origin|**k over (a, b), for k > -1 and origin outside (a, b).
 
         The origin's side of (a, b) says which way the weight grows.  This
@@ -191,9 +194,9 @@ class Discrete(Distribution):
     """Finitely supported distribution: atoms ``values`` at cumulative levels ``cum``.
 
     ``values`` must be strictly increasing and ``probs`` strictly positive
-    with total mass 1 within 1e-12.  ``cum`` is the running sum of ``probs``
-    with every step's rounding error carried, divided by its last entry,
-    which is then exactly 1.  The quantile is ``values[i]`` on the levels
+    with total mass 1 within ``MASS_TOL``.  ``cum`` is the running sum of
+    ``probs`` with every step's rounding error carried, divided by its last
+    entry, which is then exactly 1.  The quantile is ``values[i]`` on the levels
     (cum[i-1], cum[i]]: every derived discrete is built from these levels by
     :func:`_from_levels`, stores no masses, and its ``probs`` are the level
     steps ``np.diff(cum, prepend=0.0)``.  Every integral, the mean too, is
@@ -216,8 +219,8 @@ class Discrete(Distribution):
             raise ParameterError("atom probabilities must be strictly positive")
         hi, lo = _running_sum(probs)
         run = hi + lo
-        if not abs(run[-1] - 1.0) <= _ATOM_TOL:
-            raise ParameterError(f"atom probabilities must sum to 1 within {_ATOM_TOL}, got {float(run[-1])!r}")
+        if not abs(run[-1] - 1.0) <= MASS_TOL:
+            raise ParameterError(f"atom probabilities must sum to 1 within {MASS_TOL}, got {float(run[-1])!r}")
         self.values = values
         self._given = probs
         self.cum = run / run[-1]
@@ -229,17 +232,20 @@ class Discrete(Distribution):
         The atoms are the samples in their stable order: by value, and equal
         values by index.  Equal weights sort with ``np.sort`` and give the
         k-th sorted sample the float k/n.  Other weights take numpy's default
-        ``argsort`` and sort each run of neighbours that do not rise (equal,
-        or both NaN) again by index; the level of the k-th sample is then the
-        running sum of the sorted weights over their total, within one float
-        of the correctly rounded exact level.  A run of equal samples is one
-        atom at the run's last level, with the value of its last sample by
-        index (-0.0 or 0.0); a sample whose level does not rise (zero weight,
-        or too light to move a float level) is dropped.
+        ``argsort`` and sort each run of equal neighbours again by index; the
+        level of the k-th sample is then the running sum of the sorted
+        weights over their total, within one float of the correctly rounded
+        exact level.  A run of equal samples is one atom at the run's last
+        level, with the value of its last sample by index (-0.0 or 0.0); a
+        sample whose level does not rise (zero weight, or too light to move a
+        float level) is dropped.  A NaN or infinite sample is refused,
+        whatever its weight.
         """
         samples = np.asarray(samples, dtype=float)
         if samples.ndim != 1 or len(samples) == 0:
             raise ParameterError("need at least one sample value")
+        if not np.isfinite(samples).all():
+            raise ParameterError("atom values must be finite")
         if weights is None:
             values = np.sort(samples)
             zero = int(np.searchsorted(values, 0.0, side="right")) - 1
@@ -253,8 +259,8 @@ class Discrete(Distribution):
             raise ParameterError("weights must be non-negative")
         order = samples.argsort()
         values = samples[order]
-        flat = ~(values[1:] > values[:-1])
-        if flat.any():  # the stable order is unique: (value, index) inside the runs that do not rise
+        flat = values[1:] == values[:-1]
+        if flat.any():  # the stable order is unique: (value, index) inside the runs of equal values
             tied = np.flatnonzero(np.concatenate((flat, [False])) | np.concatenate(([False], flat)))
             index = order[tied]
             order[tied] = index = index[np.lexsort((index, values[tied]))]
@@ -291,7 +297,7 @@ class Discrete(Distribution):
         idx = int(np.searchsorted(self.cum, u, side="right"))
         return float(self.values[min(idx, len(self.values) - 1)])
 
-    def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
+    def quantile_moment(self, a, b, k, origin, *, epsabs=MOMENT_TOL):
         """Sum over the atoms of v_i times the weight's integral over their levels clipped to (a, b).
 
         For k = 0 a discrete under ``_PREFIX_CUT`` atoms clips every atom's
@@ -517,7 +523,7 @@ class ParetoNegative(Distribution):
 
     quantile_upper = quantile_lower  # strictly increasing CDF, no flat levels
 
-    def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
+    def quantile_moment(self, a, b, k, origin, *, epsabs=MOMENT_TOL):
         """-beta times the power moment of u**(-1/theta) (:func:`_power_moment`), or the default quadrature."""
         a, b, k, origin = _check_moment(a, b, k, origin)
         moment = _power_moment(a, b, -1.0 / self.theta, k, origin)
@@ -562,7 +568,7 @@ class _Affine(Distribution):
     def quantile_upper(self, u):
         return self.factor * self.base.quantile_upper(u) + self.offset
 
-    def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
+    def quantile_moment(self, a, b, k, origin, *, epsabs=MOMENT_TOL):
         moment = self.factor * self.base.quantile_moment(a, b, k, origin, epsabs=epsabs / self.factor)
         if self.offset:
             moment += self.offset * _weight_integral(a, b, k, origin)
@@ -616,7 +622,7 @@ class _Negated(Distribution):
             raise InconclusiveError(f"the level 1 - {u!r} rounds to 1, where the base is unbounded above")
         return -hi
 
-    def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
+    def quantile_moment(self, a, b, k, origin, *, epsabs=MOMENT_TOL):
         """Minus the base moment at the mirrored levels: |u - origin| is |(1-u) - (1-origin)|."""
         a, b, k, origin = _check_moment(a, b, k, origin)
         return -self.base.quantile_moment(1.0 - b, 1.0 - a, k, 1.0 - origin, epsabs=epsabs)
@@ -669,7 +675,7 @@ class _PosPart(Distribution):
     def quantile_upper(self, u):
         return max(self.base.quantile_upper(u), 0.0)
 
-    def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
+    def quantile_moment(self, a, b, k, origin, *, epsabs=MOMENT_TOL):
         """The base moment over the levels above the split, where q is positive."""
         a, b, k, origin = _check_moment(a, b, k, origin)
         lo = max(a, min(self._split, b))
@@ -776,7 +782,7 @@ class _AbsMixed(Distribution):
         """
         base = self.base
         low, high = base.support()
-        q, below_one = base.quantile_lower, math.nextafter(1.0, 0.0)
+        q = base.quantile_lower
         reach = {}
 
         def gap(s):
@@ -786,7 +792,7 @@ class _AbsMixed(Distribution):
             while math.nextafter(t, 0.0) - s >= v:
                 t = math.nextafter(t, 0.0)
             right = q(t) if t < 1.0 else high
-            left = -q(math.nextafter(s, 1.0)) if 0.0 < s < below_one else -low if s <= 0.0 else -high
+            left = -q(math.nextafter(s, 1.0)) if 0.0 < s < _BELOW_ONE else -low if s <= 0.0 else -high
             reach[s] = right, left
             return right - left
 
@@ -800,7 +806,7 @@ class _AbsMixed(Distribution):
         w = max((d for d in (la - lb, rb - ra) if d < math.inf), default=0.0)
         return est, math.ldexp(1.0, math.frexp(max(w, 4.0 * math.ulp(est)))[1])
 
-    def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
+    def quantile_moment(self, a, b, k, origin, *, epsabs=MOMENT_TOL):
         """Closed form of the integral of q over (a, b) at k = 0; other k by the default quadrature."""
         a, b, k, origin = _check_moment(a, b, k, origin)
         if k != 0.0:
@@ -938,7 +944,7 @@ class ComonotoneSum(Distribution):
             return levels[i + 1]
         return min(max(other.cdf_left(x - values[i]), levels[i]), levels[i + 1])
 
-    def quantile_moment(self, a, b, k, origin, *, epsabs=1e-10):
+    def quantile_moment(self, a, b, k, origin, *, epsabs=MOMENT_TOL):
         """The operands' moments added, as their quantiles add: each in closed form where it has one."""
         return (self.first.quantile_moment(a, b, k, origin, epsabs=epsabs)
                 + self.second.quantile_moment(a, b, k, origin, epsabs=epsabs))

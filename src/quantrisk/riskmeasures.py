@@ -39,13 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distortions import (
-    _MASS_TOL,
-    Distortion,
-    higher_order_es_distortion,
-    spectral_of,
-)
-from .distributions import Distribution, _AbsMixed
+from .distortions import MASS_TOL, Distortion, higher_order_es_distortion, spectral_of
+from .distributions import _BELOW_ONE, Distribution, _AbsMixed
 from .errors import InconclusiveError, NotSpectralError, ParameterError
 
 __all__ = [
@@ -69,11 +64,11 @@ __all__ = [
 QUAD_TOL = 1e-9
 INFIMUM_TOL = 1e-10
 PROBE_LEVELS = 40
+PROBE_TOL = 1e-11  # the absolute tolerance of each probe band taken by quadrature
 PROBE_CAUCHY = 1e-9
 PROBE_RATIO = 0.85
 PROBE_GROWTH = 1e-3
 _FLOAT_MAX = sys.float_info.max
-_BELOW_ONE = 1.0 - 2.0**-53  # the last float level below 1, where a CDF that inverts q stops
 
 
 @dataclass(frozen=True)
@@ -215,10 +210,10 @@ def _piece_integral(dist, a: float, b: float, k: float, origin: float, *, epsabs
         side = 1.0 if origin <= a else -1.0
         v = lambda u: abs(u - origin) ** e / e
         # u(v), kept inside [a, b] and (0, 1) against rounding
-        u = lambda x: min(max(origin + side * (e * x) ** (1.0 / e), a, 5e-324), b, 1 - 2**-53)
+        u = lambda x: min(max(origin + side * (e * x) ** (1.0 / e), a, 5e-324), b, _BELOW_ONE)
         lo, hi = sorted((v(a), v(b)))
         val, gave_up = _quad(lambda x: q(u(x)), lo, hi, points=[v(t) for t in points if a < t < b], epsabs=epsabs)
-    if gave_up and not all(math.isfinite(q(t)) for t in (max(a, 5e-324), min(b, 1 - 2**-53))):
+    if gave_up and not all(math.isfinite(q(t)) for t in (max(a, 5e-324), min(b, _BELOW_ONE))):
         raise InconclusiveError(f"quad gave up on ({a!r}, {b!r}), where q leaves the float range", diagnostics=[val])
     return val
 
@@ -309,7 +304,7 @@ def _dyadic_partials(dist, distortion, sign: float, span) -> tuple[float, ...]:
         band = lambda p, a, b: _abs_band(dist, p, a, b, q, kinks)
     else:
         q = dist.quantile_lower
-        band = lambda p, a, b: _density_moment(dist, p, a, b, 1e-11)
+        band = lambda p, a, b: _density_moment(dist, p, a, b, PROBE_TOL)
     total = 0.0
     out = []
     for k in range(1, PROBE_LEVELS + 1):
@@ -338,7 +333,7 @@ def _abs_band(dist, p, a: float, b: float, q, kinks) -> float:
 
         int_a^b q dW = q(a) (W(b) - W(a)) + int_{q(a)}^{q(b)} (W(b) - W(min(max(G(y), a), b))) dy,
 
-    integrated with absolute tolerance 1e-11 and the ``kinks`` of G as
+    integrated with absolute tolerance ``PROBE_TOL`` and the ``kinks`` of G as
     breakpoints, in place of a quantile search at every node of a moment.
     Where ``_quad`` cannot certify that integral (in a deep band the
     rounding of G is a large part of W(b) - W(G)) or q(b) is past the float
@@ -354,11 +349,11 @@ def _abs_band(dist, p, a: float, b: float, q, kinks) -> float:
         at, cdf, wb = p.at, dist.cdf, p.at(b)
         points = kinks[bisect.bisect_right(kinks, qa) : bisect.bisect_left(kinks, qb)]
         try:
-            val, _ = _quad(lambda y: wb - at(min(max(cdf(y), a), b)), qa, qb, points=points, epsabs=1e-11)
+            val, _ = _quad(lambda y: wb - at(min(max(cdf(y), a), b)), qa, qb, points=points, epsabs=PROBE_TOL)
             return qa * (wb - at(a)) + val
         except InconclusiveError:
             pass
-    return _density_moment(dist, p, a, b, 1e-11)
+    return _density_moment(dist, p, a, b, PROBE_TOL)
 
 
 def _judge_partials(partials) -> Verdict:
@@ -370,8 +365,6 @@ def _judge_partials(partials) -> Verdict:
     Non-member on five sustained increments above PROBE_GROWTH.
     """
     inc = [b - a for a, b in zip(partials, partials[1:])]
-    if not inc:
-        return Verdict.INCONCLUSIVE
     if inc[-1] <= PROBE_CAUCHY:
         return Verdict.MEMBER
     last = inc[-6:]
@@ -447,7 +440,7 @@ def choquet_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = 
         raise InconclusiveError("a step of F lies past the float range at a level inside (0, 1)")
     lo, hi = dist.support()
     # (a, b, D) for every stretch of x on which D(F(x)) is constant
-    flat_a, flat_b, flat_d = [lower], [upper], [np.asarray(distortion.eval(levels), dtype=float)]
+    flat_a, flat_b, flat_d = [lower], [upper], [distortion.eval(levels)]
     # outside the support F is 0 or 1: 1 - D(F) = 1 on (0, lo) and D(F) = 1 on (hi, 0)
     terms = [max(lo, 0.0), min(hi, 0.0)]
     starts = np.concatenate(([lo], upper))
@@ -479,9 +472,9 @@ def choquet_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = 
     past_above, past_below = np.isinf(above), np.isinf(below)
     if np.count_nonzero(past_above | past_below):
         # an infinite flat stretch at an end of the support lies at D(0+) or D(1-),
-        # which are 0 and 1 within the distortion's 1e-12 tolerance: it adds
-        # nothing; where it counts, q has left the float range inside (0, 1)
-        if np.any(past_above & (1.0 - d > _MASS_TOL) | past_below & (d > _MASS_TOL)):
+        # which are 0 and 1 within MASS_TOL: it adds nothing; where it
+        # counts, q has left the float range inside (0, 1)
+        if np.any(past_above & (1.0 - d > MASS_TOL) | past_below & (d > MASS_TOL)):
             raise InconclusiveError("a flat stretch of F reaches past the float range at a level inside (0, 1)")
         above[past_above] = 0.0
         below[past_below] = 0.0
@@ -726,12 +719,12 @@ def compare_domains(d1: Distortion, d2: Distortion, delta: float = 0.25) -> Doma
     if not 0.0 < delta < 1.0:
         raise ParameterError(f"delta must lie in (0,1), got {delta!r}")
     grid = _comparison_grid(d1, d2, delta)
-    v1 = np.asarray(d1.eval(grid))
-    v2 = np.asarray(d2.eval(grid))
+    v1 = d1.eval(grid)
+    v2 = d2.eval(grid)
     exc12 = float(np.max(v1 - v2))
     exc21 = float(np.max(v2 - v1))
-    le12 = exc12 <= 1e-12
-    le21 = exc21 <= 1e-12
+    le12 = exc12 <= MASS_TOL
+    le21 = exc21 <= MASS_TOL
     if le12 and le21:
         relation = "equal-on-grid"
     elif le12:
@@ -747,8 +740,8 @@ def compare_domains(d1: Distortion, d2: Distortion, delta: float = 0.25) -> Doma
         max_excess_1_over_2=exc12,
         max_excess_2_over_1=exc21,
         relation=relation,
-        sandwich_1=_sandwich_certificate(d1, grid, np.asarray(v1)),
-        sandwich_2=_sandwich_certificate(d2, grid, np.asarray(v2)),
+        sandwich_1=_sandwich_certificate(d1, grid, v1),
+        sandwich_2=_sandwich_certificate(d2, grid, v2),
     )
 
 
@@ -763,11 +756,11 @@ def _comparison_grid(d1, d2, delta) -> np.ndarray:
 
 
 def _sandwich_certificate(d, grid, values) -> tuple[int, float] | None:
-    if np.max(values - grid) > 1e-12:  # must stay below the identity
+    if np.max(values - grid) > MASS_TOL:  # must stay below the identity
         return None
     for n in range(1, 7):
         for alpha in np.arange(0.05, 1.0, 0.05):
             low = higher_order_es_distortion(n, round(float(alpha), 2))
-            if np.max(np.asarray(low.eval(grid)) - values) <= 1e-12:
+            if np.max(low.eval(grid) - values) <= MASS_TOL:
                 return (n, round(float(alpha), 2))
     return None

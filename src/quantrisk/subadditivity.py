@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distortions import Distortion, is_convex
+from .distortions import MASS_TOL, Distortion, is_convex
 from .distributions import Discrete, Distribution, comonotone_sum
 from .errors import NoCounterexampleError, ParameterError
 from .riskmeasures import quantile_risk
@@ -30,8 +30,8 @@ __all__ = [
     "comonotone_additivity_check",
 ]
 
-_TABLE_TOL = 1e-12
 SEARCH_SLACK = 1e-9
+AXIOM_TOL = 1e-9  # the default slack of an axiom check: comonotone additivity, monotonicity, ordering
 
 
 class JointTable:
@@ -54,8 +54,8 @@ class JointTable:
         if not np.all(self.probs >= 0):  # written so that NaN fails
             raise ParameterError("joint probabilities must be non-negative")
         total = math.fsum(self.probs.ravel().tolist())
-        if not abs(total - 1.0) <= _TABLE_TOL:
-            raise ParameterError(f"joint probabilities must sum to 1 within {_TABLE_TOL}, got {total!r}")
+        if not abs(total - 1.0) <= MASS_TOL:
+            raise ParameterError(f"joint probabilities must sum to 1 within {MASS_TOL}, got {total!r}")
 
     def marginal_x(self) -> Discrete:
         return Discrete.from_samples(self.x_values, self.probs.sum(axis=1))
@@ -337,7 +337,7 @@ def _merged_role(index, w, offset: int, trials: int):
 
 def _stieltjes_batch(distortion: Distortion, values, levels, starts) -> np.ndarray:
     """Per-trial risk values: sum of value * increment of D at the levels."""
-    w = np.asarray(distortion.eval(levels), dtype=float)
+    w = distortion.eval(levels)
     prev = np.empty_like(w)
     prev[1:] = w[:-1]
     prev[starts] = 0.0
@@ -365,7 +365,7 @@ def comonotone_additivity_check(
     d1: Distribution,
     d2: Distribution,
     *,
-    tol: float = 1e-9,
+    tol: float = AXIOM_TOL,
 ) -> ComonotoneAdditivityReport:
     """Risk of the comonotone sum against the sum of risks."""
     rs = quantile_risk(comonotone_sum(d1, d2), distortion).as_float()

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distortions import Distortion, is_convex, make_named
+from .distortions import MASS_TOL, Distortion, is_convex, make_named
 from .distributions import (
     Discrete,
     Distribution,
@@ -37,6 +37,7 @@ from .riskmeasures import (
     quantile_risk,
 )
 from .subadditivity import (
+    AXIOM_TOL,
     SEARCH_SLACK,
     _count,
     build_counterexample,
@@ -52,7 +53,7 @@ class Tolerances:
     quantile_choquet: float = 1e-8
     mixture: float = 1e-6
     shortfall: float = 1e-8
-    axiom: float = 1e-9
+    axiom: float = AXIOM_TOL
     shift: float = 1e-10
     infimum_vs_mean: float = 1e-6
     gap_identity: float = 1e-10
@@ -310,7 +311,7 @@ def _check_ordering(group, config, tol):
     grid = np.linspace(0.0, 1.0, 2001)
     for pair in _ORDERED_PAIRS:
         low, high = (make_named(kind, **params) for kind, params in pair)
-        pointwise = float(np.max(np.asarray(low.eval(grid)) - np.asarray(high.eval(grid)))) <= 1e-12
+        pointwise = float(np.max(low.eval(grid) - high.eval(grid))) <= MASS_TOL
         yield _verdict(group, f"pointwise {low.label()} <= {high.label()}", pointwise)
         for dlabel, dist in config.distributions:
             # smaller distortion on [0,1] means larger risk

@@ -1,5 +1,6 @@
 """Distortion families, measures, convexity, spectra and mixture measures."""
 
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +16,10 @@ from quantrisk.distortions import (
     make_named,
     spectral_of,
 )
+from quantrisk.distributions import Discrete
 from quantrisk.errors import NotSpectralError, ParameterError
+from quantrisk.riskmeasures import compare_domains
+from quantrisk.subadditivity import JointTable
 
 NAMED = {
     "expectation": make_named("expectation"),
@@ -310,6 +314,43 @@ def _linear(lo, hi, **kw):
 
 def _flat_density(lo, hi, level):
     return Piece(lo=lo, hi=hi, coef=level, origin=0.0, width=1.0, expo=0.0)
+
+
+def _refused(build) -> bool:
+    try:
+        build()
+    except ParameterError:
+        return True
+    return False
+
+
+def _jump_at_half(height):
+    """The identity with a jump of ``height`` at 0.5, a drop when negative."""
+    after = _linear(0.5, 1.0, base=0.5 + height, coef=0.5 - height, origin=0.5, width=0.5)
+    return Distortion([_linear(0.0, 0.5), after])
+
+
+MASS = 1e-12  # MASS_TOL, written out so that the boundary itself is pinned
+# per site: does an offset of the mass cross the policy (a refusal, an atom, a strict relation)?
+MASS_SITES = {
+    "discrete-total": lambda off: _refused(lambda: Discrete([1.0, 2.0], [0.5, 0.5 + off])),
+    "joint-table-total": lambda off: _refused(
+        lambda: JointTable([0.0, 1.0], [0.0, 1.0], [[0.25, 0.25], [0.25, 0.25 + off]])),
+    "D(0)": lambda off: _refused(lambda: Distortion([_linear(0.0, 1.0, base=off, coef=1.0 - off)])),
+    "D(1)": lambda off: _refused(lambda: Distortion([_linear(0.0, 1.0, coef=1.0 + off)])),
+    "jump-is-atom": lambda off: len(_jump_at_half(off).jumps()) == 1,
+    "drop-is-refused": lambda off: _refused(lambda: _jump_at_half(-off)),
+    "spectral-integral": lambda off: _refused(lambda: SpectralDensity([_flat_density(0.0, 1.0, 1.0 + off)])),
+    "compare-domains": lambda off: {compare_domains(*pair).relation for pair in itertools.permutations(
+        (_jump_at_half(off), make_named("expectation")))} == {"subset-2-in-1", "subset-1-in-2"},
+}
+
+
+@pytest.mark.parametrize("site", MASS_SITES)
+def test_one_mass_policy_at_every_site(site):
+    """Every site that asks whether two masses are equal answers with the same 1e-12."""
+    assert not MASS_SITES[site](0.9 * MASS)
+    assert MASS_SITES[site](1.1 * MASS)
 
 
 class TestValidation:

@@ -81,6 +81,15 @@ class TestDiscreteQuantiles:
         with pytest.raises(ParameterError):
             Discrete([1.0, 2.0], [1.0, 0.0])  # zero probability atom
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "last"])
+    def test_a_non_finite_sample_is_refused_at_any_weight(self, bad, first):
+        # a zero-weight atom was dropped before the finiteness check, so
+        # [1.0, nan] with weights [1, 0] gave a point mass at 1
+        samples, weights = ([bad, 1.0], [0.0, 1.0]) if first else ([1.0, bad], [1.0, 0.0])
+        with pytest.raises(ParameterError, match="atom values must be finite"):
+            Discrete.from_samples(samples, weights)
+
     @pytest.mark.parametrize("weights", [[math.nan, 1.0], [1.0, math.nan], [math.nan, math.nan], [-1.0, 2.0]])
     def test_sample_weights_must_be_non_negative_numbers(self, weights):
         # a NaN weight failed both `weights < 0` and `weights > 0`, so its
