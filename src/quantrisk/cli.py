@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain-class", choices=("quantile", "acerbi", "pichler", "all"), default="all")
     p.add_argument("--method", choices=("auto", "analytic", "probe"), default="auto")
 
-    p = add("compare", "pointwise domain-ordering evidence for two distortions")
+    p = add("compare", "pointwise domain ordering of two distortions, decided exactly")
     p.add_argument("--d1", required=True)
     p.add_argument("--d2", required=True)
     p.add_argument("--delta", type=float, default=0.25)

@@ -403,12 +403,10 @@ def _shrink_witness(distortion, u: float, eps: float | None = None) -> tuple[flo
     """Find eps with a midpoint violation above ``_CONVEX_MARGIN`` at u, halving from a safe start."""
     if eps is None:
         eps = 0.5 * min(u, 1.0 - u)
-    twice = 2.0 * distortion.eval(u)
-    for _ in range(80):
-        if twice > distortion.eval(u - eps) + distortion.eval(u + eps) + _CONVEX_MARGIN:
-            return (u, eps)
-        eps *= 0.5
-    return None
+    eps = eps * 0.5 ** np.arange(80.0)  # exact halvings, so each is the repeated one
+    here, below, above = np.split(distortion.eval(np.concatenate(([u], u - eps, u + eps))), [1, 81])
+    hits = np.flatnonzero(2.0 * here > below + above + _CONVEX_MARGIN)
+    return (u, float(eps[hits[0]])) if hits.size else None
 
 
 class SpectralDensity(_Piecewise):

@@ -12,17 +12,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quantrisk.distortions import (
+    MASS_TOL,
     Distortion,
     DistortionMeasure,
     Piece,
     SpectralDensity,
     distortion_of,
     is_convex,
+    make_named,
     spectral_of,
 )
 from quantrisk.distributions import Discrete, ParetoNegative, ParetoPositive, comonotone_sum
 from quantrisk.errors import ParameterError
-from quantrisk.riskmeasures import choquet_risk, mixture_risk, quantile_risk
+from quantrisk.riskmeasures import choquet_risk, compare_domains, mixture_risk, quantile_risk
 from quantrisk.suite import Tolerances
 
 # positive exponents stay away from 0, where expo - 1 loses the bits of expo
@@ -178,6 +180,22 @@ def test_convex_three_way_agreement_on_two_tail_sums(d, theta1, theta2, c):
     assert q.is_finite
     assert abs(choquet_risk(dist, d).value - q.value) <= tol.quantile_choquet
     assert abs(mixture_risk(dist, d).value - q.value) <= tol.mixture
+
+
+_NAMED = [make_named("expectation"), make_named("es", alpha=0.5), make_named("es_n", n=3, alpha=0.2),
+          make_named("var", alpha=0.5), make_named("sqrt_example")]
+
+
+@settings(max_examples=100, deadline=None)
+@given(piecewise_distortions(), st.one_of(piecewise_distortions(), st.sampled_from(_NAMED)), st.floats(0.01, 0.99))
+def test_the_exact_excess_never_falls_below_a_dense_grid(d1, d2, delta):
+    grid = np.linspace(delta, 1.0, 100_001)[:-1]
+    v1, v2 = d1.eval(grid), d2.eval(grid)
+    cmp = compare_domains(d1, d2, delta)
+    for got, le, sampled in ((cmp.max_excess_1_over_2, cmp.d1_le_d2, np.max(v1 - v2)),
+                             (cmp.max_excess_2_over_1, cmp.d2_le_d1, np.max(v2 - v1))):
+        assert got >= sampled - 1e-14
+        assert not (sampled > MASS_TOL and le)
 
 
 class TestAtomAtZero:

@@ -29,6 +29,7 @@ from quantrisk.riskmeasures import (
     expected_shortfall,
     expected_shortfall_higher_order,
     expected_shortfall_infimum,
+    max_excess,
     mixture_risk,
     quantile_risk,
     value_at_risk,
@@ -520,20 +521,32 @@ class TestClassification:
                 assert not (pich is Verdict.MEMBER and acer is Verdict.NON_MEMBER)
 
 
+def _linear(lo, hi):
+    return Piece(lo=lo, hi=hi, coef=1.0, origin=0.0, width=1.0, expo=1.0)
+
+
+def _flat(lo, hi, level):
+    return Piece(lo=lo, hi=hi, base=level, coef=0.0, origin=0.0, width=1.0, expo=0.0)
+
+
 class TestCompareDomains:
     def test_es_below_expectation(self):
         cmp = compare_domains(make_named("es", alpha=0.5), EXPECTATION, 0.01)
         assert cmp.d1_le_d2 and cmp.relation == "subset-1-in-2"
+        assert (cmp.max_excess_1_over_2, cmp.max_excess_2_over_1) == (0.0, 0.5)
 
     def test_sqrt_example_sandwich(self):
         cmp = compare_domains(make_named("sqrt_example"), EXPECTATION, 0.25)
         assert cmp.domain_equals_expectation_1
+        assert (cmp.max_excess_1_over_2, cmp.max_excess_2_over_1) == (0.0, 0.0)
 
     def test_var_pair_equal_on_late_grid(self):
         cmp = compare_domains(make_named("var", alpha=0.3), make_named("var", alpha=0.6), 0.6)
         assert cmp.d2_le_d1
+        assert (cmp.max_excess_1_over_2, cmp.max_excess_2_over_1) == (0.0, 0.0)
         cmp2 = compare_domains(make_named("var", alpha=0.3), make_named("var", alpha=0.6), 0.35)
         assert cmp2.relation == "subset-2-in-1"
+        assert (cmp2.max_excess_1_over_2, cmp2.max_excess_2_over_1) == (1.0, 0.0)
 
     def test_delta_validation(self):
         with pytest.raises(ParameterError):
@@ -543,12 +556,47 @@ class TestCompareDomains:
         cmp = compare_domains(make_named("var", alpha=0.5), EXPECTATION)
         assert cmp.relation == "incomparable"
         assert not cmp.d1_le_d2 and not cmp.d2_le_d1
+        # the second sup is the left limit at the jump, which no grid point reaches
+        assert (cmp.max_excess_1_over_2, cmp.max_excess_2_over_1) == (0.5, 0.5)
 
     def test_no_shortfall_curve_up_to_order_6_certifies_es_7(self):
         # below the identity, but no es_n(n, alpha) with n <= 6 lies below it near 1
         cmp = compare_domains(make_named("es_n", n=7, alpha=0.95), EXPECTATION)
         assert cmp.sandwich_1 is None and not cmp.domain_equals_expectation_1
         assert cmp.sandwich_2 == (1, 0.05)
+        # u - ((u - 0.95)/0.05)**7 peaks where z**6 = 1/140; the sup of D - u is its left limit at 1
+        z = 140.0 ** (-1.0 / 6.0)
+        assert cmp.max_excess_1_over_2 == 0.0
+        assert abs(cmp.max_excess_2_over_1 - (0.95 + 0.05 * z - z**7)) <= 1e-15
+
+    def test_a_bump_between_grid_points_is_an_excess(self):
+        # above the identity by w/4 at a + w/4, on [a, a + w): that lies between two points of
+        # an even 2,049-point grid on [0.25, 1), so a sampled comparison reads D <= identity
+        w = 1e-4
+        a = 0.25 + 100.2 * (0.75 / 2048)
+        bump = Piece(lo=a, hi=a + w, base=a, coef=w, origin=a, width=w, expo=0.5)
+        cmp = compare_domains(Distortion([_linear(0.0, a), bump, _linear(a + w, 1.0)]), EXPECTATION)
+        assert cmp.relation == "subset-2-in-1"
+        assert abs(cmp.max_excess_1_over_2 - 2.5e-5) <= 1e-12
+        assert cmp.sandwich_1 is None
+
+    def test_the_sup_is_found_past_the_cut(self):
+        # on [0.5, 0.72), h = 0.01 + 0.458 (u - 0.5)**4 - (u - 0.4)**6 and log p1' - log p2'
+        # peaks at u* = 0.65: h falls, rises to its maximum near 0.703 and falls again, and one
+        # golden section over the whole cell keeps the wrong bracket and misses it by 4.8e-6
+        d1 = Distortion([
+            _flat(0.0, 0.5, 0.0),
+            Piece(lo=0.5, hi=0.72, base=0.01, coef=0.458, origin=0.5, width=1.0, expo=4.0),
+            _flat(0.72, 1.0, 1.0),
+        ])
+        d2 = Distortion([
+            _flat(0.0, 0.5, 0.0),
+            Piece(lo=0.5, hi=0.72, coef=1.0, origin=0.4, width=1.0, expo=6.0),
+            _flat(0.72, 1.0, 1.0),
+        ])
+        grid = np.linspace(0.0, 1.0, 200_001)
+        sampled = float(np.max(d1.eval(grid) - d2.eval(grid)))
+        assert sampled - 1e-15 <= max_excess(d1, d2) <= sampled + 1e-12
 
 
 class TestAxiomIdentities:
