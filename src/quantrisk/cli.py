@@ -25,6 +25,7 @@ from .io import (
     spectral_density_to_json,
 )
 from .riskmeasures import (
+    CLASSIFY_METHODS,
     INFIMUM_TOL,
     QUAD_TOL,
     DomainClass,
@@ -73,52 +74,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    def add(name, handler, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--format", choices=("table", "json", "csv"), default="table")
+        p.set_defaults(handler=handler)
         return p
 
-    p = add("eval", "evaluate a distortion risk measure")
+    p = add("eval", _cmd_eval, "evaluate a distortion risk measure")
     p.add_argument("--dist", required=True, help="distribution file (.csv samples or .json spec)")
     p.add_argument("--distortion", required=True, help="distortion JSON (inline or @file)")
     p.add_argument("--representation", choices=sorted(_REPRESENTATIONS), default="quantile")
     p.add_argument("--quad-tol", type=_positive, default=QUAD_TOL, help="quadrature tolerance")
 
-    p = add("es", "expected shortfall (closed form, higher order, or infimum)")
+    p = add("es", _cmd_es, "expected shortfall (closed form, higher order, or infimum)")
     p.add_argument("--dist", required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--order", type=int, default=1)
     p.add_argument("--infimum", action="store_true", help="use the minimization form")
 
-    p = add("var", "value at risk (lower quantile)")
+    p = add("var", _cmd_var, "value at risk (lower quantile)")
     p.add_argument("--dist", required=True)
     p.add_argument("--alpha", type=float, required=True)
 
-    p = add("spectrum", "spectral density of a convex distortion")
+    p = add("spectrum", _cmd_spectrum, "spectral density of a convex distortion")
     p.add_argument("--distortion", required=True)
 
-    p = add("check-convexity", "exact convexity decision with witness")
+    p = add("check-convexity", _cmd_check_convexity, "exact convexity decision with witness")
     p.add_argument("--distortion", required=True)
 
-    p = add("counterexample", "subadditivity counterexample for a non-convex distortion")
+    p = add("counterexample", _cmd_counterexample, "subadditivity counterexample for a non-convex distortion")
     p.add_argument("--distortion", required=True)
     p.add_argument("--a", type=_positive, default=1.0, help="loss size parameter")
 
-    p = add("classify", "membership in the three integrability classes")
+    p = add("classify", _cmd_classify, "membership in the three integrability classes")
     p.add_argument("--dist", required=True)
     p.add_argument("--distortion", required=True)
-    p.add_argument("--domain-class", choices=("quantile", "acerbi", "pichler", "all"), default="all")
-    p.add_argument("--method", choices=("auto", "analytic", "probe"), default="auto")
+    p.add_argument("--domain-class", choices=[*(c.value for c in DomainClass), "all"], default="all")
+    p.add_argument("--method", choices=CLASSIFY_METHODS, default="auto")
 
-    p = add("compare", "pointwise domain ordering of two distortions, decided exactly")
+    p = add("compare", _cmd_compare, "pointwise domain ordering of two distortions, decided exactly")
     p.add_argument("--d1", required=True)
     p.add_argument("--d2", required=True)
     p.add_argument("--delta", type=float, default=0.25)
 
-    p = add("suite", "run the verification matrix")
+    p = add("suite", _cmd_suite, "run the verification matrix")
     p.add_argument("--config", help="JSON matrix config; default built-in matrix")
-    p.add_argument("--trials", type=int, help="search trials; default the config's, else 10000")
-    p.add_argument("--seed", type=int, help="search seed; default the config's, else 2008")
+    p.add_argument("--trials", type=int, help=f"search trials; default the config's, else {SuiteConfig.trials}")
+    p.add_argument("--seed", type=int, help=f"search seed; default the config's, else {SuiteConfig.seed}")
     defaults = Tolerances()
     for flag, field in _TOLERANCE_FLAGS.items():
         p.add_argument(f"--{flag}", type=_positive, default=getattr(defaults, field))
@@ -176,7 +178,7 @@ def _cmd_spectrum(args) -> str:
     distortion = load_distortion(args.distortion)
     spectrum = spectral_of(distortion)  # NotSpectralError -> exit 2 with witness
     rows = spectral_density_to_json(spectrum)["pieces"]
-    return _emit(rows, args.format, ["lo", "hi", "coef", "origin", "width", "expo"])
+    return _emit(rows, args.format)
 
 
 def _cmd_check_convexity(args) -> str:
@@ -206,7 +208,7 @@ def _cmd_counterexample(args) -> str:
         {"quantity": "gap", "value": rep.gap},
         {"quantity": "predicted gap", "value": rep.predicted_gap},
     ]
-    summary = _emit(rows, args.format, ["quantity", "value"])
+    summary = _emit(rows, args.format)
     if args.format == "csv":
         return summary
     table = rep.table
@@ -235,7 +237,7 @@ def _cmd_classify(args) -> str:
                 "probe_levels": len(verdict.partials),
             }
         )
-    return _emit(rows, args.format, ["class", "verdict", "method", "probe_levels"])
+    return _emit(rows, args.format)
 
 
 def _cmd_compare(args) -> str:
@@ -332,24 +334,11 @@ class _SuiteFailure(QuantRiskError):
     pass
 
 
-_COMMANDS = {
-    "eval": _cmd_eval,
-    "es": _cmd_es,
-    "var": _cmd_var,
-    "spectrum": _cmd_spectrum,
-    "check-convexity": _cmd_check_convexity,
-    "counterexample": _cmd_counterexample,
-    "classify": _cmd_classify,
-    "compare": _cmd_compare,
-    "suite": _cmd_suite,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        print(_COMMANDS[args.command](args))
+        print(args.handler(args))
         return 0
     except _SuiteFailure as exc:
         print(str(exc))

@@ -245,10 +245,6 @@ class Distortion(_Piecewise):
         if abs(top - 1.0) > MASS_TOL:
             raise ParameterError(f"distortion must reach 1 at 1, got {top!r}")
 
-    def jumps(self) -> tuple[tuple[float, float], ...]:
-        """Interior discontinuities as (location, height) pairs."""
-        return self.measure.atoms
-
     def density_exponent_at(self, endpoint: int) -> float | None:
         """The exponent p of the density D' ~ t**p at endpoint 0 or 1, p > -1.
 
@@ -370,7 +366,7 @@ def is_convex(distortion: Distortion) -> ConvexityResult:
     """
     pieces = distortion.pieces
     suspects = itertools.chain(  # jumps, concave pieces, slope drops at knots
-        ((loc, None) for loc, _height in distortion.jumps()),
+        ((loc, None) for loc, _height in distortion.measure.atoms),
         ((0.5 * (p.lo + p.hi), 0.25 * (p.hi - p.lo)) for p in pieces if _concave(p)),
         ((nxt.lo, None) for prev, nxt in zip(pieces, pieces[1:])
          if float(_slope(prev).value(prev.hi)) > float(_slope(nxt).value(nxt.lo)) + _CONVEX_MARGIN),

@@ -62,6 +62,7 @@ __all__ = [
 ]
 
 QUAD_TOL = 1e-9
+CLASSIFY_METHODS = ("auto", "analytic", "probe")
 INFIMUM_TOL = 1e-10
 PROBE_LEVELS = 40
 PROBE_TOL = 1e-11  # the absolute tolerance of each probe band taken by quadrature
@@ -297,7 +298,7 @@ def _dyadic_partials(dist, distortion, sign: float, span) -> tuple[float, ...]:
     searches q only at the band's ends and remembers each search for the
     next band.
     """
-    atoms = distortion.jumps()
+    atoms = distortion.measure.atoms
     pieces = [p for p in distortion.pieces if not p.flat]
     if isinstance(dist, _AbsMixed):
         q, kinks = functools.cache(dist.quantile_lower), dist._kinks()
@@ -359,8 +360,9 @@ def _abs_band(dist, p, a: float, b: float, q, kinks) -> float:
 def _judge_partials(partials) -> Verdict:
     """Verdict on a part from its dyadic partials.
 
-    Member when the last increment is at most PROBE_CAUCHY, or when each of
-    the last five is positive and at most PROBE_RATIO times the one before:
+    There are PROBE_LEVELS - 1 increments.  Member when the last is at most
+    PROBE_CAUCHY, or when each of the last five is positive and at most
+    PROBE_RATIO times the one before:
     the increments decay geometrically, so the rest sums to a finite amount.
     Non-member on five sustained increments above PROBE_GROWTH.
     """
@@ -368,12 +370,10 @@ def _judge_partials(partials) -> Verdict:
     if inc[-1] <= PROBE_CAUCHY:
         return Verdict.MEMBER
     last = inc[-6:]
-    if len(last) == 6 and all(0.0 < b <= PROBE_RATIO * a for a, b in zip(last, last[1:])):
+    if all(0.0 < b <= PROBE_RATIO * a for a, b in zip(last, last[1:])):
         return Verdict.MEMBER
     tail = inc[-5:]
-    if len(tail) == 5 and all(x > PROBE_GROWTH for x in tail) and all(
-        b >= 0.9 * a for a, b in zip(tail, tail[1:])
-    ):
+    if all(x > PROBE_GROWTH for x in tail) and all(b >= 0.9 * a for a, b in zip(tail, tail[1:])):
         return Verdict.NON_MEMBER
     return Verdict.INCONCLUSIVE
 
@@ -396,7 +396,7 @@ def quantile_risk(dist: Distribution, distortion: Distortion, *, epsabs: float =
     flagged = _forced_value(dist, distortion)
     if flagged is not None:
         return flagged
-    total = math.fsum(mass * dist.quantile_lower(loc) for loc, mass in distortion.jumps())
+    total = math.fsum(mass * dist.quantile_lower(loc) for loc, mass in distortion.measure.atoms)
     pieces = [p for p in distortion.pieces if not p.flat]
     tol = epsabs / max(len(pieces), 1)
     for p in pieces:
@@ -506,13 +506,10 @@ def mixture_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = 
     if flagged is not None:
         return flagged
 
-    def scaled_es(alpha: float) -> float:
-        # (1-alpha) * ES_alpha = integral of the quantile function over (alpha, 1)
-        return dist.quantile_integral(alpha, 1.0)
-
+    # (1-alpha) ES_alpha, the rescaled shortfall, is the quantile integral over (alpha, 1)
     total = 0.0
     for loc, mass in spectrum.measure.atoms:
-        contrib = scaled_es(loc)
+        contrib = dist.quantile_integral(loc, 1.0)
         if math.isinf(contrib):
             # both parts converge, so this is a finite value beyond the float range
             raise InconclusiveError(f"the shortfall at the mixing atom {loc!r} is {contrib!r}", diagnostics=[contrib])
@@ -521,13 +518,13 @@ def mixture_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = 
     tol = epsabs / max(len(pieces), 1)
     for p in pieces:
         # by parts against P = coef ((u - origin)/width)**expo, the piece's value
-        # (spectral pieces have no base): [scaled_es P]_a^b plus the integral of
-        # q P, as scaled_es' = -q, which is q against d(the primitive of P).  The
-        # end term is 0 where P vanishes, at the origin, and where scaled_es
-        # does, at 1: never inf * 0.
+        # (spectral pieces have no base): [E P]_a^b, E the rescaled shortfall,
+        # plus the integral of q P, as E' = -q, which is q against d(the
+        # primitive of P).  The end term is 0 where P vanishes, at the origin,
+        # and where E does, at 1: never inf * 0.
         a, b = max(p.lo, p.origin), p.hi
-        ends = 0.0 if b == 1.0 else scaled_es(b) * float(p.value(b))
-        ends -= 0.0 if a == p.origin else scaled_es(a) * float(p.value(a))
+        ends = 0.0 if b == 1.0 else dist.quantile_integral(b, 1.0) * float(p.value(b))
+        ends -= 0.0 if a == p.origin else dist.quantile_integral(a, 1.0) * float(p.value(a))
         total += ends + _density_moment(dist, p.antiderivative(0.0), a, b, tol)
     return RiskValue.finite(total)
 
@@ -667,7 +664,7 @@ def classify_membership(
     except ValueError:
         names = ", ".join(str(cls) for cls in DomainClass)
         raise ParameterError(f"unknown domain class {domain_class!r}; expected one of {names}") from None
-    if method not in ("auto", "analytic", "probe"):
+    if method not in CLASSIFY_METHODS:
         raise ParameterError(f"unknown classify method {method!r}")
     if dist.is_discrete:
         return MembershipVerdict(domain_class, Verdict.MEMBER, "discrete")
@@ -686,6 +683,15 @@ def classify_membership(
 # domain comparison
 
 
+# the relation named by (d1_le_d2, d2_le_d1)
+_RELATIONS = {
+    (True, True): "equal-on-grid",
+    (True, False): "subset-1-in-2",
+    (False, True): "subset-2-in-1",
+    (False, False): "incomparable",
+}
+
+
 @dataclass(frozen=True)
 class DomainComparison:
     """The pointwise order of two distortions on [delta, 1), decided on their pieces.
@@ -696,13 +702,22 @@ class DomainComparison:
     """
 
     delta: float
-    d1_le_d2: bool
-    d2_le_d1: bool
     max_excess_1_over_2: float
     max_excess_2_over_1: float
-    relation: str  # "subset-1-in-2" | "subset-2-in-1" | "equal-on-grid" | "incomparable"
     sandwich_1: tuple[int, float] | None
     sandwich_2: tuple[int, float] | None
+
+    @property
+    def d1_le_d2(self) -> bool:
+        return self.max_excess_1_over_2 <= MASS_TOL
+
+    @property
+    def d2_le_d1(self) -> bool:
+        return self.max_excess_2_over_1 <= MASS_TOL
+
+    @property
+    def relation(self) -> str:
+        return _RELATIONS[self.d1_le_d2, self.d2_le_d1]
 
     @property
     def domain_equals_expectation_1(self) -> bool:
@@ -723,27 +738,12 @@ def compare_domains(d1: Distortion, d2: Distortion, delta: float = 0.25) -> Doma
     """
     if not 0.0 < delta < 1.0:
         raise ParameterError(f"delta must lie in (0,1), got {delta!r}")
-    exc12 = max_excess(d1, d2, delta)
-    exc21 = max_excess(d2, d1, delta)
-    le12 = exc12 <= MASS_TOL
-    le21 = exc21 <= MASS_TOL
-    if le12 and le21:
-        relation = "equal-on-grid"
-    elif le12:
-        relation = "subset-1-in-2"
-    elif le21:
-        relation = "subset-2-in-1"
-    else:
-        relation = "incomparable"
     return DomainComparison(
-        delta=delta,
-        d1_le_d2=le12,
-        d2_le_d1=le21,
-        max_excess_1_over_2=exc12,
-        max_excess_2_over_1=exc21,
-        relation=relation,
-        sandwich_1=_sandwich_certificate(d1, delta),
-        sandwich_2=_sandwich_certificate(d2, delta),
+        delta,
+        max_excess(d1, d2, delta),
+        max_excess(d2, d1, delta),
+        _sandwich_certificate(d1, delta),
+        _sandwich_certificate(d2, delta),
     )
 
 
@@ -779,12 +779,16 @@ def max_excess(d1: Distortion, d2: Distortion, lo: float = 0.0) -> float:
     return best
 
 
+# the certificate's (n, alpha), in the order they are tried
+_SANDWICH_CANDIDATES = [(n, round(float(alpha), 2)) for n in range(1, 7) for alpha in np.arange(0.05, 1.0, 0.05)]
+
+
 def _sandwich_certificate(d: Distortion, delta: float) -> tuple[int, float] | None:
     if max_excess(d, expectation(), delta) > MASS_TOL:  # must stay below the identity
         return None
-    for n in range(1, 7):
-        for alpha in np.arange(0.05, 1.0, 0.05):
-            alpha = round(float(alpha), 2)
-            if max_excess(higher_order_es_distortion(n, alpha), d, delta) <= MASS_TOL:
-                return (n, alpha)
-    return None
+    below = lambda n, alpha: max_excess(higher_order_es_distortion(n, alpha), d, delta) <= MASS_TOL
+    # es_n(n, alpha) falls as n or alpha grows, so the last candidate, es_n(6, 0.95), lies
+    # below every other: if it is not below D, none is
+    if not below(*_SANDWICH_CANDIDATES[-1]):
+        return None
+    return next((c for c in _SANDWICH_CANDIDATES if below(*c)), None)

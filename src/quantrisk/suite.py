@@ -174,7 +174,7 @@ def default_distortions() -> list[tuple[str, Distortion]]:
     return [(d.label(), d) for d in specs]
 
 
-def default_config(trials: int = 10_000, seed: int = 2008) -> SuiteConfig:
+def default_config(trials: int = SuiteConfig.trials, seed: int = SuiteConfig.seed) -> SuiteConfig:
     return SuiteConfig(
         distributions=default_distributions(),
         distortions=default_distortions(),

@@ -1,5 +1,6 @@
 """CLI behaviour: subcommands, exit codes, output determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 
 import quantrisk
 from quantrisk.cli import build_parser, main
+from quantrisk.riskmeasures import CLASSIFY_METHODS, DomainClass
 from quantrisk.suite import Tolerances
 
 
@@ -265,6 +267,12 @@ class TestClassify:
         verdicts = {row["class"]: row["verdict"] for row in json.loads(out)}
         assert verdicts == {"quantile": "member", "pichler": "member", "acerbi": "non-member"}
 
+    def test_choices_are_the_library_lists(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        choices = {a.dest: a.choices for a in sub.choices["classify"]._actions}
+        assert list(choices["domain_class"]) == [*(c.value for c in DomainClass), "all"]
+        assert tuple(choices["method"]) == CLASSIFY_METHODS
+
 
 class TestCompare:
     def test_subset_evidence(self, capsys):
@@ -299,6 +307,11 @@ class TestSuite:
         code, out, _ = run(capsys, "suite", "--config", str(config), "--trials", "50")
         assert code == 0
         assert "SUITE OK" in out
+
+    def test_a_config_without_checks_prints_the_csv_header(self, capsys, tmp_path):
+        # no row to take the columns from, so the suite's CSV keeps its own column list
+        code, out, _ = run(capsys, "suite", "--config", _write_config(tmp_path, checks="[]"), "--format", "csv")
+        assert code == 0 and out == "group,name,status,detail\n"
 
     @pytest.mark.filterwarnings("error")
     def test_config_file_is_closed(self, capsys, tmp_path):

@@ -338,7 +338,7 @@ MASS_SITES = {
         lambda: JointTable([0.0, 1.0], [0.0, 1.0], [[0.25, 0.25], [0.25, 0.25 + off]])),
     "D(0)": lambda off: _refused(lambda: Distortion([_linear(0.0, 1.0, base=off, coef=1.0 - off)])),
     "D(1)": lambda off: _refused(lambda: Distortion([_linear(0.0, 1.0, coef=1.0 + off)])),
-    "jump-is-atom": lambda off: len(_jump_at_half(off).jumps()) == 1,
+    "jump-is-atom": lambda off: len(_jump_at_half(off).measure.atoms) == 1,
     "drop-is-refused": lambda off: _refused(lambda: _jump_at_half(-off)),
     "spectral-integral": lambda off: _refused(lambda: SpectralDensity([_flat_density(0.0, 1.0, 1.0 + off)])),
     "compare-domains": lambda off: {compare_domains(*pair).relation for pair in itertools.permutations(

@@ -18,13 +18,15 @@ from quantrisk.distortions import (
     Piece,
     SpectralDensity,
     distortion_of,
+    expectation,
+    higher_order_es_distortion,
     is_convex,
     make_named,
     spectral_of,
 )
 from quantrisk.distributions import Discrete, ParetoNegative, ParetoPositive, comonotone_sum
 from quantrisk.errors import ParameterError
-from quantrisk.riskmeasures import choquet_risk, compare_domains, mixture_risk, quantile_risk
+from quantrisk.riskmeasures import choquet_risk, compare_domains, max_excess, mixture_risk, quantile_risk
 from quantrisk.suite import Tolerances
 
 # positive exponents stay away from 0, where expo - 1 loses the bits of expo
@@ -198,6 +200,25 @@ def test_the_exact_excess_never_falls_below_a_dense_grid(d1, d2, delta):
         assert not (sampled > MASS_TOL and le)
 
 
+def _scanned_sandwich(d, delta):
+    """The sandwich certificate by the plain scan of all 6 x 19 shortfall curves."""
+    if max_excess(d, expectation(), delta) > MASS_TOL:
+        return None
+    for n in range(1, 7):
+        for alpha in np.arange(0.05, 1.0, 0.05):
+            alpha = round(float(alpha), 2)
+            if max_excess(higher_order_es_distortion(n, alpha), d, delta) <= MASS_TOL:
+                return (n, alpha)
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(piecewise_distortions(), piecewise_distortions(convex=True), st.sampled_from(_NAMED)),
+       st.one_of(st.sampled_from([0.01, 0.25, 0.6]), st.floats(0.01, 0.99)))
+def test_the_gated_sandwich_search_finds_what_the_full_scan_finds(d, delta):
+    assert compare_domains(d, d, delta).sandwich_1 == _scanned_sandwich(d, delta)
+
+
 class TestAtomAtZero:
     def test_mixture_measure_keeps_any_positive_density_at_zero(self):
         s = SpectralDensity([
@@ -212,7 +233,6 @@ class TestAtomAtZero:
     def test_distortion_tolerates_a_tiny_start_without_an_atom(self, start):
         d = Distortion([Piece(lo=0.0, hi=1.0, base=start, coef=1.0 - start, origin=0.0, width=1.0, expo=1.0)])
         assert d.measure.atoms == ()
-        assert d.jumps() == ()
 
     def test_distortion_rejects_a_start_beyond_the_tolerance(self):
         with pytest.raises(ParameterError, match="vanish at 0"):

@@ -569,6 +569,15 @@ class TestCompareDomains:
         assert cmp.max_excess_1_over_2 == 0.0
         assert abs(cmp.max_excess_2_over_1 - (0.95 + 0.05 * z - z**7)) <= 1e-15
 
+    def test_a_failed_sandwich_costs_one_sup_past_the_identity(self, monkeypatch):
+        # es_n(6, 0.95) lies below every other candidate, so when it is not below D the
+        # search stops: 2 sups for the order, 2 for es_7's refusal, 3 for the identity's (1, 0.05)
+        calls = []
+        monkeypatch.setattr(riskmeasures, "max_excess", lambda *a: calls.append(a) or max_excess(*a))
+        cmp = compare_domains(make_named("es_n", n=7, alpha=0.95), EXPECTATION)
+        assert (cmp.sandwich_1, cmp.sandwich_2) == (None, (1, 0.05))
+        assert len(calls) <= 7
+
     def test_a_bump_between_grid_points_is_an_excess(self):
         # above the identity by w/4 at a + w/4, on [a, a + w): that lies between two points of
         # an even 2,049-point grid on [0.25, 1), so a sampled comparison reads D <= identity
