@@ -685,7 +685,7 @@ def classify_membership(
 
 # the relation named by (d1_le_d2, d2_le_d1)
 _RELATIONS = {
-    (True, True): "equal-on-grid",
+    (True, True): "equal",
     (True, False): "subset-1-in-2",
     (False, True): "subset-2-in-1",
     (False, False): "incomparable",
@@ -697,8 +697,6 @@ class DomainComparison:
     """The pointwise order of two distortions on [delta, 1), decided on their pieces.
 
     ``max_excess_*`` is the exact sup, left limits at the knots included.
-    "equal-on-grid" means both are at most ``MASS_TOL``; nothing is sampled,
-    but a new name would change every recorded ``compare`` output.
     """
 
     delta: float
