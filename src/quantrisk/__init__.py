@@ -59,6 +59,6 @@ from .subadditivity import (
     comonotone_additivity_check,
     subadditivity_search,
 )
-from .suite import SuiteConfig, SuiteReport, Tolerances, default_config, run_suite
+from .suite import SuiteConfig, SuiteReport, default_config, run_suite
 
 __version__ = "0.1.0"

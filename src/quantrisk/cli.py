@@ -14,7 +14,7 @@ import json
 import sys
 
 from .distortions import is_convex, spectral_of
-from .errors import ParseError, QuantRiskError
+from .errors import ParameterError, ParseError, QuantRiskError
 from .io import (
     distortion_from_json,
     distribution_from_json,
@@ -40,25 +40,13 @@ from .riskmeasures import (
     value_at_risk,
 )
 from .subadditivity import build_counterexample
-from .suite import SuiteConfig, Tolerances, default_config, run_suite
+from .suite import SuiteConfig, default_config, run_suite
 
 _REPRESENTATIONS = {
     "quantile": quantile_risk,
     "choquet": choquet_risk,
     "mixture": mixture_risk,
 }
-
-# suite flag -> Tolerances field; the flag's default is the field's default
-_TOLERANCE_FLAGS = {
-    "tol-quantile-choquet": "quantile_choquet",
-    "tol-mixture": "mixture",
-    "tol-shortfall": "shortfall",
-    "tol-axiom": "axiom",
-    "tol-shift": "shift",
-    "tol-gap": "gap_identity",
-    "search-slack": "search_slack",
-}
-
 
 def _positive(text: str) -> float:
     value = float(text)
@@ -121,9 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON matrix config; default built-in matrix")
     p.add_argument("--trials", type=int, help=f"search trials; default the config's, else {SuiteConfig.trials}")
     p.add_argument("--seed", type=int, help=f"search seed; default the config's, else {SuiteConfig.seed}")
-    defaults = Tolerances()
-    for flag, field in _TOLERANCE_FLAGS.items():
-        p.add_argument(f"--{flag}", type=_positive, default=getattr(defaults, field))
     return parser
 
 
@@ -151,6 +136,8 @@ def _cmd_eval(args) -> str:
 
 
 def _cmd_es(args) -> str:
+    if args.infimum and args.order != 1:
+        raise ParameterError(f"--infimum computes the order-1 shortfall only, got --order {args.order}")
     dist = load_distribution(args.dist)
     if args.infimum:
         result = expected_shortfall_infimum(dist, args.alpha)
@@ -315,10 +302,7 @@ def _cmd_suite(args) -> str:
         config.trials = args.trials
     if args.seed is not None:
         config.seed = args.seed
-    tolerances = Tolerances(
-        **{field: getattr(args, flag.replace("-", "_")) for flag, field in _TOLERANCE_FLAGS.items()}
-    )
-    report = run_suite(config, tolerances)
+    report = run_suite(config)
     if args.format == "json":
         text = json.dumps(report.to_json(), sort_keys=True, indent=2)
     elif args.format == "csv":

@@ -707,11 +707,11 @@ class DomainComparison:
 
     @property
     def d1_le_d2(self) -> bool:
-        return self.max_excess_1_over_2 <= MASS_TOL
+        return pointwise_le(self.max_excess_1_over_2)
 
     @property
     def d2_le_d1(self) -> bool:
-        return self.max_excess_2_over_1 <= MASS_TOL
+        return pointwise_le(self.max_excess_2_over_1)
 
     @property
     def relation(self) -> str:
@@ -732,7 +732,7 @@ def compare_domains(d1: Distortion, d2: Distortion, delta: float = 0.25) -> Doma
     A smaller distortion on [delta, 1) has the smaller domain.  The sandwich
     flags certify (per distortion) that some order-n shortfall curve lies
     below it while it stays below the identity, which pins its domain to the
-    expectation's.  Each ``<=`` is ``max_excess`` at most ``MASS_TOL``.
+    expectation's.  Each ``<=`` is decided by :func:`pointwise_le`.
     """
     if not 0.0 < delta < 1.0:
         raise ParameterError(f"delta must lie in (0,1), got {delta!r}")
@@ -743,6 +743,11 @@ def compare_domains(d1: Distortion, d2: Distortion, delta: float = 0.25) -> Doma
         _sandwich_certificate(d1, delta),
         _sandwich_certificate(d2, delta),
     )
+
+
+def pointwise_le(excess: float) -> bool:
+    """D1 <= D2, read from their ``max_excess(D1, D2, lo)``: the excess is at most ``MASS_TOL``."""
+    return excess <= MASS_TOL
 
 
 def max_excess(d1: Distortion, d2: Distortion, lo: float = 0.0) -> float:
@@ -782,9 +787,9 @@ _SANDWICH_CANDIDATES = [(n, round(float(alpha), 2)) for n in range(1, 7) for alp
 
 
 def _sandwich_certificate(d: Distortion, delta: float) -> tuple[int, float] | None:
-    if max_excess(d, expectation(), delta) > MASS_TOL:  # must stay below the identity
+    if not pointwise_le(max_excess(d, expectation(), delta)):  # must stay below the identity
         return None
-    below = lambda n, alpha: max_excess(higher_order_es_distortion(n, alpha), d, delta) <= MASS_TOL
+    below = lambda n, alpha: pointwise_le(max_excess(higher_order_es_distortion(n, alpha), d, delta))
     # es_n(n, alpha) falls as n or alpha grows, so the last candidate, es_n(6, 0.95), lies
     # below every other: if it is not below D, none is
     if not below(*_SANDWICH_CANDIDATES[-1]):

@@ -30,8 +30,9 @@ __all__ = [
     "comonotone_additivity_check",
 ]
 
-SEARCH_SLACK = 1e-9
-AXIOM_TOL = 1e-9  # the default slack of an axiom check: comonotone additivity, monotonicity, ordering
+SEARCH_SLACK = 1e-9  # a search reports a gap only above this
+AXIOM_TOL = 1e-9  # the slack of an axiom check: comonotone additivity, monotonicity, ordering
+MAX_TRIALS = 1_000_000  # a search's trials; the packed tables take about 2.2 KB a trial
 
 
 class JointTable:
@@ -156,25 +157,19 @@ class SubadditivityViolation:
     table: JointTable
 
 
-def subadditivity_search(
-    distortion: Distortion,
-    trials: int = 10_000,
-    seed: int = 0,
-    *,
-    slack: float = SEARCH_SLACK,
-):
+def subadditivity_search(distortion: Distortion, *, trials: int, seed: int):
     """Hunt for risk-of-sum exceeding summed risks over random joint tables.
 
     Tables have at most 8x8 atoms on the integer grid [-10, 10] with integer
     weights; the risks of all trials are taken in one batch by
     :func:`_stieltjes_batch`, the counterexample's by :func:`quantile_risk`.
-    Returns the worst :class:`SubadditivityViolation` beyond ``slack``, or None.
+    Returns the worst :class:`SubadditivityViolation` beyond ``SEARCH_SLACK``, or None.
     Deterministic for a fixed seed: the tables are drawn in blocks of 1,024
     trials from ``default_rng([seed, block])``, so the first n trials are
     the same whatever ``trials`` is.  When the distortion is not convex the
     constructed counterexample is evaluated as an extra seeded trial.
     """
-    trials, seed = _count("trials", trials), _count("seed", seed)
+    trials, seed = _trials(trials), _count("seed", seed)
     best: SubadditivityViolation | None = None
     if not is_convex(distortion).convex:
         report = build_counterexample(distortion)
@@ -191,7 +186,7 @@ def subadditivity_search(
         rho = {role: _stieltjes_batch(distortion, *pack.roles[role]) for role in ("x", "y", "s")}
         gaps = rho["s"] - rho["x"] - rho["y"]
         idx = int(np.argmax(gaps))
-        if gaps[idx] > slack and (best is None or gaps[idx] > best.gap):
+        if gaps[idx] > SEARCH_SLACK and (best is None or gaps[idx] > best.gap):
             xv, yv, w, total = pack.tables[idx]
             best = SubadditivityViolation(
                 gap=float(gaps[idx]),
@@ -209,6 +204,14 @@ def _count(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
         raise ParameterError(f"{name} must be a non-negative integer, got {value!r}")
     return int(value)
+
+
+def _trials(value) -> int:
+    """A trial count: a non-negative integer of at most ``MAX_TRIALS``, refused before any draw."""
+    trials = _count("trials", value)
+    if trials > MAX_TRIALS:
+        raise ParameterError(f"trials must be at most {MAX_TRIALS}, got {trials}")
+    return trials
 
 
 _SLOTS = 41  # integer sum values -20..20; the x and y grids use the slots 0..20
@@ -349,7 +352,6 @@ class ComonotoneAdditivityReport:
     risk_sum: float
     risk_1: float
     risk_2: float
-    tol: float
 
     @property
     def deviation(self) -> float:
@@ -357,18 +359,14 @@ class ComonotoneAdditivityReport:
 
     @property
     def additive(self) -> bool:
-        return self.deviation <= self.tol
+        return self.deviation <= AXIOM_TOL
 
 
 def comonotone_additivity_check(
-    distortion: Distortion,
-    d1: Distribution,
-    d2: Distribution,
-    *,
-    tol: float = AXIOM_TOL,
+    distortion: Distortion, d1: Distribution, d2: Distribution
 ) -> ComonotoneAdditivityReport:
     """Risk of the comonotone sum against the sum of risks."""
     rs = quantile_risk(comonotone_sum(d1, d2), distortion).as_float()
     r1 = quantile_risk(d1, distortion).as_float()
     r2 = quantile_risk(d2, distortion).as_float()
-    return ComonotoneAdditivityReport(risk_sum=rs, risk_1=r1, risk_2=r2, tol=tol)
+    return ComonotoneAdditivityReport(risk_sum=rs, risk_1=r1, risk_2=r2)

@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -14,7 +13,7 @@ import pytest
 import quantrisk
 from quantrisk.cli import build_parser, main
 from quantrisk.riskmeasures import CLASSIFY_METHODS, DomainClass
-from quantrisk.suite import Tolerances
+from quantrisk.suite import CheckResult, SuiteReport
 
 
 @pytest.fixture()
@@ -58,6 +57,16 @@ class TestEval:
         assert abs(values["quantile"] - values["choquet"]) < 1e-8
         assert abs(values["quantile"] - values["mixture"]) < 1e-6
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--dist", "x.csv", "--distortion", '{"kind":"expectation"}', "--quad-tol", "0"],
+        ["counterexample", "--distortion", '{"kind":"var","alpha":0.5}', "--a", "-1"],
+    ], ids=["quad-tol", "a"])
+    def test_a_non_positive_size_is_refused_by_the_parser(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be positive, got" in capsys.readouterr().err
+
     def test_missing_file_is_io_error(self, capsys):
         code, _, err = run(
             capsys, "eval", "--dist", "/no/such/file.csv", "--distortion", '{"kind":"expectation"}'
@@ -99,6 +108,12 @@ class TestShortfallAndVar:
         payload = json.loads(out)
         assert code == 0 and abs(payload["value"] - 3.5) < 1e-8
         assert "minimizer" in payload
+
+    def test_es_infimum_refuses_a_higher_order(self, capsys, samples):
+        # the infimum form is the order-1 shortfall's: an order it would ignore is refused
+        code, out, err = run(capsys, "es", "--dist", samples, "--alpha", "0.5", "--order", "3", "--infimum")
+        assert (code, out) == (2, "")
+        assert err == "error: --infimum computes the order-1 shortfall only, got --order 3\n"
 
     def test_var(self, capsys, samples):
         code, out, _ = run(capsys, "var", "--dist", samples, "--alpha", "0.5", "--format", "json")
@@ -328,9 +343,9 @@ class TestSuite:
         seen = []
         real_run_suite = cli.run_suite
 
-        def spy(config, tolerances):
+        def spy(config):
             seen.append((config.trials, config.seed))
-            return real_run_suite(config, tolerances)
+            return real_run_suite(config)
 
         monkeypatch.setattr(cli, "run_suite", spy)
         config = tmp_path / "config.json"
@@ -370,22 +385,20 @@ class TestSuite:
         assert "invalid JSON in" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("fmt, failing", [
-        ("table", "SUITE FAILED (2 failing checks)"),
-        ("csv", "agreement,\"quantile-vs-choquet pareto_negative(beta=1,theta=3) x sqrt_example\",fail,"),
+        ("table", "SUITE FAILED (1 failing checks)"),
+        ("csv", "agreement,quantile-vs-choquet x x y,fail,|1 - 2| > 1e-08"),
     ])
-    def test_failing_checks_print_the_report_and_exit_2(self, capsys, tmp_path, fmt, failing):
-        # quantile and Choquet forms of a power tail differ in the last bits: 1e-300 fails them
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({
-            "distributions": [{"kind": "pareto_negative", "beta": 1, "theta": 3},
-                              {"kind": "empirical", "values": [1, 2, 3, 4]}],
-            "distortions": [{"kind": "es", "alpha": 0.5}, {"kind": "sqrt_example"}],
-            "checks": ["agreement"],
-        }))
-        code, out, err = run(capsys, "suite", "--config", str(config), "--tol-quantile-choquet", "1e-300",
-                             "--format", fmt)
+    def test_failing_checks_print_the_report_and_exit_2(self, capsys, monkeypatch, fmt, failing):
+        import quantrisk.cli as cli
+
+        report = SuiteReport([
+            CheckResult("agreement", "quantile-vs-choquet x x y", "fail", "|1 - 2| > 1e-08"),
+            CheckResult("agreement", "quantile-vs-choquet x x z", "pass"),
+        ])
+        monkeypatch.setattr(cli, "run_suite", lambda config: report)
+        code, out, err = run(capsys, "suite", "--format", fmt)
         assert code == 2
-        assert failing in out and "> 1e-300" in out
+        assert failing in out and "> 1e-08" in out
         assert err == "error: verification suite reported failing checks\n"
 
     def test_deterministic_output(self, capsys, tmp_path):
@@ -404,28 +417,14 @@ class TestSuite:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
-    def test_negative_tolerance_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["suite", "--tol-mixture", "-1"])
-
-    def test_tolerance_flag_defaults_are_the_tolerances_defaults(self):
-        args = vars(build_parser().parse_args(["suite"]))
-        flags = {
-            "tol_quantile_choquet": "quantile_choquet",
-            "tol_mixture": "mixture",
-            "tol_shortfall": "shortfall",
-            "tol_axiom": "axiom",
-            "tol_shift": "shift",
-            "tol_gap": "gap_identity",
-            "search_slack": "search_slack",
-        }
-        defaults = Tolerances()
-        assert {dest: args[dest] for dest in flags} == {
-            dest: getattr(defaults, field) for dest, field in flags.items()
-        }
-        unexposed = {f.name for f in fields(Tolerances)} - set(flags.values())
-        assert unexposed == {"infimum_vs_mean"}
-
+    @pytest.mark.parametrize("flag", ["--tol-quantile-choquet", "--tol-mixture", "--tol-shortfall",
+                                      "--tol-axiom", "--tol-shift", "--tol-gap", "--search-slack"])
+    def test_the_bounds_are_not_options(self, capsys, flag):
+        # the suite's bounds are fixed: SUITE OK must not depend on the command line
+        with pytest.raises(SystemExit) as exc:
+            main(["suite", flag, "1e-9"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1e-9" in capsys.readouterr().err
 
 
 def _write_config(tmp_path, **fields):
@@ -447,6 +446,22 @@ class TestSeedsAndTrials:
         code, out, err = run(capsys, "suite", flag, "-1")
         assert code == 2 and out == ""
         assert "must be a non-negative integer" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_too_many_trials_are_refused_before_any_draw(self, capsys, tmp_path, monkeypatch, where):
+        import quantrisk.subadditivity as subadditivity
+
+        def no_pack(trials, seed):
+            raise AssertionError(f"a pack of {trials} trials was drawn")
+
+        monkeypatch.setattr(subadditivity, "_trial_pack", no_pack)
+        if where == "flag":
+            argv = ["--config", _write_config(tmp_path, checks='["subadditivity"]'), "--trials", "1000001"]
+        else:
+            argv = ["--config", _write_config(tmp_path, checks='["subadditivity"]', trials="1000001")]
+        code, out, err = run(capsys, "suite", *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: trials must be at most 1000000, got 1000001\n"
 
     @pytest.mark.parametrize("key", ["seed", "trials"])
     def test_negative_config_value_is_domain_error(self, capsys, tmp_path, key):

@@ -27,7 +27,7 @@ from quantrisk.distortions import (
 from quantrisk.distributions import Discrete, ParetoNegative, ParetoPositive, comonotone_sum
 from quantrisk.errors import ParameterError
 from quantrisk.riskmeasures import choquet_risk, compare_domains, max_excess, mixture_risk, quantile_risk
-from quantrisk.suite import Tolerances
+from quantrisk.suite import MIXTURE_TOL, QUANTILE_CHOQUET_TOL
 
 # positive exponents stay away from 0, where expo - 1 loses the bits of expo
 # below 2**-53 (README "Numerical contract": the floor of piece exponents)
@@ -128,7 +128,7 @@ def test_convex_spectral_round_trip(d):
 def test_quantile_and_choquet_agree(d, seed):
     dist = _discrete(seed)
     q, c = quantile_risk(dist, d).value, choquet_risk(dist, d).value
-    assert abs(q - c) <= Tolerances().quantile_choquet
+    assert abs(q - c) <= QUANTILE_CHOQUET_TOL
 
 
 @settings(max_examples=30, deadline=None)
@@ -141,17 +141,16 @@ def test_quantile_and_choquet_agree_on_discrete_plus_tail(d, seed, theta):
     q, c = quantile_risk(dist, d), choquet_risk(dist, d)
     assert q.kind == c.kind
     if q.is_finite:
-        assert abs(q.value - c.value) <= Tolerances().quantile_choquet
+        assert abs(q.value - c.value) <= QUANTILE_CHOQUET_TOL
 
 
 @settings(max_examples=60, deadline=None)
 @given(piecewise_distortions(convex=True), st.integers(0, 2**32 - 1))
 def test_convex_three_way_agreement(d, seed):
     dist = _discrete(seed)
-    tol = Tolerances()
     q = quantile_risk(dist, d).value
-    assert abs(q - choquet_risk(dist, d).value) <= tol.quantile_choquet
-    assert abs(q - mixture_risk(dist, d).value) <= tol.mixture
+    assert abs(q - choquet_risk(dist, d).value) <= QUANTILE_CHOQUET_TOL
+    assert abs(q - mixture_risk(dist, d).value) <= MIXTURE_TOL
 
 
 @settings(max_examples=30, deadline=None)
@@ -163,9 +162,8 @@ def test_convex_three_way_agreement_on_tails(d, seed, theta, with_atoms):
     if with_atoms:
         rng = np.random.default_rng(seed)
         dist = comonotone_sum(Discrete.from_samples(rng.normal(0.0, 3.0, size=20), rng.random(20) + 0.1), dist)
-    tol = Tolerances()
     q = quantile_risk(dist, d)
-    for other, bound in ((choquet_risk(dist, d), tol.quantile_choquet), (mixture_risk(dist, d), tol.mixture)):
+    for other, bound in ((choquet_risk(dist, d), QUANTILE_CHOQUET_TOL), (mixture_risk(dist, d), MIXTURE_TOL)):
         assert other.kind == q.kind
         if q.is_finite:
             assert abs(other.value - q.value) <= bound
@@ -177,11 +175,10 @@ def test_convex_three_way_agreement_on_two_tail_sums(d, theta1, theta2, c):
     # Choquet reads the CDF of the lazy sum, which inverts the summed quantile
     # in the level; the quantile and mixture forms never call it
     dist = comonotone_sum(ParetoNegative(1.0, theta1), ParetoPositive(1.0, theta2)).shift(c)
-    tol = Tolerances()
     q = quantile_risk(dist, d)
     assert q.is_finite
-    assert abs(choquet_risk(dist, d).value - q.value) <= tol.quantile_choquet
-    assert abs(mixture_risk(dist, d).value - q.value) <= tol.mixture
+    assert abs(choquet_risk(dist, d).value - q.value) <= QUANTILE_CHOQUET_TOL
+    assert abs(mixture_risk(dist, d).value - q.value) <= MIXTURE_TOL
 
 
 _NAMED = [make_named("expectation"), make_named("es", alpha=0.5), make_named("es_n", n=3, alpha=0.2),

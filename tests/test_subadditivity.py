@@ -20,6 +20,7 @@ from quantrisk.distortions import make_named
 from quantrisk.distributions import Discrete, point_mass
 from quantrisk.errors import NoCounterexampleError, ParameterError
 from quantrisk.riskmeasures import quantile_risk
+from quantrisk import subadditivity
 from quantrisk.subadditivity import (
     SEARCH_SLACK,
     JointTable,
@@ -372,7 +373,21 @@ class TestTrialPack:
     )
     def test_search_arguments_are_non_negative_integers(self, kwargs):
         with pytest.raises(ParameterError, match="non-negative integer"):
-            subadditivity_search(make_named("es", alpha=0.5), **{"trials": 10, **kwargs})
+            subadditivity_search(make_named("es", alpha=0.5), **{"trials": 10, "seed": 0, **kwargs})
+
+    def test_more_than_max_trials_are_refused_before_any_draw(self, monkeypatch):
+        def no_pack(trials, seed):
+            raise AssertionError(f"a pack of {trials} trials was drawn")
+
+        monkeypatch.setattr(subadditivity, "_trial_pack", no_pack)
+        with pytest.raises(ParameterError, match="trials must be at most 1000000, got 1000001"):
+            subadditivity_search(make_named("es", alpha=0.5), trials=10**6 + 1, seed=0)
+
+    def test_the_trials_and_seed_have_no_defaults(self):
+        with pytest.raises(TypeError):
+            subadditivity_search(make_named("es", alpha=0.5), trials=10)
+        with pytest.raises(TypeError):
+            subadditivity_search(make_named("es", alpha=0.5), 10, 0)
 
 
 class TestComonotoneAdditivity:

@@ -7,18 +7,13 @@ from quantrisk.distortions import is_convex, make_named
 from quantrisk.distributions import Discrete, ParetoPositive
 from quantrisk.errors import ParameterError
 from quantrisk.riskmeasures import RiskValue
-from quantrisk.suite import SuiteConfig, Tolerances, run_suite
+from quantrisk.suite import SuiteConfig, run_suite
 
 ES = [("es(0.5)", make_named("es", alpha=0.5))]
 FOUR = [("four", Discrete.from_samples([1.0, 2.0, 3.0, 4.0]))]
 
 
 class TestValidation:
-    @pytest.mark.parametrize("value", [0.0, -1e-9])
-    def test_tolerances_must_be_positive(self, value):
-        with pytest.raises(ParameterError, match="tolerance axiom must be positive"):
-            Tolerances(axiom=value).validated()
-
     @pytest.mark.parametrize("dists, distortions", [([], ES), (FOUR, [])])
     def test_the_matrix_needs_cases(self, dists, distortions):
         with pytest.raises(ParameterError, match="no cases"):
@@ -70,7 +65,7 @@ class TestAgreement:
 
         monkeypatch.setattr(suite, "is_convex", counted)
         config = suite.default_config(trials=10)
-        records = list(suite._check_agreement("agreement", config, Tolerances()))
+        records = list(suite._check_agreement("agreement", config))
         assert len(calls) == len(config.distortions) == 11
         # a quantile-vs-choquet record per pair, a quantile-vs-mixture one per convex pair
         convex = sum(is_convex(d).convex for _, d in config.distortions)
