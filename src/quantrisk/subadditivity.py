@@ -32,7 +32,7 @@ __all__ = [
 
 SEARCH_SLACK = 1e-9  # a search reports a gap only above this
 AXIOM_TOL = 1e-9  # the slack of an axiom check: comonotone additivity, monotonicity, ordering
-MAX_TRIALS = 1_000_000  # a search's trials; the packed tables take about 2.2 KB a trial
+MAX_TRIALS = 1_000_000  # a search's trials; a pack peaks at about 2.2 KB a trial as it is built, 460 B cached
 
 
 class JointTable:
@@ -111,7 +111,8 @@ def build_counterexample(distortion: Distortion, a: float = 1.0) -> Counterexamp
 
     Uses the convexity witness (u, eps): X takes -(a+eps) with probability u,
     Y additionally takes -(a+eps/2) on an eps-sliver, coupled so that the sum
-    stacks the big losses.  Raises NoCounterexampleError for convex input.
+    stacks the big losses.  Raises NoCounterexampleError for convex input,
+    and ParameterError when a is so large that a + eps/2 and a + eps round to one float.
     """
     if not a > 0:
         raise ParameterError(f"the loss size a must be positive, got {a!r}")
@@ -123,6 +124,11 @@ def build_counterexample(distortion: Distortion, a: float = 1.0) -> Counterexamp
     u, eps = res.witness
     big = a + eps
     mid = a + eps / 2.0
+    if not big > mid:
+        raise ParameterError(
+            f"the loss size a = {a!r} is too large for the witness eps = {eps!r}: "
+            "a + eps/2 and a + eps round to the same float"
+        )
     table = JointTable(
         x_values=[-big, 0.0],
         y_values=[-big, -mid, 0.0],
@@ -161,8 +167,12 @@ def subadditivity_search(distortion: Distortion, *, trials: int, seed: int):
     """Hunt for risk-of-sum exceeding summed risks over random joint tables.
 
     Tables have at most 8x8 atoms on the integer grid [-10, 10] with integer
-    weights; the risks of all trials are taken in one batch by
-    :func:`_stieltjes_batch`, the counterexample's by :func:`quantile_risk`.
+    weights.  D is evaluated once, on the pack's distinct levels, and each
+    role gathers its values from that table; the risks of all trials are
+    then summed in one batch by :func:`_stieltjes_batch`, the
+    counterexample's by :func:`quantile_risk`.  A level's float is the same
+    wherever it occurs, so the risks are bitwise those of evaluating D at
+    every level.
     Returns the worst :class:`SubadditivityViolation` beyond ``SEARCH_SLACK``, or None.
     Deterministic for a fixed seed: the tables are drawn in blocks of 1,024
     trials from ``default_rng([seed, block])``, so the first n trials are
@@ -183,7 +193,11 @@ def subadditivity_search(distortion: Distortion, *, trials: int, seed: int):
         )
     if trials:
         pack = _trial_pack(trials, seed)
-        rho = {role: _stieltjes_batch(distortion, *pack.roles[role]) for role in ("x", "y", "s")}
+        at = distortion.eval(pack.distinct)
+        rho = {
+            role: _stieltjes_batch(at[pack.index[role]], values, starts)
+            for role, (values, _, starts) in pack.roles.items()
+        }
         gaps = rho["s"] - rho["x"] - rho["y"]
         idx = int(np.argmax(gaps))
         if gaps[idx] > SEARCH_SLACK and (best is None or gaps[idx] > best.gap):
@@ -244,11 +258,13 @@ class _Tables:
 
 
 class _TrialPack:
-    __slots__ = ("tables", "roles")
+    __slots__ = ("tables", "roles", "distinct", "index")
 
-    def __init__(self, tables, roles):
+    def __init__(self, tables, roles, distinct, index):
         self.tables = tables
         self.roles = roles
+        self.distinct = distinct
+        self.index = index
 
 
 def _offsets(lengths) -> np.ndarray:
@@ -280,7 +296,7 @@ def _draw_block(seed: int, block: int):
     return m, k, x_mask, y_mask, w, used
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _trial_pack(trials: int, seed: int) -> _TrialPack:
     """Random joint tables packed into flat arrays for batched evaluation.
 
@@ -292,7 +308,10 @@ def _trial_pack(trials: int, seed: int) -> _TrialPack:
     value plus its offset.  Cumulative levels are integer counts divided by
     the integer total, so a level shared by a marginal and the sum
     distribution is bit-identical and distortion jumps cannot fire
-    inconsistently.
+    inconsistently.  ``distinct`` holds the levels' distinct floats and
+    ``index[role]`` each level's uint16 position in it, found from the
+    integer (count, total) keys without a sort of the levels.  Only the
+    last pack is cached: every caller asks for one key several times in a row.
     """
     blocks = [_draw_block(seed, b) for b in range(-(-trials // _BLOCK))]
     m, k, x_mask, y_mask, w, used = (np.concatenate(a)[:trials] for a in zip(*blocks))
@@ -312,35 +331,57 @@ def _trial_pack(trials: int, seed: int) -> _TrialPack:
     x_slot = tables.xi[tables.x_at[trial] + row]
     y_slot = tables.yi[tables.y_at[trial] + col]
     base = trial * _SLOTS
-    roles = {
-        role: _merged_role(base + slot, tables.w, offset, trials)
-        for role, slot, offset in (
-            ("x", x_slot, 10),
-            ("y", y_slot, 10),
-            ("s", x_slot + y_slot, 20),
-        )
-    }
-    return _TrialPack(tables, roles)
+    roles, keys = {}, {}
+    for role, slot, offset in (("x", x_slot, 10), ("y", y_slot, 10), ("s", x_slot + y_slot, 20)):
+        roles[role], keys[role] = _merged_role(base + slot, tables.w, offset, trials)
+    distinct, index = _distinct_levels(keys)
+    return _TrialPack(tables, roles, distinct, index)
+
+
+_KEY = 4 * 64 + 1  # a trial's total is at most 4 * 64, so count * 257 + total keys the level count / total
 
 
 def _merged_role(index, w, offset: int, trials: int):
-    """(values, levels, starts) of one role from its cells' ``trial * 41 + slot`` index."""
-    counts = np.bincount(index, weights=w, minlength=trials * _SLOTS).astype(np.int64)
+    """(values, levels, starts) of one role from its cells' ``trial * 41 + slot`` index.
+
+    Also returns each level's integer key ``count * 257 + total``.
+    """
+    counts = np.bincount(index, weights=w, minlength=trials * _SLOTS)  # whole floats up to 256
     hit = np.flatnonzero(counts)
+    counts = counts[hit].astype(np.int64)
     trial, slot = np.divmod(hit, _SLOTS)
-    counts = counts[hit]
-    lengths = np.bincount(trial, minlength=trials)
-    starts = _offsets(lengths)
-    cum = np.cumsum(counts)
-    before = cum[starts[:-1]] - counts[starts[:-1]]
-    total = cum[starts[1:] - 1] - before
-    levels = (cum - before[trial]) / total[trial]
-    return (slot - offset).astype(float), levels, starts[:-1]
+    values = (slot - offset).astype(float)
+    del hit, slot  # free them before the per-level work below, which sets the build's peak memory
+    starts = _offsets(np.bincount(trial, minlength=trials))
+    count = np.cumsum(counts)
+    before = count[starts[:-1]] - counts[starts[:-1]]
+    total = (count[starts[1:] - 1] - before)[trial]
+    count -= before[trial]
+    levels = count / total
+    count *= _KEY  # now the key, in place
+    count += total
+    return (values, levels, starts[:-1]), count
 
 
-def _stieltjes_batch(distortion: Distortion, values, levels, starts) -> np.ndarray:
-    """Per-trial risk values: sum of value * increment of D at the levels."""
-    w = distortion.eval(levels)
+def _distinct_levels(keys: dict):
+    """The distinct floats of the keyed levels, and each role's uint16 index into them.
+
+    Division rounds correctly, so equal fractions such as 1/2 and 2/4 are
+    the same float and share one entry; at most ~20k fractions have a total
+    of 256 or less.
+    """
+    used = np.zeros(_KEY * _KEY, dtype=bool)
+    for key in keys.values():
+        used[key] = True
+    count, total = np.divmod(np.flatnonzero(used), _KEY)
+    distinct, at = np.unique(count / total, return_inverse=True)
+    lookup = np.zeros(len(used), dtype=np.uint16)
+    lookup[used] = at
+    return distinct, {role: lookup[key] for role, key in keys.items()}
+
+
+def _stieltjes_batch(w, values, starts) -> np.ndarray:
+    """Per-trial risk values: sum of value * increment of D, where ``w`` is D at each level."""
     prev = np.empty_like(w)
     prev[1:] = w[:-1]
     prev[starts] = 0.0

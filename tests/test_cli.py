@@ -263,6 +263,14 @@ class TestCounterexample:
         assert code == 2
         assert "convex" in err
 
+    def test_a_loss_size_too_large_for_the_witness_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "counterexample", "--distortion", '{"kind":"var","alpha":0.5}', "--a", "1e16"
+        )
+        assert code == 2
+        assert out == ""
+        assert "the loss size a = 1e+16 is too large for the witness eps = 0.25" in err
+
 
 class TestClassify:
     def test_separation(self, capsys, tmp_path):

@@ -1,9 +1,10 @@
 """Properties of randomly built piecewise distortions.
 
-The strategy draws 1-5 contiguous shifted-power pieces with random knots,
-exponents in [0, 4] and optional jumps, then scales them so the function
-reaches 1.  Convex draws keep every piece convex, drop the jumps and make
-each slope at a knot at least the slope just before it.
+The strategy draws 1-5 contiguous shifted-power pieces with random knots
+on multiples of 1/grid (hundredths by default), exponents in [0, 4] and
+optional jumps, then scales them so the function reaches 1.  Convex draws
+keep every piece convex, drop the jumps and make each slope at a knot at
+least the slope just before it.
 """
 
 import numpy as np
@@ -36,10 +37,10 @@ _CONVEX_EXPO = st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(1.0, 4.0))
 
 
 @st.composite
-def piecewise_distortions(draw, convex=False):
+def piecewise_distortions(draw, convex=False, grid=100):
     n = draw(st.integers(1, 5))
-    cuts = sorted(draw(st.lists(st.integers(1, 99), min_size=n - 1, max_size=n - 1, unique=True)))
-    knots = [0.0] + [c / 100 for c in cuts] + [1.0]
+    cuts = sorted(draw(st.lists(st.integers(1, grid - 1), min_size=n - 1, max_size=n - 1, unique=True)))
+    knots = [0.0] + [c / grid for c in cuts] + [1.0]
     raw = []  # (lo, hi, base, coef, origin, width, expo) before scaling
     end = slope = 0.0  # value and slope of the function at the last knot
     for lo, hi in zip(knots, knots[1:]):

@@ -8,6 +8,7 @@ intended change of the scheme (change the reference first):
 """
 
 import hashlib
+import re
 import sys
 from types import SimpleNamespace
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantrisk.distortions import make_named
+from quantrisk.distortions import Distortion, is_convex, make_named
 from quantrisk.distributions import Discrete, point_mass
 from quantrisk.errors import NoCounterexampleError, ParameterError
 from quantrisk.riskmeasures import quantile_risk
@@ -29,6 +30,7 @@ from quantrisk.subadditivity import (
     subadditivity_search,
 )
 from quantrisk.subadditivity import _stieltjes_batch, _trial_pack
+from test_piecewise_properties import piecewise_distortions
 
 
 class TestJointTable:
@@ -130,6 +132,17 @@ class TestCounterexample:
         with pytest.raises(ParameterError):
             build_counterexample(make_named("var", alpha=0.5), a=0.0)
 
+    @pytest.mark.parametrize("a", [1e16, float("inf")])
+    def test_a_too_large_for_the_witness_is_refused(self, a):
+        message = f"a = {a!r} is too large for the witness eps = 0.25"
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            build_counterexample(make_named("var", alpha=0.5), a=a)
+
+    def test_a_sliver_loss_rounded_to_a_keeps_the_identity(self):
+        # 2**50 + 0.125 rounds to 2**50 and 2**50 + 0.25 is exact: the grid stays strictly increasing
+        rep = build_counterexample(make_named("var", alpha=0.5), a=2.0**50)
+        assert rep.gap == rep.predicted_gap > 0
+
 
 class TestSearch:
     def test_convex_families_clean(self):
@@ -169,14 +182,18 @@ class TestSearch:
     def test_expectation_is_additive_on_all_trials(self):
         pack = _trial_pack(2000, 21)
         D = make_named("expectation")
-        rho = {role: _stieltjes_batch(D, *pack.roles[role]) for role in ("x", "y", "s")}
+        rho = {
+            role: _stieltjes_batch(D.eval(levels), values, starts)
+            for role, (values, levels, starts) in pack.roles.items()
+        }
         gaps = rho["s"] - rho["x"] - rho["y"]
         assert float(np.max(np.abs(gaps))) <= 1e-10
 
     def test_batch_matches_public_path(self):
         pack = _trial_pack(60, 5)
         D = make_named("es", alpha=0.25)
-        batch = _stieltjes_batch(D, *pack.roles["s"])
+        values, levels, starts = pack.roles["s"]
+        batch = _stieltjes_batch(D.eval(levels), values, starts)
         for i in (0, 17, 59):
             xv, yv, w, total = pack.tables[i]
             table = JointTable(xv, yv, w / total)
@@ -255,7 +272,10 @@ def _reference_search(distortion, trials: int, seed: int):
     summed by ``_stieltjes_batch``, the search's own evaluator.
     """
     pack = _reference_pack(trials, seed)
-    rho = {role: _stieltjes_batch(distortion, *pack.roles[role]) for role in ("x", "y", "s")}
+    rho = {
+        role: _stieltjes_batch(distortion.eval(levels), values, starts)
+        for role, (values, levels, starts) in pack.roles.items()
+    }
     gaps = rho["s"] - rho["x"] - rho["y"]
     i = int(np.argmax(gaps))
     constructed = build_counterexample(distortion).gap
@@ -311,6 +331,34 @@ class TestTrialPack:
                 assert np.all(np.diff(values[lo:hi]) > 0)
                 assert np.all(np.diff(levels[lo:hi]) > 0)
             assert np.all(levels[ends - 1] == 1.0)
+
+    def test_distinct_levels_index_every_level(self):
+        pack = _trial_pack(2000, 21)
+        assert np.all(np.diff(pack.distinct) > 0)
+        for role, (_, levels, _) in pack.roles.items():
+            assert pack.index[role].dtype == np.uint16
+            assert pack.distinct[pack.index[role]].tobytes() == levels.tobytes()
+        used = np.concatenate(list(pack.index.values()))
+        assert np.array_equal(np.unique(used), np.arange(len(pack.distinct)))
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [("es", {"alpha": 0.5}), ("es_n", {"n": 3, "alpha": 0.2}), ("expectation", {})],
+        ids=["es", "es_n", "expectation"],
+    )
+    def test_one_evaluation_of_D_per_search_on_the_distinct_levels(self, monkeypatch, kind, params):
+        D = make_named(kind, **params)
+        sizes = []
+        evaluate = Distortion.eval
+
+        def spy(self, u):
+            sizes.append(np.size(u))
+            return evaluate(self, u)
+
+        monkeypatch.setattr(Distortion, "eval", spy)
+        subadditivity_search(D, trials=10_000, seed=5)
+        assert len(sizes) == 1
+        assert sizes[0] <= len(_trial_pack(10_000, 5).distinct)
 
     def test_tables_match_roles(self):
         pack = _trial_pack(60, 5)
@@ -447,6 +495,44 @@ def test_expectation_additive_on_random_tables(table):
     r1 = quantile_risk(table.marginal_x(), D).as_float()
     r2 = quantile_risk(table.marginal_y(), D).as_float()
     assert abs(rs - r1 - r2) <= 1e-10
+
+
+def _per_level_search(distortion, trials: int, seed: int):
+    """(gap.hex(), trial) of the worst violation, or None, with D evaluated at every level.
+
+    The reference for the search's one evaluation on the distinct levels:
+    each role's risks are summed per trial from D at that role's own levels.
+    """
+
+    def batch(values, levels, starts):
+        w = distortion.eval(levels)
+        prev = np.empty_like(w)
+        prev[1:] = w[:-1]
+        prev[starts] = 0.0
+        return np.add.reduceat(values * (w - prev), starts)
+
+    pack = _trial_pack(trials, seed)
+    rho = {role: batch(*pack.roles[role]) for role in ("x", "y", "s")}
+    gaps = rho["s"] - rho["x"] - rho["y"]
+    i = int(np.argmax(gaps))
+    best = None if is_convex(distortion).convex else (build_counterexample(distortion).gap, -1)
+    if gaps[i] > SEARCH_SLACK and (best is None or gaps[i] > best[0]):
+        best = (float(gaps[i]), i)
+    return None if best is None else (best[0].hex(), best[1])
+
+
+# knots on eighths put jumps and kinks on levels such as 1/2 and 3/8, where the trials' levels sit
+@given(
+    st.one_of(
+        piecewise_distortions(grid=8), piecewise_distortions(), piecewise_distortions(convex=True)
+    ),
+    st.integers(0, 3),
+)
+@settings(max_examples=60, deadline=None)
+def test_search_is_bitwise_the_per_level_search(distortion, seed):
+    found = subadditivity_search(distortion, trials=1000, seed=seed)
+    got = None if found is None else (found.gap.hex(), found.trial)
+    assert got == _per_level_search(distortion, 1000, seed)
 
 
 def _record():
