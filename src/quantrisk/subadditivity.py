@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,7 +33,7 @@ __all__ = [
 
 SEARCH_SLACK = 1e-9  # a search reports a gap only above this
 AXIOM_TOL = 1e-9  # the slack of an axiom check: comonotone additivity, monotonicity, ordering
-MAX_TRIALS = 1_000_000  # a search's trials; a pack peaks at about 2.2 KB a trial as it is built, 460 B cached
+MAX_TRIALS = 1_000_000  # a search's trials; a pack is kept at about 290 B a trial and built one block at a time
 
 
 class JointTable:
@@ -167,12 +168,13 @@ def subadditivity_search(distortion: Distortion, *, trials: int, seed: int):
     """Hunt for risk-of-sum exceeding summed risks over random joint tables.
 
     Tables have at most 8x8 atoms on the integer grid [-10, 10] with integer
-    weights.  D is evaluated once, on the pack's distinct levels, and each
-    role gathers its values from that table; the risks of all trials are
-    then summed in one batch by :func:`_stieltjes_batch`, the
-    counterexample's by :func:`quantile_risk`.  A level's float is the same
-    wherever it occurs, so the risks are bitwise those of evaluating D at
-    every level.
+    weights.  D is evaluated once, on the fixed table of every possible
+    level (:func:`_fractions`), and the pack is searched block by block:
+    each role gathers its levels' D from that table and a block's risks are
+    summed in one batch by :func:`_stieltjes_batch`, the counterexample's by
+    :func:`quantile_risk`.  A level's float is the same wherever it occurs,
+    so the risks are bitwise those of evaluating D at every level, and the
+    first trial of the worst gap is reported, as one ``argmax`` would.
     Returns the worst :class:`SubadditivityViolation` beyond ``SEARCH_SLACK``, or None.
     Deterministic for a fixed seed: the tables are drawn in blocks of 1,024
     trials from ``default_rng([seed, block])``, so the first n trials are
@@ -193,21 +195,28 @@ def subadditivity_search(distortion: Distortion, *, trials: int, seed: int):
         )
     if trials:
         pack = _trial_pack(trials, seed)
-        at = distortion.eval(pack.distinct)
-        rho = {
-            role: _stieltjes_batch(at[pack.index[role]], values, starts)
-            for role, (values, _, starts) in pack.roles.items()
-        }
-        gaps = rho["s"] - rho["x"] - rho["y"]
-        idx = int(np.argmax(gaps))
-        if gaps[idx] > SEARCH_SLACK and (best is None or gaps[idx] > best.gap):
-            xv, yv, w, total = pack.tables[idx]
+        at = distortion.eval(_fractions()[0])
+        worst, first = None, 0
+        for block in pack:
+            # take gathers by the uint16 index about twice as fast as indexing with [] does
+            rho = {
+                role: _stieltjes_batch(at.take(index), values, starts)
+                for role, (values, index, starts) in block.roles.items()
+            }
+            gaps = rho["s"] - rho["x"] - rho["y"]
+            i = int(np.argmax(gaps))
+            if worst is None or gaps[i] > worst[0]:  # strict, so the first worst trial is kept
+                worst = (gaps[i], first, block, i, rho)
+            first += len(block)
+        gap, first, block, i, rho = worst
+        if gap > SEARCH_SLACK and (best is None or gap > best.gap):
+            xv, yv, w, total = block.tables[i]
             best = SubadditivityViolation(
-                gap=float(gaps[idx]),
-                risk_x=float(rho["x"][idx]),
-                risk_y=float(rho["y"][idx]),
-                risk_sum=float(rho["s"][idx]),
-                trial=idx,
+                gap=float(gap),
+                risk_x=float(rho["x"][i]),
+                risk_y=float(rho["y"][i]),
+                risk_sum=float(rho["s"][i]),
+                trial=first + i,
                 table=JointTable(xv, yv, w / total),
             )
     return best
@@ -229,6 +238,23 @@ def _trials(value) -> int:
 
 
 _SLOTS = 41  # integer sum values -20..20; the x and y grids use the slots 0..20
+_KEY = 4 * 64 + 1  # a trial's total is at most 4 * 64, so count * 257 + total keys the level count / total
+
+
+@lru_cache(maxsize=1)
+def _fractions():
+    """The sorted distinct floats c / t, 1 <= c <= t <= 256, and their uint16 lookup by c * 257 + t.
+
+    Every level of a trial is such a fraction.  Division rounds correctly,
+    so equal fractions such as 1/2 and 2/4 are one float and share one
+    entry: there are 19,948.  Built on the first search, not at import.
+    """
+    count, total = np.divmod(np.arange(_KEY * _KEY), _KEY)
+    key = np.flatnonzero((count >= 1) & (count <= total))
+    fractions, at = np.unique(count[key] / total[key], return_inverse=True)
+    lookup = np.zeros(_KEY * _KEY, dtype=np.uint16)
+    lookup[key] = at
+    return fractions, lookup
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -257,14 +283,31 @@ class _Tables:
         return xv, yv, w, float(w.sum())
 
 
-class _TrialPack:
-    __slots__ = ("tables", "roles", "distinct", "index")
+class _Block:
+    """One block's trials: their tables and, per role (x, y and the sum s), ``(values, index, starts)``.
 
-    def __init__(self, tables, roles, distinct, index):
+    ``index`` holds each level's uint16 position in the fraction table and
+    ``starts`` each trial's first level.
+    """
+
+    __slots__ = ("tables", "roles")
+
+    def __init__(self, tables: _Tables, roles: dict):
         self.tables = tables
         self.roles = roles
-        self.distinct = distinct
-        self.index = index
+
+    def __len__(self) -> int:
+        return len(self.tables)
+
+    def head(self, n: int) -> _Block:
+        """The first ``n`` < ``len(self)`` trials, as views."""
+        t = self.tables
+        tables = _Tables(t.xi, t.yi, t.w, t.x_at[: n + 1], t.y_at[: n + 1], t.w_at[: n + 1])
+        roles = {
+            role: (values[: starts[n]], index[: starts[n]], starts[:n])
+            for role, (values, index, starts) in self.roles.items()
+        }
+        return _Block(tables, roles)
 
 
 def _offsets(lengths) -> np.ndarray:
@@ -296,25 +339,44 @@ def _draw_block(seed: int, block: int):
     return m, k, x_mask, y_mask, w, used
 
 
-@lru_cache(maxsize=1)
-def _trial_pack(trials: int, seed: int) -> _TrialPack:
-    """Random joint tables packed into flat arrays for batched evaluation.
+_EXTEND = threading.Lock()  # one thread at a time extends the cached blocks
 
-    Trials are drawn by :func:`_draw_block`, every block in full, so a
-    shorter pack is an exact prefix of a longer one.  ``np.nonzero`` of the
-    grid masks, in row-major order, gives each trial's sorted grid indices
-    already concatenated.  Each role (x, y and the sum s) merges masses with
-    one ``bincount`` over ``trial * 41 + slot``, where a slot is an integer
-    value plus its offset.  Cumulative levels are integer counts divided by
-    the integer total, so a level shared by a marginal and the sum
-    distribution is bit-identical and distortion jumps cannot fire
-    inconsistently.  ``distinct`` holds the levels' distinct floats and
-    ``index[role]`` each level's uint16 position in it, found from the
-    integer (count, total) keys without a sort of the levels.  Only the
-    last pack is cached: every caller asks for one key several times in a row.
+
+@lru_cache(maxsize=1)
+def _seed_blocks(seed: int) -> list:
+    """The blocks of one seed built so far, in order; :func:`_trial_pack` appends to the list."""
+    return []
+
+
+def _trial_pack(trials: int, seed: int) -> list[_Block]:
+    """The first ``trials`` random joint tables, as blocks packed for batched evaluation.
+
+    Block b holds trials b*1024 .. b*1024+1023, drawn in full by
+    :func:`_draw_block`, so a shorter pack is an exact prefix of a longer
+    one.  The blocks of the last seed asked for are cached and extended one
+    block at a time, so a build peaks at the cached blocks plus one block's
+    temporaries; a pack that ends inside a block gets a view of its head.
     """
-    blocks = [_draw_block(seed, b) for b in range(-(-trials // _BLOCK))]
-    m, k, x_mask, y_mask, w, used = (np.concatenate(a)[:trials] for a in zip(*blocks))
+    with _EXTEND:
+        blocks = _seed_blocks(seed)
+        while len(blocks) * _BLOCK < trials:
+            blocks.append(_build_block(seed, len(blocks)))
+        full, rest = divmod(trials, _BLOCK)
+        return blocks[:full] + [blocks[full].head(rest)] if rest else blocks[:full]
+
+
+def _build_block(seed: int, block: int) -> _Block:
+    """Block ``block`` of a seed's trials: their tables and merged roles.
+
+    ``np.nonzero`` of the grid masks, in row-major order, gives each trial's
+    sorted grid indices already concatenated.  Each role merges masses with
+    one ``bincount`` over ``trial * 41 + slot``, where a slot is an integer
+    value plus its offset.  A level is the integer count over the trial's
+    integer total, kept as its index in the table of :func:`_fractions`, so
+    a level shared by a marginal and the sum distribution is one float and
+    distortion jumps cannot fire inconsistently.
+    """
+    m, k, x_mask, y_mask, w, used = _draw_block(seed, block)
     tables = _Tables(
         np.nonzero(x_mask)[1].astype(np.int8),
         np.nonzero(y_mask)[1].astype(np.int8),
@@ -323,69 +385,49 @@ def _trial_pack(trials: int, seed: int) -> _TrialPack:
         _offsets(k),
         _offsets(m * k),
     )
-    del blocks, x_mask, y_mask, w, used  # free the block draws before the flat work below
-    # each cell's trial, row and column, by index arithmetic over the flat cells
-    trial = np.repeat(np.arange(trials), np.diff(tables.w_at))
-    cell = np.arange(len(tables.w)) - tables.w_at[trial]
-    row, col = np.divmod(cell, np.diff(tables.y_at)[trial])
-    x_slot = tables.xi[tables.x_at[trial] + row]
+    del x_mask, y_mask, w, used  # free the draws before the per-cell work below
+    # row r of a trial repeats its x slot once a column; each cell's column is index arithmetic
+    x_slot = np.repeat(tables.xi, np.repeat(k, m))
+    trial = np.repeat(np.arange(_BLOCK), m * k)
+    col = (np.arange(len(tables.w)) - tables.w_at[trial]) % k[trial]
     y_slot = tables.yi[tables.y_at[trial] + col]
-    base = trial * _SLOTS
-    roles, keys = {}, {}
-    for role, slot, offset in (("x", x_slot, 10), ("y", y_slot, 10), ("s", x_slot + y_slot, 20)):
-        roles[role], keys[role] = _merged_role(base + slot, tables.w, offset, trials)
-    distinct, index = _distinct_levels(keys)
-    return _TrialPack(tables, roles, distinct, index)
+    del col
+    trial *= _SLOTS  # now each cell's key base, in place
+    roles = {
+        role: _merged_role(trial + slot, tables.w, offset)
+        for role, slot, offset in (("x", x_slot, 10), ("y", y_slot, 10), ("s", x_slot + y_slot, 20))
+    }
+    return _Block(tables, roles)
 
 
-_KEY = 4 * 64 + 1  # a trial's total is at most 4 * 64, so count * 257 + total keys the level count / total
-
-
-def _merged_role(index, w, offset: int, trials: int):
-    """(values, levels, starts) of one role from its cells' ``trial * 41 + slot`` index.
-
-    Also returns each level's integer key ``count * 257 + total``.
-    """
-    counts = np.bincount(index, weights=w, minlength=trials * _SLOTS)  # whole floats up to 256
+def _merged_role(cell_key, w, offset: int):
+    """(values, index, starts) of one role from its cells' ``trial * 41 + slot`` keys."""
+    counts = np.bincount(cell_key, weights=w, minlength=_BLOCK * _SLOTS)  # whole floats up to 256
     hit = np.flatnonzero(counts)
     counts = counts[hit].astype(np.int64)
     trial, slot = np.divmod(hit, _SLOTS)
     values = (slot - offset).astype(float)
-    del hit, slot  # free them before the per-level work below, which sets the build's peak memory
-    starts = _offsets(np.bincount(trial, minlength=trials))
+    starts = _offsets(np.bincount(trial, minlength=_BLOCK))
     count = np.cumsum(counts)
     before = count[starts[:-1]] - counts[starts[:-1]]
     total = (count[starts[1:] - 1] - before)[trial]
     count -= before[trial]
-    levels = count / total
-    count *= _KEY  # now the key, in place
+    count *= _KEY  # now the key count * 257 + total, in place
     count += total
-    return (values, levels, starts[:-1]), count
-
-
-def _distinct_levels(keys: dict):
-    """The distinct floats of the keyed levels, and each role's uint16 index into them.
-
-    Division rounds correctly, so equal fractions such as 1/2 and 2/4 are
-    the same float and share one entry; at most ~20k fractions have a total
-    of 256 or less.
-    """
-    used = np.zeros(_KEY * _KEY, dtype=bool)
-    for key in keys.values():
-        used[key] = True
-    count, total = np.divmod(np.flatnonzero(used), _KEY)
-    distinct, at = np.unique(count / total, return_inverse=True)
-    lookup = np.zeros(len(used), dtype=np.uint16)
-    lookup[used] = at
-    return distinct, {role: lookup[key] for role, key in keys.items()}
+    return values, _fractions()[1][count], starts[:-1]
 
 
 def _stieltjes_batch(w, values, starts) -> np.ndarray:
-    """Per-trial risk values: sum of value * increment of D, where ``w`` is D at each level."""
-    prev = np.empty_like(w)
-    prev[1:] = w[:-1]
-    prev[starts] = 0.0
-    return np.add.reduceat(values * (w - prev), starts)
+    """Per-trial risk values: sum of value * increment of D, where ``w`` is D at each level.
+
+    A trial's first increment, at ``starts``, is D itself.  The increments,
+    their products with the values and the sums share one temporary.
+    """
+    step = np.empty_like(w)
+    np.subtract(w[1:], w[:-1], out=step[1:])
+    step[starts] = w[starts]
+    step *= values
+    return np.add.reduceat(step, starts)
 
 
 @dataclass(frozen=True)

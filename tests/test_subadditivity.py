@@ -10,6 +10,8 @@ intended change of the scheme (change the reference first):
 import hashlib
 import re
 import sys
+import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,7 +31,7 @@ from quantrisk.subadditivity import (
     comonotone_additivity_check,
     subadditivity_search,
 )
-from quantrisk.subadditivity import _stieltjes_batch, _trial_pack
+from quantrisk.subadditivity import _fractions, _stieltjes_batch, _trial_pack
 from test_piecewise_properties import piecewise_distortions
 
 
@@ -180,7 +182,7 @@ class TestSearch:
         assert a.gap == b.gap and a.trial == b.trial
 
     def test_expectation_is_additive_on_all_trials(self):
-        pack = _trial_pack(2000, 21)
+        pack = _flat(_trial_pack(2000, 21))
         D = make_named("expectation")
         rho = {
             role: _stieltjes_batch(D.eval(levels), values, starts)
@@ -190,7 +192,7 @@ class TestSearch:
         assert float(np.max(np.abs(gaps))) <= 1e-10
 
     def test_batch_matches_public_path(self):
-        pack = _trial_pack(60, 5)
+        pack = _flat(_trial_pack(60, 5))
         D = make_named("es", alpha=0.25)
         values, levels, starts = pack.roles["s"]
         batch = _stieltjes_batch(D.eval(levels), values, starts)
@@ -201,8 +203,30 @@ class TestSearch:
             assert abs(batch[i] - direct) < 1e-12
 
 
+def _flat(pack):
+    """A pack's blocks as one pack shaped as the reference's, with float64 levels.
+
+    Each level is its entry of the fraction table, each trial's start is
+    offset by the levels of the blocks before it, and the tables are listed
+    in trial order.
+    """
+    fractions = _fractions()[0]
+    roles = {}
+    for role in ("x", "y", "s"):
+        values, levels, starts, offset = [], [], [], 0
+        for block in pack:
+            v, index, st = block.roles[role]
+            values.append(v)
+            levels.append(fractions[index])
+            starts.append(st + offset)
+            offset += len(v)
+        roles[role] = tuple(np.concatenate(a) for a in (values, levels, starts))
+    tables = [block.tables[i] for block in pack for i in range(len(block))]
+    return SimpleNamespace(tables=tables, roles=roles)
+
+
 def _pack_digest(pack) -> str:
-    """sha256 over dtype and bytes of every role array and every table entry."""
+    """sha256 over dtype and bytes of every role array and every table entry of a flat pack."""
     h = hashlib.sha256()
     arrays = [a for role in ("x", "y", "s") for a in pack.roles[role]]
     arrays += [np.asarray(item) for i in range(len(pack.tables)) for item in pack.tables[i]]
@@ -309,11 +333,11 @@ class TestTrialPack:
 
     @pytest.mark.parametrize("trials, seed", [*sorted(DIGESTS), (2049, 3)])
     def test_matches_the_reference(self, trials, seed):
-        assert _pack_digest(_trial_pack(trials, seed)) == _pack_digest(_reference_pack(trials, seed))
+        assert _pack_digest(_flat(_trial_pack(trials, seed))) == _pack_digest(_reference_pack(trials, seed))
 
     @pytest.mark.parametrize("trials, seed", sorted(DIGESTS))
     def test_pinned_digest(self, trials, seed):
-        assert _pack_digest(_trial_pack(trials, seed)) == self.DIGESTS[trials, seed]
+        assert _pack_digest(_flat(_trial_pack(trials, seed))) == self.DIGESTS[trials, seed]
 
     @pytest.mark.parametrize("kind, level", sorted(SEARCH))
     def test_pinned_search(self, kind, level):
@@ -321,7 +345,7 @@ class TestTrialPack:
         assert (found.gap.hex(), found.trial) == self.SEARCH[kind, level]
 
     def test_invariants(self):
-        pack = _trial_pack(2000, 21)
+        pack = _flat(_trial_pack(2000, 21))
         for role in ("x", "y", "s"):
             values, levels, starts = pack.roles[role]
             assert len(starts) == 2000 and starts[0] == 0
@@ -332,21 +356,23 @@ class TestTrialPack:
                 assert np.all(np.diff(levels[lo:hi]) > 0)
             assert np.all(levels[ends - 1] == 1.0)
 
-    def test_distinct_levels_index_every_level(self):
-        pack = _trial_pack(2000, 21)
-        assert np.all(np.diff(pack.distinct) > 0)
-        for role, (_, levels, _) in pack.roles.items():
-            assert pack.index[role].dtype == np.uint16
-            assert pack.distinct[pack.index[role]].tobytes() == levels.tobytes()
-        used = np.concatenate(list(pack.index.values()))
-        assert np.array_equal(np.unique(used), np.arange(len(pack.distinct)))
+    def test_fraction_table_holds_every_level(self):
+        fractions, lookup = _fractions()
+        assert len(fractions) == 19_948 and np.all(np.diff(fractions) > 0)
+        assert lookup.dtype == np.uint16
+        for c in range(1, 257):
+            totals = np.arange(c, 257)
+            assert fractions[lookup[c * 257 + totals]].tobytes() == (c / totals).tobytes()
+        for block in _trial_pack(2000, 21):
+            for _, index, _ in block.roles.values():
+                assert index.dtype == np.uint16
 
     @pytest.mark.parametrize(
         "kind, params",
         [("es", {"alpha": 0.5}), ("es_n", {"n": 3, "alpha": 0.2}), ("expectation", {})],
         ids=["es", "es_n", "expectation"],
     )
-    def test_one_evaluation_of_D_per_search_on_the_distinct_levels(self, monkeypatch, kind, params):
+    def test_one_evaluation_of_D_per_search_on_the_fraction_table(self, monkeypatch, kind, params):
         D = make_named(kind, **params)
         sizes = []
         evaluate = Distortion.eval
@@ -357,11 +383,10 @@ class TestTrialPack:
 
         monkeypatch.setattr(Distortion, "eval", spy)
         subadditivity_search(D, trials=10_000, seed=5)
-        assert len(sizes) == 1
-        assert sizes[0] <= len(_trial_pack(10_000, 5).distinct)
+        assert sizes == [len(_fractions()[0])]
 
     def test_tables_match_roles(self):
-        pack = _trial_pack(60, 5)
+        pack = _flat(_trial_pack(60, 5))
         assert len(pack.tables) == 60
         for i in (0, 31, -1):
             xv, yv, w, total = pack.tables[i]
@@ -372,11 +397,11 @@ class TestTrialPack:
             mass = w.sum(axis=1)
             assert np.array_equal(values[lo : lo + np.count_nonzero(mass)], xv[mass > 0])
         with pytest.raises(IndexError):
-            pack.tables[60]
+            _trial_pack(60, 5)[0].tables[60]
 
     @pytest.mark.parametrize("short_trials, long_trials", [(300, 1000), (1000, 3000)])
     def test_prefix_of_a_longer_pack(self, short_trials, long_trials):
-        short, long = _trial_pack(short_trials, 11), _trial_pack(long_trials, 11)
+        short, long = _flat(_trial_pack(short_trials, 11)), _flat(_trial_pack(long_trials, 11))
         for i in range(short_trials):
             for a, b in zip(short.tables[i], long.tables[i]):
                 assert np.array_equal(a, b)
@@ -387,11 +412,58 @@ class TestTrialPack:
             assert np.array_equal(levels, long.roles[role][1][:n])
             assert np.array_equal(starts, long.roles[role][2][:short_trials])
 
+    @pytest.mark.parametrize("first, then", [(10_000, 1000), (1000, 2049)])
+    def test_the_cached_blocks_serve_both_packs(self, first, then):
+        subadditivity._seed_blocks.cache_clear()
+        packs = [_trial_pack(first, 17), _trial_pack(then, 17)]
+        assert packs[1][0].tables.w is packs[0][0].tables.w  # block 0 is built once
+        for trials, pack in zip((first, then), packs):
+            assert _pack_digest(_flat(pack)) == _pack_digest(_reference_pack(trials, 17))
+
+    def test_concurrent_packs_build_each_block_once(self):
+        subadditivity._seed_blocks.cache_clear()
+        threads = [threading.Thread(target=_trial_pack, args=(4096, 23)) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(subadditivity._seed_blocks(23)) == 4
+        assert _pack_digest(_flat(_trial_pack(4096, 23))) == _pack_digest(_reference_pack(4096, 23))
+
+    def test_a_tie_across_blocks_reports_the_first_trial(self):
+        # gap 14.0 at trials 4659, 6341 and 7764, in blocks 4, 6 and 7
+        found = subadditivity_search(_named("var", 0.5), trials=10_000, seed=2008)
+        assert (found.gap, found.trial) == (14.0, 4659)
+        assert _per_level_search(_named("var", 0.5), 10_000, 2008) == ((14.0).hex(), 4659)
+
+    def test_build_peaks_at_the_cached_blocks_plus_one_block(self):
+        # traced, a cold 20,000-trial build rose 1.9-2.1 MB above its 5.9 MB of cached
+        # blocks; built as one pack, its peak was 4.3 times the 9.2 MB it kept
+        _fractions()
+        subadditivity._seed_blocks.cache_clear()
+        tracemalloc.start()
+        try:
+            _trial_pack(20_000, 4242)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        blocks = subadditivity._seed_blocks(4242)
+        arrays = [getattr(b.tables, name) for b in blocks for name in b.tables.__slots__]
+        arrays += [a for b in blocks for role in b.roles.values() for a in role]
+        cached = sum(a.nbytes for a in arrays)
+        assert len(blocks) == 20 and peak <= cached + 3_000_000
+
     def test_each_trial_keeps_its_law(self):
         # chi-square statistics against their 0.999 quantiles at 7, 20 and 4 degrees of freedom
         chi2_999 = {4: 18.47, 7: 24.32, 20: 45.31}
         trials = 10_000
-        pack = _trial_pack(trials, 2008)
+        pack = _flat(_trial_pack(trials, 2008))
         sizes = np.zeros((2, 9), dtype=np.int64)  # [x or y, m or k]
         points = np.zeros((9, 21), dtype=np.int64)  # [size, grid index], x and y pooled
         weights = np.zeros(5, dtype=np.int64)
@@ -500,7 +572,7 @@ def test_expectation_additive_on_random_tables(table):
 def _per_level_search(distortion, trials: int, seed: int):
     """(gap.hex(), trial) of the worst violation, or None, with D evaluated at every level.
 
-    The reference for the search's one evaluation on the distinct levels:
+    The reference for the search's one evaluation on the fraction table:
     each role's risks are summed per trial from D at that role's own levels.
     """
 
@@ -511,7 +583,7 @@ def _per_level_search(distortion, trials: int, seed: int):
         prev[starts] = 0.0
         return np.add.reduceat(values * (w - prev), starts)
 
-    pack = _trial_pack(trials, seed)
+    pack = _flat(_trial_pack(trials, seed))
     rho = {role: batch(*pack.roles[role]) for role in ("x", "y", "s")}
     gaps = rho["s"] - rho["x"] - rho["y"]
     i = int(np.argmax(gaps))
