@@ -84,6 +84,14 @@ class Distribution:
         """Left limit of the CDF at ``x``."""
         raise NotImplementedError
 
+    def local_cdf(self, s: float, t: float):
+        """The CDF, for x strictly between q+(s) and q(t), levels s < t with no quantile breakpoint between them.
+
+        A node whose CDF searches for the piece that x falls in binds that
+        piece once for such a stretch; by default this is ``cdf`` itself.
+        """
+        return self.cdf
+
     def quantile_lower(self, u: float) -> float:
         """inf{x : cdf(x) >= u} for u in (0,1)."""
         raise NotImplementedError
@@ -943,6 +951,20 @@ class ComonotoneSum(Distribution):
         if x > ends[i]:
             return levels[i + 1]
         return min(max(other.cdf_left(x - values[i]), levels[i]), levels[i + 1])
+
+    def local_cdf(self, s, t):
+        """``cdf`` bound to the atom whose level interval holds (s, t): no bisection per call.
+
+        Strictly between q+(s) and q(t), x lies inside that atom's stretch
+        and below its end, so ``cdf``'s bisection finds this atom and its
+        clipped value is the one returned here, bit for bit.
+        """
+        if self._steps is None:
+            return self.cdf
+        values, levels, _starts, _ends, other = self._steps
+        i = bisect.bisect_right(levels, s) - 1
+        v, bottom, top, cdf = values[i], levels[i], levels[i + 1], other.cdf
+        return lambda x: min(max(cdf(x - v), bottom), top)
 
     def quantile_moment(self, a, b, k, origin, *, epsabs=MOMENT_TOL):
         """The operands' moments added, as their quantiles add: each in closed form where it has one."""

@@ -19,8 +19,10 @@ levels, takes each flat step of the CDF and each stretch where D is flat
 in closed form, and integrates only where D(F(x)) moves, each stretch
 against the one piece of D that applies there, evaluated in floats.
 Whether max(q, 0) or max(-q, 0) is integrable against D is decided in one
-place, for the forms' domain flags and the class verdicts alike.  scipy's
-``quad`` is imported on the first quadrature call, so a process that only
+place, for the forms' domain flags and the class verdicts alike.  The
+quadrature calls scipy's compiled QUADPACK routines directly; their
+extension is loaded on the first quadrature call, without
+``scipy.integrate`` and the packages it imports, so a process that only
 evaluates closed forms never loads scipy.  ``+inf`` is never returned as a
 risk value: a divergent positive part is reported as non-membership
 instead, and a value or quantile beyond the float range, where both parts
@@ -32,8 +34,12 @@ from __future__ import annotations
 import bisect
 import enum
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 import sys
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -147,24 +153,60 @@ class MembershipVerdict:
 # integration helpers
 
 
-_POINTS_PER_CALL = 100  # leaves room for refinement under quad's 400-subinterval limit
-quad = None  # scipy.integrate.quad, bound by the first _quad call
+_POINTS_PER_CALL = 100  # leaves room for refinement under QUADPACK's 400-subinterval limit
+_quadpack = None  # scipy's compiled QUADPACK module, bound by the first _quad call
+_QUADPACK_LOCK = threading.Lock()  # concurrent first calls load and register one module
+
+
+def _load_quadpack():
+    """scipy's compiled ``scipy.integrate._quadpack``, without running ``scipy.integrate``'s ``__init__``.
+
+    That ``__init__`` imports the ODE solvers, ``scipy.optimize``,
+    ``scipy.sparse`` and ``scipy.linalg``; ``_quad`` calls three routines
+    of the one extension.  A module already imported is reused; otherwise
+    the extension is loaded from the ``scipy/integrate`` directory under its
+    qualified name and registered, so a later ``import scipy.integrate``
+    reuses this instance.
+    """
+    name = "scipy.integrate._quadpack"
+    with _QUADPACK_LOCK:
+        module = sys.modules.get(name)
+        if module is None:
+            dirs = [os.path.join(d, "integrate") for d in importlib.util.find_spec("scipy").submodule_search_locations]
+            spec = importlib.util.spec_from_file_location(
+                name, importlib.machinery.PathFinder.find_spec("_quadpack", dirs).origin
+            )
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[name] = module
+        return module
 
 
 def _quad(f, a, b, *, points=(), epsabs) -> tuple[float, bool]:
-    """Adaptive quadrature over (a, b), which may be infinite, with interior breakpoints.
+    """Adaptive quadrature over (a, b), which may be infinite at one end, with interior breakpoints.
 
-    A call to ``quad`` takes at most ``_POINTS_PER_CALL`` breakpoints, so
-    the range is split at every ``_POINTS_PER_CALL + 1``-th breakpoint.  The
-    pieces share ``epsabs``; their values and error estimates are summed.
+    QUADPACK is called directly, as ``scipy.integrate.quad`` would call it:
+    ``qagse`` on a finite range, ``qagpe`` on one with breakpoints and
+    ``qagie`` on a half-line, which takes no breakpoints.  A range no
+    routine takes (b < a, both ends infinite, or breakpoints on a
+    half-line) raises ``ValueError``; Choquet, the one caller with an
+    infinite end, splits at 0 and passes no breakpoints.  The three
+    routines are scipy-private; tier-1 pins their values, error estimates
+    and give-up flags bitwise to ``quad``'s, verified on scipy 1.17.1 only.
+    A call takes at most ``_POINTS_PER_CALL`` breakpoints, so the range is
+    split at every ``_POINTS_PER_CALL + 1``-th breakpoint.  The pieces
+    share ``epsabs``; their values and error estimates are summed.
     Returns the value and whether QUADPACK gave up on a piece (a nonzero
     ``ier``): its value may then be 0.0 for an integrand beyond the float
     range.
     """
-    global quad
-    if quad is None:
-        from scipy.integrate import quad
+    global _quadpack
+    if _quadpack is None:
+        _quadpack = _load_quadpack()
     pts = sorted({p for p in points if a < p < b})
+    infinite = a == -math.inf, b == math.inf
+    if b < a or all(infinite) or any(infinite) and pts:
+        raise ValueError(f"no QUADPACK route for ({a!r}, {b!r}) with {len(pts)} breakpoints")
     edges = sorted({a, b, *pts[_POINTS_PER_CALL :: _POINTS_PER_CALL + 1]})
     val = err = 0.0
     gave_up = False
@@ -172,11 +214,21 @@ def _quad(f, a, b, *, points=(), epsabs) -> tuple[float, bool]:
         warnings.simplefilter("ignore")
         for lo, hi in zip(edges, edges[1:]):
             inner = pts[bisect.bisect_right(pts, lo) : bisect.bisect_left(pts, hi)]
-            v, e, *rest = quad(f, lo, hi, points=inner or None, limit=400, full_output=1,
-                               epsabs=epsabs / (len(edges) - 1), epsrel=1e-10)
+            tol = epsabs / (len(edges) - 1)
+            # ier 6, invalid input, needs epsabs <= 0 with a tiny epsrel, limit < 1 or
+            # at least limit breakpoints: none can come from these arguments
+            if hi == math.inf:
+                v, e, ier = _quadpack._qagie(f, lo, 1, (), 0, tol, 1e-10, 400)
+            elif lo == -math.inf:
+                v, e, ier = _quadpack._qagie(f, hi, -1, (), 0, tol, 1e-10, 400)
+            elif inner:
+                # QUADPACK's points array ends with two slots of its own
+                v, e, ier = _quadpack._qagpe(f, lo, hi, (*inner, 0.0, 0.0), (), 0, tol, 1e-10, 400)
+            else:
+                v, e, ier = _quadpack._qagse(f, lo, hi, (), 0, tol, 1e-10, 400)
             val += v
             err += e
-            gave_up = gave_up or len(rest) > 1  # a message follows the info dict iff ier != 0
+            gave_up = gave_up or ier != 0
     if not math.isfinite(val) or err > max(1e-7, abs(val) * 1e-6):
         raise InconclusiveError(
             f"quadrature did not converge on ({a!r}, {b!r})", diagnostics=[val, err]
@@ -413,7 +465,8 @@ def choquet_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = 
     stretch is cut again at D's knots, so one piece p of D applies on each
     cut: where p is flat, D(F) is that constant; elsewhere ``1 - p(F)`` and
     ``p(F)`` are integrated numerically in Python floats, each call with
-    absolute tolerance ``epsabs / 4``.  Where ``quad`` gives up on an
+    absolute tolerance ``epsabs / 4``, with F the stretch's
+    ``Distribution.local_cdf``.  Where QUADPACK gives up on an
     infinite end and F at the last float has not reached 0 (left) or the
     last level below 1 (right), the value is inconclusive, as it is for a
     step whose q and q+ are both past the float range.  A discrete input
@@ -422,13 +475,12 @@ def choquet_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = 
     flagged = _forced_value(dist, distortion)
     if flagged is not None:
         return flagged
-    cdf = dist.cdf
 
     def integral(f, x0: float, x1: float) -> float:
         val, gave_up = _quad(f, x0, x1, epsabs=epsabs / 4)
         # at an infinite end with mass beyond the last float the integral may diverge
-        if gave_up and (x0 == -math.inf and cdf(-_FLOAT_MAX) > 0.0
-                        or x1 == math.inf and cdf(_FLOAT_MAX) < _BELOW_ONE):
+        if gave_up and (x0 == -math.inf and dist.cdf(-_FLOAT_MAX) > 0.0
+                        or x1 == math.inf and dist.cdf(_FLOAT_MAX) < _BELOW_ONE):
             raise InconclusiveError(
                 f"quad gave up on ({x0!r}, {x1!r}), where F has mass beyond the float range", diagnostics=[val]
             )
@@ -449,6 +501,7 @@ def choquet_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = 
     for i in np.flatnonzero(ends > starts).tolist():
         # Python floats: the integrands run several times faster on them
         s, t, start, end = (float(x) for x in (bounds[i], bounds[i + 1], starts[i], ends[i]))
+        local = dist.local_cdf(s, t)
         for p in distortion.pieces:
             if p.hi <= s or p.lo >= t:
                 continue
@@ -461,11 +514,11 @@ def choquet_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = 
                 flat_b.append([b])
                 flat_d.append([float(p.value(p.lo))])
                 continue
-            # on (a, b) D(F) is p(F): p is bound once, and evaluated in floats
+            # on (a, b) D(F) is p(F): p and the stretch's CDF are bound once, and evaluated in floats
             if a < 0.0:
-                terms.append(-integral(lambda x, at=p.at: at(cdf(x)), a, min(b, 0.0)))
+                terms.append(-integral(lambda x, at=p.at, F=local: at(F(x)), a, min(b, 0.0)))
             if b > 0.0:
-                terms.append(integral(lambda x, at=p.at: 1.0 - at(cdf(x)), max(a, 0.0), b))
+                terms.append(integral(lambda x, at=p.at, F=local: 1.0 - at(F(x)), max(a, 0.0), b))
     a, b, d = (np.concatenate(v) for v in (flat_a, flat_b, flat_d))
     above = np.maximum(b, 0.0) - np.maximum(a, 0.0)
     below = np.minimum(b, 0.0) - np.minimum(a, 0.0)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import quantrisk
+from quantrisk import ParetoNegative, choquet_risk, make_named
 from quantrisk.cli import build_parser, main
 from quantrisk.riskmeasures import CLASSIFY_METHODS, DomainClass
 from quantrisk.suite import CheckResult, SuiteReport
@@ -571,9 +572,23 @@ scipy = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 print(json.dumps({"runs": runs, "scipy": scipy}))
 """
 
+# Imports scipy.integrate before quantrisk or after its first quadrature, in a
+# fresh interpreter; prints a Choquet value's hex, a quad integral's hex, and
+# whether quantrisk and scipy.integrate hold one _quadpack module.
+_AROUND = """
+import sys
+if sys.argv[1] == "before":
+    import scipy.integrate
+from quantrisk import ParetoNegative, choquet_risk, make_named, riskmeasures
+value = choquet_risk(ParetoNegative(1.0, 2.0), make_named("es_n", n=3, alpha=0.2)).as_float()
+import scipy.integrate
+shared = sys.modules["scipy.integrate._quadpack"] is riskmeasures._quadpack is scipy.integrate._quadpack_py._quadpack
+print(value.hex(), scipy.integrate.quad(lambda x: x * x, 0.0, 3.0)[0].hex(), shared)
+"""
+
 
 class TestScipyImport:
-    """scipy is imported by the first quadrature call, not by importing quantrisk."""
+    """scipy's QUADPACK extension is loaded by the first quadrature call, not by importing quantrisk."""
 
     @pytest.fixture()
     def files(self, tmp_path):
@@ -627,12 +642,26 @@ class TestScipyImport:
         ],
         ids=["eval-choquet", "classify-probe-abs"],
     )
-    def test_quadrature_commands_load_scipy(self, capsys, files, tmp_path, argv):
+    def test_quadrature_commands_load_quadpack_without_scipy_integrate(self, capsys, files, tmp_path, argv):
         shifted = tmp_path / "shifted.json"
         shifted.write_text('{"kind": "transformed", "base": {"kind": "pareto_negative", "beta": 1.0, "theta": 2.0},'
                            ' "op": {"kind": "shift", "offset": 2.0}}')
         paths = {"PARETO": files[1], "SHIFTED": str(shifted)}
         argv = [paths.get(a, a) for a in argv] + ["--format", "json"]
         got = self.fresh(argv)
-        assert "scipy.integrate" in got["scipy"]
+        # the extension alone: neither its package nor the packages that package imports
+        packages = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg")
+        assert [m for m in got["scipy"] if m.startswith(packages)] == ["scipy.integrate._quadpack"]
         assert got["runs"] == [self.in_process(capsys, argv)]
+
+    @pytest.mark.parametrize("when", ["before", "after"])
+    def test_scipy_integrate_imported_around_quantrisk_shares_its_quadpack(self, when):
+        env = dict(os.environ, PYTHONPATH=str(Path(quantrisk.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", _AROUND, when], capture_output=True, text=True, env=env,
+                              check=True)
+        value, integral, shared = proc.stdout.split()
+        from scipy.integrate import quad
+
+        assert value == choquet_risk(ParetoNegative(1.0, 2.0), make_named("es_n", n=3, alpha=0.2)).as_float().hex()
+        assert integral == quad(lambda x: x * x, 0.0, 3.0)[0].hex()
+        assert shared == "True"

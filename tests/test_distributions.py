@@ -368,7 +368,7 @@ class TestParetoNegative:
         def no_quad(*args, **kwargs):
             raise AssertionError("quadrature called")
 
-        monkeypatch.setattr(rm, "quad", no_quad)
+        monkeypatch.setattr(rm, "_quad", no_quad)
         # -integral of u**(-1/3) (u - o)**k over (0, 0.05), term by term in the binomial expansion
         want = -math.fsum(math.comb(k, j) * (-o) ** (k - j) * 0.05 ** (j + 2.0 / 3.0) / (j + 2.0 / 3.0)
                           for j in range(k + 1))
@@ -726,6 +726,30 @@ class TestComonotoneStepCdf:
             got, want = s.quantile_steps(), Distribution.quantile_steps(s)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("other", [
+        ParetoNegative(1.0, 2.0), ParetoPositive(1.0, 1.5), ParetoNegative(1.0, 2.0).shift(2.0).abs(),
+        small_stratified_normal(5, 2),
+    ], ids=["pn", "pp", "abs", "discrete"])
+    def test_the_local_cdf_of_a_stretch_is_bitwise_the_cdf(self, other):
+        from quantrisk.distributions import ComonotoneSum
+
+        disc = small_stratified_normal(40, 9)
+        rng = np.random.default_rng(11)
+        # a discrete second operand stays lazy only when the node is built directly
+        for s in (ComonotoneSum(disc, other), ComonotoneSum(other, disc)):
+            levels, lower, upper = s.quantile_steps()
+            lo, hi = s.support()
+            bounds, starts, ends = [0.0, *levels, 1.0], [lo, *upper], [*lower, hi]
+            for i in np.flatnonzero(np.array(ends) > np.array(starts)).tolist():
+                start, end = max(starts[i], -1e6), min(ends[i], 1e6)
+                xs = [math.nextafter(start, end), math.nextafter(end, start), *rng.uniform(start, end, 5)]
+                local = s.local_cdf(float(bounds[i]), float(bounds[i + 1]))
+                assert [local(x).hex() for x in xs] == [s.cdf(x).hex() for x in xs], i
+
+    def test_the_local_cdf_is_the_cdf_without_a_step_table(self):
+        for dist in (ParetoNegative(1.0, 2.0), comonotone_sum(ParetoNegative(1.0, 3.0), ParetoPositive(1.0, 3.0))):
+            assert dist.local_cdf(0.25, 0.5) == dist.cdf
 
     def test_quantile_steps_fall_back_when_the_other_operand_has_breakpoints(self):
         from quantrisk.distributions import ComonotoneSum, Distribution

@@ -392,7 +392,7 @@ class TestDiscreteEngine:
         def no_quad(*args, **kwargs):
             raise AssertionError("quadrature called on a discrete input")
 
-        monkeypatch.setattr(rm, "quad", no_quad)
+        monkeypatch.setattr(rm, "_quad", no_quad)
         d = Discrete.from_samples(np.linspace(-2.0, 5.0, 1001))
         # the golden transcript's custom_convex: its spectrum has a kink at 0.2 and
         # a jump at 0.6, so the moment route takes end terms at interior knots
@@ -691,7 +691,7 @@ class TestOneChoquetPath:
         def no_quad(*args, **kwargs):
             raise AssertionError("quadrature called on a discrete input")
 
-        monkeypatch.setattr(rm, "quad", no_quad)
+        monkeypatch.setattr(rm, "_quad", no_quad)
         for values in ([3.0], [-2.0, -1.0], [1.0, 2.5, 4.0], np.linspace(-2.0, 5.0, 1001)):
             d = Discrete.from_samples(values)
             assert choquet_risk(d, D).as_float() == oracle_choquet_loop(d, D)
@@ -962,3 +962,145 @@ class TestOneIntegralAgainstD:
                            (UpperTailOnly(ParetoPositive(1.0, 1.5)), Verdict.INCONCLUSIVE)):
             verdict = classify_membership(dist, D, DomainClass.ACERBI, method="analytic")
             assert verdict.verdict is want and verdict.method == "analytic" and verdict.partials == ()
+
+
+# D = 0 on [0, 1e-10), then u**2 from about 0: its left tail under the steep
+# Pareto below is where QUADPACK gives up (tests/test_moments.py)
+STEEP_D = Distortion([Piece(lo=0.0, hi=1e-10, coef=0.0, origin=0.0, width=1.0, expo=0.0),
+                      Piece(lo=1e-10, hi=1.0, coef=1.0, origin=1e-300, width=1.0, expo=2.0)])
+
+
+class TestDirectQuadpack:
+    """``_quad`` calls QUADPACK's routines as ``scipy.integrate.quad`` does, and gets quad's results bitwise."""
+
+    @staticmethod
+    def reference(name, args):
+        """``quad``'s value, error estimate and give-up flag for one recorded routine call."""
+        f, *rest = args
+        if name == "_qagie":
+            bound, inf, _args, _full, epsabs, epsrel, limit = rest
+            lo, hi, points = (bound, math.inf, None) if inf == 1 else (-math.inf, bound, None)
+        elif name == "_qagpe":
+            lo, hi, pts, _args, _full, epsabs, epsrel, limit = rest
+            assert pts[-2:] == (0.0, 0.0)
+            points = list(pts[:-2])
+        else:
+            lo, hi, _args, _full, epsabs, epsrel, limit = rest
+            points = None
+        assert (_args, _full, epsrel, limit) == ((), 0, 1e-10, 400)
+        v, e, *more = quad(f, lo, hi, points=points, limit=limit, full_output=1, epsabs=epsabs, epsrel=epsrel)
+        return v.hex(), e.hex(), len(more) > 1  # a message follows the info dict iff ier != 0
+
+    # each shape of call _quad makes, and a computation that makes it
+    SHAPES = {
+        "finite": lambda: choquet_risk(ParetoNegative(1.0, 2.0), make_named("es_n", n=2, alpha=0.5)),
+        "breakpoints": lambda: ParetoNegative(1.0, 2.0).shift(2.0).abs().quantile_moment(0.1, 0.9, 1.0, 0.0),
+        "right-half-line": lambda: choquet_risk(ParetoPositive(1.0, 3.0), EXPECTATION),
+        "left-half-line": lambda: choquet_risk(ParetoNegative(1.0, 2.0), EXPECTATION),
+        "gave-up": lambda: choquet_risk(ParetoNegative(1.0, 0.02), STEEP_D),
+    }
+
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_every_call_is_bitwise_quads(self, monkeypatch, shape):
+        import warnings
+
+        module = riskmeasures._load_quadpack()
+        calls = []
+
+        class Recorder:
+            def __getattr__(self, name):
+                def call(*args):
+                    out = getattr(module, name)(*args)
+                    calls.append((name, args, out))
+                    return out
+
+                return call
+
+        monkeypatch.setattr(riskmeasures, "_quadpack", Recorder())
+        try:
+            self.SHAPES[shape]()
+        except InconclusiveError:
+            assert shape == "gave-up"
+        shapes = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for name, args, (v, e, ier) in calls:
+                assert (v.hex(), e.hex(), ier != 0) == self.reference(name, args), (name, args[1:])
+                shapes.add({"_qagse": "finite", "_qagpe": "breakpoints"}.get(name)
+                           or ("right-half-line" if args[2] == 1 else "left-half-line"))
+                if ier != 0:
+                    shapes.add("gave-up")
+        assert shape in shapes
+
+    def test_the_subdivision_limit_counts_as_giving_up(self):
+        import warnings
+
+        # ier 1 with an error estimate of 7e-5, inside the acceptance floor of 1e-3
+        f = lambda x: 1e3 + math.sin(1.0 / x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            v, _, *more = quad(f, 1e-9, 1.0, limit=400, full_output=1, epsabs=1e-10, epsrel=1e-10)
+        assert more[-1].startswith("The maximum number of subdivisions (400)")
+        val, gave_up = riskmeasures._quad(f, 1e-9, 1.0, epsabs=1e-10)
+        assert (val.hex(), gave_up) == (v.hex(), True)
+
+    @pytest.mark.parametrize("a, b, points", [
+        (1.0, 0.0, ()), (-math.inf, math.inf, ()), (0.0, math.inf, (1.0,)), (-math.inf, 0.0, (-1.0,)),
+    ])
+    def test_a_range_no_routine_takes_is_refused(self, a, b, points):
+        with pytest.raises(ValueError, match="no QUADPACK route"):
+            riskmeasures._quad(lambda x: math.exp(-abs(x)), a, b, points=points, epsabs=1e-10)
+
+    def test_an_unimported_extension_is_loaded_from_its_file(self, monkeypatch):
+        import sys
+
+        name = "scipy.integrate._quadpack"
+        imported = riskmeasures._load_quadpack()
+        monkeypatch.delitem(sys.modules, name)
+        monkeypatch.setattr(riskmeasures, "_quadpack", None)
+        got = riskmeasures._quad(lambda x: x * x, 0.0, 3.0, epsabs=1e-12)
+        assert riskmeasures._quadpack is sys.modules[name]
+        assert riskmeasures._quadpack.__file__ == imported.__file__
+        assert "_quadpack" not in sys.modules
+        assert got == (imported._qagse(lambda x: x * x, 0.0, 3.0, (), 0, 1e-12, 1e-10, 400)[0], False)
+
+    def test_concurrent_first_calls_load_one_module(self, monkeypatch):
+        import importlib.util
+        import sys
+        import threading
+
+        name = "scipy.integrate._quadpack"
+        riskmeasures._load_quadpack()
+        monkeypatch.delitem(sys.modules, name)
+        monkeypatch.setattr(riskmeasures, "_quadpack", None)
+        loads = []
+        module_from_spec = importlib.util.module_from_spec
+
+        def counting(spec):
+            loads.append(spec.name)
+            return module_from_spec(spec)
+
+        monkeypatch.setattr(importlib.util, "module_from_spec", counting)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(1, 6):
+                # six threads released at once make the first call; each round starts unloaded
+                sys.modules.pop(name, None)
+                riskmeasures._quadpack = None
+                results, start = [], threading.Barrier(6, timeout=60)
+
+                def first_call():
+                    start.wait()
+                    results.append(riskmeasures._quad(math.exp, 0.0, 1.0, epsabs=1e-12))
+
+                threads = [threading.Thread(target=first_call) for _ in range(6)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert loads == [name] * round_ and len(results) == 6 and len(set(results)) == 1
+                assert riskmeasures._quadpack is sys.modules[name]
+        finally:
+            sys.setswitchinterval(interval)
