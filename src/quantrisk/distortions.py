@@ -208,15 +208,20 @@ class _Piecewise:
         """Evaluate right-continuously at jumps, with D(1) = 1; one path for floats and arrays: a scalar is a 1-element array."""
         scalar = np.isscalar(u) or np.ndim(u) == 0
         arr = np.atleast_1d(np.asarray(u, dtype=float))
-        if np.any((arr <= 0.0) | (arr >= 1.0) if self._OPEN else (arr < 0.0) | (arr > 1.0)):
+        # the least and greatest u, NaN skipped as by elementwise tests; few fresh arrays as long as u
+        low, high = (np.fmin.reduce(arr), np.fmax.reduce(arr)) if arr.size else (0.5, 0.5)
+        if (low <= 0.0 or high >= 1.0) if self._OPEN else (low < 0.0 or high > 1.0):
             raise ParameterError(f"{self._NOUN} argument must lie in {'(0,1)' if self._OPEN else '[0,1]'}")
-        idx = np.minimum(np.searchsorted(self._knots, arr, side="right") - 1, len(self.pieces) - 1)
+        idx = np.searchsorted(self._knots, arr, side="right")
+        idx -= 1
+        np.minimum(idx, len(self.pieces) - 1, out=idx)
         out = np.empty_like(arr)
         for i, piece in enumerate(self.pieces):
             mask = idx == i
-            if np.any(mask):
-                out[mask] = piece.value(arr[mask])
-        out = np.where(arr == 1.0, 1.0, out)
+            if mask.any():
+                # a piece of exponent 0 is one constant, its value anywhere
+                out[mask] = piece.value(piece.lo if piece.expo == 0.0 else arr[mask])
+        np.putmask(out, arr == 1.0, 1.0)
         return float(out[0]) if scalar else out
 
 

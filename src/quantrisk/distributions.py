@@ -35,10 +35,10 @@ __all__ = [
 # the default absolute tolerance of a quantile moment taken by quadrature
 MOMENT_TOL = 1e-10
 _BELOW_ONE = 1.0 - 2.0**-53  # the last float level below 1, where a CDF that inverts q stops
-# A discrete of this many atoms or more takes its k = 0 moments from a prefix
-# table.  It is the measured break-even of one expected_shortfall_infimum (about
-# 55 k = 0 calls) on a fresh discrete: below it the table's build costs more
-# than clipping every atom at each call saves.
+# A discrete of this many atoms or more sums only the atoms a k = 0 moment meets,
+# and later reads a prefix table.  It is the measured break-even of one
+# expected_shortfall_infimum (about 55 k = 0 calls) on a fresh discrete: below
+# it the table's build costs more than clipping every atom at each call saves.
 _PREFIX_CUT = 256
 
 def _check_level(u: float) -> float:
@@ -52,18 +52,60 @@ def _running_sum(xs) -> tuple[np.ndarray, np.ndarray]:
     """Running sum of ``xs`` in double-double: ``numpy.cumsum`` and the running sum of its TwoSum step errors.
 
     hi + lo carries each step's exact rounding error, so it is exact for
-    integer masses.
+    integer masses; the running sum of the errors rounds too, by at most
+    n * 2**-53 * max |lo| at every entry.
     """
+    hi, err = _step_errors(xs)
+    return hi, err.cumsum(out=err)
+
+
+def _step_errors(xs) -> tuple[np.ndarray, np.ndarray]:
+    """``numpy.cumsum`` of ``xs`` and the exact rounding error of each of its steps (TwoSum), 0 past an overflow."""
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite total is refused by the callers
         hi = xs.cumsum()
-        prev = np.concatenate(([0.0], hi[:-1]))
-        back = hi - prev
-        # TwoSum's error (prev - (hi - back)) + (xs - back), in place: 15% of the call at 10^5 atoms
-        err = hi - back
-        np.subtract(prev, err, out=err)
-        err += np.subtract(xs, back, out=back)
-    err[np.isnan(err)] = 0.0  # past an overflow, where the sum stays inf
-    return hi, err.cumsum(out=err)
+        err = np.empty_like(hi)
+        err[0] = 0.0
+        # TwoSum's error (prev - (hi - back)) + (xs - back), back = hi - prev, in two buffers
+        back = hi[1:] - hi[:-1]
+        step = np.subtract(hi[1:], back, out=err[1:])
+        np.subtract(hi[:-1], step, out=step)
+        step += np.subtract(xs[1:], back, out=back)
+    if not math.isfinite(hi[-1]):  # past an overflow the sum stays inf, and the errors are NaN
+        err[np.isnan(err)] = 0.0
+    return hi, err
+
+
+def _checked_fsum(parts, bound: float) -> float | None:
+    """``fsum(parts)`` where every sum within ``bound`` of theirs rounds to the same nonzero float, else None."""
+    total = math.fsum(parts)
+    if 0.0 < abs(total) < math.inf and math.fsum((*parts, bound)) == total == math.fsum((*parts, -bound)):
+        return total
+    return None
+
+
+# From this many terms on, _fsum takes numpy's cumsum and its summed step errors:
+# below it fsum over the list is faster (break-even 512 terms, 15 us either way).
+_FSUM_CUT = 512
+
+
+def _fsum(xs: np.ndarray, extra=()) -> float:
+    """``math.fsum`` of the terms ``xs`` and ``extra``, bit for bit.
+
+    Below ``_FSUM_CUT`` terms it is that fsum.  From the cut on, the last
+    entry of ``numpy.cumsum`` and numpy's sum of its step errors go into
+    one fsum with ``extra``; that is the correctly rounded total, as
+    fsum's, unless moving the error sum by its rounding bound, n * 2**-53
+    times the sum of their sizes (doubled), changes a bit or the total is
+    0 (whose sign fsum decides), and then the list is summed after all.
+    """
+    if len(xs) >= _FSUM_CUT:
+        hi, err = _step_errors(xs)
+        lo = float(err.sum())
+        bound = 2.0 * len(err) * 2.0**-53 * float(np.abs(err, out=err).sum())
+        total = _checked_fsum((float(hi[-1]), lo, *extra), bound)
+        if total is not None:
+            return total
+    return math.fsum([*xs.tolist(), *extra])
 
 
 class Distribution:
@@ -209,10 +251,15 @@ class Discrete(Distribution):
     :func:`_from_levels`, stores no masses, and its ``probs`` are the level
     steps ``np.diff(cum, prepend=0.0)``.  Every integral, the mean too, is
     taken over these levels, never the given ``probs``.  A discrete of
-    ``_PREFIX_CUT`` atoms or more builds, on its first k = 0 moment, a prefix
-    table of v_i times the level steps in double-double (16 bytes an atom)
-    and keeps it.  Duplicate values are merged by ``from_samples``, not here.
+    ``_PREFIX_CUT`` atoms or more sums the atoms of its first k = 0 moments
+    directly and counts them; the first k = 0 moment that finds the count at
+    the atom count builds a prefix table of v_i times the level steps in
+    double-double (16 bytes an atom) and keeps it.  So one mean or one
+    shortfall builds none.  Duplicate values are merged by ``from_samples``,
+    not here.
     """
+
+    _summed = 0  # atoms met by the k = 0 moments summed without the prefix table
 
     def __init__(self, values, probs):
         values = np.asarray(values, dtype=float)
@@ -225,13 +272,14 @@ class Discrete(Distribution):
             raise ParameterError("atom values must be strictly increasing")
         if np.any(probs <= 0):
             raise ParameterError("atom probabilities must be strictly positive")
-        hi, lo = _running_sum(probs)
-        run = hi + lo
+        run, lo = _running_sum(probs)
+        run += lo
         if not abs(run[-1] - 1.0) <= MASS_TOL:
             raise ParameterError(f"atom probabilities must sum to 1 within {MASS_TOL}, got {float(run[-1])!r}")
+        run /= run[-1]
         self.values = values
         self._given = probs
-        self.cum = run / run[-1]
+        self.cum = run
 
     @classmethod
     def from_samples(cls, samples, weights=None) -> Discrete:
@@ -283,9 +331,12 @@ class Discrete(Distribution):
         return _level_steps(self.cum) if self._given is None else self._given
 
     @cached_property
-    def _prefix(self) -> tuple[np.ndarray, np.ndarray]:
-        """hi + lo: the running sums of v_i times the level steps, in double-double, 16 bytes an atom."""
-        return _running_sum(self.values * _level_steps(self.cum))
+    def _prefix(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """hi + lo, the running sums of v_i times the level steps in double-double (16 bytes an atom), and lo's rounding bound, doubled."""
+        products = _level_steps(self.cum)
+        products *= self.values
+        hi, lo = _running_sum(products)
+        return hi, lo, 2.0 * len(lo) * 2.0**-53 * float(max(lo.max(), -lo.min()))
 
     def cdf(self, x: float) -> float:
         idx = int(np.searchsorted(self.values, x, side="right"))
@@ -309,11 +360,16 @@ class Discrete(Distribution):
         """Sum over the atoms of v_i times the weight's integral over their levels clipped to (a, b).
 
         For k = 0 a discrete under ``_PREFIX_CUT`` atoms clips every atom's
-        levels to (a, b) and sums them all.  A larger one takes the atoms
-        strictly inside (a, b) as one difference of its prefix table, hi and
-        lo, and adds the two clipped edge atoms by ``math.fsum``: O(log n),
-        within about 2**-53 of the sum of |v_i| times the clipped level steps,
-        since each product's rounding stays with its atom.
+        levels to (a, b) and sums them all.  A larger one returns the fsum of
+        v_i times the level steps of the atoms strictly inside (a, b) and of
+        the two clipped edge atoms: the correctly rounded sum of these
+        products, within about 2**-53 of the sum of |v_i| times the clipped
+        level steps, since each product's rounding stays with its atom.  It
+        sums the products by :func:`_fsum` while the atoms its k = 0 moments
+        met are fewer than its atoms; from then on it reads them as one
+        difference of its prefix table, hi and lo, in O(log n), and sums
+        them again only where lo's rounding bound leaves the last bit open.
+        Either way the value is the same bits, whatever came before.
 
         For k != 0 only the atoms whose levels meet (a, b) are summed, each
         by the rule of :func:`_power_integral` with e = k + 1, from its level
@@ -334,20 +390,33 @@ class Discrete(Distribution):
             v, cum, last = self.values, self.cum, stop - 1
             if first == last:
                 return float(v[first] * (b - a))
-            hi, lo = self._prefix
             edges = v[first] * (cum[first] - a), v[last] * (b - cum[last - 1])
-            return math.fsum((hi[last - 1], -hi[first], lo[last - 1], -lo[first], *edges))
+            if self._summed >= len(v):  # the direct sums have cost about one build: build the table, or read it
+                hi, lo, bound = self._prefix
+                total = _checked_fsum((hi[last - 1], -hi[first], lo[last - 1], -lo[first], *edges), 2.0 * bound)
+                if total is not None:
+                    return total
+            else:
+                self._summed += stop - first
+            return _fsum(v[first + 1 : last] * (cum[first + 1 : last] - cum[first : last - 1]), edges)
         knots = np.concatenate(([a], self.cum[first : stop - 1], [b]))
         width = knots[1:] - knots[:-1]
         e = k + 1.0
-        distance = np.abs(knots - origin)
+        distance = np.abs(np.subtract(knots, origin, out=knots), out=knots)
         near, far = (distance[:-1], distance[1:]) if origin <= a else (distance[1:], distance[:-1])
         # w < near * expm1(1/e) is e * log1p(w / near) < 1, with 1/e capped inside
         # expm1's range.  The log form runs on every atom, a plain one over the
         # divisor 1, which keeps w / near finite for a subnormal near; the few
-        # plain atoms are then overwritten.
+        # plain atoms are then overwritten.  In place: a fresh 10^5-atom
+        # temporary costs about 0.3 ms in page faults.
         close = width < near * math.expm1(min(1.0 / e, 700.0))
-        weight = near**e * np.expm1(e * np.log1p(width / np.where(close, near, 1.0))) / e
+        log = np.where(close, near, 1.0)
+        np.divide(width, log, out=log)
+        np.log1p(log, out=log)
+        log *= e
+        weight = near**e
+        weight *= np.expm1(log, out=log)
+        weight /= e
         plain = np.flatnonzero(~close)
         weight[plain] = (far[plain] ** e - near[plain] ** e) / e
         return float(np.dot(self.values[first:stop], weight))
@@ -366,7 +435,9 @@ class Discrete(Distribution):
     def abs(self):  # the |v_i| fall, then rise: a stable argsort reverses the first run and merges
         values = np.abs(self.values)
         order = values.argsort(kind="stable")
-        return _from_weights(values[order], self.probs[order])
+        values, weights = values[order], self.probs[order]
+        del order  # each fresh 10^5-atom array costs page faults: the fewer alive, the fewer
+        return _from_weights(values, weights)
 
     def quantile_breakpoints(self) -> tuple[float, ...]:
         return tuple(float(c) for c in self.cum[:-1])
@@ -1088,17 +1159,22 @@ def _invert_level(q, x, strict=False):
 
 def _level_steps(cum: np.ndarray) -> np.ndarray:
     """``np.diff(cum, prepend=0.0)``, bit for bit, without its fixed cost of several microseconds."""
-    return cum - np.concatenate(([0.0], cum[:-1]))
+    steps = np.empty_like(cum)
+    steps[:1] = cum[:1]
+    np.subtract(cum[1:], cum[:-1], out=steps[1:])
+    return steps
 
 
 def _from_weights(values: np.ndarray, weights: np.ndarray) -> Discrete:
     """The discrete of nondecreasing ``values`` whose levels are the running sum of ``weights`` over their total."""
-    run = np.add(*_running_sum(weights))
+    run, lo = _running_sum(weights)
+    run += lo
     if not run[-1] < math.inf:  # NaN too
         raise ParameterError("total weight must be finite")
     if run[-1] == 0.0:
         raise ParameterError("total weight must be positive")
-    return _from_levels(values, run / run[-1])
+    run /= run[-1]
+    return _from_levels(values, run)
 
 
 def _from_levels(values: np.ndarray, cum: np.ndarray) -> Discrete:
@@ -1106,12 +1182,18 @@ def _from_levels(values: np.ndarray, cum: np.ndarray) -> Discrete:
 
     ``values`` and ``cum`` are nondecreasing, and ``cum`` ends at 1.  A run
     of equal values is one atom at the run's last level, and an atom whose
-    level does not rise is dropped: no quantile returns it.
+    level does not rise is dropped: no quantile returns it.  Arrays with
+    nothing to merge or drop are kept, not copied.
     """
-    last = np.concatenate((values[1:] != values[:-1], [True]))
-    values, cum = values[last], cum[last]
-    rises = _level_steps(cum) > 0.0  # a dropped atom's level is its predecessor's
-    values, cum = values[rises], cum[rises]
+    last = values[1:] != values[:-1]
+    if not last.all():
+        last = np.append(last, True)
+        values, cum = values[last], cum[last]
+    # a dropped atom's level is its predecessor's: c_i > c_{i-1} is a level step > 0
+    rises = cum[1:] > cum[:-1]
+    if not (cum[0] > 0.0 and rises.all()):
+        rises = np.concatenate(([cum[0] > 0.0], rises))
+        values, cum = values[rises], cum[rises]
     if not np.isfinite(values).all():
         raise ParameterError("atom values must be finite")
     out = Discrete.__new__(Discrete)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import struct
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from quantrisk.distributions import (
 )
 import quantrisk.distributions as qd
 from quantrisk.errors import InconclusiveError, ParameterError
-from quantrisk.riskmeasures import expected_shortfall_infimum, value_at_risk
+from quantrisk.riskmeasures import expected_shortfall, expected_shortfall_infimum, value_at_risk
 
 
 def oracle_quantile_lower(dist, u, candidates):
@@ -270,17 +271,20 @@ class TestSortRoutes:
 
 
 class TestPrefixTable:
-    """k = 0 moments of a large discrete read a table built once; derived discretes store no masses."""
+    """k = 0 moments of a large discrete: direct sums until they cost about one build, then a table built once."""
 
     @staticmethod
     def count_builds(monkeypatch):
-        builds, running_sum = [], qd._running_sum
+        """The atom count of every prefix table built from now on."""
+        builds, build = [], Discrete._prefix.func
 
-        def counted(xs):
-            builds.append(len(xs))
-            return running_sum(xs)
+        def counted(d):
+            builds.append(len(d.values))
+            return build(d)
 
-        monkeypatch.setattr(qd, "_running_sum", counted)
+        table = cached_property(counted)
+        table.__set_name__(Discrete, "_prefix")
+        monkeypatch.setattr(Discrete, "_prefix", table)
         return builds
 
     def test_one_infimum_builds_the_table_once(self, monkeypatch):
@@ -296,6 +300,59 @@ class TestPrefixTable:
         expected_shortfall_infimum(d, 0.9)
         assert builds == []
 
+    def test_one_k0_moment_builds_no_table(self, monkeypatch):
+        samples = np.random.default_rng(38).standard_t(3.0, 10**5)
+        builds = self.count_builds(monkeypatch)
+        by_mean, by_shortfall = Discrete.from_samples(samples), Discrete.from_samples(samples)
+        first = by_mean.mean()
+        expected_shortfall(by_shortfall, 0.9)
+        assert "_prefix" not in by_mean.__dict__ and "_prefix" not in by_shortfall.__dict__
+        # the shortfall met a tenth of the atoms, so one mean more is summed directly
+        assert by_shortfall.mean().hex() == first.hex()
+        assert builds == []
+        # the next k = 0 moment finds the atoms met at the atom count: it builds the table and reads it
+        assert by_mean.mean().hex() == by_shortfall.mean().hex() == first.hex()
+        assert builds == [10**5, 10**5]
+        assert "_prefix" in by_mean.__dict__ and "_prefix" in by_shortfall.__dict__
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_a_k0_moment_is_the_same_bits_before_and_after_the_table(self, data):
+        n = data.draw(st.integers(qd._PREFIX_CUT, 3000))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        samples = rng.standard_t(3.0, n) + data.draw(st.sampled_from([0.0, -20.0, 20.0]))
+        weights = rng.uniform(0.5, 2.0, n) if data.draw(st.booleans()) else None
+        fresh, built = Discrete.from_samples(samples, weights), Discrete.from_samples(samples, weights)
+        built.mean()
+        built.mean()
+        assert "_prefix" in built.__dict__
+        ends = st.one_of(st.sampled_from([0.0, 1.0]), st.sampled_from(built.cum.tolist()), st.floats(0.0, 1.0))
+        a, b = sorted((data.draw(ends), data.draw(ends)))
+        got = fresh.quantile_integral(a, b)
+        assert "_prefix" not in fresh.__dict__
+        # both are the fsum of each atom's value times its level step clipped to (a, b)
+        clipped = np.clip(np.concatenate(([0.0], fresh.cum)), a, b)
+        want = math.fsum((fresh.values * (clipped[1:] - clipped[:-1])).tolist())
+        assert got.hex() == built.quantile_integral(a, b).hex() == want.hex()
+
+    def test_a_table_difference_with_its_last_bit_open_is_summed_again(self, monkeypatch):
+        summed, fsum = [], qd._fsum
+        monkeypatch.setattr(qd, "_fsum", lambda xs, extra=(): summed.append(len(xs)) or fsum(xs, extra))
+        # 2**9 symmetric values at the levels k/512: their products cancel to exactly 0,
+        # whose sign only the sum of the products decides
+        d = Discrete.from_samples(np.arange(-255.5, 256.0))
+        assert d.mean() == 0.0 and d.mean() == 0.0 and "_prefix" in d.__dict__
+        assert summed == [510, 510]
+        # far left atoms whose table differences leave the last bit of a slice near 0 open
+        x = np.concatenate((np.linspace(-1e12 - 1e6, -1e12, 2000), np.linspace(0.5, 1.0, 1000)))
+        d, fresh = Discrete.from_samples(x), Discrete.from_samples(x)
+        d.mean()
+        d.mean()
+        summed.clear()
+        for a, b in ((0.7, 1.0), (0.9, 0.95), (2 / 3, 0.7)):
+            assert d.quantile_integral(a, b).hex() == fresh.quantile_integral(a, b).hex()
+        assert len(summed) > 3  # fresh's three and at least one of d's
+
     def test_derived_probs_are_the_level_steps(self):
         # a run of equal samples, and atoms whose levels do not rise, are dropped
         d = Discrete.from_samples([3, 1, 2, 2, 5, 4, 6], [1, 1e-300, 0, 3, 1e20, 0.5, 2])
@@ -309,6 +366,36 @@ class TestPrefixTable:
         d = Discrete([1.0, 2.0, 3.0], probs)
         assert d.probs is probs
         assert not np.array_equal(d.probs, np.diff(d.cum, prepend=0.0))
+
+
+class TestFsum:
+    """``_fsum`` is ``math.fsum`` of its terms, bit for bit, on either side of its cut."""
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_it_is_fsum(self, data):
+        n = data.draw(st.integers(1, 3 * qd._FSUM_CUT))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        scale = 10.0 ** rng.integers(-300, 300, n) if data.draw(st.booleans()) else 1.0
+        xs = rng.standard_t(2.0, n) * scale
+        extra = data.draw(st.lists(st.floats(-1e10, 1e10), max_size=3))
+        assert qd._fsum(xs, extra).hex() == math.fsum([*xs.tolist(), *extra]).hex()
+
+    def test_an_open_last_bit_or_a_zero_total_sums_the_list(self):
+        n = qd._FSUM_CUT
+        # 1 + 2**-53 is a tie, rounded to even; the error sum's bound reaches either side of it
+        tie = np.array([1.0, 2.0**-53, *[0.0] * (n - 2)])
+        assert qd._fsum(tie) == 1.0
+        assert qd._fsum(tie, [2.0**-60]) == 1.0 + 2.0**-52
+        # 2**-160 lifts the tie, but numpy's sum of the errors 2**-53 and 2**-160 rounds it away
+        tie[2] = 2.0**-160
+        assert qd._fsum(tie) == 1.0 + 2.0**-52
+        zeros = np.full(n, -0.0)
+        assert qd._fsum(zeros, [-0.0]).hex() == math.fsum([*zeros.tolist(), -0.0]).hex()
+        x = np.random.default_rng(5).normal(size=n)
+        assert qd._fsum(np.concatenate((x, -x[::-1]))).hex() == "0x0.0p+0"
+        with pytest.raises(OverflowError):
+            qd._fsum(np.full(n, 1e308))
 
 
 class TestParetoNegative:

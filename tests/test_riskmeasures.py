@@ -1104,3 +1104,33 @@ class TestDirectQuadpack:
                 assert riskmeasures._quadpack is sys.modules[name]
         finally:
             sys.setswitchinterval(interval)
+
+
+def _choquet_step_fsum(d, D):
+    """``math.fsum`` of the Choquet form's terms on a discrete, recomputed: every step's width
+    above 0 times 1 - D and below 0 times -D at its level, and the support's ends."""
+    levels, a, b = d.cum[:-1], d.values[:-1], d.values[1:]
+    w = D.eval(levels)
+    above = np.maximum(b, 0.0) - np.maximum(a, 0.0)
+    below = np.minimum(b, 0.0) - np.minimum(a, 0.0)
+    lo, hi = d.support()
+    return math.fsum([*(above * (1.0 - w)).tolist(), *(-(below * w)).tolist(), max(lo, 0.0), min(hi, 0.0)])
+
+
+def test_choquet_is_the_fsum_of_its_step_terms():
+    # either side of the sum's cut, samples left of 0, right of it and across it
+    rng = np.random.default_rng(3811)
+    distortions = [make_named("expectation"), make_named("es", alpha=0.9), make_named("es_n", n=3, alpha=0.2),
+                   make_named("var", alpha=0.5), make_named("sqrt_example")]
+    misses = []
+    for n in (256, 511, 512, 3000, 10**4):
+        for kind in ("t3", "normal"):
+            x = rng.standard_t(3.0, n) if kind == "t3" else rng.normal(size=n)
+            for side, samples in (("left", x - x.max() - 1.0), ("right", x - x.min() + 1.0), ("across", x)):
+                for weights in (None, rng.uniform(0.5, 2.0, n)):
+                    d = Discrete.from_samples(samples, weights)
+                    for D in distortions:
+                        got, want = choquet_risk(d, D).as_float(), _choquet_step_fsum(d, D)
+                        if got.hex() != want.hex():
+                            misses.append((n, kind, side, weights is None, D.label(), got.hex(), want.hex()))
+    assert misses == []
