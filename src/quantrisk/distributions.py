@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 import struct
 from functools import cached_property
 
@@ -954,7 +955,9 @@ class ComonotoneSum(Distribution):
     summed quantile in the level by :func:`_invert_level`: the largest float
     u with q(u) <= x (q(u) < x for ``cdf_left``), so the float Galois
     relation holds exactly, found by the safeguarded regula falsi of
-    :func:`_search`.
+    :func:`_search`.  The first CDF call tabulates q at the fixed
+    ``_TABLE_LEVELS`` (about 1 ms); each search then starts from the two
+    adjacent table levels whose q values bracket x.
     """
 
     def __init__(self, first: Distribution, second: Distribution):
@@ -990,6 +993,12 @@ class ComonotoneSum(Distribution):
         """The operands' lower quantiles added, at a level already in (0, 1): the CDF's search asks no other."""
         return self.first.quantile_lower(u) + self.second.quantile_lower(u)
 
+    @cached_property
+    def _table(self) -> tuple[float, ...]:
+        """``_summed`` at each of ``_TABLE_LEVELS``; () if those floats are out of order (a NaN too)."""
+        table = tuple(map(self._summed, _TABLE_LEVELS))
+        return table if all(map(operator.le, table, table[1:])) else ()
+
     def quantile_upper(self, u):
         u = _check_level(u)
         return self.first.quantile_upper(u) + self.second.quantile_upper(u)
@@ -1002,7 +1011,7 @@ class ComonotoneSum(Distribution):
             return 1.0
         if self._steps is None:
             # largest u with q(u) <= x; measure of {q <= x}
-            return _invert_level(self._summed, x)
+            return _invert_level(self._summed, x, self._table)
         values, levels, starts, ends, other = self._steps
         i = bisect.bisect_right(starts, x) - 1
         if x >= ends[i]:
@@ -1016,7 +1025,7 @@ class ComonotoneSum(Distribution):
         if x > hi:
             return 1.0
         if self._steps is None:
-            return _invert_level(self._summed, x, strict=True)
+            return _invert_level(self._summed, x, self._table, strict=True)
         values, levels, starts, ends, other = self._steps
         i = bisect.bisect_left(starts, x) - 1
         if x > ends[i]:
@@ -1142,19 +1151,39 @@ def _search(f, a, b, ga=-math.inf, gb=math.inf, top=1.0):
     return a, b
 
 
-def _invert_level(q, x, strict=False):
+# in order: 2**-k from the least subnormal up, the i/1024 grid, and 1 - 2**-k up to the float below 1;
+# the grid holds 2**-k and 1 - 2**-k for k <= 10
+_TABLE_LEVELS = (
+    *(2.0**-k for k in range(1074, 10, -1)),
+    *(i / 1024 for i in range(1, 1024)),
+    *(1.0 - 2.0**-k for k in range(11, 54)),
+)
+
+
+def _invert_level(q, x, table, strict=False):
     """Largest float u in [0, 1) with q(u) <= x (q(u) < x when strict), for nondecreasing q.
 
     Bitwise what bisection in u down to adjacent floats returns; q is never
     called at 0 or 1.  q(u) == x counts as an ulp of x on its side of x.
+    ``table`` is q at ``_TABLE_LEVELS``, in order, or () for none: the
+    search starts from the adjacent table levels around x (0 or 1 past its
+    ends) with their known gaps, and the answer, the flip of a monotone
+    test, is the same from any bracket around it.
     """
+    if x != x:  # no level passes a test against NaN; bisect_right would place it past the table's end
+        return 0.0
     tie = math.ulp(x) if strict else -math.ulp(x)
 
-    def gap(u):
-        qu = q(u)
+    def side(qu):
         return qu - x if qu != x else tie
 
-    return _search(gap, 0.0, 1.0)[0]
+    def gap(u):
+        return side(q(u))
+
+    i = (bisect.bisect_left if strict else bisect.bisect_right)(table, x)
+    a, ga = (_TABLE_LEVELS[i - 1], side(table[i - 1])) if i else (0.0, -math.inf)
+    b, gb = (_TABLE_LEVELS[i], side(table[i])) if i < len(table) else (1.0, math.inf)
+    return _search(gap, a, b, ga, gb)[0]
 
 
 def _level_steps(cum: np.ndarray) -> np.ndarray:

@@ -40,7 +40,6 @@ import math
 import os
 import sys
 import threading
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,7 +197,7 @@ def _quad(f, a, b, *, points=(), epsabs) -> tuple[float, bool]:
     share ``epsabs``; their values and error estimates are summed.
     Returns the value and whether QUADPACK gave up on a piece (a nonzero
     ``ier``): its value may then be 0.0 for an integrand beyond the float
-    range.
+    range.  The raw routines issue no warnings, so none are filtered.
     """
     global _quadpack
     if _quadpack is None:
@@ -210,25 +209,23 @@ def _quad(f, a, b, *, points=(), epsabs) -> tuple[float, bool]:
     edges = sorted({a, b, *pts[_POINTS_PER_CALL :: _POINTS_PER_CALL + 1]})
     val = err = 0.0
     gave_up = False
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for lo, hi in zip(edges, edges[1:]):
-            inner = pts[bisect.bisect_right(pts, lo) : bisect.bisect_left(pts, hi)]
-            tol = epsabs / (len(edges) - 1)
-            # ier 6, invalid input, needs epsabs <= 0 with a tiny epsrel, limit < 1 or
-            # at least limit breakpoints: none can come from these arguments
-            if hi == math.inf:
-                v, e, ier = _quadpack._qagie(f, lo, 1, (), 0, tol, 1e-10, 400)
-            elif lo == -math.inf:
-                v, e, ier = _quadpack._qagie(f, hi, -1, (), 0, tol, 1e-10, 400)
-            elif inner:
-                # QUADPACK's points array ends with two slots of its own
-                v, e, ier = _quadpack._qagpe(f, lo, hi, (*inner, 0.0, 0.0), (), 0, tol, 1e-10, 400)
-            else:
-                v, e, ier = _quadpack._qagse(f, lo, hi, (), 0, tol, 1e-10, 400)
-            val += v
-            err += e
-            gave_up = gave_up or ier != 0
+    for lo, hi in zip(edges, edges[1:]):
+        inner = pts[bisect.bisect_right(pts, lo) : bisect.bisect_left(pts, hi)]
+        tol = epsabs / (len(edges) - 1)
+        # ier 6, invalid input, needs epsabs <= 0 with a tiny epsrel, limit < 1 or
+        # at least limit breakpoints: none can come from these arguments
+        if hi == math.inf:
+            v, e, ier = _quadpack._qagie(f, lo, 1, (), 0, tol, 1e-10, 400)
+        elif lo == -math.inf:
+            v, e, ier = _quadpack._qagie(f, hi, -1, (), 0, tol, 1e-10, 400)
+        elif inner:
+            # QUADPACK's points array ends with two slots of its own
+            v, e, ier = _quadpack._qagpe(f, lo, hi, (*inner, 0.0, 0.0), (), 0, tol, 1e-10, 400)
+        else:
+            v, e, ier = _quadpack._qagse(f, lo, hi, (), 0, tol, 1e-10, 400)
+        val += v
+        err += e
+        gave_up = gave_up or ier != 0
     if not math.isfinite(val) or err > max(1e-7, abs(val) * 1e-6):
         raise InconclusiveError(
             f"quadrature did not converge on ({a!r}, {b!r})", diagnostics=[val, err]
@@ -466,7 +463,9 @@ def choquet_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = 
     cut: where p is flat, D(F) is that constant; elsewhere ``1 - p(F)`` and
     ``p(F)`` are integrated numerically in Python floats, each call with
     absolute tolerance ``epsabs / 4``, with F the stretch's
-    ``Distribution.local_cdf``.  Where QUADPACK gives up on an
+    ``Distribution.local_cdf``, bound only on a stretch that integrates.
+    Only the stretches' ends are read from the step arrays, and each flat
+    piece's value is taken once per call.  Where QUADPACK gives up on an
     infinite end and F at the last float has not reached 0 (left) or the
     last level below 1 (right), the value is inconclusive, as it is for a
     step whose q and q+ are both past the float range.  A discrete input
@@ -493,21 +492,24 @@ def choquet_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = 
     if len(levels) and (lower[-1] == math.inf or upper[0] == -math.inf):
         raise InconclusiveError("a step of F lies past the float range at a level inside (0, 1)")
     lo, hi = dist.support()
-    # (a, b, D) for every stretch of x on which D(F(x)) is constant
-    flat_a, flat_b, flat_d = [lower], [upper], [distortion.eval(levels)]
+    # (a, b, D) of each flat stretch of D(F) inside a stretch below, beside the steps' own
+    flat_a, flat_b, flat_d = [], [], []
     # outside the support F is 0 or 1: 1 - D(F) = 1 on (0, lo) and D(F) = 1 on (hi, 0)
     terms = [max(lo, 0.0), min(hi, 0.0)]
-    m = len(levels)
-    # stretch i runs from q+ at breakpoint i - 1 (lo for the first) to q at breakpoint i (hi for the last)
-    inner = (np.flatnonzero(lower[1:] > upper[:-1]) + 1).tolist()
-    for i in [0, *inner, m] if m else [0]:
-        # Python floats: the integrands run several times faster on them
-        s, start = (0.0, lo) if i == 0 else (float(levels[i - 1]), float(upper[i - 1]))
-        t, end = (1.0, hi) if i == m else (float(levels[i]), float(lower[i]))
+    # stretch i runs from q+ at breakpoint i - 1 (lo for the first) to q at breakpoint i (hi for the last);
+    # only the outer two and the inner ones where q rises are read, as Python floats
+    rises = lower[1:] > upper[:-1]
+    flat = {}  # the value of each flat piece of D met, by its index
+    for s, start, t, end in zip(
+        [0.0, *levels[:-1][rises].tolist(), *levels[-1:].tolist()],
+        [lo, *upper[:-1][rises].tolist(), *upper[-1:].tolist()],
+        [*levels[:1].tolist(), *levels[1:][rises].tolist(), 1.0],
+        [*lower[:1].tolist(), *lower[1:][rises].tolist(), hi],
+    ):
         if not end > start:
             continue
-        local = dist.local_cdf(s, t)
-        for p in distortion.pieces:
+        local = None
+        for j, p in enumerate(distortion.pieces):
             if p.hi <= s or p.lo >= t:
                 continue
             a = start if p.lo <= s else dist.quantile_lower(p.lo)
@@ -515,17 +517,24 @@ def choquet_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = 
             if b <= a:
                 continue
             if p.flat:
-                flat_a.append([a])
-                flat_b.append([b])
-                flat_d.append([float(p.value(p.lo))])
+                if j not in flat:
+                    flat[j] = float(p.value(p.lo))
+                flat_a.append(a)
+                flat_b.append(b)
+                flat_d.append(flat[j])
                 continue
+            if local is None:
+                local = dist.local_cdf(s, t)
             # on (a, b) D(F) is p(F): p and the stretch's CDF are bound once, and evaluated in floats
             if a < 0.0:
                 terms.append(-integral(lambda x, at=p.at, F=local: at(F(x)), a, min(b, 0.0)))
             if b > 0.0:
                 terms.append(integral(lambda x, at=p.at, F=local: 1.0 - at(F(x)), max(a, 0.0), b))
     # no copies of the steps when no stretch added any
-    a, b, d = (v[0] if len(v) == 1 else np.concatenate(v) for v in (flat_a, flat_b, flat_d))
+    a, b, d = (
+        np.concatenate((steps, extra)) if extra else steps
+        for steps, extra in ((lower, flat_a), (upper, flat_b), (distortion.eval(levels), flat_d))
+    )
     sides, straddle = _flat_terms(a, b, d)
     return RiskValue.finite(_fsum(sides, terms + straddle))
 

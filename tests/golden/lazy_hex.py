@@ -12,17 +12,25 @@ The affine nodes (a scale, a shift, and both orders of the two) add their
 quantiles, CDFs, quantile integrals and quantile moments, with several
 arguments joined by commas; an inconclusive moment prints the error's name.
 Then come the |X| quantiles at the forced probe's band ends 2**-k and
-1 - 2**-k, k = 1..41, method ``probe_level``.  Last, the right Pareto tail
+1 - 2**-k, k = 1..41, method ``probe_level``.  Next, the right Pareto tail
 (a negation node) at levels where 1 - u rounds to 1 or nearly so, its CDF,
 quantile integrals and moments, and a negated shifted left tail at those
-levels.
+levels.  Then the Choquet values of the two-tail sum and of a fixed 20-atom
+discrete plus a left Pareto tail under the six distortions of the
+tail-quadrature benchmark, method ``choquet`` with the distortion's label as
+argument and the value's kind before it (an inconclusive value prints the
+error's name).  Then come the forced Pichler probe's partials of the
+two-tail sum under ``sqrt_example``, method ``probe_partial`` with the
+window as argument.
 """
 
 import math
 import sys
 
-from quantrisk.distributions import ParetoNegative, ParetoPositive, comonotone_sum
+from quantrisk.distortions import make_named
+from quantrisk.distributions import Discrete, ParetoNegative, ParetoPositive, comonotone_sum
 from quantrisk.errors import InconclusiveError
+from quantrisk.riskmeasures import DomainClass, choquet_risk, classify_membership
 
 COMO_TAILS = comonotone_sum(ParetoNegative(1.0, 3.0), ParetoPositive(1.0, 3.0))
 ABS = {
@@ -63,6 +71,19 @@ PROBE_LEVELS = sorted({t for k in range(1, 42) for t in (2.0**-k, 1.0 - 2.0**-k)
 PARETO_POSITIVE = {f"pp1_{theta:g}": ParetoPositive(1.0, theta) for theta in (0.05, 0.5, 3.0)}
 NEGATED_SHIFT = {"pn1_0.05_shift0.5_neg": ParetoNegative(1.0, 0.05).shift(0.5).neg_part()}
 EDGE_LEVELS = [1e-20, 2.0**-54, 2.0**-53, 1.0 - 2.0**-53]
+CHOQUET = {
+    "como_tails": COMO_TAILS,
+    "disc20_pn1_2": comonotone_sum(
+        Discrete([(i - 9.5) * 0.3 + 0.01 * i * i for i in range(20)], [(1.0 + i % 3) / 39.0 for i in range(20)]),
+        ParetoNegative(1.0, 2.0),
+    ),
+}
+# the distortions of the tail-quadrature benchmark
+DISTORTIONS = [
+    make_named(name, **params)
+    for name, params in (("expectation", {}), ("var", {"alpha": 0.5}), ("es", {"alpha": 0.9}),
+                         ("es_n", {"n": 2, "alpha": 0.5}), ("threshold", {"delta": 0.5}), ("sqrt_example", {}))
+]
 SPECIAL_X = [0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e20, -1e20, 1e30, -1e30, 1e300, -1e300]
 
 
@@ -134,6 +155,17 @@ def main(out=sys.stdout):
     for name, d in NEGATED_SHIFT.items():
         for line in quantile_lines(name, d, EDGE_LEVELS):
             out.write("\t".join(line) + "\n")
+    for name, d in CHOQUET.items():
+        for distortion in DISTORTIONS:
+            try:
+                risk = choquet_risk(d, distortion)
+                value = f"{risk.kind},{risk.value.hex()}"
+            except InconclusiveError as exc:
+                value = type(exc).__name__
+            out.write(f"{name}\tchoquet\t{distortion.label()}\t{value}\n")
+    probe = classify_membership(COMO_TAILS, make_named("sqrt_example"), DomainClass.PICHLER, method="probe")
+    for k, partial in enumerate(probe.partials, 1):
+        out.write(f"como_tails\tprobe_partial\t{k}\t{partial.hex()}\n")
 
 
 if __name__ == "__main__":
