@@ -50,15 +50,34 @@ from .riskmeasures import (
     quantile_risk,
     value_at_risk,
 )
-from .subadditivity import (
-    ComonotoneAdditivityReport,
-    CounterexampleReport,
-    JointTable,
-    SubadditivityViolation,
-    build_counterexample,
-    comonotone_additivity_check,
-    subadditivity_search,
-)
-from .suite import SuiteConfig, SuiteReport, default_config, run_suite
+
+# name -> module for the exports of the two modules that are loaded only on first use
+_LAZY = {
+    "ComonotoneAdditivityReport": "subadditivity",
+    "CounterexampleReport": "subadditivity",
+    "JointTable": "subadditivity",
+    "SubadditivityViolation": "subadditivity",
+    "build_counterexample": "subadditivity",
+    "comonotone_additivity_check": "subadditivity",
+    "subadditivity_search": "subadditivity",
+    "SuiteConfig": "suite",
+    "SuiteReport": "suite",
+    "default_config": "suite",
+    "run_suite": "suite",
+}
+
+
+def __getattr__(name: str):
+    """Import a lazy export's module on first access, and keep the name here from then on."""
+    from importlib import import_module
+
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    return value
+
 
 __version__ = "0.1.0"
+
+# `from quantrisk import *` gives the lazy names too, as it did when they were imported here
+__all__ = [name for name in globals() if not name.startswith("_")] + list(_LAZY)

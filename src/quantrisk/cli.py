@@ -39,8 +39,6 @@ from .riskmeasures import (
     quantile_risk,
     value_at_risk,
 )
-from .subadditivity import build_counterexample
-from .suite import SuiteConfig, default_config, run_suite
 
 _REPRESENTATIONS = {
     "quantile": quantile_risk,
@@ -107,8 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("suite", _cmd_suite, "run the verification matrix")
     p.add_argument("--config", help="JSON matrix config; default built-in matrix")
-    p.add_argument("--trials", type=int, help=f"search trials; default the config's, else {SuiteConfig.trials}")
-    p.add_argument("--seed", type=int, help=f"search seed; default the config's, else {SuiteConfig.seed}")
+    # the built-in defaults are named, not read: reading them would load the suite for every command
+    p.add_argument("--trials", type=int, help="search trials; default the config's, else SuiteConfig.trials")
+    p.add_argument("--seed", type=int, help="search seed; default the config's, else SuiteConfig.seed")
     return parser
 
 
@@ -181,6 +180,8 @@ def _cmd_check_convexity(args) -> str:
 
 
 def _cmd_counterexample(args) -> str:
+    from .subadditivity import build_counterexample
+
     distortion = load_distortion(args.distortion)
     rep = build_counterexample(distortion, a=args.a)  # NoCounterexampleError -> exit 2
     if args.format == "json":
@@ -255,7 +256,9 @@ def _labelled_entries(entries, parse) -> list:
     return out
 
 
-def _suite_config_from_json(path: str) -> SuiteConfig:
+def _suite_config_from_json(path: str):
+    from .suite import SuiteConfig
+
     try:
         with open(path) as f:
             spec = json.loads(f.read())
@@ -294,6 +297,8 @@ def _config_int(spec: dict, key: str) -> int:
 
 
 def _cmd_suite(args) -> str:
+    from .suite import default_config, run_suite
+
     if args.config:
         config = _suite_config_from_json(args.config)
     else:

@@ -1,16 +1,19 @@
 """Parsing of distribution/distortion specs and rendering of results.
 
-CSV samples: one numeric value per line, or ``value,weight`` rows; an
-optional header line is recognized by its non-numeric first field.  JSON
+CSV samples: one numeric value per line, or ``value,weight`` rows; leading
+header rows are recognized by their non-numeric first field.  JSON
 schemas are documented in the README; parse failures carry 1-based line
 numbers where applicable.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from pathlib import Path
+
+import numpy as np
 
 from .distortions import Distortion, Piece, SpectralDensity, make_named
 from .distributions import Discrete, Distribution, ParetoNegative, ParetoPositive, comonotone_sum, point_mass
@@ -29,6 +32,61 @@ __all__ = [
 
 
 def distribution_from_csv_text(text: str) -> Discrete:
+    """The empirical distribution of a CSV body (see the module docstring).
+
+    A regular body is parsed in whole arrays: its blank and ``#`` lines
+    dropped, its leading header rows skipped, every row of the same width
+    (``value`` throughout, or ``value,weight`` throughout), and each field
+    read by ``float()``'s grammar.  Anything else, such as mixed widths or an
+    empty weight in ``v,``, or a bad row, is walked line by line: the walk
+    accepts the irregular forms and names the first bad line.  A body with
+    no weight column takes ``from_samples``' equal-weights route, the same
+    bits as weights of 1.
+    """
+    try:
+        values, weights = _csv_arrays(text)
+    except ValueError:
+        values, weights = _csv_walk(text)
+    try:
+        return Discrete.from_samples(values, weights)
+    except ParameterError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def _csv_arrays(text: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """Values and weights (None without a weight column) of a regular CSV body; ValueError otherwise."""
+    rows = [row for row in map(str.strip, text.splitlines()) if row and row[0] != "#"]
+    weighted = "," in "".join(rows)
+    if weighted and set(map(str.count, rows, itertools.repeat(","))) != {1}:
+        raise ValueError("not every row is value,weight")
+    rows = rows[_header_rows(rows):]
+    if not rows:
+        raise ValueError("no sample rows")
+    if not weighted:
+        values = np.array(rows, dtype=float)  # a list of str: float()'s grammar, unlike a str array's cast
+        weights = None
+    else:
+        values, weights = np.array(",".join(rows).split(","), dtype=float).reshape(-1, 2).T
+        if not (np.isfinite(weights).all() and (weights >= 0).all()):
+            raise ValueError("a non-finite or negative weight")
+    if not np.isfinite(values).all():
+        raise ValueError("a non-finite value")
+    return values, weights
+
+
+def _header_rows(rows: list[str]) -> int:
+    """The number of leading rows whose first field is not a number."""
+    for head, row in enumerate(rows):
+        try:
+            float(row.partition(",")[0])
+        except ValueError:
+            continue
+        return head
+    return len(rows)
+
+
+def _csv_walk(text: str) -> tuple[list[float], list[float]]:
+    """Values and weights of any CSV body, line by line; ParseError names the first bad line."""
     values: list[float] = []
     weights: list[float] = []
     saw_data = False
@@ -60,10 +118,7 @@ def distribution_from_csv_text(text: str) -> Discrete:
         saw_data = True
     if not values:
         raise ParseError("no sample rows found")
-    try:
-        return Discrete.from_samples(values, weights)
-    except ParameterError as exc:
-        raise ParseError(str(exc)) from exc
+    return values, weights
 
 
 _TRANSFORM_OPS = {

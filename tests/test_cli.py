@@ -347,16 +347,16 @@ class TestSuite:
         assert run(capsys, "suite", "--config", str(config))[0] == 0
 
     def test_config_trials_and_seed_are_honoured(self, capsys, tmp_path, monkeypatch):
-        import quantrisk.cli as cli
+        import quantrisk.suite as suite
 
         seen = []
-        real_run_suite = cli.run_suite
+        real_run_suite = suite.run_suite
 
         def spy(config):
             seen.append((config.trials, config.seed))
             return real_run_suite(config)
 
-        monkeypatch.setattr(cli, "run_suite", spy)
+        monkeypatch.setattr(suite, "run_suite", spy)
         config = tmp_path / "config.json"
         config.write_text(
             json.dumps(
@@ -398,13 +398,13 @@ class TestSuite:
         ("csv", "agreement,quantile-vs-choquet x x y,fail,|1 - 2| > 1e-08"),
     ])
     def test_failing_checks_print_the_report_and_exit_2(self, capsys, monkeypatch, fmt, failing):
-        import quantrisk.cli as cli
+        import quantrisk.suite as suite
 
         report = SuiteReport([
             CheckResult("agreement", "quantile-vs-choquet x x y", "fail", "|1 - 2| > 1e-08"),
             CheckResult("agreement", "quantile-vs-choquet x x z", "pass"),
         ])
-        monkeypatch.setattr(cli, "run_suite", lambda config: report)
+        monkeypatch.setattr(suite, "run_suite", lambda config: report)
         code, out, err = run(capsys, "suite", "--format", fmt)
         assert code == 2
         assert failing in out and "> 1e-08" in out

@@ -256,6 +256,19 @@ class TestSortRoutes:
         for x, y in ((d1, d2), (d1, d1), (d1, d1.shift(1.0)), (d1, point_mass(2.0)), (point_mass(-1.0), d2)):
             assert same_bytes(comonotone_sum(x, y), union_comonotone_sum(x, y))
 
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_equal_weights_are_the_bits_of_weights_of_one(self, data):
+        # the running sum of ones is exact, so both routes give the correctly rounded k/n,
+        # and both keep the last zero by index
+        n = data.draw(st.integers(1, 10**4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        pool = np.array(POOL + rng.normal(size=data.draw(st.integers(0, n))).tolist())
+        samples = rng.choice(pool, n)
+        equal, ones = Discrete.from_samples(samples), Discrete.from_samples(samples, np.ones(n))
+        assert same_bytes(equal, ones)
+        assert (np.signbit(equal.values) == np.signbit(ones.values)).all()
+
     def test_a_run_of_signed_zeros_ends_on_its_last_sample(self):
         # np.sort may leave either zero last in a long run; the last by index decides
         for first, last in ((0.0, -0.0), (-0.0, 0.0)):

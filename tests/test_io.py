@@ -2,11 +2,17 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantrisk.distortions import make_named
-from quantrisk.errors import ParseError
+from quantrisk.distributions import Discrete
+from quantrisk.errors import ParameterError, ParseError
 from quantrisk.io import (
+    _csv_arrays,
+    _csv_walk,
     distortion_from_json,
     distribution_from_csv_text,
     distribution_from_json,
@@ -16,6 +22,42 @@ from quantrisk.io import (
     risk_record,
 )
 from quantrisk.riskmeasures import RiskValue, quantile_risk
+
+
+def _outcome(parse):
+    """The discrete ``parse()`` gives, its values and levels as hex; or its error's message and line."""
+    try:
+        d = parse()
+    except (ParseError, ParameterError) as exc:
+        return str(exc), getattr(exc, "line", None)
+    return [v.hex() for v in d.values.tolist()], [c.hex() for c in d.cum.tolist()]
+
+
+CLEAN_VALUES = ["0", "-0", "-0.0", "1", "1", "1.5", "-2.25", " 3 ", "1_000", "1e-320", "7"]
+CLEAN_WEIGHTS = ["1", "0", "-0", "2", "0.5", " 3 ", "1_0", "1e-300"]
+BAD_VALUES = ["nan", "inf", "-inf", "1e400", "bogus", "", "1.5\x00"]
+BAD_WEIGHTS = ["", "nan", "inf", "1e400", "-1", "heavy"]
+
+
+@st.composite
+def csv_bodies(draw):
+    """CSV bodies: headers, comments, blank lines, rows of one to three fields, good and bad fields."""
+    regular = draw(st.booleans())  # clean fields, every row of one width: the array pass's input
+    width = draw(st.sampled_from([1, 2]))
+    values = st.sampled_from(CLEAN_VALUES) if regular else st.sampled_from(CLEAN_VALUES + BAD_VALUES)
+    weights = st.sampled_from(CLEAN_WEIGHTS) if regular else st.sampled_from(CLEAN_WEIGHTS + BAD_WEIGHTS)
+    widths = st.just(width) if regular else st.sampled_from([1, 2, 2, 3])
+    lines = [draw(st.sampled_from(["value", "value,weight", "x, y", "a,b,c", "# v,w"]))
+             for _ in range(draw(st.integers(0, 2)))]
+    for _ in range(draw(st.integers(0, 30))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", "   ", "# a, comment, line", "#"])))
+            continue
+        fields = [draw(values)] + [draw(weights) for _ in range(draw(widths) - 1)]
+        lines.append(",".join(fields))
+    if regular and draw(st.booleans()):  # a long regular body with runs of ties
+        lines += [",".join(["1.25", "2"][:width])] * draw(st.integers(1, 300))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
 
 
 class TestCsv:
@@ -65,6 +107,57 @@ class TestCsv:
     def test_empty_input(self):
         with pytest.raises(ParseError):
             distribution_from_csv_text("")
+
+    def test_irregular_bodies_are_walked(self):
+        # each is declined by the array pass and accepted by the walk
+        for text, values, probs in [
+            ("1\n2,3\n", [1.0, 2.0], [0.25, 0.75]),  # one and two fields
+            ("1,\n2,3\n", [1.0, 2.0], [0.25, 0.75]),  # an empty weight is 1
+            ("value\n1,1\n2,3\n", [1.0, 2.0], [0.25, 0.75]),  # a header narrower than its rows
+            ("x,y\n1\n2\n", [1.0, 2.0], [0.5, 0.5]),  # and one wider
+        ]:
+            with pytest.raises(ValueError):
+                _csv_arrays(text)
+            d = distribution_from_csv_text(text)
+            assert (list(d.values), list(d.probs)) == (values, probs)
+
+    def test_a_value_only_body_has_no_weight_column(self):
+        # so it takes from_samples' equal-weights route
+        values, weights = _csv_arrays("# samples\nvalue\n\n2\n1\n")
+        assert (values.tolist(), weights) == ([2.0, 1.0], None)
+        values, weights = _csv_arrays("value,weight\n2,1\n1,3\n")
+        assert (values.tolist(), weights.tolist()) == ([2.0, 1.0], [1.0, 3.0])
+
+    def test_fields_are_read_by_float_grammar(self):
+        d = distribution_from_csv_text("1_000\n 3 \n\u00a02\u00a0\n")
+        assert list(d.values) == [2.0, 3.0, 1000.0]
+        d = distribution_from_csv_text("1_000 , 3_0\n3,1_0\n")
+        assert (list(d.values), list(d.probs)) == ([3.0, 1000.0], [0.25, 0.75])
+        for text in ("1\n1e400\n", "1\n-inf\n", "1,1\n2,1e400\n"):
+            with pytest.raises(ParseError, match="NaN/Inf entries are not allowed") as err:
+                distribution_from_csv_text(text)
+            assert err.value.line == 2
+
+    def test_a_str_array_cast_would_read_another_grammar(self):
+        # numpy's cast of a str array drops trailing NULs; float() and a list of str refuse them
+        assert np.array(["1.5\x00"]).astype(float)[0] == 1.5
+        with pytest.raises(ValueError):
+            np.array(["1.5\x00"], dtype=float)
+        with pytest.raises(ParseError) as err:
+            distribution_from_csv_text("2\n1.5\x00\n")
+        assert str(err.value) == "line 2: non-numeric value '1.5\\x00'"
+
+    @given(text=csv_bodies())
+    @settings(max_examples=300, deadline=None)
+    def test_the_array_pass_gives_the_walks_discrete_or_error(self, text):
+        walked = _outcome(lambda: Discrete.from_samples(*_csv_walk(text)))
+        try:
+            arrays = _csv_arrays(text)
+        except ValueError:
+            pass  # declined: the walk parses it
+        else:
+            assert _outcome(lambda: Discrete.from_samples(*arrays)) == walked
+        assert _outcome(lambda: distribution_from_csv_text(text)) == walked
 
 
 class TestDistributionJson:
