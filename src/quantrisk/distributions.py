@@ -128,12 +128,16 @@ class Distribution:
         raise NotImplementedError
 
     def local_cdf(self, s: float, t: float):
-        """The CDF, for x strictly between q+(s) and q(t), levels s < t with no quantile breakpoint between them.
+        """A pair (G, shift): F(x) = G(x - shift), clipped to [s, t], for x strictly between q+(s) and q(t).
 
-        A node whose CDF searches for the piece that x falls in binds that
-        piece once for such a stretch; by default this is ``cdf`` itself.
+        s < t are levels with no quantile breakpoint between them.  Choquet
+        integrates such a stretch in y = x - shift, and lets one quadrature
+        call cover consecutive stretches that hand it the same G object, so
+        a node returns a shared G only where those stretches' y-ranges tile
+        G's axis; any other G is a fresh object per call.  By default the
+        pair is ``(cdf, 0.0)``: each attribute access binds a new method.
         """
-        return self.cdf
+        return self.cdf, 0.0
 
     def quantile_lower(self, u: float) -> float:
         """inf{x : cdf(x) >= u} for u in (0,1)."""
@@ -951,7 +955,11 @@ class ComonotoneSum(Distribution):
     operand's CDF at x - v_i, clipped to that interval.  It is c_i exactly
     from x = q(c_i) on, so the flat steps where the quantile jumps sit on
     the levels; elsewhere it carries the rounding of x - v_i and of the
-    operand's CDF.  With two non-discrete operands the CDF inverts the
+    operand's CDF.  Where the other operand has no quantile breakpoints,
+    ``local_cdf`` hands Choquet that operand's CDF, one object for every
+    atom, with the atom as the shift: in y = x - v_i the atoms' stretches
+    tile the operand's axis, and one quadrature call covers them all.
+    With two non-discrete operands the CDF inverts the
     summed quantile in the level by :func:`_invert_level`: the largest float
     u with q(u) <= x (q(u) < x for ``cdf_left``), so the float Galois
     relation holds exactly, found by the safeguarded regula falsi of
@@ -966,12 +974,15 @@ class ComonotoneSum(Distribution):
 
     @cached_property
     def _steps(self):
-        """(values, levels, starts, ends, other) for a Discrete operand, else None.
+        """(values, levels, starts, ends, other, tiled) for a Discrete operand, else None.
 
         ``levels`` is [0, c_1, ..., c_n].  On atom i's interval the sum's
         quantile runs from ``starts[i]`` (its limit just above the bottom
         level) to ``ends[i]`` (its value at the top level), so x reaches the
         interval iff x >= starts[i] and covers it iff x >= ends[i].
+        ``tiled`` is ``other.cdf``, bound once, when ``other`` has no quantile
+        breakpoints, so that the discrete's inner levels are the only ones;
+        else None.
         """
         if isinstance(self.first, Discrete):
             disc, other = self.first, self.second
@@ -984,7 +995,7 @@ class ComonotoneSum(Distribution):
         inner = levels[1:-1]
         starts = [-math.inf] + [v + other.quantile_upper(c) for v, c in zip(values[1:], inner)]
         ends = [v + other.quantile_lower(c) for v, c in zip(values, inner)] + [math.inf]
-        return values, levels, starts, ends, other
+        return values, levels, starts, ends, other, None if other.quantile_breakpoints() else other.cdf
 
     def quantile_lower(self, u):
         return self._summed(_check_level(u))
@@ -1012,7 +1023,7 @@ class ComonotoneSum(Distribution):
         if self._steps is None:
             # largest u with q(u) <= x; measure of {q <= x}
             return _invert_level(self._summed, x, self._table)
-        values, levels, starts, ends, other = self._steps
+        values, levels, starts, ends, other, _tiled = self._steps
         i = bisect.bisect_right(starts, x) - 1
         if x >= ends[i]:
             return levels[i + 1]
@@ -1026,25 +1037,34 @@ class ComonotoneSum(Distribution):
             return 1.0
         if self._steps is None:
             return _invert_level(self._summed, x, self._table, strict=True)
-        values, levels, starts, ends, other = self._steps
+        values, levels, starts, ends, other, _tiled = self._steps
         i = bisect.bisect_left(starts, x) - 1
         if x > ends[i]:
             return levels[i + 1]
         return min(max(other.cdf_left(x - values[i]), levels[i]), levels[i + 1])
 
     def local_cdf(self, s, t):
-        """``cdf`` bound to the atom whose level interval holds (s, t): no bisection per call.
+        """(G, shift) for the atom whose level interval holds (s, t): no bisection per call.
 
         Strictly between q+(s) and q(t), x lies inside that atom's stretch
-        and below its end, so ``cdf``'s bisection finds this atom and its
-        clipped value is the one returned here, bit for bit.
+        and below its end, so ``cdf``'s bisection finds this atom and
+        returns the other operand's CDF at x - v_i, clipped to the atom's
+        levels.  Where the other operand has no quantile breakpoints, G is
+        its ``cdf``, the one object bound in ``_steps``, and the shift is
+        v_i: atom i's stretch is q+(c_{i-1}) < y < q(c_i) in y = x - v_i,
+        so consecutive atoms' stretches tile the other operand's axis.
+        Otherwise G is that clipped CDF, bound afresh for this atom, with
+        shift 0, and ``min(max(G(x - shift), s), t)`` is ``cdf(x)`` bit for
+        bit in both cases.
         """
         if self._steps is None:
-            return self.cdf
-        values, levels, _starts, _ends, other = self._steps
+            return self.cdf, 0.0
+        values, levels, _starts, _ends, other, tiled = self._steps
         i = bisect.bisect_right(levels, s) - 1
+        if tiled is not None:
+            return tiled, values[i]
         v, bottom, top, cdf = values[i], levels[i], levels[i + 1], other.cdf
-        return lambda x: min(max(cdf(x - v), bottom), top)
+        return (lambda x: min(max(cdf(x - v), bottom), top)), 0.0
 
     def quantile_moment(self, a, b, k, origin, *, epsabs=MOMENT_TOL):
         """The operands' moments added, as their quantiles add: each in closed form where it has one."""
@@ -1056,8 +1076,8 @@ class ComonotoneSum(Distribution):
 
     def quantile_steps(self):
         if self._steps is not None:
-            _values, levels, starts, ends, other = self._steps
-            if not other.quantile_breakpoints():
+            _values, levels, starts, ends, _other, tiled = self._steps
+            if tiled is not None:
                 # the discrete operand's inner levels are the only breakpoints,
                 # and q and q+ there end and start its atoms' level intervals
                 return np.array(levels[1:-1]), np.array(ends[:-1]), np.array(starts[1:])

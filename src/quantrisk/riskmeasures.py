@@ -462,10 +462,16 @@ def choquet_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = 
     stretch is cut again at D's knots, so one piece p of D applies on each
     cut: where p is flat, D(F) is that constant; elsewhere ``1 - p(F)`` and
     ``p(F)`` are integrated numerically in Python floats, each call with
-    absolute tolerance ``epsabs / 4``, with F the stretch's
-    ``Distribution.local_cdf``, bound only on a stretch that integrates.
-    Only the stretches' ends are read from the step arrays, and each flat
-    piece's value is taken once per call.  Where QUADPACK gives up on an
+    absolute tolerance ``epsabs / 4``.  The stretch's
+    ``Distribution.local_cdf``, taken only on a stretch that integrates,
+    gives F(x) = G(x - shift), and each cut is integrated in y = x - shift.
+    Consecutive cuts with finite ends on one piece and one side of 0 whose
+    G is the same object form a run, one call from its first y to its last:
+    a node shares G only where its stretches tile G's axis (a comonotone
+    sum of a discrete and an operand without breakpoints).  A cut with an
+    infinite end is a call of its own.  Only the stretches' ends are read
+    from the step arrays, and each flat piece's value is taken once per
+    call.  Where QUADPACK gives up on an
     infinite end and F at the last float has not reached 0 (left) or the
     last level below 1 (right), the value is inconclusive, as it is for a
     step whose q and q+ are both past the float range.  A discrete input
@@ -500,6 +506,13 @@ def choquet_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = 
     # only the outer two and the inner ones where q rises are read, as Python floats
     rises = lower[1:] > upper[:-1]
     flat = {}  # the value of each flat piece of D met, by its index
+    run = None  # the open run of integrating cuts: [(piece index, side of 0), G, y0, y1, the piece's at]
+
+    def close(run):
+        (_j, side), G, y0, y1, at = run
+        f = (lambda y: at(G(y))) if side < 0.0 else (lambda y: 1.0 - at(G(y)))
+        terms.append(side * integral(f, y0, y1))
+
     for s, start, t, end in zip(
         [0.0, *levels[:-1][rises].tolist(), *levels[-1:].tolist()],
         [lo, *upper[:-1][rises].tolist(), *upper[-1:].tolist()],
@@ -508,7 +521,7 @@ def choquet_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = 
     ):
         if not end > start:
             continue
-        local = None
+        G = None
         for j, p in enumerate(distortion.pieces):
             if p.hi <= s or p.lo >= t:
                 continue
@@ -523,13 +536,25 @@ def choquet_risk(dist: Distribution, distortion: Distortion, *, epsabs: float = 
                 flat_b.append(b)
                 flat_d.append(flat[j])
                 continue
-            if local is None:
-                local = dist.local_cdf(s, t)
-            # on (a, b) D(F) is p(F): p and the stretch's CDF are bound once, and evaluated in floats
-            if a < 0.0:
-                terms.append(-integral(lambda x, at=p.at, F=local: at(F(x)), a, min(b, 0.0)))
-            if b > 0.0:
-                terms.append(integral(lambda x, at=p.at, F=local: 1.0 - at(F(x)), max(a, 0.0), b))
+            if G is None:
+                G, shift = dist.local_cdf(s, t)
+            # on (a, b) D(F) is p(G(x - shift)), integrated in y = x - shift on each side of 0;
+            # consecutive finite cuts of one piece and side that share G extend one run
+            for side, x0, x1 in ((-1.0, a, min(b, 0.0)), (1.0, max(a, 0.0), b)):
+                if not x1 > x0:
+                    continue
+                finite = -math.inf < x0 and x1 < math.inf
+                if finite and run is not None and run[0] == (j, side) and run[1] is G:
+                    run[3] = x1 - shift
+                    continue
+                if run is not None:
+                    close(run)
+                run = [(j, side), G, x0 - shift, x1 - shift, p.at]
+                if not finite:  # an infinite end stays a call of its own
+                    close(run)
+                    run = None
+    if run is not None:
+        close(run)
     # no copies of the steps when no stretch added any
     a, b, d = (
         np.concatenate((steps, extra)) if extra else steps

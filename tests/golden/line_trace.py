@@ -11,10 +11,13 @@ statement lines never ran; CI runs it as that gate, with
 
 The statement lines are counted by ``ast``: every statement's first line,
 less docstrings and ``global`` declarations, which run no code of their
-own.  A ``sys.settrace`` and ``threading.settrace`` hook records the lines
-that run in files under ``src/quantrisk``, in this process only: the CLI
-tests that start a ``python -m quantrisk.cli`` subprocess are not followed,
-so a line they alone run is listed here.  Output is one
+own.  Each file is parsed, and its source lines kept, once: when the trace
+first enters it, so an edit made while the run goes on cannot shift the
+lines reported; a file never entered is parsed at the end.  A
+``sys.settrace`` and ``threading.settrace`` hook records the lines that run
+in files under ``src/quantrisk``, in this process only: the CLI tests that
+start a ``python -m quantrisk.cli`` subprocess are not followed, so a line
+they alone run is listed here.  Output is one
 ``path:line<TAB>source`` per unexecuted line, then the counts.
 """
 
@@ -28,16 +31,17 @@ PACKAGE = os.path.join(ROOT, "src", "quantrisk")
 
 
 def statement_lines(path):
-    """First lines of the statements of one source file, less docstrings and ``global``."""
+    """The source lines of one file, and the first lines of its statements, less docstrings and ``global``."""
     with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read(), path)
+        text = fh.read()
+    tree = ast.parse(text, path)
     docstrings = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
             first = node.body[0]
             if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) and isinstance(first.value.value, str):
                 docstrings.add(first)
-    return {
+    return text.splitlines(), {
         node.lineno
         for node in ast.walk(tree)
         if isinstance(node, ast.stmt) and node not in docstrings and not isinstance(node, ast.Global)
@@ -52,6 +56,7 @@ def main(argv):
         max_unrun, argv = int(argv[1]), argv[2:]
 
     ran = {}  # path -> set of executed lines
+    parsed = {}  # path -> (source lines, statement lines), read when the trace first enters the file
 
     def local(frame, event, arg):
         if event == "line":
@@ -62,6 +67,9 @@ def main(argv):
         path = frame.f_code.co_filename
         if not path.startswith(PACKAGE):
             return None
+        if path not in parsed:
+            # parsed as it starts to run: a later edit of the file cannot shift its lines
+            parsed[path] = statement_lines(path)
         ran.setdefault(path, set())
         return local
 
@@ -78,9 +86,7 @@ def main(argv):
         if not name.endswith(".py"):
             continue
         path = os.path.join(PACKAGE, name)
-        lines = statement_lines(path)
-        with open(path, encoding="utf-8") as fh:
-            source = fh.read().splitlines()
+        source, lines = parsed.get(path) or statement_lines(path)  # a file never entered is read now
         unrun = sorted(lines - ran.get(path, set()))
         for n in unrun:
             print(f"src/quantrisk/{name}:{n}\t{source[n - 1].strip()}")

@@ -845,12 +845,33 @@ class TestComonotoneStepCdf:
             for i in np.flatnonzero(np.array(ends) > np.array(starts)).tolist():
                 start, end = max(starts[i], -1e6), min(ends[i], 1e6)
                 xs = [math.nextafter(start, end), math.nextafter(end, start), *rng.uniform(start, end, 5)]
-                local = s.local_cdf(float(bounds[i]), float(bounds[i + 1]))
-                assert [local(x).hex() for x in xs] == [s.cdf(x).hex() for x in xs], i
+                G, shift = s.local_cdf(float(bounds[i]), float(bounds[i + 1]))
+                local = [min(max(G(x - shift), bounds[i]), bounds[i + 1]) for x in xs]
+                assert [y.hex() for y in local] == [s.cdf(x).hex() for x in xs], i
+
+    @pytest.mark.parametrize("other", [ParetoNegative(1.0, 2.0), ParetoPositive(1.0, 1.5)], ids=lambda d: d.label())
+    def test_the_local_cdf_of_a_tiled_sum_is_one_object_shifted_by_the_atom(self, other):
+        # an operand without breakpoints: every atom's stretch hands out its CDF, bound once, and the atom
+        disc = small_stratified_normal(40, 9)
+        s = comonotone_sum(disc, other)
+        levels = [0.0, *s.quantile_steps()[0].tolist(), 1.0]
+        pairs = [s.local_cdf(lo, hi) for lo, hi in zip(levels, levels[1:])]
+        assert all(G is pairs[0][0] for G, _ in pairs)
+        assert [shift for _, shift in pairs] == disc.values.tolist()
+
+    def test_the_local_cdf_is_a_fresh_clipped_closure_where_the_operand_has_breakpoints(self):
+        from quantrisk.distributions import ComonotoneSum
+
+        s = ComonotoneSum(small_stratified_normal(40, 9), ParetoNegative(1.0, 2.0).shift(2.0).abs())
+        levels = [0.0, *s.quantile_steps()[0].tolist(), 1.0]
+        pairs = [s.local_cdf(lo, hi) for lo, hi in zip(levels, levels[1:])]
+        assert len({id(G) for G, _ in pairs}) == len(pairs)
+        assert all(shift == 0.0 for _, shift in pairs)
 
     def test_the_local_cdf_is_the_cdf_without_a_step_table(self):
         for dist in (ParetoNegative(1.0, 2.0), comonotone_sum(ParetoNegative(1.0, 3.0), ParetoPositive(1.0, 3.0))):
-            assert dist.local_cdf(0.25, 0.5) == dist.cdf
+            G, shift = dist.local_cdf(0.25, 0.5)
+            assert G == dist.cdf and shift.hex() == (0.0).hex()
 
     def test_quantile_steps_fall_back_when_the_other_operand_has_breakpoints(self):
         from quantrisk.distributions import ComonotoneSum, Distribution

@@ -645,12 +645,16 @@ class TestAxiomIdentities:
 
 class TestLazyTailNodes:
     @staticmethod
-    def discrete_plus_tail(n):
+    def stratified_normal(n):
+        """n atoms, one drawn in each of n equal-probability strata of the standard normal."""
         from scipy.special import ndtri
 
         rng = np.random.default_rng(n)
-        disc = Discrete.from_samples(ndtri((np.arange(n) + rng.uniform(0.0, 1.0, n)) / n))
-        return comonotone_sum(disc, ParetoNegative(1.0, 2.0))
+        return Discrete.from_samples(ndtri((np.arange(n) + rng.uniform(0.0, 1.0, n)) / n))
+
+    @staticmethod
+    def discrete_plus_tail(n):
+        return comonotone_sum(TestLazyTailNodes.stratified_normal(n), ParetoNegative(1.0, 2.0))
 
     @pytest.mark.parametrize("D", SIX_FAMILIES, ids=lambda D: D.label())
     def test_three_forms_agree_on_discrete_plus_tail(self, D):
@@ -679,6 +683,27 @@ class TestLazyTailNodes:
         assert abs(choquet_risk(m, D).as_float() - 3.3875280644219) < 1e-9
 
 
+def record_quad_calls(monkeypatch):
+    """Route ``_quad`` through a recorder; returns the list each call's arguments go into."""
+    calls = []
+    quad_once = riskmeasures._quad
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return quad_once(*args, **kwargs)
+
+    monkeypatch.setattr(riskmeasures, "_quad", counted)
+    return calls
+
+
+def choquet_or_none(dist, D):
+    """``choquet_risk``, or None where it raises ``InconclusiveError``."""
+    try:
+        return choquet_risk(dist, D)
+    except InconclusiveError:
+        return None
+
+
 class TestOneChoquetPath:
     """Choquet cuts in level space: steps and flat stretches exact, quadrature only where D(F) moves."""
 
@@ -696,34 +721,100 @@ class TestOneChoquetPath:
             d = Discrete.from_samples(values)
             assert choquet_risk(d, D).as_float() == oracle_choquet_loop(d, D)
 
+    @pytest.mark.parametrize("n", [600, 6_000])
     @pytest.mark.parametrize(
-        "D, bound",
+        "D, count",
         [
-            (make_named("expectation"), 601),
-            (make_named("es_n", n=2, alpha=0.5), 301),
-            (make_named("threshold", delta=0.5), 301),
-            (make_named("es", alpha=0.9), 61),
+            (make_named("expectation"), 3),
+            (make_named("es_n", n=2, alpha=0.5), 2),
+            (make_named("threshold", delta=0.5), 2),
+            (make_named("es", alpha=0.9), 1),
             (make_named("var", alpha=0.5), 0),
         ],
         ids=lambda x: x.label() if hasattr(x, "label") else str(x),
     )
-    def test_quadrature_calls_on_discrete_plus_tail(self, monkeypatch, D, bound):
-        # one call per stretch between breakpoint levels where D is not flat,
-        # one more where such a stretch straddles 0; none on the 599 steps
-        import quantrisk.riskmeasures as rm
-
-        calls = []
-        quad_once = rm._quad
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return quad_once(*args, **kwargs)
-
-        s = TestLazyTailNodes.discrete_plus_tail(600)
-        monkeypatch.setattr(rm, "_quad", counted)
+    def test_quadrature_calls_on_discrete_plus_tail(self, monkeypatch, D, count, n):
+        # the atoms' stretches tile the tail's axis in y = x - v_i: one call per
+        # piece of D where it moves, per side of 0, and one more for the cut
+        # that reaches -inf; none on the n - 1 steps, for any n
+        s = TestLazyTailNodes.discrete_plus_tail(n)
+        calls = record_quad_calls(monkeypatch)
         tail = choquet_risk(s, D)
-        assert len(calls) <= bound
+        assert len(calls) == count
         assert abs(tail.as_float() - quantile_risk(s, D).as_float()) < 1e-8
+
+    BENCH_SIX = (
+        make_named("expectation"), make_named("var", alpha=0.5), make_named("es", alpha=0.9),
+        make_named("es_n", n=2, alpha=0.5), make_named("threshold", delta=0.5), make_named("sqrt_example"),
+    )
+    TILED = (*(ParetoNegative(1.0, theta) for theta in (1.5, 2.0, 3.0)),
+             *(ParetoPositive(1.0, theta) for theta in (1.5, 2.0, 3.0)),
+             ParetoNegative(1.0, 2.0).scale(0.5).shift(3.0))
+    # where the lone call on (b, inf) under a right tail this heavy already misses
+    # the quantile form by more than 1e-12 with one call per stretch (up to 3.8e-10
+    # at theta 1.5, or InconclusiveError at 2,000 atoms): the tail tolerance's defect
+    HEAVY_RIGHT = ("pareto_positive(beta=1,theta=1.5)", "pareto_positive(beta=1,theta=2)")
+    RUN_BOUND = 1.2e-13  # the largest run-against-stretch move reached on these cells is 1.10e-13
+
+    @staticmethod
+    def per_stretch(monkeypatch, dist, D):
+        """Choquet with one quadrature call per stretch: each stretch's CDF a fresh clipped closure in x."""
+        from quantrisk.distributions import ComonotoneSum
+
+        tiled = ComonotoneSum.local_cdf
+
+        def fresh(self, s, t):
+            G, shift = tiled(self, s, t)
+            return (lambda x: min(max(G(x - shift), s), t)), 0.0
+
+        with monkeypatch.context() as m:
+            m.setattr(ComonotoneSum, "local_cdf", fresh)
+            return choquet_or_none(dist, D)
+
+    @pytest.mark.parametrize("n", [1, 2, 20, 600, 2_000])
+    def test_runs_agree_with_the_quantile_form_at_beta_one(self, monkeypatch, n):
+        disc = TestLazyTailNodes.stratified_normal(n)
+        over = set()
+        for other in self.TILED:
+            s = comonotone_sum(disc, other)
+            for D in self.BENCH_SIX:
+                ref, tail, stretch = quantile_risk(s, D), choquet_or_none(s, D), self.per_stretch(monkeypatch, s, D)
+                # the runs raise where the calls per stretch do, and only there
+                assert (tail is None) == (stretch is None), (other.label(), D.label())
+                if tail is None:
+                    over.add(other.label())
+                    continue
+                assert tail.kind == stretch.kind == ref.kind
+                if ref.is_finite:
+                    scale = max(1.0, abs(ref.value))
+                    assert abs(tail.value - stretch.value) <= self.RUN_BOUND * scale, (other.label(), D.label())
+                    if abs(tail.value - ref.value) > 1e-12 * scale:
+                        over.add(other.label())
+        assert over <= set(self.HEAVY_RIGHT)
+
+    @pytest.mark.parametrize("n", [1, 2, 20, 600])
+    def test_runs_never_cross_a_flat_stretch_of_an_operand(self, monkeypatch, n):
+        # operands with breakpoints, and an affine map of a tiled sum, whose CDF is
+        # a fresh bound method per stretch: each stretch keeps its own call, bit for bit
+        from quantrisk.distributions import ComonotoneSum
+
+        disc = TestLazyTailNodes.stratified_normal(n)
+        calls = record_quad_calls(monkeypatch)
+        for s in (comonotone_sum(disc, ParetoNegative(1.0, 2.0).shift(2.0).abs()),
+                  ComonotoneSum(disc, Discrete.from_samples([-1.0, 0.25, 0.5, 2.0])),
+                  comonotone_sum(disc, ParetoNegative(1.0, 2.0)).scale(0.5)):
+            for D in self.BENCH_SIX:
+                calls.clear()
+                tail = choquet_risk(s, D)
+                runs = len(calls)
+                calls.clear()
+                stretch = self.per_stretch(monkeypatch, s, D)
+                assert runs == len(calls)
+                assert tail.kind == stretch.kind and tail.value.hex() == stretch.value.hex()
+                ref = quantile_risk(s, D)
+                assert tail.kind == ref.kind
+                if ref.is_finite:
+                    assert abs(tail.value - ref.value) <= 2e-12 * max(1.0, abs(ref.value))
 
     @pytest.mark.parametrize("theta", [1.5, 2.0, 3.0])
     def test_agrees_with_quantile_on_thousand_atoms_plus_pareto(self, theta):
@@ -936,14 +1027,7 @@ class TestOneIntegralAgainstD:
         # a Pareto left tail lies below 0: its positive part needs no quadrature
         import quantrisk.riskmeasures as rm
 
-        calls = []
-        quad_once = rm._quad
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return quad_once(*args, **kwargs)
-
-        monkeypatch.setattr(rm, "_quad", counted)
+        calls = record_quad_calls(monkeypatch)
         D = make_named("sqrt_example")
         verdict, partials = rm._part_verdict(ParetoNegative(1.0), D, "+", "probe")
         assert verdict is Verdict.MEMBER and partials == (0.0,) * rm.PROBE_LEVELS and calls == []
