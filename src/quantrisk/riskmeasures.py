@@ -298,6 +298,24 @@ def _tail_rule(theta, p) -> bool | None:
     return p - 1.0 / theta <= -1.0
 
 
+# the relation named by (L_D1 inside L_D2, L_D2 inside L_D1)
+_RELATIONS = {(True, True): "equal", (True, False): "subset-1-in-2", (False, True): "subset-2-in-1"}
+
+
+def _domain_relation(p1, p2) -> str:
+    """How the upper domains of D1 and D2 nest, from their density exponents p1 and p2 at 1.
+
+    By the Choquet form only 1 - D(1 - s) near s = 0 decides the upper
+    domain, and a density ~ t**p there makes it ~ s**(p + 1): the larger p,
+    the more of the tail is integrable, as :func:`_tail_rule` reads for one
+    tail.  So L_D1 lies inside L_D2 exactly when p1 <= p2, where None (D flat
+    near 1, whose domain holds every distribution) lies above every number.
+    These exponents are totally ordered, so two domains always nest.
+    """
+    inside = lambda p, r: r is None or (p is not None and p <= r)
+    return _RELATIONS[inside(p1, p2), inside(p2, p1)]
+
+
 def _forced_value(dist: Distribution, distortion: Distortion) -> RiskValue | None:
     """The risk a divergent part forces, the positive part first, or None when both converge."""
     if dist.is_discrete:
@@ -790,27 +808,22 @@ def classify_membership(
 # domain comparison
 
 
-# the relation named by (d1_le_d2, d2_le_d1)
-_RELATIONS = {
-    (True, True): "equal",
-    (True, False): "subset-1-in-2",
-    (False, True): "subset-2-in-1",
-    (False, False): "incomparable",
-}
-
-
 @dataclass(frozen=True)
 class DomainComparison:
-    """The pointwise order of two distortions on [delta, 1), decided on their pieces.
+    """How the upper domains of two distortions nest, and their pointwise order on [delta, 1).
 
-    ``max_excess_*`` is the exact sup, left limits at the knots included.
+    ``relation`` and ``domain_equals_expectation_*`` read only D's density
+    exponent at 1, by :func:`_domain_relation`, so delta moves neither.
+    ``max_excess_*`` is the exact sup of D1 - D2 (of D2 - D1) on [delta, 1),
+    left limits at the knots included, and decides ``d1_le_d2`` (``d2_le_d1``).
     """
 
     delta: float
     max_excess_1_over_2: float
     max_excess_2_over_1: float
-    sandwich_1: tuple[int, float] | None
-    sandwich_2: tuple[int, float] | None
+    relation: str
+    domain_equals_expectation_1: bool
+    domain_equals_expectation_2: bool
 
     @property
     def d1_le_d2(self) -> bool:
@@ -820,35 +833,25 @@ class DomainComparison:
     def d2_le_d1(self) -> bool:
         return pointwise_le(self.max_excess_2_over_1)
 
-    @property
-    def relation(self) -> str:
-        return _RELATIONS[self.d1_le_d2, self.d2_le_d1]
-
-    @property
-    def domain_equals_expectation_1(self) -> bool:
-        return self.sandwich_1 is not None
-
-    @property
-    def domain_equals_expectation_2(self) -> bool:
-        return self.sandwich_2 is not None
-
 
 def compare_domains(d1: Distortion, d2: Distortion, delta: float = 0.25) -> DomainComparison:
-    """Exact comparison of two distortions on [delta, 1), decided on their pieces.
+    """The exact inclusion of the upper domains of D1 and D2, and their order on [delta, 1).
 
-    A smaller distortion on [delta, 1) has the smaller domain.  The sandwich
-    flags certify (per distortion) that some order-n shortfall curve lies
-    below it while it stays below the identity, which pins its domain to the
-    expectation's.  Each ``<=`` is decided by :func:`pointwise_le`.
+    The inclusion is read from the two density exponents at 1, and a domain
+    equals the expectation's (L1) when its exponent is the identity's.  The
+    pointwise order on [delta, 1) implies the inclusion but not the other way
+    round; each of its ``<=`` is decided by :func:`pointwise_le`.
     """
     if not 0.0 < delta < 1.0:
         raise ParameterError(f"delta must lie in (0,1), got {delta!r}")
+    p1, p2, identity = (d.density_exponent_at(1) for d in (d1, d2, expectation()))
     return DomainComparison(
         delta,
         max_excess(d1, d2, delta),
         max_excess(d2, d1, delta),
-        _sandwich_certificate(d1, delta),
-        _sandwich_certificate(d2, delta),
+        _domain_relation(p1, p2),
+        _domain_relation(p1, identity) == "equal",
+        _domain_relation(p2, identity) == "equal",
     )
 
 
@@ -888,17 +891,3 @@ def max_excess(d1: Distortion, d2: Distortion, lo: float = 0.0) -> float:
         a = b
     return best
 
-
-# the certificate's (n, alpha), in the order they are tried
-_SANDWICH_CANDIDATES = [(n, round(float(alpha), 2)) for n in range(1, 7) for alpha in np.arange(0.05, 1.0, 0.05)]
-
-
-def _sandwich_certificate(d: Distortion, delta: float) -> tuple[int, float] | None:
-    if not pointwise_le(max_excess(d, expectation(), delta)):  # must stay below the identity
-        return None
-    below = lambda n, alpha: pointwise_le(max_excess(higher_order_es_distortion(n, alpha), d, delta))
-    # es_n(n, alpha) falls as n or alpha grows, so the last candidate, es_n(6, 0.95), lies
-    # below every other: if it is not below D, none is
-    if not below(*_SANDWICH_CANDIDATES[-1]):
-        return None
-    return next((c for c in _SANDWICH_CANDIDATES if below(*c)), None)

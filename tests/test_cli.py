@@ -299,7 +299,7 @@ class TestClassify:
 
 
 class TestCompare:
-    def test_subset_evidence(self, capsys):
+    def test_es_has_the_expectations_domain(self, capsys):
         code, out, _ = run(
             capsys,
             "compare",
@@ -313,7 +313,8 @@ class TestCompare:
             "json",
         )
         assert code == 0
-        assert json.loads(out)["relation"] == "subset-1-in-2"
+        row = json.loads(out)
+        assert row["relation"] == "equal" and row["d1_le_d2"] and not row["d2_le_d1"]
 
 
 class TestSuite:

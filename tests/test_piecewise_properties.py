@@ -19,15 +19,21 @@ from quantrisk.distortions import (
     Piece,
     SpectralDensity,
     distortion_of,
-    expectation,
-    higher_order_es_distortion,
     is_convex,
     make_named,
     spectral_of,
 )
 from quantrisk.distributions import Discrete, ParetoNegative, ParetoPositive, comonotone_sum
 from quantrisk.errors import ParameterError
-from quantrisk.riskmeasures import choquet_risk, compare_domains, max_excess, mixture_risk, quantile_risk
+from quantrisk.riskmeasures import (
+    DomainClass,
+    Verdict,
+    choquet_risk,
+    classify_membership,
+    compare_domains,
+    mixture_risk,
+    quantile_risk,
+)
 from quantrisk.suite import MIXTURE_TOL, QUANTILE_CHOQUET_TOL
 
 # positive exponents stay away from 0, where expo - 1 loses the bits of expo
@@ -198,23 +204,30 @@ def test_the_exact_excess_never_falls_below_a_dense_grid(d1, d2, delta):
         assert not (sampled > MASS_TOL and le)
 
 
-def _scanned_sandwich(d, delta):
-    """The sandwich certificate by the plain scan of all 6 x 19 shortfall curves."""
-    if max_excess(d, expectation(), delta) > MASS_TOL:
-        return None
-    for n in range(1, 7):
-        for alpha in np.arange(0.05, 1.0, 0.05):
-            alpha = round(float(alpha), 2)
-            if max_excess(higher_order_es_distortion(n, alpha), d, delta) <= MASS_TOL:
-                return (n, alpha)
-    return None
+_THETAS = (0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 2.0)
+
+
+def _upper_members(d):
+    """The theta of the grid whose ParetoPositive(1, theta) ``classify_membership`` places in D's domain."""
+    verdicts = {t: classify_membership(ParetoPositive(1.0, t), d, DomainClass.QUANTILE).verdict for t in _THETAS}
+    assert Verdict.INCONCLUSIVE not in verdicts.values()
+    return {t for t, verdict in verdicts.items() if verdict is Verdict.MEMBER}
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(piecewise_distortions(), piecewise_distortions(convex=True), st.sampled_from(_NAMED)),
-       st.one_of(st.sampled_from([0.01, 0.25, 0.6]), st.floats(0.01, 0.99)))
-def test_the_gated_sandwich_search_finds_what_the_full_scan_finds(d, delta):
-    assert compare_domains(d, d, delta).sandwich_1 == _scanned_sandwich(d, delta)
+@given(piecewise_distortions(), st.one_of(piecewise_distortions(), st.sampled_from(_NAMED)))
+def test_the_relation_nests_the_classified_domains(d1, d2):
+    # an inclusion holds for every Pareto tail, and a strict one is shown by some tail of the grid
+    m1, m2 = _upper_members(d1), _upper_members(d2)
+    nested = {"equal": m1 == m2, "subset-1-in-2": m1 < m2, "subset-2-in-1": m2 < m1}
+    assert nested[compare_domains(d1, d2).relation]
+
+
+@settings(max_examples=100, deadline=None)
+@given(piecewise_distortions(), st.one_of(piecewise_distortions(), st.sampled_from(_NAMED)))
+def test_no_domain_field_moves_with_delta(d1, d2):
+    fields = lambda cmp: (cmp.relation, cmp.domain_equals_expectation_1, cmp.domain_equals_expectation_2)
+    assert len({fields(compare_domains(d1, d2, delta)) for delta in (0.01, 0.25, 0.6, 0.99)}) == 1
 
 
 class TestAtomAtZero:

@@ -530,53 +530,65 @@ def _flat(lo, hi, level):
 
 
 class TestCompareDomains:
-    def test_es_below_expectation(self):
+    def test_es_has_the_expectations_domain_though_it_lies_below(self):
         cmp = compare_domains(make_named("es", alpha=0.5), EXPECTATION, 0.01)
-        assert cmp.d1_le_d2 and cmp.relation == "subset-1-in-2"
+        assert cmp.relation == "equal"
+        assert cmp.domain_equals_expectation_1 and cmp.domain_equals_expectation_2
+        assert cmp.d1_le_d2 and not cmp.d2_le_d1
         assert (cmp.max_excess_1_over_2, cmp.max_excess_2_over_1) == (0.0, 0.5)
 
-    def test_sqrt_example_sandwich(self):
+    def test_a_kinked_distortion_has_the_expectations_domain(self):
+        # slope 1.5 on [0, 0.5), then 0.5 + 0.5 u: above the identity on (0, 1), yet its
+        # density at 1 is bounded and positive, as the identity's is
+        kinked = Distortion([
+            Piece(lo=0.0, hi=0.5, coef=1.5, origin=0.0, width=1.0, expo=1.0),
+            Piece(lo=0.5, hi=1.0, base=0.5, coef=0.5, origin=0.0, width=1.0, expo=1.0),
+        ])
+        cmp = compare_domains(kinked, EXPECTATION)
+        assert cmp.relation == "equal" and cmp.domain_equals_expectation_1
+        assert cmp.d2_le_d1 and not cmp.d1_le_d2
+
+    def test_sqrt_example_has_the_expectations_domain(self):
         cmp = compare_domains(make_named("sqrt_example"), EXPECTATION, 0.25)
-        assert cmp.domain_equals_expectation_1
+        assert cmp.domain_equals_expectation_1 and cmp.relation == "equal"
         assert (cmp.max_excess_1_over_2, cmp.max_excess_2_over_1) == (0.0, 0.0)
 
-    def test_var_pair_equal_on_late_grid(self):
+    def test_var_pair_is_equal_at_every_delta(self):
+        # both flat near 1, so both domains hold every distribution; only the order moves with delta
         cmp = compare_domains(make_named("var", alpha=0.3), make_named("var", alpha=0.6), 0.6)
-        assert cmp.d2_le_d1
+        assert cmp.relation == "equal" and cmp.d1_le_d2 and cmp.d2_le_d1
         assert (cmp.max_excess_1_over_2, cmp.max_excess_2_over_1) == (0.0, 0.0)
         cmp2 = compare_domains(make_named("var", alpha=0.3), make_named("var", alpha=0.6), 0.35)
-        assert cmp2.relation == "subset-2-in-1"
+        assert cmp2.relation == "equal" and not cmp2.d1_le_d2 and cmp2.d2_le_d1
         assert (cmp2.max_excess_1_over_2, cmp2.max_excess_2_over_1) == (1.0, 0.0)
+        assert not (cmp.domain_equals_expectation_1 or cmp.domain_equals_expectation_2)
 
     def test_delta_validation(self):
         with pytest.raises(ParameterError):
             compare_domains(EXPECTATION, EXPECTATION, 0.0)
 
-    def test_var_and_expectation_are_incomparable(self):
+    def test_var_holds_the_expectations_domain_though_neither_lies_below(self):
         cmp = compare_domains(make_named("var", alpha=0.5), EXPECTATION)
-        assert cmp.relation == "incomparable"
+        assert cmp.relation == "subset-2-in-1"
+        assert not cmp.domain_equals_expectation_1 and cmp.domain_equals_expectation_2
         assert not cmp.d1_le_d2 and not cmp.d2_le_d1
         # the second sup is the left limit at the jump, which no grid point reaches
         assert (cmp.max_excess_1_over_2, cmp.max_excess_2_over_1) == (0.5, 0.5)
 
-    def test_no_shortfall_curve_up_to_order_6_certifies_es_7(self):
-        # below the identity, but no es_n(n, alpha) with n <= 6 lies below it near 1
+    def test_es_7_has_the_expectations_domain(self):
         cmp = compare_domains(make_named("es_n", n=7, alpha=0.95), EXPECTATION)
-        assert cmp.sandwich_1 is None and not cmp.domain_equals_expectation_1
-        assert cmp.sandwich_2 == (1, 0.05)
+        assert cmp.relation == "equal"
+        assert cmp.domain_equals_expectation_1 and cmp.domain_equals_expectation_2
         # u - ((u - 0.95)/0.05)**7 peaks where z**6 = 1/140; the sup of D - u is its left limit at 1
         z = 140.0 ** (-1.0 / 6.0)
         assert cmp.max_excess_1_over_2 == 0.0
         assert abs(cmp.max_excess_2_over_1 - (0.95 + 0.05 * z - z**7)) <= 1e-15
 
-    def test_a_failed_sandwich_costs_one_sup_past_the_identity(self, monkeypatch):
-        # es_n(6, 0.95) lies below every other candidate, so when it is not below D the
-        # search stops: 2 sups for the order, 2 for es_7's refusal, 3 for the identity's (1, 0.05)
+    def test_a_comparison_takes_two_sups(self, monkeypatch):
         calls = []
         monkeypatch.setattr(riskmeasures, "max_excess", lambda *a: calls.append(a) or max_excess(*a))
-        cmp = compare_domains(make_named("es_n", n=7, alpha=0.95), EXPECTATION)
-        assert (cmp.sandwich_1, cmp.sandwich_2) == (None, (1, 0.05))
-        assert len(calls) <= 7
+        compare_domains(make_named("es_n", n=7, alpha=0.95), EXPECTATION)
+        assert len(calls) == 2
 
     def test_a_bump_between_grid_points_is_an_excess(self):
         # above the identity by w/4 at a + w/4, on [a, a + w): that lies between two points of
@@ -585,9 +597,9 @@ class TestCompareDomains:
         a = 0.25 + 100.2 * (0.75 / 2048)
         bump = Piece(lo=a, hi=a + w, base=a, coef=w, origin=a, width=w, expo=0.5)
         cmp = compare_domains(Distortion([_linear(0.0, a), bump, _linear(a + w, 1.0)]), EXPECTATION)
-        assert cmp.relation == "subset-2-in-1"
+        assert not cmp.d1_le_d2 and cmp.d2_le_d1
         assert abs(cmp.max_excess_1_over_2 - 2.5e-5) <= 1e-12
-        assert cmp.sandwich_1 is None
+        assert cmp.relation == "equal" and cmp.domain_equals_expectation_1
 
     def test_the_sup_is_found_past_the_cut(self):
         # on [0.5, 0.72), h = 0.01 + 0.458 (u - 0.5)**4 - (u - 0.4)**6 and log p1' - log p2'
