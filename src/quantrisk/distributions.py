@@ -36,10 +36,10 @@ __all__ = [
 # the default absolute tolerance of a quantile moment taken by quadrature
 MOMENT_TOL = 1e-10
 _BELOW_ONE = 1.0 - 2.0**-53  # the last float level below 1, where a CDF that inverts q stops
-# A discrete of this many atoms or more sums only the atoms a k = 0 moment meets,
-# and later reads a prefix table.  It is the measured break-even of one
+# A discrete of this many atoms or more reads its k = 0 moments from a prefix
+# table, built by the first.  It is the measured break-even of one
 # expected_shortfall_infimum (about 55 k = 0 calls) on a fresh discrete: below
-# it the table's build costs more than clipping every atom at each call saves.
+# it the table's build costs more than summing the atoms at each call saves.
 _PREFIX_CUT = 256
 
 def _check_level(u: float) -> float:
@@ -255,16 +255,12 @@ class Discrete(Distribution):
     (cum[i-1], cum[i]]: every derived discrete is built from these levels by
     :func:`_from_levels`, stores no masses, and its ``probs`` are the level
     steps ``np.diff(cum, prepend=0.0)``.  Every integral, the mean too, is
-    taken over these levels, never the given ``probs``.  A discrete of
-    ``_PREFIX_CUT`` atoms or more sums the atoms of its first k = 0 moments
-    directly and counts them; the first k = 0 moment that finds the count at
-    the atom count builds a prefix table of v_i times the level steps in
-    double-double (16 bytes an atom) and keeps it.  So one mean or one
-    shortfall builds none.  Duplicate values are merged by ``from_samples``,
-    not here.
+    taken over these levels, never the given ``probs``.  The first k = 0
+    moment of a discrete of ``_PREFIX_CUT`` atoms or more builds a prefix
+    table of v_i times the level steps in double-double (16 bytes an atom)
+    and keeps it.  Duplicate values are merged by ``from_samples``, not
+    here.
     """
-
-    _summed = 0  # atoms met by the k = 0 moments summed without the prefix table
 
     def __init__(self, values, probs):
         values = np.asarray(values, dtype=float)
@@ -364,17 +360,16 @@ class Discrete(Distribution):
     def quantile_moment(self, a, b, k, origin, *, epsabs=MOMENT_TOL):
         """Sum over the atoms of v_i times the weight's integral over their levels clipped to (a, b).
 
-        For k = 0 a discrete under ``_PREFIX_CUT`` atoms clips every atom's
-        levels to (a, b) and sums them all.  A larger one returns the fsum of
-        v_i times the level steps of the atoms strictly inside (a, b) and of
-        the two clipped edge atoms: the correctly rounded sum of these
-        products, within about 2**-53 of the sum of |v_i| times the clipped
-        level steps, since each product's rounding stays with its atom.  It
-        sums the products by :func:`_fsum` while the atoms its k = 0 moments
-        met are fewer than its atoms; from then on it reads them as one
-        difference of its prefix table, hi and lo, in O(log n), and sums
-        them again only where lo's rounding bound leaves the last bit open.
-        Either way the value is the same bits, whatever came before.
+        For k = 0 it returns the fsum of v_i times the level steps of the
+        atoms strictly inside (a, b) and of the two clipped edge atoms: the
+        correctly rounded sum of these products, within about 2**-53 of the
+        sum of |v_i| times the clipped level steps, since each product's
+        rounding stays with its atom.  A discrete under ``_PREFIX_CUT`` atoms
+        sums the products by :func:`_fsum`.  A larger one reads them as one
+        difference of its prefix table, hi and lo, in O(log n), built by its
+        first k = 0 moment, and sums them only where lo's rounding bound
+        leaves the last bit open.  Either way the value is the same bits,
+        whatever came before.
 
         For k != 0 only the atoms whose levels meet (a, b) are summed, each
         by the rule of :func:`_power_integral` with e = k + 1, from its level
@@ -384,9 +379,6 @@ class Discrete(Distribution):
         so that no difference of close powers is taken.
         """
         a, b, k, origin = _check_moment(a, b, k, origin)
-        if k == 0.0 and len(self.values) < _PREFIX_CUT:
-            knots = np.minimum(np.maximum(np.concatenate(([0.0], self.cum)), a), b)
-            return float(np.dot(self.values, np.abs(knots[1:] - knots[:-1])))
         if a == b:
             return 0.0
         first = int(np.searchsorted(self.cum, a, side="right"))
@@ -396,13 +388,11 @@ class Discrete(Distribution):
             if first == last:
                 return float(v[first] * (b - a))
             edges = v[first] * (cum[first] - a), v[last] * (b - cum[last - 1])
-            if self._summed >= len(v):  # the direct sums have cost about one build: build the table, or read it
+            if len(v) >= _PREFIX_CUT:  # the first k = 0 moment builds the table
                 hi, lo, bound = self._prefix
                 total = _checked_fsum((hi[last - 1], -hi[first], lo[last - 1], -lo[first], *edges), 2.0 * bound)
                 if total is not None:
                     return total
-            else:
-                self._summed += stop - first
             return _fsum(v[first + 1 : last] * (cum[first + 1 : last] - cum[first : last - 1]), edges)
         knots = np.concatenate(([a], self.cum[first : stop - 1], [b]))
         width = knots[1:] - knots[:-1]

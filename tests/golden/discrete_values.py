@@ -1,4 +1,4 @@
-"""Print a sha256 digest of risk values on 200 seeded discretes, fresh and with the prefix table built.
+"""Print a sha256 digest of risk values on 200 seeded discretes, building the prefix table and with it built.
 
 Run by hand, not by pytest:
 
@@ -13,9 +13,9 @@ only (``expectation``, ``es(0.9)``, ``es(0.5)``, ``var(0.5)``,
 ``var(0.99)``, ``threshold(0.3)``), and of ``expected_shortfall`` and
 ``expected_shortfall_infimum`` at 0.9.  No libm power enters, so two hosts
 with the same numpy print the same digest.  Every value is taken twice:
-on a fresh discrete, built again from its samples, and on one whose k = 0
-moments already read the prefix table (two means build it).  The k = 0
-moments of a discrete are the same bits before and after its table
+by the read that builds the prefix table, on a fresh discrete built again
+from its samples, and with the table already built (by one mean).  The
+k = 0 moments of a discrete are the same bits before and after its table
 exists (README "Numerical contract"), so both passes give the same values,
 and the second line counts the ones that differ.  Standard library, numpy
 and quantrisk only.
@@ -77,8 +77,7 @@ def main():
         fresh = values(Discrete.from_samples(samples, weights))
         built = Discrete.from_samples(samples, weights)
         built.mean()
-        built.mean()
-        assert "_prefix" in built.__dict__, "two means must build the prefix table"
+        assert "_prefix" in built.__dict__, "a mean must build the prefix table"
         table = values(built)
         differ += sum(a != b for a, b in zip(fresh, table))
         for value in fresh + table:

@@ -285,7 +285,7 @@ class TestSortRoutes:
 
 
 class TestPrefixTable:
-    """k = 0 moments of a large discrete: direct sums until they cost about one build, then a table built once."""
+    """k = 0 moments of a large discrete: the first builds a prefix table, and every later one reads it."""
 
     @staticmethod
     def count_builds(monkeypatch):
@@ -314,36 +314,30 @@ class TestPrefixTable:
         expected_shortfall_infimum(d, 0.9)
         assert builds == []
 
-    def test_one_k0_moment_builds_no_table(self, monkeypatch):
+    def test_the_first_k0_moment_builds_the_table(self, monkeypatch):
         samples = np.random.default_rng(38).standard_t(3.0, 10**5)
         builds = self.count_builds(monkeypatch)
         by_mean, by_shortfall = Discrete.from_samples(samples), Discrete.from_samples(samples)
         first = by_mean.mean()
         expected_shortfall(by_shortfall, 0.9)
-        assert "_prefix" not in by_mean.__dict__ and "_prefix" not in by_shortfall.__dict__
-        # the shortfall met a tenth of the atoms, so one mean more is summed directly
-        assert by_shortfall.mean().hex() == first.hex()
-        assert builds == []
-        # the next k = 0 moment finds the atoms met at the atom count: it builds the table and reads it
-        assert by_mean.mean().hex() == by_shortfall.mean().hex() == first.hex()
         assert builds == [10**5, 10**5]
         assert "_prefix" in by_mean.__dict__ and "_prefix" in by_shortfall.__dict__
+        assert by_mean.mean().hex() == by_shortfall.mean().hex() == first.hex()
+        assert builds == [10**5, 10**5]
 
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_a_k0_moment_is_the_same_bits_before_and_after_the_table(self, data):
-        n = data.draw(st.integers(qd._PREFIX_CUT, 3000))
+        n = data.draw(st.integers(1, 3000))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         samples = rng.standard_t(3.0, n) + data.draw(st.sampled_from([0.0, -20.0, 20.0]))
         weights = rng.uniform(0.5, 2.0, n) if data.draw(st.booleans()) else None
         fresh, built = Discrete.from_samples(samples, weights), Discrete.from_samples(samples, weights)
         built.mean()
-        built.mean()
-        assert "_prefix" in built.__dict__
+        assert ("_prefix" in built.__dict__) == (n >= qd._PREFIX_CUT)
         ends = st.one_of(st.sampled_from([0.0, 1.0]), st.sampled_from(built.cum.tolist()), st.floats(0.0, 1.0))
         a, b = sorted((data.draw(ends), data.draw(ends)))
         got = fresh.quantile_integral(a, b)
-        assert "_prefix" not in fresh.__dict__
         # both are the fsum of each atom's value times its level step clipped to (a, b)
         clipped = np.clip(np.concatenate(([0.0], fresh.cum)), a, b)
         want = math.fsum((fresh.values * (clipped[1:] - clipped[:-1])).tolist())
