@@ -179,12 +179,17 @@ def subadditivity_search(distortion: Distortion, *, trials: int, seed: int):
     Deterministic for a fixed seed: the tables are drawn in blocks of 1,024
     trials from ``default_rng([seed, block])``, so the first n trials are
     the same whatever ``trials`` is.  When the distortion is not convex the
-    constructed counterexample is evaluated as an extra seeded trial.
+    constructed counterexample is evaluated as an extra seeded trial, with
+    the largest power of two a <= 1 at which a + eps/2 and a + eps differ.
     """
     trials, seed = _trials(trials), _count("seed", seed)
     best: SubadditivityViolation | None = None
-    if not is_convex(distortion).convex:
-        report = build_counterexample(distortion)
+    res = is_convex(distortion)
+    if not res.convex:
+        a, eps = 1.0, res.witness[1]
+        while not a + eps / 2.0 < a + eps:  # halve a until the two losses are two floats
+            a /= 2.0
+        report = build_counterexample(distortion, a)
         best = SubadditivityViolation(
             gap=report.gap,
             risk_x=report.risk_x,

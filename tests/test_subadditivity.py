@@ -16,10 +16,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quantrisk.distortions import Distortion, is_convex, make_named
+from quantrisk.distortions import Distortion, Piece, is_convex, make_named
 from quantrisk.distributions import Discrete, point_mass
 from quantrisk.errors import NoCounterexampleError, ParameterError
 from quantrisk.riskmeasures import quantile_risk
@@ -587,13 +587,36 @@ def _per_level_search(distortion, trials: int, seed: int):
     rho = {role: batch(*pack.roles[role]) for role in ("x", "y", "s")}
     gaps = rho["s"] - rho["x"] - rho["y"]
     i = int(np.argmax(gaps))
-    best = None if is_convex(distortion).convex else (build_counterexample(distortion).gap, -1)
+    res = is_convex(distortion)
+    if res.convex:
+        best = None
+    else:  # the largest power of two a <= 1 at which a + eps/2 and a + eps are two floats
+        eps = res.witness[1]
+        a = next(2.0**-k for k in range(1100) if 2.0**-k + eps / 2 < 2.0**-k + eps)
+        best = (build_counterexample(distortion, a).gap, -1)
     if gaps[i] > SEARCH_SLACK and (best is None or gaps[i] > best[0]):
         best = (float(gaps[i]), i)
     return None if best is None else (best[0].hex(), best[1])
 
 
+# a jump to 1/3 at 1/8 into a piece as concave as u**(1/64): the convexity witness eps is
+# 2**-56, below half an ulp of 1, so a = 1 leaves a + eps/2 and a + eps one float
+_TINY_WITNESS = Distortion([
+    Piece(lo=0.0, hi=0.125, coef=0.0, origin=0.0, width=1.0, expo=0.0),
+    Piece(lo=0.125, hi=1.0, base=1 / 3, coef=2 / 3, origin=0.125, width=0.875, expo=1 / 64),
+])
+
+
+def test_a_witness_below_half_an_ulp_of_one_is_still_a_trial():
+    assert is_convex(_TINY_WITNESS).witness[1] == 2.0**-56
+    found = subadditivity_search(_TINY_WITNESS, trials=0, seed=0)
+    assert found.trial == -1 and found.gap > 0.0
+    # a = 2**-4 is the largest power of two whose ulp, 2**-56, eps still moves
+    assert found.table.x_values.tolist() == [-(2.0**-4 + 2.0**-56), 0.0]
+
+
 # knots on eighths put jumps and kinks on levels such as 1/2 and 3/8, where the trials' levels sit
+@example(_TINY_WITNESS, 0)
 @given(
     st.one_of(
         piecewise_distortions(grid=8), piecewise_distortions(), piecewise_distortions(convex=True)
