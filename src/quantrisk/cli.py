@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain-class", choices=[*(c.value for c in DomainClass), "all"], default="all")
     p.add_argument("--method", choices=CLASSIFY_METHODS, default="auto")
 
-    p = add("compare", _cmd_compare, "pointwise domain ordering of two distortions, decided exactly")
+    p = add("compare", _cmd_compare, "how the domains of two distortions nest, and their order on [delta, 1)")
     p.add_argument("--d1", required=True)
     p.add_argument("--d2", required=True)
     p.add_argument("--delta", type=float, default=0.25)
